@@ -17,9 +17,8 @@ from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
                     count_zeros_rectangle, default_region, hadamard_fit,
                     locate_zeros, mgf_derivative, mgf_eval, mgf_eval_scaled,
                     refinement_stable_report)
-from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport,
-                      check_symmetry, classify, tail_exponent,
-                      weak_limit_harness)
+from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
+                      tail_exponent, weak_limit_harness)
 from .chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
                     heat_kernel_circle, kernel_power, laplace_normalization,
                     make_xy_kernel)

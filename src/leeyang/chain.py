@@ -3,13 +3,15 @@
 The n-edge XY chain at inverse temperature B_n = n b has one-step transition
 density K(theta, theta') = exp(B_n cos(theta' - theta)) / integral, and its
 n-step kernel converges to the periodized heat kernel on the circle with
-variance parameter 1/b.  This module builds both kernels on a uniform grid,
-convolves spectrally, and measures the distance; it also computes the
-pinned-end partition-function ratio whose limit is a ratio of periodized
-Gaussians.
+variance parameter 1/b.  This module builds both kernels on a uniform grid
+and measures the distance; it also computes the pinned-end partition-function
+ratio whose limit is a ratio of periodized Gaussians with precision b.
 
-Kernels are probability densities on (-pi, pi]: values >= 0 on the grid and
-mean value times 2 pi equal to 1 within 1e-10 under every operation here.
+Every chain here is one circle convolution power,
+:func:`leeyang.gibbs._convolution_power`, of an XY row built as
+exp(B (cos - 1)) <= 1, so no coupling overflows.  Kernels are probability
+densities on (-pi, pi]: values >= 0 on the grid and mean value times 2 pi
+equal to 1 within 1e-10 under every operation here; NaN fails both checks.
 Each (n, b) computation is deterministic and independent, so parameter grids
 parallelise trivially.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gibbs import periodized_gaussian, wrap_angle
+from .gibbs import _convolution_power, periodized_gaussian, wrap_angle
 
 DEFAULT_CHAIN_GRID = 512
 _TWO_PI = 2.0 * math.pi
@@ -41,22 +43,30 @@ def fft_circle_grid(N: int) -> np.ndarray:
 class CircleKernel:
     """Density samples on the uniform N-grid of (-pi, pi].
 
-    ``normalization`` stores the quadrature value of the defining integral
-    before the density was normalised (e.g. integral of exp(B cos) for the
-    one-step XY kernel).
+    ``log_normalization`` stores the log of the quadrature value of the
+    defining integral before the density was normalised (e.g. the integral
+    of exp(B cos) for the one-step XY kernel, which overflows a float once
+    B > 709).
     """
 
     values: np.ndarray
-    normalization: float
+    log_normalization: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if np.any(v < -1e-12):
-            raise ValueError(f"kernel has negative density {v.min():.3e}")
+        if not np.all(v >= -1e-12):
+            raise ValueError(f"kernel has negative or NaN density {np.min(v):.3e}")
         mass = float(v.mean()) * _TWO_PI
-        if abs(mass - 1.0) > 1e-10:
+        if not abs(mass - 1.0) <= 1e-10:
             raise ValueError(f"kernel mass {mass!r} differs from 1 beyond 1e-10")
+        if not math.isfinite(self.log_normalization):
+            raise ValueError(f"log normalization {self.log_normalization!r} is not finite")
+
+    @property
+    def normalization(self) -> float:
+        """The defining integral; OverflowError past the float range."""
+        return math.exp(self.log_normalization)
 
     @property
     def N(self) -> int:
@@ -81,36 +91,31 @@ def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
     """One-step XY transition density exp(B cos(dtheta)) / integral.
 
     The stored normalization is the grid quadrature of the integral of
-    exp(B cos phi) over the circle, spectrally accurate in N; at B = 0 the
-    kernel is uniform 1/(2 pi).
+    exp(B cos phi) over the circle, spectrally accurate in N, kept as
+    B + log of the integral of exp(B (cos phi - 1)) so that it never
+    overflows; at B = 0 the kernel is uniform 1/(2 pi).
     """
-    if B < 0:
+    if not B >= 0:
         raise ValueError(f"inverse temperature must be non-negative, got {B}")
-    g = np.exp(B * np.cos(fft_circle_grid(N)))
+    g = np.exp(B * (np.cos(fft_circle_grid(N)) - 1.0))
     Z = float(g.sum()) * _TWO_PI / N
-    return CircleKernel(values=g / Z, normalization=Z)
+    return CircleKernel(values=g / Z, log_normalization=B + math.log(Z))
 
 
 def kernel_power(k: CircleKernel, n: int) -> CircleKernel:
     """n-fold cyclic self-convolution, computed spectrally.
 
-    Pointwise powers of the Fourier coefficients of the single-step mass
-    vector realise the n-step law; the output is renormalised.  Negative
-    values beyond -1e-12 indicate an under-resolved kernel and raise
-    NumericalError.
+    The n-step law is the circle convolution power of the single-step mass
+    vector (:func:`leeyang.gibbs._convolution_power`, which raises
+    NumericalError if the transform loses positivity); the output is
+    renormalised and keeps the single-step normalization.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n}")
     if n == 1:
-        return CircleKernel(values=k.values.copy(), normalization=k.normalization)
-    masses = k.values * (_TWO_PI / k.N)
-    powered = np.fft.irfft(np.fft.rfft(masses) ** n, k.N)
-    if np.any(powered < -1e-12):
-        raise NumericalError(
-            f"convolution power went negative ({powered.min():.3e}); grid {k.N} too small")
-    powered = np.maximum(powered, 0.0)
-    powered = powered / powered.sum()
-    return CircleKernel(values=powered * (k.N / _TWO_PI), normalization=k.normalization)
+        return CircleKernel(values=k.values.copy(), log_normalization=k.log_normalization)
+    return CircleKernel(values=_convolution_power(k.values, n) * (k.N / _TWO_PI),
+                        log_normalization=k.log_normalization)
 
 
 def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
@@ -124,7 +129,7 @@ def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> Circl
         raise ValueError("heat kernel needs t > 0 and b > 0")
     vals = np.asarray(periodized_gaussian(fft_circle_grid(N), b / t))
     Z = float(vals.sum()) * _TWO_PI / N
-    return CircleKernel(values=vals / Z, normalization=Z)
+    return CircleKernel(values=vals / Z, log_normalization=math.log(Z))
 
 
 def chain_vs_heat(n: int, b: float, N: int = DEFAULT_CHAIN_GRID) -> dict:
@@ -147,41 +152,49 @@ def chain_vs_heat(n: int, b: float, N: int = DEFAULT_CHAIN_GRID) -> dict:
 def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRID) -> dict:
     """Pinned-end partition-function ratio Z_n(pair) / Z_n(pair_ref).
 
-    Both ends of the n-edge chain (B_n = n b) are pinned; interior angles are
-    integrated by n-fold application of the unnormalised edge weight.  The
-    running vector is renormalised and its log accumulated each step, and
-    edge weights enter as exp(B (cos d - 1)) <= 1, so arbitrarily strong
-    couplings never overflow.  The limiting value is the ratio of periodized
-    Gaussians with J = 1/b at the two angle differences, returned alongside.
+    Both ends of the n-edge chain (B_n = n b) are pinned and the n - 1
+    interior angles run over the N-grid.  With edge weight
+    w(d) = exp(B_n (cos d - 1)) <= 1 (the factor e^{n B_n} cancels in the
+    ratio) and q the (n - 2)-fold circle convolution power of w on the grid,
+    Z_n(th0, th1) is proportional to the partial sum
+    sum_j w(th1 - theta_j) (w(. - th0) * q)_j.  One q serves both pairs and
+    its normalisation cancels, so the cost is a few FFTs of length N.  FFT
+    rounding is absolute, so a partial sum below 1e6 n eps times its scale
+    (a deep tail, e.g. b >= 4 with angle differences near pi) raises
+    NumericalError instead of giving a ratio off by more than about 1e-6
+    relative.  The limiting value is the ratio of periodized Gaussians with
+    precision b (the heat kernel of :func:`heat_kernel_circle` at t = 1) at
+    the two angle differences, returned alongside.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
+    if not b > 0:
+        raise ValueError(f"coupling b must be positive, got {b}")
     for th in (*pair, *pair_ref):
         if not (-math.pi < th <= math.pi):
             raise ValueError(f"pinned angle {th} outside (-pi, pi]")
     B = n * b
-    grid = fft_circle_grid(N)
-    d = grid[:, None] - grid[None, :]
-    M = np.exp(B * (np.cos(d) - 1.0)) if n >= 3 else None
+    if n == 1:
+        ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))
+    else:
+        grid = fft_circle_grid(N)
+        q_hat = np.fft.rfft(_convolution_power(np.exp(B * (np.cos(grid) - 1.0)), n - 2))
 
-    def log_partition(th0: float, th1: float) -> float:
-        if n == 1:
-            return B * math.cos(th1 - th0)
-        # v tracks the partial integral as a function of the current interior
-        # angle, times exp(acc); every edge contributes a factor exp(B).
-        v = np.exp(B * (np.cos(grid - th0) - 1.0))
-        acc = B
-        for _ in range(n - 2):
-            v = (M @ v) * (_TWO_PI / N)
-            s = float(np.max(v))
-            v /= s
-            acc += B + math.log(s)
-        last = float(np.exp(B * (np.cos(th1 - grid) - 1.0)) @ v) * (_TWO_PI / N)
-        return acc + B + math.log(last)
+        def partial_sum(th0: float, th1: float) -> float:
+            first = np.fft.rfft(np.exp(B * (np.cos(grid - th0) - 1.0)))
+            inner = np.fft.irfft(first * q_hat, N)
+            last = np.exp(B * (np.cos(th1 - grid) - 1.0))
+            s = float(last @ inner)
+            # the FFTs leave rounding noise of about 0.2 n eps times this scale
+            # in s (measured for n <= 4096, N <= 2048)
+            if not s >= 1e6 * n * np.finfo(float).eps * float(last.sum() * inner.max()):
+                raise NumericalError(f"pinned-end sum {s:.3e} for ({th0}, {th1}) is below "
+                                     "the FFT resolution; the ratio would be noise")
+            return s
 
-    ratio = math.exp(log_partition(*pair) - log_partition(*pair_ref))
-    limit = (periodized_gaussian(pair[1] - pair[0], 1.0 / b)
-             / periodized_gaussian(pair_ref[1] - pair_ref[0], 1.0 / b))
+        ratio = partial_sum(*pair) / partial_sum(*pair_ref)
+    limit = (periodized_gaussian(pair[1] - pair[0], b)
+             / periodized_gaussian(pair_ref[1] - pair_ref[0], b))
     return {"n": n, "b": b, "N": N, "ratio": ratio, "limit_ratio": limit,
             "gap": abs(ratio - limit)}
 

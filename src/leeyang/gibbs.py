@@ -185,9 +185,11 @@ class DiscretizedDistribution:
         ws = np.asarray(self.ws, dtype=float)
         if xs.shape != ws.shape or xs.ndim != 1:
             raise ValueError("atom positions and weights must be 1-d arrays of equal length")
-        if np.any(ws <= 0):
-            raise ValueError("atom weights must be positive")
-        if abs(ws.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("atom positions must be finite")
+        if not np.all((ws > 0) & np.isfinite(ws)):
+            raise ValueError("atom weights must be positive and finite")
+        if not abs(ws.sum() - 1.0) <= 1e-12:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1 within 1e-12")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
@@ -379,6 +381,24 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     return DiscretizedDistribution(xs, ws, grid_size=N, symmetrized=symmetrize)
 
 
+def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
+    """n-fold cyclic self-convolution of the nonnegative ``row``, as unit-sum masses.
+
+    The row is normalised to unit sum and its discrete Fourier transform is
+    raised to the n-th power: O(N log N) instead of n circulant matvecs, and
+    n = 0 gives the point mass at index 0.  The exact result is nonnegative,
+    so a value below -1e-12 (or NaN) means the transform lost it and raises
+    NumericalError; the rest is clamped at 0 and renormalised.
+    """
+    N = len(row)
+    pn = np.fft.irfft(np.fft.rfft(row / row.sum()) ** n, N)
+    if not np.all(pn >= -1e-12):
+        raise NumericalError(f"{n}-fold circle convolution went negative or NaN "
+                             f"(min {np.min(pn):.3e}); grid size {N} too small")
+    pn = np.maximum(pn, 0.0)
+    return pn / pn.sum()
+
+
 def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
                                 N: int = DEFAULT_GRID, *,
                                 symmetrize: bool = True) -> DiscretizedDistribution:
@@ -386,26 +406,17 @@ def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
 
     The chain has unit couplings and inverse temperature B; theta_0 is uniform
     and the one-step transition density on the grid is the row-normalised
-    circulant exp(B cos(theta_j - theta_i)).  The n-step kernel is obtained
-    spectrally (pointwise powers of the circulant eigenvalues), which agrees
-    with n repeated kernel applications to machine precision at cost
-    O(N log N) instead of O(n N^2).
+    circulant exp(B cos(theta_j - theta_i)).  The n-step kernel is its n-fold
+    circle convolution power (:func:`_convolution_power`), which agrees with n
+    repeated kernel applications to machine precision.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
     if N % 2 != 0:
         raise ValueError(f"grid size must be even, got {N}")
-    grid = circle_grid(N)
-    cosg = np.cos(grid)
+    cosg = np.cos(circle_grid(N))
     # exp(B (cos - 1)) <= 1: the e^B factor cancels in the normalisation
-    row = np.exp(B * (np.cos(_TWO_PI * np.arange(N) / N) - 1.0))
-    p = row / row.sum()
-    pn = np.fft.irfft(np.fft.rfft(p) ** n, N)
-    if np.any(pn < -1e-12):
-        raise NumericalError(
-            f"n-step chain kernel went negative ({pn.min():.3e}); grid size {N} too small")
-    pn = np.maximum(pn, 0.0)
-    pn = pn / pn.sum()
+    pn = _convolution_power(np.exp(B * (np.cos(_TWO_PI * np.arange(N) / N) - 1.0)), n)
 
     lam0, lam1 = float(lam_ends[0]), float(lam_ends[1])
     # value over (start index i, step d): lam0 cos theta_i + lam1 cos theta_{i+d}

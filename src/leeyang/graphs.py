@@ -42,15 +42,6 @@ class FiniteGraph:
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: str) -> list[str]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def to_json(self) -> str:
         doc = {
             "vertices": list(self.vertices),
@@ -167,9 +158,6 @@ class SubdividedGraph:
     coupling: dict[Edge, float] = field(compare=False)
     chain_coupling: dict[Edge, float] = field(compare=False)
 
-    def star_vertex(self, v: str) -> str:
-        return star_label(v)
-
     def interior_vertex(self, v: str, e: Edge, k: int) -> str:
         """Canonical label of (v, e, k); applies (v,e,k) = (w,e,n-k)."""
         u, w = e
@@ -192,19 +180,6 @@ class SubdividedGraph:
         for v in self.base.vertices:
             weights[star_label(v)] = self.base.weight[v]
         return build_graph(self.vertices, self.edges, self.coupling, weights)
-
-    def contract(self) -> FiniteGraph:
-        """Undo the subdivision: drop interior vertices, merge spokes into hubs.
-
-        Returns a graph isomorphic to the base (vertex v* maps back to v),
-        with the original couplings and weights restored.
-        """
-        edges = list(self.base.edges)
-        return build_graph(
-            self.base.vertices, edges,
-            {e: self.base.coupling[e] for e in edges},
-            dict(self.base.weight),
-        )
 
 
 def subdivide(G: FiniteGraph, n: int, J: float) -> SubdividedGraph:

@@ -41,11 +41,6 @@ VERDICT_OFFAXIS = "excluded-by-off-axis-zero"
 VERDICT_UNDETERMINED = "undetermined"
 
 
-def check_symmetry(d: DiscretizedDistribution, tol: float = 1e-12) -> bool:
-    """True iff the reflected atom list matches within tol after coalescing."""
-    return d.is_symmetric(tol)
-
-
 @dataclass(frozen=True)
 class TailProfile:
     """Stretched-exponential tail description P(|X| > t) ~ exp(-b t^a).
@@ -177,7 +172,7 @@ def classify(source=None, *, profile: TailProfile | None = None,
 
     symmetric = True
     if source is not None:
-        symmetric = check_symmetry(source)
+        symmetric = source.is_symmetric()
         if not symmetric:
             notes.append("source distribution is not symmetric")
 

@@ -164,19 +164,26 @@ class EntireMGF:
         return self._fast
 
 
-def _scaled_direct(xs, ws, zs):
-    """(mantissa, log-scale) of sum_j w_j exp(z x_j) for an array of z."""
+def _scaled_direct(xs, ws, zs, dws=None):
+    """(mantissa, log-scale) of sum_j w_j exp(z x_j) for an array of z.
+
+    With ``dws``, the mantissa of sum_j dws_j exp(z x_j) on the same scale is
+    returned in between, taken from the same exp matrix.
+    """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     re = zs.real
     xmin, xmax = float(xs.min()), float(xs.max())
     shift = np.where(re >= 0, re * xmax, re * xmin)
     mant = np.empty(zs.shape, dtype=complex)
+    dmant = None if dws is None else np.empty(zs.shape, dtype=complex)
     chunk = max(1, int(4e6 // max(len(xs), 1)))
     for i in range(0, len(zs), chunk):
         sl = slice(i, i + chunk)
         expo = np.exp(zs[sl, None] * xs[None, :] - shift[sl, None])
         mant[sl] = expo @ ws
-    return mant, shift
+        if dws is not None:
+            dmant[sl] = expo @ dws
+    return (mant, shift) if dws is None else (mant, dmant, shift)
 
 
 class _DirectEvaluator:
@@ -193,15 +200,7 @@ class _DirectEvaluator:
 
     def eval_pair_batch(self, zs):
         """(f, f') mantissas sharing one log-scale per point."""
-        mant, shift = _scaled_direct(self._xs, self._ws, zs)
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        dm = np.empty(zs.shape, dtype=complex)
-        chunk = max(1, int(4e6 // max(len(self._xs), 1)))
-        for i in range(0, len(zs), chunk):
-            sl = slice(i, i + chunk)
-            expo = np.exp(zs[sl, None] * self._xs[None, :] - shift[sl, None])
-            dm[sl] = expo @ self._dws
-        return mant, dm, shift
+        return _scaled_direct(self._xs, self._ws, zs, self._dws)
 
 
 class _SpectralEvaluator:

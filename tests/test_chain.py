@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from leeyang.chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
-                           heat_kernel_circle, kernel_power,
+                           fft_circle_grid, heat_kernel_circle, kernel_power,
                            laplace_normalization, make_xy_kernel)
+from leeyang.errors import NumericalError
 from leeyang.gibbs import periodized_gaussian
 
 
@@ -43,9 +44,34 @@ def test_laplace_expansion_strong_coupling():
 
 def test_kernel_mass_invariant():
     with pytest.raises(ValueError, match="mass"):
-        CircleKernel(values=np.ones(64), normalization=1.0)
+        CircleKernel(values=np.ones(64), log_normalization=0.0)
     with pytest.raises(ValueError, match="negative"):
-        CircleKernel(values=np.full(64, -1.0), normalization=1.0)
+        CircleKernel(values=np.full(64, -1.0), log_normalization=0.0)
+
+
+def test_kernel_rejects_nan():
+    v = np.full(64, 1.0 / (2 * math.pi))
+    v[3] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        CircleKernel(values=v, log_normalization=0.0)
+    v[3] = math.inf
+    with pytest.raises(ValueError, match="mass"):
+        CircleKernel(values=v, log_normalization=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CircleKernel(values=np.full(64, 1.0 / (2 * math.pi)), log_normalization=math.nan)
+
+
+def test_strong_coupling_kernel_stays_finite():
+    # n b = 2048 > 709: exp(B cos) alone overflows a float
+    B = 2048.0
+    k = make_xy_kernel(B, 512)
+    assert np.all(np.isfinite(k.values))
+    log_laplace = B + 0.5 * math.log(2 * math.pi / B) + math.log1p(1 / (8 * B))
+    assert abs(k.log_normalization - log_laplace) < 1e-6
+    with pytest.raises(OverflowError):
+        k.normalization
+    r = chain_vs_heat(1024, 2.0, 512)
+    assert math.isfinite(r["sup_distance"]) and math.isfinite(r["l1_distance"])
 
 
 def test_kernel_power_identity_and_uniform():
@@ -134,6 +160,68 @@ def test_dirichlet_ratio_approaches_wrapped_gaussian():
     num = periodized_gaussian(math.pi / 2, 1.0)
     den = periodized_gaussian(0.0, 1.0)
     assert abs(r["limit_ratio"] - num / den) < 1e-15
+
+
+def dense_dirichlet_ratio(n, b, pair, pair_ref, N):
+    """The former implementation: n - 2 dense circulant matvecs, logs accumulated.
+
+    The logs (each of size about B) are summed exactly by fsum; a running
+    float sum of them loses up to 1.2e-10 relative at n = 256, b = 2.
+    """
+    B = n * b
+    grid = np.asarray(fft_circle_grid(N))
+    M = np.exp(B * (np.cos(grid[:, None] - grid[None, :]) - 1.0))
+
+    def log_terms(th0, th1):
+        if n == 1:
+            return [B * math.cos(th1 - th0)]
+        v = np.exp(B * (np.cos(grid - th0) - 1.0))
+        acc = [B]
+        for _ in range(n - 2):
+            v = (M @ v) * (2 * math.pi / N)
+            s = float(np.max(v))
+            v /= s
+            acc += [B, math.log(s)]
+        last = float(np.exp(B * (np.cos(th1 - grid) - 1.0)) @ v) * (2 * math.pi / N)
+        return acc + [B, math.log(last)]
+
+    return math.exp(math.fsum(log_terms(*pair) + [-t for t in log_terms(*pair_ref)]))
+
+
+def test_dirichlet_ratio_matches_dense_reference():
+    # the reference's logs carry about n B eps each (3e-11 at n = 256, b = 2)
+    rng = np.random.default_rng(20)
+    for N in (128, 256):
+        for b in (0.5, 1.0, 2.0):
+            for n in (1, 2, 3, 16, 128, 256):
+                pair, ref = (tuple(float(math.pi - 2 * math.pi * u) for u in rng.random(2))
+                             for _ in range(2))
+                want = dense_dirichlet_ratio(n, b, pair, ref, N)
+                got = dirichlet_ratio(n, b, pair, ref, N)["ratio"]
+                assert abs(got / want - 1.0) < 1e-10, (n, b, N, pair, ref)
+
+
+def test_dirichlet_limit_has_precision_b():
+    n, b = 256, 2.0
+    m = np.arange(-40, 41)
+
+    def gauss(theta):
+        return float(np.sum(np.exp(-0.5 * b * (theta + 2 * math.pi * m) ** 2)))
+
+    limit = gauss(math.pi / 2) / gauss(0.0)
+    r = dirichlet_ratio(n, b, (0.0, math.pi / 2), (0.0, 0.0), 512)
+    assert abs(r["limit_ratio"] / limit - 1.0) < 1e-12
+    assert abs(r["ratio"] - limit) < 0.5 / (n * b)
+
+
+def test_dirichlet_ratio_refuses_unresolved_tail():
+    # the true ratio is 1.6e-27, far below the FFT's absolute rounding
+    with pytest.raises(NumericalError, match="resolution"):
+        dirichlet_ratio(1024, 50.0, (0.0, math.pi / 2), (0.0, 0.0), 512)
+    # a deep tail that is still accepted keeps the documented 1e-6 accuracy
+    args = (256, 3.5, (0.0, math.pi), (0.0, 0.0), 256)
+    got = dirichlet_ratio(*args)["ratio"]
+    assert abs(got / dense_dirichlet_ratio(*args) - 1.0) < 1e-6
 
 
 def test_dirichlet_ratio_validates_angles():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,18 @@ def test_chain_limit_csv(tmp_path):
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     assert rows[0] == "n,b,sup_distance,l1_distance,ratio,limit_ratio"
     assert len(rows) == 3
+
+
+def test_chain_limit_strong_coupling_is_finite(tmp_path):
+    # n b up to 1536 > 709: the unscaled XY row overflowed and printed sup=nan
+    out = str(tmp_path / "c")
+    assert main(["chain-limit", "--b", "1.5", "--n-list", "512,1024",
+                 "--out", out]) == 0
+    rows = json.loads((Path(out) / "chain_limit.json").read_text())["results"]["rows"]
+    for r in rows:
+        assert all(math.isfinite(r[k]) for k in
+                   ("sup_distance", "l1_distance", "ratio", "limit_ratio"))
+    assert 1.6 <= rows[0]["sup_distance"] / rows[1]["sup_distance"] <= 2.4
 
 
 def test_dirichlet_ratio_output(tmp_path):

@@ -1,6 +1,7 @@
 """Exact spin-model laws: quadrature accuracy against independent oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -88,6 +89,32 @@ def test_distribution_validates_mass():
         DiscretizedDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="positive"):
         DiscretizedDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
+
+
+def test_distribution_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        DiscretizedDistribution(np.array([0.0, math.nan]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        DiscretizedDistribution(np.array([0.0, math.inf]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="positive"):
+        DiscretizedDistribution(np.array([0.0, 1.0]), np.array([math.nan, 1.0]))
+
+
+def test_is_symmetric_basic():
+    assert rademacher().is_symmetric()
+    skew = DiscretizedDistribution(np.array([-1.0, 1.0]), np.array([0.4, 0.6]))
+    assert not skew.is_symmetric()
+
+
+def test_is_symmetric_permutation_invariant():
+    rng = random.Random(2)
+    xs = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
+    ws = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    for _ in range(10):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        d = DiscretizedDistribution(xs[perm], ws[perm])
+        assert d.is_symmetric()
 
 
 def test_symmetrized_flag_checked():

@@ -10,8 +10,7 @@ from leeyang.gibbs import (DiscretizedDistribution, discretized_gaussian,
                            rademacher)
 from leeyang.lyclass import (TailProfile, VERDICT_CONSISTENT, VERDICT_OFFAXIS,
                              VERDICT_SLOWTAIL, VERDICT_UNDETERMINED,
-                             check_symmetry, classify, tail_exponent,
-                             weak_limit_harness)
+                             classify, tail_exponent, weak_limit_harness)
 from leeyang.zeros import EntireMGF, Rectangle, locate_zeros
 
 
@@ -26,27 +25,6 @@ def double_factorial(m: int) -> int:
 def three_atom_law():
     return DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
                                    np.array([0.1, 0.8, 0.1]), symmetrized=True)
-
-
-# ---------------------------------------------------------------------------
-# symmetry
-# ---------------------------------------------------------------------------
-
-def test_check_symmetry_basic():
-    assert check_symmetry(rademacher())
-    skew = DiscretizedDistribution(np.array([-1.0, 1.0]), np.array([0.4, 0.6]))
-    assert not check_symmetry(skew)
-
-
-def test_check_symmetry_permutation_invariant():
-    rng = random.Random(2)
-    xs = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
-    ws = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-    for _ in range(10):
-        perm = list(range(5))
-        rng.shuffle(perm)
-        d = DiscretizedDistribution(xs[perm], ws[perm])
-        assert check_symmetry(d)
 
 
 # ---------------------------------------------------------------------------
