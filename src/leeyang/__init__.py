@@ -15,7 +15,7 @@ from .gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
                     transfer_chain_distribution, xy_edge_weight)
 from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
                     count_zeros_rectangle, default_region, hadamard_fit,
-                    locate_zeros, mgf_derivative, mgf_eval, mgf_eval_scaled,
+                    locate_zeros, mgf_eval, newton_refine,
                     refinement_stable_report)
 from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
                       tail_exponent, weak_limit_harness)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,18 +28,10 @@ from .gmc import (Domain, LatticeDomain, bin_distribution, dgff_sample,
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify
-from .zeros import (EntireMGF, Rectangle, VERDICT_PIZ, locate_zeros,
-                    refinement_stable_report, zero_report_from_json)
+from .zeros import (EntireMGF, Rectangle, VERDICT_PIZ, _rect_radius, locate_zeros,
+                    newton_refine, refinement_stable_report, zero_report_from_json)
 
 FORMAT_VERSION = 1
-
-
-def _default_threads() -> int:
-    env = os.environ.get("LEEYANG_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _report(config: dict, results: dict) -> str:
@@ -78,13 +69,13 @@ def _region_from(args) -> Rectangle:
 def _apply_config(args, argv) -> None:
     """Fill parameters from the --config JSON for flags absent on the line.
 
-    Keys use either dash or underscore form; an explicit command-line flag
-    always wins over the file.
+    Keys use either dash or underscore form; an explicit command-line flag,
+    spelled ``--flag value`` or ``--flag=value``, always wins over the file.
     """
     if not getattr(args, "config", None):
         return
     cfg = json.loads(Path(args.config).read_text())
-    given = set(argv)
+    given = {tok.split("=", 1)[0] for tok in argv}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
@@ -127,7 +118,7 @@ def _cmd_classify(args) -> int:
     if args.tail_a is not None:
         profile = TailProfile(exponent_a=args.tail_a, coefficient=args.tail_b or float("nan"),
                               fit_window=None, fit_residual=args.tail_residual,
-                              method="from_tail_probabilities")
+                              method="user_supplied")
     zr = zero_report_from_json(Path(args.zeros).read_text()) if args.zeros else None
     if source is None and profile is None:
         raise ValueError("classify needs --dist or --tail-a")
@@ -135,7 +126,9 @@ def _cmd_classify(args) -> int:
     config = {"subcommand": "classify", "dist": args.dist, "tail_a": args.tail_a,
               "tail_b": args.tail_b, "tail_residual": args.tail_residual,
               "zeros": args.zeros, "out": args.out}
-    _write(args.out, "class_verdict.json", _report(config, json.loads(verdict.to_json())))
+    results = json.loads(verdict.to_json())
+    results["tail_method"] = profile.method if profile else None
+    _write(args.out, "class_verdict.json", _report(config, results))
     print(f"classify: {verdict.verdict}")
     return 0
 
@@ -231,31 +224,25 @@ def _cmd_m_stat(args) -> int:
     region = _region_from(args)
     report = locate_zeros(f, region, args.tol)
 
-    # bootstrap error bars on each located zero (Newton from the baseline)
+    # bootstrap error bars on each located zero: Newton from the baseline;
+    # a replicate that does not reach |f| < tol (None) is counted, not averaged in
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-    boot_lists: list[list[complex]] = [[] for _ in report.zeros]
+    boot_lists: list[list[complex | None]] = [[] for _ in report.zeros]
     for _ in range(args.bootstrap):
         res = rng.choice(samples, size=len(samples), replace=True)
         fb = EntireMGF(bin_distribution(res, B=args.bins))
-        ev = fb.evaluator(max(abs(region.re_min), abs(region.re_max), abs(region.im_max)) * 1.5)
+        ev = fb.evaluator(_rect_radius(region))
         for i, z in enumerate(report.zeros):
-            zz = z.location
-            for _ in range(30):
-                fv, dv, _ = ev.eval_pair_batch(np.array([zz]))
-                if dv[0] == 0:
-                    break
-                step = fv[0] / dv[0]
-                zz = zz - step
-                if abs(step) < 1e-12:
-                    break
-            boot_lists[i].append(zz)
+            zz, _, ok = newton_refine(fb, ev, z.location, args.tol)
+            boot_lists[i].append(zz if ok else None)
     zero_rows = []
     for z, boots in zip(report.zeros, boot_lists):
-        bs = np.asarray(boots) if boots else np.array([z.location])
+        bs = np.array([b for b in boots if b is not None])
         zero_rows.append({"re": z.location.real, "im": z.location.imag,
                           "residual": z.residual,
-                          "bootstrap_se_re": float(np.std(bs.real, ddof=1)) if len(bs) > 1 else 0.0,
-                          "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else 0.0})
+                          "bootstrap_se_re": float(np.std(bs.real, ddof=1)) if len(bs) > 1 else None,
+                          "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
+                          "bootstrap_unconverged": boots.count(None)})
 
     config = {"subcommand": "m-stat", "n": args.n, "r": args.r, "beta": args.beta,
               "samples": args.samples, "seed": args.seed, "bins": args.bins,
@@ -310,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed_required=False):
         sp.add_argument("--config", help="JSON file with parameter defaults")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=_default_threads())
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads (chain-limit and gmc-moments)")
         if seed_required:
             sp.add_argument("--seed", type=int, required=True, help="master RNG seed")
 

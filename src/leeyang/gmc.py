@@ -47,6 +47,7 @@ from .gibbs import DiscretizedDistribution, distribution_from_atoms
 from .lyclass import TailProfile
 
 DENSE_SAMPLING_CAP = 4000
+MC_BATCHES = 64
 EXACT_MOMENT_BUDGET = 2 * 10**7
 
 
@@ -177,15 +178,12 @@ class MomentEstimate:
 
 
 def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *,
-              batches: int = 64, stratified: bool = False,
               max_k: int = 6) -> MomentEstimate:
     """Monte Carlo estimate of E|W_U|^{2k} = |U|^{2k} E[coulomb weight].
 
     Plain average of the Coulomb weight over uniform 2k-tuples in the
     domain, times |U|^{2k}; the standard error comes from batch means over
-    ``batches`` contiguous blocks.  ``stratified`` stratifies the radius of
-    the first positive charge over equal-area shells (a mild variance
-    reduction that leaves the estimator unbiased).  Estimates whose relative
+    MC_BATCHES contiguous blocks.  Estimates whose relative
     standard error exceeds 0.5 are flagged low-confidence.  ``max_k`` is the
     desk-scale order cap (the weight tails get heavier with k; raise it
     knowingly).
@@ -200,23 +198,17 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *
     if samples < 10**4:
         raise ValueError(f"need at least 1e4 samples, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    per_batch = samples // batches
-    total = per_batch * batches
+    per_batch = samples // MC_BATCHES
+    total = per_batch * MC_BATCHES
     scale = domain.area ** (2 * k)
-    means = np.empty(batches)
-    for b in range(batches):
+    means = np.empty(MC_BATCHES)
+    for b in range(MC_BATCHES):
         pos = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
         neg = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
-        if stratified and domain.kind == "disk":
-            u = (np.arange(per_batch) + rng.random(per_batch)) / per_batch
-            r = domain.radius * np.sqrt(u)
-            phi = 2.0 * math.pi * rng.random(per_batch)
-            pos[:, 0, 0] = r * np.cos(phi)
-            pos[:, 0, 1] = r * np.sin(phi)
         w = np.exp(beta_sq * _log_coulomb(pos, neg))
         means[b] = float(np.mean(w)) * scale
     estimate = float(np.mean(means))
-    stderr = float(np.std(means, ddof=1) / math.sqrt(batches))
+    stderr = float(np.std(means, ddof=1) / math.sqrt(MC_BATCHES))
     low = bool(stderr > 0.5 * abs(estimate)) if estimate != 0 else True
     return MomentEstimate(beta_sq=beta_sq, k=k, estimate=estimate, stderr=stderr,
                           samples=total, seed=seed, domain=domain, low_confidence=low)
@@ -308,6 +300,14 @@ def tail_prediction(beta_sq: float) -> TailPrediction:
 # lattice domains, Green's function, DGFF
 # ---------------------------------------------------------------------------
 
+def _disk_sites(radius: float) -> list[tuple[int, int]]:
+    """The points of Z^2 in the closed disk of the given radius about 0."""
+    R = int(math.floor(radius))
+    r2 = float(radius) * float(radius)
+    return [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
+            if x * x + y * y <= r2]
+
+
 class LatticeDomain:
     """A finite chunk of Z^2 with its Dirichlet graph Laplacian.
 
@@ -351,10 +351,7 @@ class LatticeDomain:
 
     @classmethod
     def disk(cls, radius: float) -> "LatticeDomain":
-        R = int(math.floor(radius))
-        sites = [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
-                 if x * x + y * y <= radius * radius]
-        return cls(sites, radius_product=radius)
+        return cls(_disk_sites(radius), radius_product=radius)
 
     @classmethod
     def square(cls, interior_side: int) -> "LatticeDomain":
@@ -457,10 +454,18 @@ def dgff_sample(domain: LatticeDomain, seed: int | None = None, *,
 # discrete chaos field and its renormalised statistic
 # ---------------------------------------------------------------------------
 
-def _disk_sites(n: int) -> list[tuple[int, int]]:
-    R = int(math.floor(n))
-    return [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
-            if x * x + y * y <= float(n) * float(n)]
+def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:
+    """The sites of D_n, each checked to be interior to the field domain."""
+    sites = _disk_sites(n)
+    for s in sites:
+        if not domain.is_interior(s):
+            raise ValueError(f"summation site {s} is not interior to the field domain")
+    return sites
+
+
+def _site_weights(n: int, beta: float, green_diag) -> np.ndarray:
+    """lam(x) = (1/n^2) exp((beta^2/2) G(x,x)) from the Green's diagonal on D_n."""
+    return np.exp(0.5 * beta**2 * np.asarray(green_diag)) / float(n) ** 2
 
 
 @dataclass(frozen=True)
@@ -496,12 +501,8 @@ def sample_gmc_field(domain: LatticeDomain, beta: float, seed: int) -> DiscreteG
 
 def lambda_weights(n: int, domain: LatticeDomain, beta: float) -> np.ndarray:
     """Per-site weights (1/n^2) exp((beta^2/2) G(x,x)) over D_n (all positive)."""
-    sites = _disk_sites(n)
-    for s in sites:
-        if not domain.is_interior(s):
-            raise ValueError(f"summation site {s} is not interior to the field domain")
-    gd = domain.green_diag(sites)
-    return np.exp(0.5 * beta**2 * gd) / float(n) ** 2
+    sites = _summation_sites(domain, n)
+    return _site_weights(n, beta, domain.green_diag(sites))
 
 
 def m_statistic(n: int, field: DiscreteGmcField, green_diag: np.ndarray | None = None) -> float:
@@ -511,13 +512,10 @@ def m_statistic(n: int, field: DiscreteGmcField, green_diag: np.ndarray | None =
     diagonal as the renormalising exponent makes the k = 1 zero-boundary
     moment exactly |D_n|/n^2 (no asymptotic constants enter).
     """
-    sites = _disk_sites(n)
-    for s in sites:
-        if not field.domain.is_interior(s):
-            raise ValueError(f"summation site {s} outside the interior of the field domain")
+    sites = _summation_sites(field.domain, n)
     if green_diag is None:
         green_diag = field.domain.green_diag(sites)
-    lam = np.exp(0.5 * field.beta**2 * np.asarray(green_diag)) / float(n) ** 2
+    lam = _site_weights(n, field.beta, green_diag)
     return float(lam @ np.cos(field.angles_at(sites)))
 
 
@@ -534,12 +532,9 @@ def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sites = _disk_sites(n)
+    sites = _summation_sites(domain, n)
     m = len(sites)
     if k == 1:
-        for s in sites:
-            if not domain.is_interior(s):
-                raise ValueError(f"site {s} is not interior to the field domain")
         return m / float(n) ** 2
 
     if mc_tuples is None and m**k > EXACT_MOMENT_BUDGET:
@@ -579,13 +574,10 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     """
     if not 0.0 < beta < math.sqrt(2.0):
         raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
-    sites = _disk_sites(n)
-    for s in sites:
-        if not domain.is_interior(s):
-            raise ValueError(f"summation site {s} outside the interior of the field domain")
+    sites = _summation_sites(domain, n)
     G = domain.green_matrix(sites)
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
-    lam = np.exp(0.5 * beta**2 * np.diag(G)) / float(n) ** 2
+    lam = _site_weights(n, beta, np.diag(G))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(nsamples)
     chunk = max(1, int(5e6 // max(len(sites), 1)))

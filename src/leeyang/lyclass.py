@@ -46,7 +46,8 @@ class TailProfile:
     """Stretched-exponential tail description P(|X| > t) ~ exp(-b t^a).
 
     ``method`` records how it was estimated ('from_moments',
-    'from_tail_probabilities', or 'predicted' for exact arithmetic).
+    'from_tail_probabilities', 'predicted' for exact arithmetic, or
+    'user_supplied' for a profile typed in by hand).
     """
 
     exponent_a: float

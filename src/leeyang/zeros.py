@@ -9,11 +9,16 @@ The toolchain is:
 
 * :func:`mgf_eval` -- reference evaluation by direct (pairwise) summation,
   with cosh pairing for symmetric sources and scaled evaluation on overflow;
+  every reported residual is one of these;
+* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours and
+  Newton steps: ``eval_batch`` returns f and ``eval_pair_batch`` f and f'
+  as mantissas sharing one log-scale per point;
 * :func:`count_zeros_rectangle` -- winding number along the rectangle
   boundary with adaptive phase tracking (segments are bisected until every
   phase increment is below pi/2);
 * :func:`locate_zeros` -- recursive rectangle subdivision driven by the
-  counter, followed by Newton refinement, producing a :class:`ZeroReport`;
+  counter, followed by Newton refinement (:func:`newton_refine`),
+  producing a :class:`ZeroReport`;
 * :func:`hadamard_fit` -- the quadratic coefficient B and the variance
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
@@ -46,6 +51,8 @@ DEFAULT_TOL = 1e-10
 OFFAXIS_FACTOR = 100.0
 MIN_CELL_DIAM = 0.1
 BOUNDARY_FLOOR = 1e-13
+MAX_PERTURB = 6
+GRID_STABILITY_FACTOR = 10.0
 _SPECTRAL_ATOM_THRESHOLD = 4096
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
 
@@ -127,12 +134,14 @@ class EntireMGF:
     1e-10 at a few sampled t.
     """
 
-    def __init__(self, source: DiscretizedDistribution, symmetric: bool | None = None):
+    def __init__(self, source: DiscretizedDistribution):
         self.source = source
         self.variance = source.variance
-        self.symmetric = source.symmetrized if symmetric is None else symmetric
-        if not source.symmetrized and symmetric is None:
-            self.symmetric = source.is_symmetric(1e-12)
+        self.symmetric = source.symmetrized or source.is_symmetric(1e-12)
+        xs, ws, pos = source.xs, source.ws, source.xs > 0
+        # what mgf_eval needs on every call: the support ends and cosh halves
+        self._ends = (float(xs.min()), float(xs.max()))
+        self._cosh_half = (ws[np.abs(xs) <= 0.0].sum(), ws[pos], xs[pos])
         if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
             raise ValueError("f(0) differs from 1 by more than 1e-12")
         if self.symmetric:
@@ -292,32 +301,19 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
     """
     xs, ws = f.source.xs, f.source.ws
     z = complex(z)
-    peak = max(z.real * float(xs.max()), z.real * float(xs.min()))
-    if peak < 650.0:
+    xmin, xmax = f._ends
+    if max(z.real * xmax, z.real * xmin) < 650.0:
         if f.symmetric:
-            pos = xs > 0
-            at0 = ws[np.abs(xs) <= 0.0].sum()
-            val = at0 + 2.0 * np.sum(ws[pos] * np.cosh(z * xs[pos]))
-            return complex(val)
+            at0, wpos, xpos = f._cosh_half
+            return complex(at0 + 2.0 * np.sum(wpos * np.cosh(z * xpos)))
         return complex(np.sum(ws * np.exp(z * xs)))
-    mant, shift = mgf_eval_scaled(f, z)
+    mants, shifts = _scaled_direct(xs, ws, np.array([z]))
+    mant, shift = complex(mants[0]), float(shifts[0])
     log_abs = shift + math.log(abs(mant)) if mant != 0 else -math.inf
     if log_abs > 700.0:
         raise OverflowError(f"|f(z)| overflows float64; log scale {shift:.6g}, "
-                            f"use mgf_eval_scaled for the mantissa")
+                            f"use f.evaluator(radius).eval_batch for the mantissa")
     return complex(mant * math.exp(shift))
-
-
-def mgf_eval_scaled(f: EntireMGF, z: complex) -> tuple[complex, float]:
-    """f(z) as (mantissa, log-scale) with f = mantissa * exp(log-scale)."""
-    mant, shift = _scaled_direct(f.source.xs, f.source.ws, np.array([complex(z)]))
-    return complex(mant[0]), float(shift[0])
-
-
-def mgf_derivative(f: EntireMGF, z: complex) -> complex:
-    """f'(z) = sum_j w_j x_j exp(z x_j) by direct summation."""
-    xs, ws = f.source.xs, f.source.ws
-    return complex(np.sum(ws * xs * np.exp(complex(z) * xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +372,25 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
     raise NumericalError("contour refinement did not converge")
 
 
-def count_zeros_rectangle(f: EntireMGF, rect: Rectangle, *,
-                          boundary_floor: float = BOUNDARY_FLOOR,
-                          perturb: bool = True, max_perturb: int = 6) -> int:
+def count_zeros_rectangle(f: EntireMGF, rect: Rectangle, *, perturb: bool = True) -> int:
     """Number of zeros of f inside the rectangle, with multiplicity.
 
     The count is the winding number of f along the boundary, tracked with
     adaptive segment bisection until every phase increment is below pi/2.
-    If |f| dips under ``boundary_floor`` on the discretized contour the
+    If |f| dips under BOUNDARY_FLOOR on the discretized contour the
     rectangle is grown by a tiny amount and retried (a zero too close to the
-    boundary); after ``max_perturb`` failures a NumericalError is raised.
+    boundary); after MAX_PERTURB failures a NumericalError is raised.
     """
     evaluator = f.evaluator(_rect_radius(rect))
-    floor_log = math.log(boundary_floor)
+    floor_log = math.log(BOUNDARY_FLOOR)
     lam = f.support_radius
     eps = 0.0
-    for attempt in range(max_perturb + 1):
+    for attempt in range(MAX_PERTURB + 1):
         try:
             return _contour_winding(evaluator, rect.grow(eps) if eps else rect,
                                     floor_log, lam)
         except NumericalError:
-            if not perturb or attempt == max_perturb:
+            if not perturb or attempt == MAX_PERTURB:
                 raise
             eps = rect.diameter * 1e-7 * 4.0**attempt
     raise NumericalError("zero on contour after maximum perturbation attempts")
@@ -469,7 +463,12 @@ def zero_report_from_json(text: str) -> ZeroReport:
                       notes=tuple(doc.get("notes", ())))
 
 
-def _newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: int = 100):
+def newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: int = 100):
+    """Newton from z0 with steps from ``evaluator``; returns (z, |f(z)|, converged).
+
+    Convergence means the direct-sum residual mgf_eval is below ``tol``; one
+    polishing step is taken past that gate.
+    """
     z = complex(z0)
     for _ in range(max_iter):
         fv, dv, _ = evaluator.eval_pair_batch(np.array([z]))
@@ -491,7 +490,7 @@ def _newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: i
     return z, res, bool(res < tol)
 
 
-def _confirm_off_axis(f: EntireMGF, z: complex, boundary_floor: float) -> bool:
+def _confirm_off_axis(f: EntireMGF, z: complex) -> bool:
     """Count zeros in a small rectangle around z that excludes the axis.
 
     A zero of even multiplicity sitting exactly on the imaginary axis can be
@@ -507,15 +506,14 @@ def _confirm_off_axis(f: EntireMGF, z: complex, boundary_floor: float) -> bool:
         rect = Rectangle(min(sgn * lo, sgn * hi), max(sgn * lo, sgn * hi),
                          z.imag - 1.5 * r * shrink, z.imag + 1.5 * r * shrink)
         try:
-            return count_zeros_rectangle(f, rect, boundary_floor=boundary_floor,
-                                         perturb=False) >= 1
+            return count_zeros_rectangle(f, rect, perturb=False) >= 1
         except NumericalError:
             continue
     return True  # could not disprove; keep the conservative claim
 
 
 def _demote_axis_ghosts(f, zeros: list[ZeroInfo], tol: float,
-                        boundary_floor: float, notes: list[str]) -> tuple[list[ZeroInfo], bool]:
+                        notes: list[str]) -> tuple[list[ZeroInfo], bool]:
     """Replace mirror pairs of unconfirmed off-axis zeros by one axis zero.
 
     Returns the updated list and a flag that is True when something remains
@@ -527,7 +525,7 @@ def _demote_axis_ghosts(f, zeros: list[ZeroInfo], tol: float,
     if not suspicious:
         return zeros, False
     ghosts = [z for z in suspicious
-              if not _confirm_off_axis(f, z.location, boundary_floor)]
+              if not _confirm_off_axis(f, z.location)]
     if not ghosts:
         return zeros, False
     unresolved = False
@@ -558,8 +556,7 @@ def _demote_axis_ghosts(f, zeros: list[ZeroInfo], tol: float,
         r = 2.0 * max(abs(g.location.real), abs(p.location.real))
         try:
             straddle = count_zeros_rectangle(
-                f, Rectangle(-r, r, y - 1.5 * r, y + 1.5 * r),
-                boundary_floor=boundary_floor, perturb=False)
+                f, Rectangle(-r, r, y - 1.5 * r, y + 1.5 * r), perturb=False)
         except NumericalError:
             straddle = -1
         if straddle == mult:
@@ -573,14 +570,12 @@ def _demote_axis_ghosts(f, zeros: list[ZeroInfo], tol: float,
 
 
 def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
-                 tol: float = DEFAULT_TOL, *,
-                 min_cell_diam: float = MIN_CELL_DIAM,
-                 boundary_floor: float = BOUNDARY_FLOOR) -> ZeroReport:
+                 tol: float = DEFAULT_TOL) -> ZeroReport:
     """Locate all zeros of f in the region and deliver a PIZ verdict.
 
     Rectangles are subdivided (argument-principle counts steering the
     recursion) until each holds at most one zero and is smaller than
-    ``min_cell_diam`` across, then Newton refinement polishes each zero to
+    MIN_CELL_DIAM across, then Newton refinement polishes each zero to
     direct-sum residual |f| < tol.  The verdict is off-axis-zero-found iff
     some refined zero has |Re z| > 100 tol; unrefined zeros make the verdict
     inconclusive.  For a symmetric source on a Re-symmetric region, zeros
@@ -600,7 +595,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     evaluator = f.evaluator(_rect_radius(region))
     notes: list[str] = []
 
-    total = count_zeros_rectangle(f, region, boundary_floor=boundary_floor, perturb=True)
+    total = count_zeros_rectangle(f, region)
     cells: list[tuple[Rectangle, int]] = []
     found: list[ZeroInfo] = []
     stack: list[tuple[Rectangle, int]] = [(region, total)]
@@ -609,14 +604,14 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
         if cnt == 0:
             cells.append((rect, 0))
             continue
-        if cnt == 1 and rect.diameter < min_cell_diam:
-            z, res, ok = _newton_refine(f, evaluator, rect.center, tol)
+        if cnt == 1 and rect.diameter < MIN_CELL_DIAM:
+            z, res, ok = newton_refine(f, evaluator, rect.center, tol)
             found.append(ZeroInfo(z, res, ok, 1))
             cells.append((rect, cnt))
             continue
         if rect.diameter < 1e-5:
             # unresolvable cluster: treat as one zero of higher multiplicity
-            z, res, ok = _newton_refine(f, evaluator, rect.center, tol)
+            z, res, ok = newton_refine(f, evaluator, rect.center, tol)
             found.append(ZeroInfo(z, res, ok, cnt))
             cells.append((rect, cnt))
             notes.append(f"multiplicity-{cnt} cluster at {z:.6g}")
@@ -625,8 +620,8 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
         for frac in _SPLIT_FRACTIONS:
             left, right = rect.split(frac)
             try:
-                c1 = count_zeros_rectangle(f, left, boundary_floor=boundary_floor, perturb=False)
-                c2 = count_zeros_rectangle(f, right, boundary_floor=boundary_floor, perturb=False)
+                c1 = count_zeros_rectangle(f, left, perturb=False)
+                c2 = count_zeros_rectangle(f, right, perturb=False)
             except NumericalError:
                 continue
             if c1 + c2 == cnt:
@@ -650,7 +645,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
         else:
             merged.append(z)
 
-    merged, unresolved = _demote_axis_ghosts(f, merged, tol, boundary_floor, notes)
+    merged, unresolved = _demote_axis_ghosts(f, merged, tol, notes)
 
     n_listed = sum(z.multiplicity for z in merged)
     if n_listed != total:
@@ -684,34 +679,54 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
 
 
 def refinement_stable_report(dist_factory, N: int, region: Rectangle | None = None,
-                             tol: float = DEFAULT_TOL,
-                             stability_factor: float = 10.0):
+                             tol: float = DEFAULT_TOL):
     """Run locate_zeros at grid N and 2N; keep the report only where stable.
 
     ``dist_factory(N)`` must return the discretized law at angular grid size
-    N.  Zeros whose location moves by more than ``stability_factor * tol``
-    between the two grids are quadrature artifacts; they are dropped and
-    noted, and the verdict downgraded to inconclusive if any were dropped.
-    Returns (report_at_2N, max_zero_displacement).
+    N.  Zeros are matched both ways within GRID_STABILITY_FACTOR * tol: a
+    zero at 2N with no partner at N is a quadrature artifact and is dropped,
+    a zero at N with no partner at 2N has vanished.  Either, or a contour
+    count or verdict that differs between the grids, is noted and makes the
+    verdict inconclusive.  Returns (report_at_2N, max_zero_displacement),
+    the displacement taken over both directions.
     """
     f1 = EntireMGF(dist_factory(N))
     f2 = EntireMGF(dist_factory(2 * N))
     r1 = locate_zeros(f1, region, tol)
     r2 = locate_zeros(f2, region, tol)
+    limit = GRID_STABILITY_FACTOR * tol
+
+    def nearest(z: ZeroInfo, others) -> float:
+        return min((abs(z.location - o.location) for o in others), default=math.inf)
+
     keep: list[ZeroInfo] = []
     notes = list(r2.notes)
     max_disp = 0.0
     for z2 in r2.zeros:
-        d = min((abs(z2.location - z1.location) for z1 in r1.zeros), default=math.inf)
+        d = nearest(z2, r1.zeros)
         max_disp = max(max_disp, d)
-        if d <= stability_factor * tol:
+        if d <= limit:
             keep.append(z2)
         else:
             notes.append(f"zero at {z2.location:.8g} unstable under grid doubling "
                          f"(moved {d:.3e}); dropped")
-    verdict = r2.piz_verdict
-    if len(keep) != len(r2.zeros):
-        verdict = VERDICT_INCONCLUSIVE
+    stable = len(keep) == len(r2.zeros)
+    for z1 in r1.zeros:
+        d = nearest(z1, r2.zeros)
+        max_disp = max(max_disp, d)
+        if d > limit:
+            notes.append(f"zero at {z1.location:.8g} on grid {N} vanished on grid "
+                         f"{2 * N} (nearest {d:.3e})")
+            stable = False
+    if r1.total_count != r2.total_count:
+        notes.append(f"contour count {r1.total_count} on grid {N} but "
+                     f"{r2.total_count} on grid {2 * N}")
+        stable = False
+    if r1.piz_verdict != r2.piz_verdict:
+        notes.append(f"verdict {r1.piz_verdict} on grid {N} but "
+                     f"{r2.piz_verdict} on grid {2 * N}")
+        stable = False
+    verdict = r2.piz_verdict if stable else VERDICT_INCONCLUSIVE
     report = replace(r2, zeros=tuple(keep), piz_verdict=verdict, notes=tuple(notes))
     return report, max_disp
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from leeyang.cli import main
+from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
 from leeyang.gmc import load_field_snapshot
 
@@ -77,6 +77,8 @@ def test_classify_from_tail(tmp_path):
     assert main(["classify", "--tail-a", "1.3889", "--out", out]) == 0
     doc = json.loads((Path(out) / "class_verdict.json").read_text())
     assert doc["results"]["verdict"] == "excluded-by-slow-tail"
+    # a typed-in profile is not an estimate from tail probabilities
+    assert doc["results"]["tail_method"] == "user_supplied"
 
 
 def test_classify_needs_evidence(tmp_path, capsys):
@@ -157,6 +159,25 @@ def test_m_stat_with_field_dump(tmp_path):
     assert abs(doc["results"]["mean"]) < 0.5
     snap = load_field_snapshot(Path(out) / "field.bin")
     assert snap["n"] == 3 and snap["beta"] == 1.2 and snap["seed"] == 19
+    for z in doc["results"]["zeros"]:
+        assert z["bootstrap_unconverged"] == 0
+        assert z["bootstrap_se_im"] > 0
+
+
+M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
+                "--samples", "2000", "--bins", "60", "--seed", "19"]
+
+
+def test_m_stat_unconverged_bootstrap_is_counted(tmp_path):
+    # no replicate can reach |f| < 1e-300: none may enter the error bar, and
+    # with fewer than two converged replicates there is no error bar at all
+    out = str(tmp_path / "ms")
+    assert main(M_STAT_SMALL + ["--bootstrap", "4", "--tol", "1e-300", "--out", out]) == 0
+    zeros = json.loads((Path(out) / "m_stat.json").read_text())["results"]["zeros"]
+    assert zeros
+    for z in zeros:
+        assert z["bootstrap_unconverged"] == 4
+        assert z["bootstrap_se_re"] is None and z["bootstrap_se_im"] is None
 
 
 def test_config_file_provides_defaults(edge_graph, tmp_path):
@@ -173,6 +194,12 @@ def test_config_file_provides_defaults(edge_graph, tmp_path):
                  "--grid-n", "32", "--out", out2]) == 0
     doc2 = json.loads((Path(out2) / "spin_dist.json").read_text())
     assert doc2["config"]["grid_n"] == 32
+    # ... also when spelled --flag=value
+    out3 = str(tmp_path / "o3")
+    assert main(["spin-dist", "--graph", edge_graph, "--config", str(cfg),
+                 "--grid-n=32", "--out", out3]) == 0
+    doc3 = json.loads((Path(out3) / "spin_dist.json").read_text())
+    assert doc3["config"]["grid_n"] == 32
 
 
 def test_missing_graph_file_is_usage_error(tmp_path):
@@ -190,6 +217,12 @@ def test_numerical_failure_maps_to_exit_1(monkeypatch, edge_graph, tmp_path, cap
     monkeypatch.setattr(cli, "_cmd_spin_dist", boom)
     assert main(["spin-dist", "--graph", edge_graph, "--out", str(tmp_path)]) == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_threads_default_ignores_environment(monkeypatch):
+    monkeypatch.setenv("LEEYANG_THREADS", "3")
+    args = build_parser().parse_args(["gmc-moments", "--beta-sq", "0.5", "--seed", "1"])
+    assert args.threads == 1
 
 
 def test_threads_do_not_change_results(tmp_path):

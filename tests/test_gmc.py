@@ -14,6 +14,7 @@ from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
                          moment_growth_fit, sample_gmc_field,
                          sample_m_statistics, save_field_snapshot,
                          tail_prediction)
+from leeyang.gmc import _log_coulomb
 
 
 def disk_distance_density(d):
@@ -76,6 +77,19 @@ def test_coulomb_weight_rotation_invariant():
         assert abs(w1 - w2) < 1e-12 * abs(w1)
 
 
+def test_log_coulomb_matches_coulomb_weight():
+    # the batched kernel of mc_moment against the scalar reference, k <= 4
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3, 4):
+        pos = UNIT_DISK.sample(rng, 20 * k).reshape(20, k, 2)
+        neg = UNIT_DISK.sample(rng, 20 * k).reshape(20, k, 2)
+        beta_sq = rng.uniform(0.1, 1.9, size=20)
+        fast = np.exp(beta_sq * _log_coulomb(pos, neg))
+        for s in range(20):
+            ref = coulomb_weight(CoulombConfig(pos[s], neg[s], float(beta_sq[s])))
+            assert abs(fast[s] - ref) <= 1e-12 * ref
+
+
 def test_coulomb_weight_divergence():
     with pytest.raises(ValueError, match="diverges"):
         coulomb_weight(CoulombConfig([[0.1, 0.1]], [[0.1, 0.1]], 1.0))
@@ -122,12 +136,6 @@ def test_mc_moment_monotone_in_coupling():
     lo = mc_moment(UNIT_DISK, 0.4, 2, 50000, seed=8)
     hi = mc_moment(UNIT_DISK, 0.9, 2, 50000, seed=9)
     assert hi.estimate - lo.estimate > -3 * math.hypot(lo.stderr, hi.stderr)
-
-
-def test_mc_moment_stratified_consistent():
-    a = mc_moment(UNIT_DISK, 1.0, 1, 100000, seed=13)
-    b = mc_moment(UNIT_DISK, 1.0, 1, 100000, seed=13, stratified=True)
-    assert abs(a.estimate - b.estimate) < 3 * math.hypot(a.stderr, b.stderr)
 
 
 def test_mc_moment_rejects_small_samples():

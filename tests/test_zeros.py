@@ -15,8 +15,8 @@ from leeyang.graphs import build_graph
 from leeyang.zeros import (EntireMGF, Rectangle, VERDICT_INCONCLUSIVE,
                            VERDICT_OFF_AXIS, VERDICT_PIZ,
                            count_zeros_rectangle, hadamard_fit, locate_zeros,
-                           mgf_derivative, mgf_eval, mgf_eval_scaled,
-                           refinement_stable_report, zero_report_from_json)
+                           mgf_eval, refinement_stable_report,
+                           zero_report_from_json)
 
 
 def bessel_j0_series(x: float) -> float:
@@ -84,21 +84,22 @@ def test_mgf_eval_matches_direct_sum_random_sources():
         assert abs(mgf_eval(f, z) - direct) < 1e-13 * max(1.0, abs(direct))
 
 
-def test_mgf_eval_scaled_handles_large_arguments():
+def test_evaluator_scaled_handles_large_arguments():
     f = EntireMGF(rademacher())
-    mant, scale = mgf_eval_scaled(f, 800.0)
-    assert scale == 800.0
-    assert abs(mant - 0.5) < 1e-12  # cosh(800) = e^800 / 2 to double precision
+    mant, scale = f.evaluator(800.0).eval_batch(np.array([800.0]))
+    assert scale[0] == 800.0
+    assert abs(mant[0] - 0.5) < 1e-12  # cosh(800) = e^800 / 2 to double precision
     # representable-but-large values go through the scaled path transparently
     assert abs(mgf_eval(f, 680.0) - 0.5 * math.exp(680.0)) < 1e290
     with pytest.raises(OverflowError, match="scale"):
         mgf_eval(f, 800.0)
 
 
-def test_mgf_derivative():
+def test_evaluator_derivative():
     f = EntireMGF(rademacher())
     z = 0.4 + 0.2j
-    assert abs(mgf_derivative(f, z) - np.sinh(z)) < 1e-13
+    _, dmant, scale = f.evaluator(1.0).eval_pair_batch(np.array([z]))
+    assert abs(dmant[0] * np.exp(scale[0]) - np.sinh(z)) < 1e-13
 
 
 def test_f0_is_one_enforced():
@@ -218,7 +219,9 @@ def test_locate_double_axis_zero():
                                 np.array([0.25] * 4), symmetrized=True)
     f = EntireMGF(d)
     assert mgf_eval(f, 1j * math.pi) == 0
-    assert abs(mgf_derivative(f, 1j * math.pi)) < 1e-15
+    _, dmant, scale = f.evaluator(math.pi).eval_pair_batch(np.array([1j * math.pi]))
+    assert scale[0] == 0.0
+    assert abs(dmant[0]) < 1e-15
     rep = locate_zeros(f, Rectangle(-1, 1, 2.5, 4.0))
     assert rep.piz_verdict == VERDICT_PIZ
     assert len(rep.zeros) == 1
@@ -266,6 +269,26 @@ def test_refinement_drops_unstable_zeros():
     assert rep.zeros == ()
     assert rep.piz_verdict == VERDICT_INCONCLUSIVE
     assert any("unstable" in n for n in rep.notes)
+
+
+def test_refinement_requires_equal_counts_on_both_grids():
+    # the 2N law's one zero 3 pi i / 4 is also a zero of the N law, so every
+    # 2N zero is matched; the N law's zeros pi i / 4 and 5 pi i / 4 vanish
+    def factory(N):
+        return rademacher(2.0 if N == 64 else 2.0 / 3.0)
+
+    region = Rectangle(-1, 1, 0, 4)
+    r1 = locate_zeros(EntireMGF(factory(64)), region)
+    r2 = locate_zeros(EntireMGF(factory(128)), region)
+    assert (r1.total_count, r2.total_count) == (3, 1)
+    assert r1.piz_verdict == r2.piz_verdict == VERDICT_PIZ
+    rep, disp = refinement_stable_report(factory, 64, region)
+    assert len(rep.zeros) == 1
+    assert abs(rep.zeros[0].location - 0.75j * math.pi) < 1e-9
+    assert rep.piz_verdict == VERDICT_INCONCLUSIVE
+    assert disp > 1.0  # pi/2 back to the nearest surviving zero
+    assert any("vanished" in n for n in rep.notes)
+    assert any("contour count 3" in n for n in rep.notes)
 
 
 # ---------------------------------------------------------------------------
