@@ -9,10 +9,10 @@ from .errors import BudgetExceededError, NumericalError
 from .graphs import (FiniteGraph, SubdividedGraph, build_graph, graph_from_json,
                      path_graph, single_edge_graph, subdivide)
 from .gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
-                    discretized_gaussian, distribution_from_atoms,
+                    discretized_gaussian, distribution_from_atoms, edge_weight,
                     kolmogorov_distance, observable_distribution,
                     periodized_gaussian, rademacher,
-                    transfer_chain_distribution, xy_edge_weight)
+                    transfer_chain_distribution)
 from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
                     count_zeros_rectangle, default_region, hadamard_fit,
                     locate_zeros, mgf_eval, newton_refine,

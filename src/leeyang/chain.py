@@ -8,10 +8,11 @@ and measures the distance; it also computes the pinned-end partition-function
 ratio whose limit is a ratio of periodized Gaussians with precision b.
 
 Every chain here is one circle convolution power,
-:func:`leeyang.gibbs._convolution_power`, of an XY row built as
-exp(B (cos - 1)) <= 1, so no coupling overflows.  Kernels are probability
-densities on (-pi, pi]: values >= 0 on the grid and mean value times 2 pi
-equal to 1 within 1e-10 under every operation here; NaN fails both checks.
+:func:`leeyang.gibbs._convolution_power`, of XY rows, and every row is the
+XY :func:`leeyang.gibbs.edge_weight` with J = 1, exp(B (cos - 1)) <= 1, so no
+coupling overflows.  Kernels are probability densities on (-pi, pi]: values
+>= 0 on the grid and mean value times 2 pi equal to 1 within 1e-10 under
+every operation here; NaN fails both checks.
 Each (n, b) computation is deterministic and independent, so parameter grids
 parallelise trivially.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gibbs import _convolution_power, periodized_gaussian, wrap_angle
+from .gibbs import _convolution_power, edge_weight, periodized_gaussian, wrap_angle
 
 DEFAULT_CHAIN_GRID = 512
 _TWO_PI = 2.0 * math.pi
@@ -97,7 +98,7 @@ def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
     """
     if not B >= 0:
         raise ValueError(f"inverse temperature must be non-negative, got {B}")
-    g = np.exp(B * (np.cos(fft_circle_grid(N)) - 1.0))
+    g = edge_weight("xy", fft_circle_grid(N), 1.0, B)
     Z = float(g.sum()) * _TWO_PI / N
     return CircleKernel(values=g / Z, log_normalization=B + math.log(Z))
 
@@ -178,12 +179,12 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
         ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))
     else:
         grid = fft_circle_grid(N)
-        q_hat = np.fft.rfft(_convolution_power(np.exp(B * (np.cos(grid) - 1.0)), n - 2))
+        q_hat = np.fft.rfft(_convolution_power(edge_weight("xy", grid, 1.0, B), n - 2))
 
         def partial_sum(th0: float, th1: float) -> float:
-            first = np.fft.rfft(np.exp(B * (np.cos(grid - th0) - 1.0)))
+            first = np.fft.rfft(edge_weight("xy", grid - th0, 1.0, B))
             inner = np.fft.irfft(first * q_hat, N)
-            last = np.exp(B * (np.cos(th1 - grid) - 1.0))
+            last = edge_weight("xy", th1 - grid, 1.0, B)
             s = float(last @ inner)
             # the FFTs leave rounding noise of about 0.2 n eps times this scale
             # in s (measured for n <= 4096, N <= 2048)

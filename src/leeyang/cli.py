@@ -28,8 +28,9 @@ from .gmc import (Domain, LatticeDomain, bin_distribution, dgff_sample,
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify
-from .zeros import (EntireMGF, Rectangle, VERDICT_PIZ, _rect_radius, locate_zeros,
-                    newton_refine, refinement_stable_report, zero_report_from_json)
+from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, _rect_radius,
+                    locate_zeros, newton_refine, refinement_stable_report,
+                    zero_report_from_json)
 
 FORMAT_VERSION = 1
 
@@ -235,12 +236,16 @@ def _cmd_m_stat(args) -> int:
         for i, z in enumerate(report.zeros):
             zz, _, ok = newton_refine(fb, ev, z.location, args.tol)
             boot_lists[i].append(zz if ok else None)
+    # a zero on the imaginary axis (a symmetrised law's) has a real part that
+    # is rounding noise, so its spread is no error bar
     zero_rows = []
     for z, boots in zip(report.zeros, boot_lists):
         bs = np.array([b for b in boots if b is not None])
+        on_axis = abs(z.location.real) <= OFFAXIS_FACTOR * args.tol
         zero_rows.append({"re": z.location.real, "im": z.location.imag,
                           "residual": z.residual,
-                          "bootstrap_se_re": float(np.std(bs.real, ddof=1)) if len(bs) > 1 else None,
+                          "bootstrap_se_re": (float(np.std(bs.real, ddof=1))
+                                              if len(bs) > 1 and not on_axis else None),
                           "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
                           "bootstrap_unconverged": boots.count(None)})
 

@@ -1,10 +1,16 @@
 """Exact Gibbs laws of S = sum_v lam_v cos(Theta_v) on small graphs.
 
-Two angular spin models are supported on a :class:`~leeyang.graphs.FiniteGraph`:
+Two angular spin models are supported on a :class:`~leeyang.graphs.FiniteGraph`;
+every edge weight in the package (here and in :mod:`leeyang.chain`) is
+:func:`edge_weight`:
 
-* ``xy``      -- edge weight exp(B * J_e * cos(theta_u - theta_v)), B = 1/T,
-* ``villain`` -- edge weight V(theta_u - theta_v; J_e), the periodized
+* ``xy``      -- exp(B * J_e * (cos(theta_u - theta_v) - 1)) <= 1, B = 1/T: the
+  factor e^{B J_e} cancels in every normalised law, so no coupling overflows,
+* ``villain`` -- V(theta_u - theta_v; J_e), the periodized
   Gaussian sum_m exp(-(J_e/2)(theta + 2 pi m)^2).
+
+At strong coupling most weights underflow to 0; those atoms carry no mass and
+are dropped when atoms are coalesced.
 
 Angles live on a uniform N-point grid of (-pi, pi]; with smooth periodic
 integrands the trapezoid rule (uniform weights) is spectrally accurate, so
@@ -23,6 +29,7 @@ bit-stable for a given grid size.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -81,12 +88,18 @@ def periodized_gaussian(theta, J: float, tol: float = 1e-16):
     return total
 
 
-def xy_edge_weight(dtheta, B: float):
-    """XY edge weight exp(B cos(dtheta))."""
-    out = np.exp(B * np.cos(dtheta))
-    if np.isscalar(dtheta) or np.ndim(dtheta) == 0:
-        return float(out)
-    return out
+def edge_weight(kind: str, dtheta, J: float, B: float):
+    """Gibbs weight of an edge with coupling J across the angle difference dtheta.
+
+    ``xy`` gives exp(B J (cos(dtheta) - 1)) <= 1, the XY weight exp(B J cos)
+    divided by e^{B J}; ``villain`` gives ``periodized_gaussian(dtheta, J)``
+    and ignores B.  Vectorises over ``dtheta``.
+    """
+    if kind == "xy":
+        return np.exp(B * J * (np.cos(dtheta) - 1.0))
+    if kind == "villain":
+        return periodized_gaussian(dtheta, J)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,8 @@ class ModelSpec:
 
 
 def _coalesce(xs: np.ndarray, ws: np.ndarray, tol: float = COALESCE_TOL):
-    """Merge atoms whose positions differ by less than tol (weights added)."""
+    """Merge atoms whose positions differ by less than tol (weights added);
+    runs of total weight 0 (underflowed) carry no mass and are dropped."""
     if len(xs) == 0:
         return xs, ws
     order = np.argsort(xs, kind="stable")
@@ -143,7 +157,9 @@ def _coalesce(xs: np.ndarray, ws: np.ndarray, tol: float = COALESCE_TOL):
     # split where the gap exceeds tol; within a run, use the weighted mean
     starts = np.concatenate(([0], np.nonzero(np.diff(xs) > tol)[0] + 1))
     out_w = np.add.reduceat(ws, starts)
-    out_x = np.add.reduceat(xs * ws, starts) / out_w
+    keep = out_w > 0
+    out_w = out_w[keep]
+    out_x = np.add.reduceat(xs * ws, starts)[keep] / out_w
     return out_x, out_w
 
 
@@ -256,15 +272,24 @@ class DiscretizedDistribution:
                    grid_size=doc.get("grid_size"), symmetrized=doc.get("symmetrized", False))
 
 
-def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> DiscretizedDistribution:
-    """Build a distribution from raw (x, w) pairs: normalise, coalesce, optionally symmetrise."""
-    arr = np.asarray(list(atoms), dtype=float)
-    xs, ws = _coalesce(arr[:, 0], arr[:, 1])
-    ws = ws / ws.sum()
+def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> DiscretizedDistribution:
+    """Coalesce raw atoms, normalise to unit mass and optionally symmetrise."""
+    xs, ws = _coalesce(xs, ws)
+    total = ws.sum()
+    if not total > 0:
+        raise NumericalError(f"atom weights sum to {total!r}; every configuration's "
+                             "weight underflowed")
+    ws = ws / total
     if symmetrize:
         xs, ws = _symmetrize(xs, ws)
         ws = ws / ws.sum()
     return DiscretizedDistribution(xs, ws, grid_size=grid_size, symmetrized=symmetrize)
+
+
+def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> DiscretizedDistribution:
+    """Build a distribution from raw (x, w) pairs: normalise, coalesce, optionally symmetrise."""
+    arr = np.asarray(list(atoms), dtype=float)
+    return _finish_law(arr[:, 0], arr[:, 1], grid_size, symmetrize)
 
 
 def kolmogorov_distance(p: DiscretizedDistribution, q: DiscretizedDistribution) -> float:
@@ -273,12 +298,15 @@ def kolmogorov_distance(p: DiscretizedDistribution, q: DiscretizedDistribution) 
     return float(np.max(np.abs(p.cdf(pts) - q.cdf(pts))))
 
 
-def _edge_weight_vector(kind: str, N: int, J_e: float, B: float) -> np.ndarray:
-    """Edge weight as a function of the grid angle difference index."""
-    dtheta = _TWO_PI * np.arange(N) / N
-    if kind == "xy":
-        return np.asarray(xy_edge_weight(dtheta, B * J_e))
-    return np.asarray(periodized_gaussian(dtheta, J_e))
+def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
+    """A factor over the ascending free axes ``axes``, with axis 0 fixed at
+    index i0 and shaped to broadcast over the remaining axes 1..nd."""
+    if axes and axes[0] == 0:
+        axes, table = axes[1:], table[i0]
+    shape = [1] * nd
+    for k, ax in enumerate(axes):
+        shape[ax - 1] = table.shape[k]
+    return table.reshape(shape)
 
 
 def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
@@ -306,79 +334,49 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         raise BudgetExceededError(
             f"tensor grid needs N^|V| = {N}^{m} = {n_evals} evaluations, over budget {budget}")
 
-    grid = circle_grid(N)
-    cosg = np.cos(grid)
-    axis = {v: i for i, v in enumerate(free)}
-
+    s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
     if m == 0:
-        s0 = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices)
-        return distribution_from_atoms([(s0, 1.0)], grid_size=N, symmetrize=symmetrize)
+        return _finish_law(np.array([s_pinned]), np.array([1.0]), N, symmetrize)
 
-    # Per-edge factors over grid-index differences (circulant), and factors
-    # involving pinned vertices as plain vectors over the free endpoint.
+    # The Gibbs density as a list of factors over ascending free axes
+    # (Koller & Friedman, ch. 9): the pinned-pinned constant, one vector per
+    # free vertex with its pinned-neighbour edges folded in, and one N x N
+    # matrix per free-free edge.
+    grid = circle_grid(N)
+    axis = {v: i for i, v in enumerate(free)}
     B = model.inverse_temperature
-    diff_factors = []           # (axis_a, axis_b, weight vector over (ia - ib) mod N)
-    single_factors = [np.ones(N) for _ in range(m)]
-    const_weight = 1.0
+    idx = np.arange(N)
+    const = 1.0
+    node = [np.ones(N) for _ in range(m)]
+    pairs = []
     for e in G.edges:
         u, v = e
         J_e = G.coupling[e]
         if u in axis and v in axis:
-            diff_factors.append((axis[u], axis[v], _edge_weight_vector(model.kind, N, J_e, B)))
+            a, b = axis[u], axis[v]
+            wv = edge_weight(model.kind, _TWO_PI * idx / N, J_e, B)
+            mat = wv[(idx[:, None] - idx[None, :]) % N]  # [i_a, i_b]
+            pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
         elif u in axis or v in axis:
             fv, pv = (u, v) if u in axis else (v, u)
-            d = grid - pinned[pv]
-            w = xy_edge_weight(d, B * J_e) if model.kind == "xy" else periodized_gaussian(d, J_e)
-            single_factors[axis[fv]] = single_factors[axis[fv]] * np.asarray(w)
+            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J_e, B)
         else:
-            d = pinned[u] - pinned[v]
-            const_weight *= (xy_edge_weight(d, B * J_e) if model.kind == "xy"
-                             else periodized_gaussian(d, J_e))
+            const *= edge_weight(model.kind, pinned[u] - pinned[v], J_e, B)
+    weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
+    values = [((), np.array(s_pinned))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in free]
 
-    lam_free = np.array([G.weight[v] for v in free])
-    s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in pinned)
-
-    def shaped(vec: np.ndarray, ax: int, ndim: int) -> np.ndarray:
-        sh = [1] * ndim
-        sh[ax] = N
-        return vec.reshape(sh)
-
-    idx = np.arange(N)
-    chunk_atoms = []
+    # each chunk fixes axis 0 at grid index i0; factors multiply in list
+    # order, which fixes the rounding of every weight
+    nd = m - 1
+    xs, ws = [], []
     for i0 in range(N):
-        # slice along axis 0; remaining axes broadcast to shape (N,)*(m-1)
-        nd = m - 1
-        w_chunk = np.array(const_weight * single_factors[0][i0])
-        s_chunk = np.array(s_pinned + lam_free[0] * cosg[i0])
-        for ax in range(1, m):
-            w_chunk = w_chunk * shaped(single_factors[ax], ax - 1, nd)
-            s_chunk = s_chunk + shaped(lam_free[ax] * cosg, ax - 1, nd)
-        for a, b, wv in diff_factors:
-            if a == 0:
-                w_chunk = w_chunk * shaped(wv[(i0 - idx) % N], b - 1, nd)
-            elif b == 0:
-                w_chunk = w_chunk * shaped(wv[(idx - i0) % N], a - 1, nd)
-            else:
-                dmat = wv[(idx[:, None] - idx[None, :]) % N]  # [i_a, i_b]
-                if a > b:
-                    dmat = dmat.T  # reorder so the first axis is the lower one
-                sh = [1] * nd
-                sh[a - 1] = N
-                sh[b - 1] = N
-                w_chunk = w_chunk * np.ascontiguousarray(dmat).reshape(sh)
-        w_flat = np.broadcast_to(w_chunk, (N,) * nd).ravel() if nd else np.atleast_1d(w_chunk)
-        s_flat = np.broadcast_to(s_chunk, (N,) * nd).ravel() if nd else np.atleast_1d(s_chunk)
-        cx, cw = _coalesce(s_flat.astype(float).copy(), w_flat.astype(float).copy())
-        chunk_atoms.append((cx, cw))
-
-    xs = np.concatenate([c[0] for c in chunk_atoms])
-    ws = np.concatenate([c[1] for c in chunk_atoms])
-    xs, ws = _coalesce(xs, ws)
-    ws = ws / ws.sum()
-    if symmetrize:
-        xs, ws = _symmetrize(xs, ws)
-        ws = ws / ws.sum()
-    return DiscretizedDistribution(xs, ws, grid_size=N, symmetrized=symmetrize)
+        w = functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
+        s = functools.reduce(np.add, (_restrict(ax, t, i0, nd) for ax, t in values))
+        cx, cw = _coalesce(np.broadcast_to(s, (N,) * nd).ravel(),
+                           np.broadcast_to(w, (N,) * nd).ravel())
+        xs.append(cx)
+        ws.append(cw)
+    return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
 
 
 def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
@@ -406,28 +404,22 @@ def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
 
     The chain has unit couplings and inverse temperature B; theta_0 is uniform
     and the one-step transition density on the grid is the row-normalised
-    circulant exp(B cos(theta_j - theta_i)).  The n-step kernel is its n-fold
-    circle convolution power (:func:`_convolution_power`), which agrees with n
-    repeated kernel applications to machine precision.
+    circulant of the XY :func:`edge_weight` with J = 1.  The n-step kernel is
+    its n-fold circle convolution power (:func:`_convolution_power`), which
+    agrees with n repeated kernel applications to machine precision.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
     if N % 2 != 0:
         raise ValueError(f"grid size must be even, got {N}")
     cosg = np.cos(circle_grid(N))
-    # exp(B (cos - 1)) <= 1: the e^B factor cancels in the normalisation
-    pn = _convolution_power(np.exp(B * (np.cos(_TWO_PI * np.arange(N) / N) - 1.0)), n)
+    pn = _convolution_power(edge_weight("xy", _TWO_PI * np.arange(N) / N, 1.0, B), n)
 
     lam0, lam1 = float(lam_ends[0]), float(lam_ends[1])
     # value over (start index i, step d): lam0 cos theta_i + lam1 cos theta_{i+d}
     vals = lam0 * cosg[:, None] + lam1 * cosg[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]
     wts = np.broadcast_to(pn[None, :] / N, (N, N))
-    xs, ws = _coalesce(vals.ravel().copy(), wts.ravel().copy())
-    ws = ws / ws.sum()
-    if symmetrize:
-        xs, ws = _symmetrize(xs, ws)
-        ws = ws / ws.sum()
-    return DiscretizedDistribution(xs, ws, grid_size=N, symmetrized=symmetrize)
+    return _finish_law(vals.ravel(), wts.ravel(), N, symmetrize)
 
 
 def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,

@@ -153,7 +153,7 @@ class EntireMGF:
 
     @property
     def support_radius(self) -> float:
-        return self.source.support_radius
+        return max(abs(self._ends[0]), abs(self._ends[1]))
 
     def evaluator(self, radius: float):
         """Batch evaluator valid for |z| <= radius (spectral for large sources)."""

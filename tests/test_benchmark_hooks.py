@@ -8,8 +8,9 @@ import importlib
 import sys
 from pathlib import Path
 
-from leeyang import chain, zeros
-from leeyang.gibbs import rademacher
+from leeyang import chain, gibbs, zeros
+from leeyang.gibbs import ModelSpec, rademacher
+from leeyang.graphs import single_edge_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -23,10 +24,14 @@ def test_benchmark_tracer_records_spans(monkeypatch):
         tracing.install(tracer)
         zeros.locate_zeros(zeros.EntireMGF(rademacher()), zeros.Rectangle(-1, 1, 0, 2))
         chain.chain_vs_heat(16, 1.0, 64)
+        dist = gibbs.observable_distribution(ModelSpec("villain", single_edge_graph()), 16)
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
     assert {"zeros.mgf_eval", "zeros.evaluator", "zeros.locate_zeros",
             "chain.chain_vs_heat"} <= names
+    # the counter binds observable_distribution's parameters by name
+    [law] = [s for s in tracer.spans if s.name == "gibbs.observable_distribution"]
+    assert law.counts == {"grid_points": 256, "atoms_out": len(dist.xs)}
     assert zeros.locate_zeros.__module__ == "leeyang.zeros"
     assert not hasattr(zeros.locate_zeros, "__wrapped__")

@@ -9,6 +9,7 @@ import pytest
 from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
 from leeyang.gmc import load_field_snapshot
+from leeyang.zeros import OFFAXIS_FACTOR
 
 EDGE_GRAPH = json.dumps({
     "vertices": ["x", "y"], "edges": [["x", "y"]],
@@ -60,6 +61,16 @@ def test_spin_dist_then_zeros_pipeline(edge_graph, tmp_path):
                  "--out", out3]) == 0
     verdict = json.loads((Path(out3) / "class_verdict.json").read_text())
     assert verdict["results"]["verdict"] == "consistent-with-class"
+
+
+def test_spin_dist_strong_coupling_builds_a_law(edge_graph, tmp_path):
+    # e^{400 cos} overflows nothing now, and underflowed weights are dropped
+    out = str(tmp_path / "d")
+    assert main(["spin-dist", "--graph", edge_graph, "--model", "xy", "--beta", "400",
+                 "--out", out]) == 0
+    d = DiscretizedDistribution.from_csv((Path(out) / "spin_dist.csv").read_text(),
+                                         symmetrized=True)
+    assert abs(d.ws.sum() - 1.0) < 1e-12
 
 
 def test_zeros_finds_off_axis(tmp_path):
@@ -159,9 +170,17 @@ def test_m_stat_with_field_dump(tmp_path):
     assert abs(doc["results"]["mean"]) < 0.5
     snap = load_field_snapshot(Path(out) / "field.bin")
     assert snap["n"] == 3 and snap["beta"] == 1.2 and snap["seed"] == 19
+    # the binned law is symmetrised: Re z of an axis zero is rounding noise,
+    # so it has no error bar; the off-axis pair keeps one
+    on_axis = [z for z in doc["results"]["zeros"] if abs(z["re"]) <= OFFAXIS_FACTOR * 1e-10]
+    assert on_axis
     for z in doc["results"]["zeros"]:
         assert z["bootstrap_unconverged"] == 0
         assert z["bootstrap_se_im"] > 0
+        if z in on_axis:
+            assert z["bootstrap_se_re"] is None
+        else:
+            assert z["bootstrap_se_re"] > 0
 
 
 M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",

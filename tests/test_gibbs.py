@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from leeyang.errors import BudgetExceededError
+from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
-                           distribution_from_atoms, kolmogorov_distance,
-                           observable_distribution, periodized_gaussian,
-                           rademacher, transfer_chain_distribution,
-                           xy_edge_weight)
+                           distribution_from_atoms, edge_weight,
+                           kolmogorov_distance, observable_distribution,
+                           periodized_gaussian, rademacher,
+                           transfer_chain_distribution)
 from leeyang.graphs import build_graph, path_graph, single_edge_graph
 from leeyang.zeros import EntireMGF, mgf_eval
 
@@ -70,14 +70,19 @@ def test_periodized_gaussian_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_xy_edge_weight_values():
-    assert abs(xy_edge_weight(0.0, 2.0) - math.e**2) < 1e-12
-    assert abs(xy_edge_weight(math.pi, 2.0) - math.e**-2) < 1e-14
+    # exp(B J (cos - 1)) = exp(B J cos) / e^{B J}; tolerances are the relative
+    # ones of the unscaled values e^{2} and e^{-2}
+    assert abs(edge_weight("xy", 0.0, 1.0, 2.0) - 1.0) < 1e-12 / math.e**2
+    assert abs(edge_weight("xy", math.pi, 1.0, 2.0) - math.e**-4) < 1e-14 * math.e**-2
+    with pytest.raises(ValueError, match="kind"):
+        edge_weight("ising", 0.0, 1.0, 1.0)
 
 
 def test_xy_edge_weight_integral_is_bessel():
     N = 512
-    quad = float(np.sum(xy_edge_weight(circle_grid(N), 1.0))) * 2 * math.pi / N
-    assert abs(quad - 2 * math.pi * bessel_i0_series(1.0)) < 1e-10
+    quad = float(np.sum(edge_weight("xy", circle_grid(N), 1.0, 1.0))) * 2 * math.pi / N
+    exact = 2 * math.pi * math.exp(-1.0) * bessel_i0_series(1.0)
+    assert abs(quad - exact) < 1e-10 * math.exp(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,29 @@ def test_pinned_boundary_distribution():
     assert not raw.symmetrized
 
 
+@pytest.mark.parametrize("model", [
+    ModelSpec("villain", single_edge_graph(J=200.0)),
+    ModelSpec("villain", path_graph(3, J=160.0)),
+    ModelSpec("xy", single_edge_graph(), inverse_temperature=380.0),
+    ModelSpec("xy", single_edge_graph(), inverse_temperature=800.0),
+    ModelSpec("xy", path_graph(3), inverse_temperature=400.0),
+], ids=["villain-edge-J200", "villain-path3-J160", "xy-edge-B380", "xy-edge-B800",
+        "xy-path3-B400"])
+def test_strong_coupling_builds_a_law(model):
+    # most grid configurations get a weight that underflows to 0
+    d = observable_distribution(model, 64)
+    assert np.all(np.isfinite(d.xs)) and np.all(np.isfinite(d.ws))
+    assert abs(d.ws.sum() - 1.0) < 1e-12
+    assert np.array_equal(d.xs, -d.xs[::-1]) and np.array_equal(d.ws, d.ws[::-1])
+
+
+def test_total_underflow_is_a_numerical_error():
+    # no grid angle is within 0.005 of the pinned 0.3: B (cos - 1) < -1000 everywhere
+    model = ModelSpec("xy", single_edge_graph(), inverse_temperature=1e8, boundary={"y": 0.3})
+    with pytest.raises(NumericalError, match="underflowed"):
+        observable_distribution(model, 64)
+
+
 def test_odd_grid_rejected():
     with pytest.raises(ValueError, match="even"):
         observable_distribution(ModelSpec("xy", single_edge_graph()), 63)
@@ -271,23 +299,37 @@ def test_vertex_listing_order_is_immaterial():
         assert abs(mgf_eval(f1, z) - mgf_eval(f2, z)) < 1e-14
 
 
-def test_triangle_matches_brute_force_tensor_sum():
+TRIANGLE_BOUNDARIES = {"free": None, "one-pinned": {"p": 0.3},
+                       "two-pinned": {"p": 0.3, "r": -1.1}}  # p-r is pinned-pinned
+
+
+@pytest.mark.parametrize("boundary", TRIANGLE_BOUNDARIES.values(), ids=TRIANGLE_BOUNDARIES.keys())
+@pytest.mark.parametrize("kind", ["xy", "villain"])
+def test_triangle_matches_brute_force_tensor_sum(kind, boundary):
     import itertools
     N = 16
     verts = ["q", "p", "r"]
     edges = [("p", "r"), ("p", "q"), ("q", "r")]
     J = {("p", "r"): 0.8, ("p", "q"): 1.2, ("q", "r"): 0.6}
     lam = {"p": 1.0, "q": 0.7, "r": 0.4}
-    model = ModelSpec("xy", build_graph(verts, edges, J, lam), 1.1)
+    model = ModelSpec(kind, build_graph(verts, edges, J, lam), 1.1, boundary=boundary)
     f = EntireMGF(observable_distribution(model, N))
+    pinned = boundary or {}
+    free = [v for v in verts if v not in pinned]
     grid = circle_grid(N)
     z = 0.9 + 0.3j
+
+    def weight(d, je):
+        if kind == "xy":
+            return math.exp(1.1 * je * math.cos(d))
+        return poisson_dual_gaussian(d, je)
+
     num_p, num_m, den = 0.0, 0.0, 0.0
-    for iq, ip, ir in itertools.product(range(N), repeat=3):
-        th = {"q": grid[iq], "p": grid[ip], "r": grid[ir]}
+    for idx in itertools.product(range(N), repeat=len(free)):
+        th = dict(pinned, **{v: grid[i] for v, i in zip(free, idx)})
         w = 1.0
         for (u, v), je in J.items():
-            w *= math.exp(1.1 * je * math.cos(th[u] - th[v]))
+            w *= weight(th[u] - th[v], je)
         s = sum(lam[v] * math.cos(th[v]) for v in verts)
         num_p += w * np.exp(z * s)
         num_m += w * np.exp(-z * s)
