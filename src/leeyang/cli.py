@@ -67,21 +67,43 @@ def _region_from(args) -> Rectangle:
     return Rectangle(*args.region)
 
 
-def _apply_config(args, argv) -> None:
+def _config_value(action: argparse.Action, key: str, val):
+    """``val`` parsed by the type, choices and nargs of the flag's action,
+    as the command line would parse it; a value it rejects raises ValueError."""
+    tokens = [str(v) for v in val] if isinstance(val, list) else [str(val)]
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--value", type=action.type, nargs=action.nargs, choices=action.choices)
+    try:
+        ns, extra = probe.parse_known_args(["--value", *tokens])
+    except argparse.ArgumentError as e:
+        raise ValueError(f"--config key {key!r}: {e.message}") from None
+    if extra:
+        raise ValueError(f"--config key {key!r}: unexpected values {extra}")
+    return ns.value
+
+
+def _apply_config(args, argv, parser: argparse.ArgumentParser) -> None:
     """Fill parameters from the --config JSON for flags absent on the line.
 
     Keys use either dash or underscore form; an explicit command-line flag,
     spelled ``--flag value`` or ``--flag=value``, always wins over the file.
+    A value is accepted exactly when the command line accepts it after the
+    flag (a list gives one token per element); null keeps the default, and
+    keys that name no option of the subcommand are ignored.
     """
     if not getattr(args, "config", None):
         return
     cfg = json.loads(Path(args.config).read_text())
     given = {tok.split("=", 1)[0] for tok in argv}
+    # argparse has no public lookup of a subcommand's option actions
+    sub = parser._subparsers._group_actions[0].choices[args.subcommand]
     for key, val in cfg.items():
-        attr = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
-        if hasattr(args, attr) and flag not in given:
-            setattr(args, attr, val)
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.nargs == 0 or action.dest == "config":
+            continue
+        if flag not in given and val is not None:
+            setattr(args, action.dest, _config_value(action, key, val))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +419,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         return args.func(args)
     except NumericalError as e:
         print(f"{type(e).__module__}: numerical failure: {e}", file=sys.stderr)

@@ -21,9 +21,10 @@ The result type :class:`DiscretizedDistribution` is the universal input for
 the zero-location and classification machinery: a finite symmetric atomic
 measure {(x_j, w_j)} with unit total mass.
 
-All functions here are pure; distributions are immutable once built and the
-tensor-grid evaluation reduces chunks in a fixed order, so outputs are
-bit-stable for a given grid size.
+All functions here are pure; distributions are immutable once built.  The
+tensor-grid evaluation sorts the chunk-independent part of S once and reduces
+one chunk per mirror pair of angles (theta, -theta) in a fixed order, so
+outputs are bit-stable for a given grid size.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,21 +148,29 @@ class ModelSpec:
                    boundary=doc.get("boundary"))
 
 
-def _coalesce(xs: np.ndarray, ws: np.ndarray, tol: float = COALESCE_TOL):
-    """Merge atoms whose positions differ by less than tol (weights added);
-    runs of total weight 0 (underflowed) carry no mass and are dropped."""
-    if len(xs) == 0:
-        return xs, ws
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ws = ws[order]
-    # split where the gap exceeds tol; within a run, use the weighted mean
-    starts = np.concatenate(([0], np.nonzero(np.diff(xs) > tol)[0] + 1))
+def _run_starts(xs: np.ndarray, tol: float = COALESCE_TOL) -> np.ndarray:
+    """Start indices of the runs of the sorted ``xs``: a run ends where the gap exceeds tol."""
+    return np.concatenate(([0], np.nonzero(np.diff(xs) > tol)[0] + 1))
+
+
+def _merge_runs(xs: np.ndarray, ws: np.ndarray, starts: np.ndarray):
+    """One atom per run of the sorted ``xs``: the run's total weight at its
+    weighted-mean position; runs of total weight 0 (underflowed) carry no
+    mass and are dropped."""
     out_w = np.add.reduceat(ws, starts)
     keep = out_w > 0
     out_w = out_w[keep]
     out_x = np.add.reduceat(xs * ws, starts)[keep] / out_w
     return out_x, out_w
+
+
+def _coalesce(xs: np.ndarray, ws: np.ndarray, tol: float = COALESCE_TOL):
+    """Merge atoms whose positions differ by less than tol (weights added)."""
+    if len(xs) == 0:
+        return xs, ws
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    return _merge_runs(xs, ws[order], _run_starts(xs, tol))
 
 
 def _symmetrize(xs: np.ndarray, ws: np.ndarray):
@@ -298,6 +308,11 @@ def kolmogorov_distance(p: DiscretizedDistribution, q: DiscretizedDistribution) 
     return float(np.max(np.abs(p.cdf(pts) - q.cdf(pts))))
 
 
+def _check_grid(N) -> None:
+    if not (isinstance(N, numbers.Integral) and N > 0 and N % 2 == 0):
+        raise ValueError(f"grid size must be a positive even integer, got {N!r}")
+
+
 def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
     """A factor over the ascending free axes ``axes``, with axis 0 fixed at
     index i0 and shaped to broadcast over the remaining axes 1..nd."""
@@ -321,10 +336,19 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     every edge weight), and the output is symmetrised by averaging with its
     reflection so downstream symmetry checks pass at 1e-12 exactly.
 
-    Refuses when N**(number of free vertices) exceeds ``budget``.
+    The tensor grid is summed in chunks that fix the first free angle.  The
+    rest of S does not depend on it, so it is sorted and cut into
+    ``COALESCE_TOL`` runs once, and each chunk's weights are gathered into
+    that order and summed per run: its atoms come out sorted.  Two grid
+    angles theta and -theta share one chunk, whose weights are the sum of
+    their two restricted weights (never one of them doubled: a pinned
+    neighbour makes the density asymmetric in theta), so N/2 + 1 chunks
+    cover the grid.
+
+    Refuses when N**(number of free vertices) exceeds ``budget``, and a grid
+    size N that is not a positive even integer.
     """
-    if N % 2 != 0:
-        raise ValueError(f"grid size must be even, got {N}")
+    _check_grid(N)
     G = model.graph
     pinned = dict(model.boundary or {})
     free = [v for v in G.vertices if v not in pinned]
@@ -363,18 +387,30 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         else:
             const *= edge_weight(model.kind, pinned[u] - pinned[v], J_e, B)
     weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
-    values = [((), np.array(s_pinned))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in free]
 
-    # each chunk fixes axis 0 at grid index i0; factors multiply in list
-    # order, which fixes the rounding of every weight
+    # S = lam cos(theta) on axis 0 plus a rest that no chunk changes: the
+    # rest is sorted and cut into runs once.  Every free axis carries a value
+    # and a node factor, so the rest and each chunk's weights span all N^nd points
     nd = m - 1
+    rest = functools.reduce(np.add, (_restrict((axis[v],), G.weight[v] * np.cos(grid), 0, nd)
+                                     for v in free[1:]), np.array(s_pinned)).ravel()
+    order = np.argsort(rest, kind="stable")
+    rest = rest[order]
+    starts = _run_starts(rest)
+    x0 = G.weight[free[0]] * np.cos(grid)
+
+    def chunk_weight(i0):
+        # axis 0 fixed at grid index i0; factors multiply in list order,
+        # which fixes the rounding of every weight
+        return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
+
+    # indices i and N-2-i (mod N) carry the angles theta and -theta: one chunk
+    # sums the pair's weights in index order (0 and pi are their own mirrors)
     xs, ws = [], []
-    for i0 in range(N):
-        w = functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
-        s = functools.reduce(np.add, (_restrict(ax, t, i0, nd) for ax, t in values))
-        cx, cw = _coalesce(np.broadcast_to(s, (N,) * nd).ravel(),
-                           np.broadcast_to(w, (N,) * nd).ravel())
-        xs.append(cx)
+    for i0 in range(N // 2 - 1, N):
+        w = functools.reduce(np.add, (chunk_weight(i) for i in sorted({(N - 2 - i0) % N, i0})))
+        cx, cw = _merge_runs(rest, w.ravel()[order], starts)
+        xs.append(x0[i0] + cx)
         ws.append(cw)
     return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
 
@@ -410,8 +446,7 @@ def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
-    if N % 2 != 0:
-        raise ValueError(f"grid size must be even, got {N}")
+    _check_grid(N)
     cosg = np.cos(circle_grid(N))
     pn = _convolution_power(edge_weight("xy", _TWO_PI * np.arange(N) / N, 1.0, B), n)
 

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import NumericalError
-from .gibbs import DiscretizedDistribution
+from .gibbs import COALESCE_TOL, DiscretizedDistribution
 
 DEFAULT_TOL = 1e-10
 OFFAXIS_FACTOR = 100.0
@@ -138,10 +138,11 @@ class EntireMGF:
         self.source = source
         self.variance = source.variance
         self.symmetric = source.symmetrized or source.is_symmetric(1e-12)
-        xs, ws, pos = source.xs, source.ws, source.xs > 0
-        # what mgf_eval needs on every call: the support ends and cosh halves
+        xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
+        # what mgf_eval needs on every call: the support ends and cosh halves;
+        # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
-        self._cosh_half = (ws[np.abs(xs) <= 0.0].sum(), ws[pos], xs[pos])
+        self._cosh_half = (ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
         if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
             raise ValueError("f(0) differs from 1 by more than 1e-12")
         if self.symmetric:

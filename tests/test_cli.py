@@ -219,6 +219,40 @@ def test_config_file_provides_defaults(edge_graph, tmp_path):
                  "--grid-n=32", "--out", out3]) == 0
     doc3 = json.loads((Path(out3) / "spin_dist.json").read_text())
     assert doc3["config"]["grid_n"] == 32
+    # a file value is parsed like the flag's: "64" gives the law of --grid-n 64
+    cfg.write_text(json.dumps({"grid_n": "64"}))
+    out4, out5 = str(tmp_path / "o4"), str(tmp_path / "o5")
+    assert main(["spin-dist", "--graph", edge_graph, "--config", str(cfg),
+                 "--out", out4]) == 0
+    assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "64", "--out", out5]) == 0
+    law4, law5 = ((Path(o) / "spin_dist.csv").read_text().split("\n", 1)[1] for o in (out4, out5))
+    assert law4 == law5
+    assert json.loads((Path(out4) / "spin_dist.json").read_text())["config"]["grid_n"] == 64
+
+
+@pytest.mark.parametrize("cfg_doc", [{"grid_n": "sixty"}, {"grid_n": 64.5}, {"model": "ising"},
+                                     {"grid_n": [64, 128]}],
+                         ids=["not-an-int", "float", "bad-choice", "list-for-one-value"])
+def test_config_value_the_flag_rejects_is_usage_error(cfg_doc, edge_graph, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_doc))
+    assert main(["spin-dist", "--graph", edge_graph, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    key = next(iter(cfg_doc))
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_lists_fill_multi_value_flags(tmp_path):
+    three = tmp_path / "three.csv"
+    three.write_text(THREE_ATOM_CSV)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"region": [-2, 2, 0, 2], "tol": "1e-10"}))
+    out = tmp_path / "o"
+    assert main(["zeros", "--dist", str(three), "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "zero_report.json").read_text())
+    assert doc["config"]["region"] == [-2.0, 2.0, 0.0, 2.0] and doc["config"]["tol"] == 1e-10
+    cfg.write_text(json.dumps({"region": [-2, 2, 0]}))
+    assert main(["zeros", "--dist", str(three), "--config", str(cfg), "--out", str(out)]) == 2
 
 
 def test_missing_graph_file_is_usage_error(tmp_path):

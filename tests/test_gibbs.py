@@ -1,5 +1,7 @@
 """Exact spin-model laws: quadrature accuracy against independent oracles."""
 
+import functools
+import itertools
 import math
 import random
 
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 
 from leeyang.errors import BudgetExceededError, NumericalError
-from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
-                           distribution_from_atoms, edge_weight,
+from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, _coalesce, _finish_law,
+                           _restrict, circle_grid, distribution_from_atoms, edge_weight,
                            kolmogorov_distance, observable_distribution,
                            periodized_gaussian, rademacher,
                            transfer_chain_distribution)
@@ -241,6 +243,14 @@ def test_odd_grid_rejected():
         observable_distribution(ModelSpec("xy", single_edge_graph()), 63)
 
 
+@pytest.mark.parametrize("N", [0, -2, 64.0])
+def test_grid_size_must_be_positive_even_integer(N):
+    with pytest.raises(ValueError, match="grid size"):
+        observable_distribution(ModelSpec("xy", single_edge_graph()), N)
+    with pytest.raises(ValueError, match="grid size"):
+        transfer_chain_distribution(2, 1.0, (1.0, 1.0), N)
+
+
 # ---------------------------------------------------------------------------
 # transfer_chain_distribution
 # ---------------------------------------------------------------------------
@@ -303,17 +313,27 @@ TRIANGLE_BOUNDARIES = {"free": None, "one-pinned": {"p": 0.3},
                        "two-pinned": {"p": 0.3, "r": -1.1}}  # p-r is pinned-pinned
 
 
-@pytest.mark.parametrize("boundary", TRIANGLE_BOUNDARIES.values(), ids=TRIANGLE_BOUNDARIES.keys())
-@pytest.mark.parametrize("kind", ["xy", "villain"])
-def test_triangle_matches_brute_force_tensor_sum(kind, boundary):
-    import itertools
-    N = 16
+TRIANGLE_J = {("p", "r"): 0.8, ("p", "q"): 1.2, ("q", "r"): 0.6}
+
+
+def triangle_model(kind, boundary):
     verts = ["q", "p", "r"]
-    edges = [("p", "r"), ("p", "q"), ("q", "r")]
-    J = {("p", "r"): 0.8, ("p", "q"): 1.2, ("q", "r"): 0.6}
     lam = {"p": 1.0, "q": 0.7, "r": 0.4}
-    model = ModelSpec(kind, build_graph(verts, edges, J, lam), 1.1, boundary=boundary)
-    f = EntireMGF(observable_distribution(model, N))
+    return ModelSpec(kind, build_graph(verts, list(TRIANGLE_J), TRIANGLE_J, lam), 1.1,
+                     boundary=boundary)
+
+
+TRIANGLE_CASES = {**{name: (b, True) for name, b in TRIANGLE_BOUNDARIES.items()},
+                  **{f"{name}-raw": (b, False) for name, b in TRIANGLE_BOUNDARIES.items()}}
+
+
+@pytest.mark.parametrize("boundary,symmetrize", TRIANGLE_CASES.values(), ids=TRIANGLE_CASES.keys())
+@pytest.mark.parametrize("kind", ["xy", "villain"])
+def test_triangle_matches_brute_force_tensor_sum(kind, boundary, symmetrize):
+    N = 16
+    model = triangle_model(kind, boundary)
+    verts, J, lam = model.graph.vertices, TRIANGLE_J, model.graph.weight
+    f = EntireMGF(observable_distribution(model, N, symmetrize=symmetrize))
     pinned = boundary or {}
     free = [v for v in verts if v not in pinned]
     grid = circle_grid(N)
@@ -334,8 +354,81 @@ def test_triangle_matches_brute_force_tensor_sum(kind, boundary):
         num_p += w * np.exp(z * s)
         num_m += w * np.exp(-z * s)
         den += w
-    brute_even = 0.5 * (num_p + num_m) / den  # symmetrized output
-    assert abs(mgf_eval(f, z) - brute_even) < 1e-13
+    # the symmetrized output averages the law with its reflection; with p
+    # pinned the raw law is not symmetric, so a mirror chunk that doubled one
+    # angle's weights instead of adding both would show here
+    want = 0.5 * (num_p + num_m) / den if symmetrize else num_p / den
+    assert abs(mgf_eval(f, z) - want) < 1e-13
+
+
+def chunked_observable_distribution(model, N, symmetrize):
+    """The former builder: one chunk per grid index of the first free angle,
+    each chunk's atoms sorted and coalesced on their own."""
+    G = model.graph
+    pinned = dict(model.boundary or {})
+    free = [v for v in G.vertices if v not in pinned]
+    m = len(free)
+    s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
+    if m == 0:
+        return _finish_law(np.array([s_pinned]), np.array([1.0]), N, symmetrize)
+    grid = circle_grid(N)
+    axis = {v: i for i, v in enumerate(free)}
+    B = model.inverse_temperature
+    idx = np.arange(N)
+    const = 1.0
+    node = [np.ones(N) for _ in range(m)]
+    pairs = []
+    for e in G.edges:
+        u, v = e
+        J_e = G.coupling[e]
+        if u in axis and v in axis:
+            a, b = axis[u], axis[v]
+            mat = edge_weight(model.kind, 2 * math.pi * idx / N, J_e, B)[(idx[:, None] - idx[None, :]) % N]
+            pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
+        elif u in axis or v in axis:
+            fv, pv = (u, v) if u in axis else (v, u)
+            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J_e, B)
+        else:
+            const *= edge_weight(model.kind, pinned[u] - pinned[v], J_e, B)
+    weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
+    values = [((), np.array(s_pinned))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in free]
+    nd = m - 1
+    xs, ws = [], []
+    for i0 in range(N):
+        w = functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
+        s = functools.reduce(np.add, (_restrict(ax, t, i0, nd) for ax, t in values))
+        cx, cw = _coalesce(np.broadcast_to(s, (N,) * nd).ravel(),
+                           np.broadcast_to(w, (N,) * nd).ravel())
+        xs.append(cx)
+        ws.append(cw)
+    return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
+
+
+CRITERION_1_MODELS = {
+    f"{gname}-{kind}-J{J}-lam{lam}": ModelSpec(kind, gf(J, lam))
+    for gname, gf in {"edge": lambda J, lam: single_edge_graph(J=J, lam=(lam, lam)),
+                      "path3": lambda J, lam: path_graph(3, J=J, lam=lam)}.items()
+    for kind in ("villain", "xy") for J in (0.5, 1.0, 2.0) for lam in (0.5, 1.0)}
+REFERENCE_MODELS = {
+    **CRITERION_1_MODELS,
+    **{f"triangle-{kind}-{name}": triangle_model(kind, boundary)
+       for kind in ("xy", "villain") for name, boundary in TRIANGLE_BOUNDARIES.items()},
+    "path4-two-pinned": ModelSpec("xy", path_graph(4, J=1.0), 1.3,
+                                  boundary={"v1": 0.3, "v3": -1.1}),
+    "path3-all-pinned": ModelSpec("villain", path_graph(3, J=1.0),
+                                  boundary={"v0": 0.3, "v1": -1.1, "v2": 2.0}),
+}
+
+
+@pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
+def test_observable_distribution_matches_chunked_reference(model):
+    for N in (32, 64):
+        for symmetrize in (True, False):
+            want = chunked_observable_distribution(model, N, symmetrize)
+            got = observable_distribution(model, N, symmetrize=symmetrize)
+            assert len(got.xs) == len(want.xs), (N, symmetrize)
+            assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
+            assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
 
 
 def test_observable_distribution_bit_stable():
