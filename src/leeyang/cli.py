@@ -158,7 +158,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_chain_limit(args) -> int:
     ns = [int(s) for s in args.n_list.split(",")]
-    config = {"subcommand": "chain-limit", "b": args.b, "n_list": ns,
+    config = {"subcommand": "chain-limit", "b": args.b, "n_list": ",".join(map(str, ns)),
               "grid_n": args.grid_n, "pair": list(args.pair),
               "pair_ref": list(args.pair_ref), "threads": args.threads,
               "out": args.out}

@@ -5,8 +5,10 @@ exp(i beta h) for a whole-plane Gaussian field is a Coulomb-gas partition
 function -- k positive and k negative unit charges confined in U with the
 pair interaction |same-charge distance|^{beta^2} / |opposite-charge
 distance|^{beta^2}.  :func:`mc_moment` estimates it by plain Monte Carlo
-(honest batch-means error bars over cleverness), :func:`moment_growth_fit`
-fits the growth law log m_{2k} = beta^2 k log k + c k, and
+with batch-means error bars, which it flags as unreliable for beta^2 >= 1
+(the weight's second moment diverges there), and a Kish effective sample
+size; :func:`moment_growth_fit` fits the growth law
+log m_{2k} = beta^2 k log k + c k, and
 :func:`tail_prediction` converts beta^2 into the stretched tail exponent
 2 / beta^2, flagging the exponent range (1, 2) where slow tails force
 off-axis zeros.
@@ -42,13 +44,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NumericalError
 from .gibbs import DiscretizedDistribution, distribution_from_atoms
 from .lyclass import TailProfile
 
 DENSE_SAMPLING_CAP = 4000
 MC_BATCHES = 64
 EXACT_MOMENT_BUDGET = 2 * 10**7
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +125,48 @@ def _log_coulomb(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
     pos, neg have shape (S, k, 2); returns shape (S,) with
     sum log|same-charge distances| - sum log|opposite-charge distances|.
-    Coincident opposite charges give -inf (the weight diverges as +inf and
-    the caller decides); coincident same charges give -inf weight 0.
+    Coincident opposite charges give +inf (the weight diverges and the
+    caller decides); coincident same charges give -inf, weight 0.
+
+    One log per configuration: the 2k charges are laid out as (2k, 2, S)
+    rows, and for each pair i < j the squared distance d^2 is split by
+    ``np.frexp``.  Its mantissa multiplies a same-charge or an
+    opposite-charge product and its exponent is added to or subtracted from
+    one integer accumulator; the result is
+    (log(same / opposite) + exponents * log 2) / 2.  After each i both
+    products are split again, so neither can underflow for any k.  Where
+    d^2 leaves the normal range (points closer than about 1e-154 or farther
+    than about 1e154) its mantissa and exponent are rebuilt from the
+    squared mantissa and doubled exponent of ``hypot``; exactly coincident
+    points keep mantissa 0.
     """
     S, k, _ = pos.shape
-    out = np.zeros(S)
-    with np.errstate(divide="ignore"):
-        if k > 1:
-            iu, ju = np.triu_indices(k, 1)
-            for arr in (pos, neg):
-                d = arr[:, iu, :] - arr[:, ju, :]
-                out += np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=1)
-        d = pos[:, :, None, :] - neg[:, None, :, :]
-        out -= np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=(1, 2))
-    return out
+    q = np.empty((2 * k, 2, S))
+    q[:k] = pos.transpose(1, 2, 0)
+    q[k:] = neg.transpose(1, 2, 0)
+    same, opposite = np.ones(S), np.ones(S)
+    exponent = np.zeros(S, dtype=np.int64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(2 * k - 1):
+            x, y = q[i]
+            for j in range(i + 1, 2 * k):
+                dx, dy = x - q[j, 0], y - q[j, 1]
+                d2 = dx * dx + dy * dy
+                m, e = np.frexp(d2)
+                if not (_TINY <= d2.min() and d2.max() <= _HUGE):
+                    off = ~((d2 >= _TINY) & (d2 <= _HUGE))
+                    mh, eh = np.frexp(np.hypot(dx[off], dy[off]))
+                    m[off], e[off] = mh * mh, 2 * eh
+                if (i < k) == (j < k):
+                    same *= m
+                    exponent += e
+                else:
+                    opposite *= m
+                    exponent -= e
+            same, e_same = np.frexp(same)
+            opposite, e_opposite = np.frexp(opposite)
+            exponent += e_same - e_opposite
+        return 0.5 * (np.log(same / opposite) + _LN2 * exponent)
 
 
 def coulomb_weight(cfg: CoulombConfig) -> float:
@@ -169,12 +201,16 @@ class MomentEstimate:
     seed: int
     domain: Domain
     low_confidence: bool
+    stderr_reliable: bool
+    effective_sample_size: float
 
     def as_dict(self) -> dict:
         return {"beta_sq": self.beta_sq, "k": self.k, "estimate": self.estimate,
                 "stderr": self.stderr, "samples": self.samples, "seed": self.seed,
                 "domain": self.domain.kind, "radius": self.domain.radius,
-                "low_confidence": self.low_confidence}
+                "low_confidence": self.low_confidence,
+                "stderr_reliable": self.stderr_reliable,
+                "effective_sample_size": self.effective_sample_size}
 
 
 def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *,
@@ -184,8 +220,12 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *
     Plain average of the Coulomb weight over uniform 2k-tuples in the
     domain, times |U|^{2k}; the standard error comes from batch means over
     MC_BATCHES contiguous blocks.  Estimates whose relative
-    standard error exceeds 0.5 are flagged low-confidence.  ``max_k`` is the
-    desk-scale order cap (the weight tails get heavier with k; raise it
+    standard error exceeds 0.5 are flagged low-confidence.  For beta^2 >= 1
+    the weight's second moment diverges in 2-D, so the batch means have no
+    finite variance and ``stderr_reliable`` is False.  The Kish effective
+    sample size (sum w)^2 / sum w^2 is accumulated from the same weights.
+    A batch whose mean is not finite raises NumericalError.  ``max_k`` is
+    the desk-scale order cap (the weight tails get heavier with k; raise it
     knowingly).
     """
     if not 0.0 < beta_sq < 2.0:
@@ -202,16 +242,29 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *
     total = per_batch * MC_BATCHES
     scale = domain.area ** (2 * k)
     means = np.empty(MC_BATCHES)
+    # Kish sums per batch, of weights scaled by the batch's largest so squares cannot overflow
+    peaks, sums, squares = np.zeros(MC_BATCHES), np.zeros(MC_BATCHES), np.zeros(MC_BATCHES)
     for b in range(MC_BATCHES):
         pos = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
         neg = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
         w = np.exp(beta_sq * _log_coulomb(pos, neg))
         means[b] = float(np.mean(w)) * scale
+        if not math.isfinite(means[b]):
+            raise NumericalError(f"Monte Carlo mean of batch {b} of {MC_BATCHES} at k = {k} "
+                                 f"is {means[b]} (beta^2 = {beta_sq})")
+        peak = float(np.max(w))
+        if peak > 0:
+            u = w / peak
+            peaks[b], sums[b], squares[b] = peak, np.sum(u), u @ u
     estimate = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_BATCHES))
     low = bool(stderr > 0.5 * abs(estimate)) if estimate != 0 else True
+    top = peaks.max()
+    c = peaks / top if top > 0 else peaks
+    ess = float(np.sum(c * sums) ** 2 / np.sum(c * c * squares)) if top > 0 else 0.0
     return MomentEstimate(beta_sq=beta_sq, k=k, estimate=estimate, stderr=stderr,
-                          samples=total, seed=seed, domain=domain, low_confidence=low)
+                          samples=total, seed=seed, domain=domain, low_confidence=low,
+                          stderr_reliable=beta_sq < 1.0, effective_sample_size=ess)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,20 @@ def test_chain_limit_csv(tmp_path):
     assert len(rows) == 3
 
 
+def test_chain_limit_config_round_trips(tmp_path):
+    # the output's own config, fed back through --config, reproduces the rows
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["chain-limit", "--n-list", "16,32", "--grid-n", "128", "--b", "0.7",
+                 "--out", str(out1)]) == 0
+    doc1 = json.loads((out1 / "chain_limit.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc1["config"]))
+    assert main(["chain-limit", "--config", str(cfg), "--out", str(out2)]) == 0
+    doc2 = json.loads((out2 / "chain_limit.json").read_text())
+    assert doc2["config"]["n_list"] == "16,32" and doc2["config"]["b"] == 0.7
+    assert doc2["results"]["rows"] == doc1["results"]["rows"]
+
+
 def test_chain_limit_strong_coupling_is_finite(tmp_path):
     # n b up to 1536 > 709: the unscaled XY row overflowed and printed sup=nan
     out = str(tmp_path / "c")

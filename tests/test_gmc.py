@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from leeyang.errors import BudgetExceededError
+from leeyang import gmc
+from leeyang.cli import main
+from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
                          bin_distribution, coulomb_weight, dgff_sample,
                          gmc_moment_formula, lambda_weights, lattice_green,
@@ -77,10 +79,76 @@ def test_coulomb_weight_rotation_invariant():
         assert abs(w1 - w2) < 1e-12 * abs(w1)
 
 
+def pairwise_log_coulomb(pos, neg):
+    """The former batched kernel: one hypot and one log per pair of charges.
+
+    pos, neg have shape (S, k, 2); returns shape (S,) with
+    sum log|same-charge distances| - sum log|opposite-charge distances|.
+    """
+    S, k, _ = pos.shape
+    out = np.zeros(S)
+    with np.errstate(divide="ignore"):
+        if k > 1:
+            iu, ju = np.triu_indices(k, 1)
+            for arr in (pos, neg):
+                d = arr[:, iu, :] - arr[:, ju, :]
+                out += np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=1)
+        d = pos[:, :, None, :] - neg[:, None, :, :]
+        out -= np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=(1, 2))
+    return out
+
+
+def test_log_coulomb_matches_pairwise_reference():
+    # the mantissa-exponent products against one log per pair; the logs reach
+    # about 15 in size at k = 8, so 1e-12 absolute leaves 100x headroom
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 3, 4, 5, 6, 8):
+        pos = UNIT_DISK.sample(rng, 500 * k).reshape(500, k, 2)
+        neg = UNIT_DISK.sample(rng, 500 * k).reshape(500, k, 2)
+        fast, ref = _log_coulomb(pos, neg), pairwise_log_coulomb(pos, neg)
+        assert np.all(np.isfinite(fast))
+        assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def test_log_coulomb_many_charges_do_not_underflow():
+    # k = 60: a same-charge product of 3,540 mantissas would fall below the
+    # float range without the split after each row; the reference's summed
+    # logs are themselves off by up to 9.4e-13 here (30-digit check, seed 29)
+    rng = np.random.default_rng(29)
+    pos = UNIT_DISK.sample(rng, 6 * 60).reshape(6, 60, 2)
+    neg = UNIT_DISK.sample(rng, 6 * 60).reshape(6, 60, 2)
+    fast = _log_coulomb(pos, neg)
+    assert np.all(np.isfinite(fast))
+    assert np.max(np.abs(fast - pairwise_log_coulomb(pos, neg))) <= 1e-11
+
+
+def test_log_coulomb_outside_the_normal_range():
+    # squared distances that underflow (1e-200 and 1e-300 apart) or overflow
+    # (1e160 apart), large ones still in range (1e150 apart), and exactly
+    # coincident same and opposite charges
+    pos = np.array([[[0.0, 0.0], [1e-200, 0.0]],
+                    [[0.0, 0.0], [0.0, 1e-300]],
+                    [[0.0, 0.0], [1e150, 0.0]],
+                    [[0.0, 0.0], [1e160, 0.0]],
+                    [[0.3, 0.2], [0.3, 0.2]],
+                    [[0.1, 0.1], [0.5, 0.5]]])
+    neg = np.array([[[0.5, 0.5], [0.2, 0.1]],
+                    [[0.5, 0.5], [0.2, 0.1]],
+                    [[0.5, 0.5], [-1e150, 3.0]],
+                    [[0.5, 0.5], [-1e160, 3.0]],
+                    [[0.5, 0.5], [0.2, 0.1]],
+                    [[0.4, 0.4], [0.1, 0.1]]])
+    fast, ref = _log_coulomb(pos, neg), pairwise_log_coulomb(pos, neg)
+    assert np.all(np.isfinite(ref[:4]))
+    assert np.max(np.abs(fast[:4] - ref[:4])) <= 1e-12
+    assert fast[4] == ref[4] == -math.inf  # coincident same charges: weight 0
+    assert fast[5] == ref[5] == math.inf  # coincident opposite charges: weight diverges
+
+
 def test_log_coulomb_matches_coulomb_weight():
-    # the batched kernel of mc_moment against the scalar reference, k <= 4
+    # the batched kernel of mc_moment against the scalar reference, k <= 6
     rng = np.random.default_rng(17)
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5, 6):
         pos = UNIT_DISK.sample(rng, 20 * k).reshape(20, k, 2)
         neg = UNIT_DISK.sample(rng, 20 * k).reshape(20, k, 2)
         beta_sq = rng.uniform(0.1, 1.9, size=20)
@@ -154,6 +222,46 @@ def test_unit_square_domain():
     dom = Domain("square")
     est = mc_moment(dom, 1e-12, 1, 20000, seed=4)
     assert abs(est.estimate - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_mc_moment_same_with_pairwise_kernel(k, monkeypatch):
+    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
+    monkeypatch.setattr(gmc, "_log_coulomb", pairwise_log_coulomb)
+    old = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
+    assert abs(new.estimate - old.estimate) <= 1e-13 * old.estimate
+    assert abs(new.stderr - old.stderr) <= 1e-13 * old.stderr
+
+
+def test_mc_moment_non_finite_mean_raises(monkeypatch, tmp_path):
+    # one configuration with coincident opposite charges: its weight is +inf
+    def one_infinite_row(pos, neg):
+        out = pairwise_log_coulomb(pos, neg)
+        out[7] = math.inf
+        return out
+
+    monkeypatch.setattr(gmc, "_log_coulomb", one_infinite_row)
+    with pytest.raises(NumericalError, match=r"batch 0 .*k = 2"):
+        mc_moment(UNIT_DISK, 0.5, 2, 20000, seed=1)
+    out = tmp_path / "o"
+    assert main(["gmc-moments", "--beta-sq", "0.5", "--k-max", "2", "--samples", "20000",
+                 "--seed", "1", "--out", str(out)]) == 1
+    assert not (out / "gmc_moments.json").exists()
+
+
+def test_mc_moment_error_bar_reliability_and_effective_size():
+    heavy = mc_moment(UNIT_DISK, 1.44, 2, 20000, seed=5)
+    light = mc_moment(UNIT_DISK, 0.5, 2, 20000, seed=5)
+    flat = mc_moment(UNIT_DISK, 1e-12, 2, 20000, seed=5)
+    assert heavy.stderr_reliable is False and light.stderr_reliable is True
+    assert mc_moment(UNIT_DISK, 1.0, 1, 20000, seed=5).stderr_reliable is False
+    for est in (heavy, light):
+        assert 0 < est.effective_sample_size <= est.samples
+    assert heavy.effective_sample_size < light.effective_sample_size
+    assert abs(flat.effective_sample_size - flat.samples) <= 1e-6 * flat.samples
+    d = heavy.as_dict()
+    assert d["stderr_reliable"] is False
+    assert d["effective_sample_size"] == heavy.effective_sample_size
 
 
 # ---------------------------------------------------------------------------
