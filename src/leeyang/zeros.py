@@ -10,15 +10,16 @@ The toolchain is:
 * :func:`mgf_eval` -- reference evaluation by direct (pairwise) summation,
   with cosh pairing for symmetric sources and scaled evaluation on overflow;
   every reported residual is one of these;
-* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours and
-  Newton steps: ``eval_batch`` returns f and ``eval_pair_batch`` f and f'
-  as mantissas sharing one log-scale per point;
+* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours,
+  axis samples and Newton steps: ``eval_batch`` returns f and
+  ``eval_pair_batch`` f and f' as mantissas sharing one log-scale per point;
 * :func:`count_zeros_rectangle` -- winding number along the rectangle
   boundary with adaptive phase tracking (segments are bisected until every
   phase increment is below pi/2);
-* :func:`locate_zeros` -- recursive rectangle subdivision driven by the
-  counter, followed by Newton refinement (:func:`newton_refine`),
-  producing a :class:`ZeroReport`;
+* :func:`locate_zeros` -- a :class:`ZeroReport`; for a symmetric source the
+  axis-symmetric part of the region is certified by the bisected sign
+  changes of the real g(y) = f(iy), everything else by recursive rectangle
+  subdivision driven by the counter and :func:`newton_refine`;
 * :func:`hadamard_fit` -- the quadratic coefficient B and the variance
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
@@ -93,10 +94,6 @@ class Rectangle:
     def corners(self) -> list[complex]:
         return [complex(self.re_min, self.im_min), complex(self.re_max, self.im_min),
                 complex(self.re_max, self.im_max), complex(self.re_min, self.im_max)]
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (self.re_min - slack <= z.real <= self.re_max + slack
-                and self.im_min - slack <= z.imag <= self.im_max + slack)
 
     def grow(self, eps: float) -> "Rectangle":
         return Rectangle(self.re_min - eps, self.re_max + eps,
@@ -321,11 +318,6 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
 # argument-principle counting
 # ---------------------------------------------------------------------------
 
-def _phase_increments(mant):
-    ratio = mant[1:] / mant[:-1]
-    return np.angle(ratio)
-
-
 def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
     """Winding number of f along the rectangle boundary, or raise NumericalError.
 
@@ -352,7 +344,7 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
             logf = shift + np.log(np.abs(mant))
         if np.any(logf < floor_log):
             raise NumericalError("zero on contour: |f| under the boundary floor")
-        inc = _phase_increments(mant)
+        inc = np.angle(mant[1:] / mant[:-1])
         bad = np.nonzero(np.abs(inc) >= 0.5 * math.pi)[0]
         if len(bad) == 0:
             winding = float(np.sum(inc)) / (2.0 * math.pi)
@@ -491,133 +483,27 @@ def newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: in
     return z, res, bool(res < tol)
 
 
-def _confirm_off_axis(f: EntireMGF, z: complex) -> bool:
-    """Count zeros in a small rectangle around z that excludes the axis.
+def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: float,
+                      cells: list, notes: list[str]) -> list[ZeroInfo]:
+    """The general path: split rect until each cell holds one zero, then Newton.
 
-    A zero of even multiplicity sitting exactly on the imaginary axis can be
-    split by a subdivision line through it; Newton then stops anywhere inside
-    the |f| < tol disk, whose radius scales like sqrt(tol), and reports a
-    ghost with a real part far above the refinement tolerance.  A genuine
-    off-axis zero re-counts as >= 1 here; a ghost of an axis zero counts 0.
+    A cell is refined from its centre once it holds one zero and is under
+    MIN_CELL_DIAM across, or as a cluster of its count once under 1e-5.
     """
-    r = abs(z.real)
-    sgn = 1.0 if z.real > 0 else -1.0
-    for shrink in (1.0, 0.7, 1.3):
-        lo, hi = 0.25 * r * shrink, 1.75 * r * shrink
-        rect = Rectangle(min(sgn * lo, sgn * hi), max(sgn * lo, sgn * hi),
-                         z.imag - 1.5 * r * shrink, z.imag + 1.5 * r * shrink)
-        try:
-            return count_zeros_rectangle(f, rect, perturb=False) >= 1
-        except NumericalError:
-            continue
-    return True  # could not disprove; keep the conservative claim
-
-
-def _demote_axis_ghosts(f, zeros: list[ZeroInfo], tol: float,
-                        notes: list[str]) -> tuple[list[ZeroInfo], bool]:
-    """Replace mirror pairs of unconfirmed off-axis zeros by one axis zero.
-
-    Returns the updated list and a flag that is True when something remains
-    unresolved (an unpaired ghost, or a merged zero whose axis-straddling
-    count does not reproduce its multiplicity).
-    """
-    suspicious = [z for z in zeros
-                  if z.refined and OFFAXIS_FACTOR * tol < abs(z.location.real) < 1e-3]
-    if not suspicious:
-        return zeros, False
-    ghosts = [z for z in suspicious
-              if not _confirm_off_axis(f, z.location)]
-    if not ghosts:
-        return zeros, False
-    unresolved = False
-    out = [z for z in zeros if z not in ghosts]
-    used: set[int] = set()
-    for i, g in enumerate(ghosts):
-        if i in used:
-            continue
-        partner = None
-        for j in range(i + 1, len(ghosts)):
-            if j not in used and abs(ghosts[j].location - (-g.location.conjugate())) < 1e-5:
-                partner = j
-                break
-        if partner is None:
-            out.append(g)  # unpaired: keep the claim but mark it unresolved
-            notes.append(f"off-axis zero at {g.location:.6g} not confirmed by "
-                         "re-counting and no partner to merge with")
-            unresolved = True
-            continue
-        used.update({i, partner})
-        p = ghosts[partner]
-        y = 0.5 * (g.location.imag + p.location.imag)
-        res = abs(mgf_eval(f, 1j * y))
-        mult = g.multiplicity + p.multiplicity
-        out.append(ZeroInfo(complex(0.0, y), res, bool(res < tol), mult))
-        # confirm: an axis-straddling box around the merged zero holds exactly
-        # the claimed multiplicity
-        r = 2.0 * max(abs(g.location.real), abs(p.location.real))
-        try:
-            straddle = count_zeros_rectangle(
-                f, Rectangle(-r, r, y - 1.5 * r, y + 1.5 * r), perturb=False)
-        except NumericalError:
-            straddle = -1
-        if straddle == mult:
-            notes.append(f"merged unconfirmed off-axis pair into one axis zero of "
-                         f"multiplicity {mult} at {y:.6g}i (straddle count agrees)")
-        else:
-            notes.append(f"merged unconfirmed off-axis pair at {y:.6g}i but the "
-                         f"straddle count gave {straddle}, expected {mult}")
-            unresolved = True
-    return sorted(out, key=lambda zi: (zi.location.imag, zi.location.real)), unresolved
-
-
-def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
-                 tol: float = DEFAULT_TOL) -> ZeroReport:
-    """Locate all zeros of f in the region and deliver a PIZ verdict.
-
-    Rectangles are subdivided (argument-principle counts steering the
-    recursion) until each holds at most one zero and is smaller than
-    MIN_CELL_DIAM across, then Newton refinement polishes each zero to
-    direct-sum residual |f| < tol.  The verdict is off-axis-zero-found iff
-    some refined zero has |Re z| > 100 tol; unrefined zeros make the verdict
-    inconclusive.  For a symmetric source on a Re-symmetric region, zeros
-    must occur in mirror pairs (+z, -conj z); a violation is noted and makes
-    the verdict inconclusive.
-
-    Off-axis candidates with a small real part are re-verified by counting
-    zeros in an axis-excluding box around them: an even-multiplicity zero
-    sitting exactly on the axis is otherwise reported as a +-Re ghost pair
-    at sqrt-tolerance distance (see _confirm_off_axis).  Unconfirmed pairs
-    are merged into one axis zero with summed multiplicity.
-    """
-    if region is None:
-        region = default_region()
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    evaluator = f.evaluator(_rect_radius(region))
-    notes: list[str] = []
-
-    total = count_zeros_rectangle(f, region)
-    cells: list[tuple[Rectangle, int]] = []
     found: list[ZeroInfo] = []
-    stack: list[tuple[Rectangle, int]] = [(region, total)]
+    stack: list[tuple[Rectangle, int]] = [(rect, cnt)]
     while stack:
         rect, cnt = stack.pop()
         if cnt == 0:
             cells.append((rect, 0))
             continue
-        if cnt == 1 and rect.diameter < MIN_CELL_DIAM:
-            z, res, ok = newton_refine(f, evaluator, rect.center, tol)
-            found.append(ZeroInfo(z, res, ok, 1))
-            cells.append((rect, cnt))
-            continue
-        if rect.diameter < 1e-5:
-            # unresolvable cluster: treat as one zero of higher multiplicity
+        if (cnt == 1 and rect.diameter < MIN_CELL_DIAM) or rect.diameter < 1e-5:
             z, res, ok = newton_refine(f, evaluator, rect.center, tol)
             found.append(ZeroInfo(z, res, ok, cnt))
             cells.append((rect, cnt))
-            notes.append(f"multiplicity-{cnt} cluster at {z:.6g}")
+            if cnt != 1:
+                notes.append(f"multiplicity-{cnt} cluster at {z:.6g}")
             continue
-        done = False
         for frac in _SPLIT_FRACTIONS:
             left, right = rect.split(frac)
             try:
@@ -626,14 +512,142 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
             except NumericalError:
                 continue
             if c1 + c2 == cnt:
-                stack.append((left, c1))
-                stack.append((right, c2))
-                done = True
+                stack += [(left, c1), (right, c2)]
                 break
-        if not done:
+        else:
             raise NumericalError(
                 f"could not split cell {rect} consistently (count {cnt}); "
                 "a zero may sit on every candidate split line")
+    return found
+
+
+def _axis_values(evaluator, ys: np.ndarray) -> np.ndarray:
+    """g(y) = f(iy), real for a symmetric source; the log-scale is 0 on the axis."""
+    return evaluator.eval_batch(1j * ys)[0].real
+
+
+def _axis_roots(evaluator, lo: float, hi: float, n: int):
+    """Sign changes of g on n + 1 equispaced points of [lo, hi], bisected together.
+
+    Every bracket is halved in one batch evaluation per step until no bracket
+    shrinks any more.  Returns (roots, sample ordinates, sample values).
+    """
+    ys = np.linspace(lo, hi, n + 1)
+    g = _axis_values(evaluator, ys)
+    i = np.nonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))[0]
+    a, b, neg_a = ys[i], ys[i + 1], np.signbit(g[i])
+    while len(a):
+        mid = 0.5 * (a + b)
+        if not np.any((mid > a) & (mid < b)):
+            break
+        left = np.signbit(_axis_values(evaluator, mid)) == neg_a
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    return 0.5 * (a + b), ys, g
+
+
+def _axis_split(f: EntireMGF, evaluator, m: float, lo: float, hi: float,
+                g_lo: float, g_hi: float, cnt: int):
+    """Cut of the band [-m, m] x [lo, hi] whose counts add up to cnt, or None.
+
+    Each half's count must have the parity of g's sign change across it
+    (mirror pairs come in twos), which catches a shared edge whose miscount
+    cancels in the sum.
+    """
+    cuts = lo + (hi - lo) * np.array(_SPLIT_FRACTIONS)
+    for cut, g_cut in zip(cuts, _axis_values(evaluator, cuts)):
+        try:
+            c1 = count_zeros_rectangle(f, Rectangle(-m, m, lo, cut), perturb=False)
+            c2 = count_zeros_rectangle(f, Rectangle(-m, m, cut, hi), perturb=False)
+        except NumericalError:
+            continue
+        if (c1 + c2 == cnt and c1 % 2 == (np.signbit(g_lo) != np.signbit(g_cut))
+                and c2 % 2 == (np.signbit(g_cut) != np.signbit(g_hi))):
+            return [(lo, cut, c1), (cut, hi, c2)]
+    return None
+
+
+def _axis_zeros(f: EntireMGF, evaluator, core: Rectangle, cnt: int, tol: float,
+                cells: list, notes: list[str]) -> list[ZeroInfo]:
+    """Zeros of a symmetric source in the core [-m, m] x [lo, hi].
+
+    The sign changes of g are axis zeros; when they fall short of a band's
+    count the band is cut (_axis_split), or, once at most 0.5/lam high, its
+    side box [h, m] may hold the rest in mirror pairs z, -conj z, located on
+    the general path.  A band that cannot be cut is an axis cluster placed
+    at the extremum of g.
+    """
+    lam = max(f.support_radius, 1e-9)
+    m = core.re_max
+    found: list[ZeroInfo] = []
+    bands = [(core.im_min, core.im_max, cnt)]
+    while bands:
+        lo, hi, cnt = bands.pop()
+        h = hi - lo
+        ys, grid, g = _axis_roots(evaluator, lo, hi, max(64, math.ceil(4.0 * lam * h)))
+        res = [abs(mgf_eval(f, 1j * y)) for y in ys]
+        roots = [ZeroInfo(complex(0.0, y), r, r < tol, 1) for y, r in zip(ys, res)]
+        accounted = len(roots) == cnt
+        n_side = 0
+        if not accounted and h <= 0.5 / lam and h < m:
+            try:
+                n_side = count_zeros_rectangle(f, Rectangle(h, m, lo, hi), perturb=False)
+            except NumericalError:
+                pass
+            accounted = len(roots) + 2 * n_side == cnt
+        if not accounted and h >= 1e-5:
+            halves = _axis_split(f, evaluator, m, lo, hi, g[0], g[-1], cnt)
+            if halves:
+                bands += halves
+                continue
+        found += roots
+        cells.append((Rectangle(-m, m, lo, hi), cnt))
+        if accounted and n_side:
+            for z in _split_and_newton(f, evaluator, Rectangle(h, m, lo, hi), n_side,
+                                       tol, cells, notes):
+                found += [z, replace(z, location=complex(-z.location.real, z.location.imag))]
+        elif cnt > len(roots):
+            y = float(grid[np.argmin(np.abs(g))])
+            r = abs(mgf_eval(f, 1j * y))
+            found.append(ZeroInfo(complex(0.0, y), r, r < tol, cnt - len(roots)))
+            notes.append(f"multiplicity-{cnt - len(roots)} axis cluster at {y:.6g}i "
+                         f"in a band {h:.2e} high")
+    return found
+
+
+def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
+                 tol: float = DEFAULT_TOL) -> ZeroReport:
+    """Locate all zeros of f in the region and deliver a PIZ verdict.
+
+    For a symmetric source the part [-m, m] x [im_min, im_max] of the region
+    takes the axis path (_axis_zeros): axis zeros are sign changes of
+    g(y) = f(iy) bisected to adjacent floats, with Re z = 0 exactly.  The
+    rest, and any region of another source, takes the general path
+    (_split_and_newton), whose Newton runs stop at direct-sum |f| < tol.
+    The verdict is off-axis-zero-found iff some refined zero has
+    |Re z| > 100 tol; unrefined zeros, or listed zeros that do not add up to
+    the contour count, make it inconclusive.
+    """
+    if region is None:
+        region = default_region()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    evaluator = f.evaluator(_rect_radius(region))
+    notes: list[str] = []
+    cells: list[tuple[Rectangle, int]] = []
+    found: list[ZeroInfo] = []
+
+    total = count_zeros_rectangle(f, region)
+    general = [(region, total)]
+    if f.symmetric and region.re_min < 0.0 < region.re_max:
+        m = min(-region.re_min, region.re_max)
+        core = Rectangle(-m, m, region.im_min, region.im_max)
+        strips = [Rectangle(a, b, region.im_min, region.im_max)
+                  for a, b in ((region.re_min, -m), (m, region.re_max)) if b > a]
+        core_cnt = count_zeros_rectangle(f, core) if strips else total
+        found += _axis_zeros(f, evaluator, core, core_cnt, tol, cells, notes)
+        general = [(s, count_zeros_rectangle(f, s)) for s in strips]
+    for rect, cnt in general:
+        found += _split_and_newton(f, evaluator, rect, cnt, tol, cells, notes)
 
     # merge duplicates (Newton iterates that converged to the same point)
     merged: list[ZeroInfo] = []
@@ -646,30 +660,14 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
         else:
             merged.append(z)
 
-    merged, unresolved = _demote_axis_ghosts(f, merged, tol, notes)
-
     n_listed = sum(z.multiplicity for z in merged)
     if n_listed != total:
         notes.append(f"count mismatch: contour total {total}, listed {n_listed}")
-        unresolved = True
 
     max_re = max((abs(z.location.real) for z in merged), default=0.0)
-    off_axis = [z for z in merged if z.refined and abs(z.location.real) > OFFAXIS_FACTOR * tol]
-    unrefined = [z for z in merged if not z.refined]
-
-    sym_region = abs(region.re_min + region.re_max) < 1e-12 * max(1.0, region.width)
-    if f.symmetric and sym_region:
-        locs = [z.location for z in merged]
-        for z in locs:
-            if abs(z.real) > 1e-6:
-                mirror = complex(-z.real, z.imag)
-                if not any(abs(mirror - other) < 1e-6 for other in locs):
-                    notes.append(f"missing mirror partner for zero at {z:.8g}")
-                    unresolved = True
-
-    if off_axis:
+    if any(z.refined and abs(z.location.real) > OFFAXIS_FACTOR * tol for z in merged):
         verdict = VERDICT_OFF_AXIS
-    elif unrefined or unresolved:
+    elif n_listed != total or not all(z.refined for z in merged):
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_PIZ

@@ -5,12 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from leeyang.errors import NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec,
-                           discretized_gaussian, observable_distribution,
-                           rademacher)
+                           discretized_gaussian, distribution_from_atoms,
+                           observable_distribution, rademacher)
 from leeyang.graphs import build_graph
 from leeyang.zeros import (EntireMGF, Rectangle, VERDICT_INCONCLUSIVE,
                            VERDICT_OFF_AXIS, VERDICT_PIZ,
@@ -43,6 +45,19 @@ def j0_first_root_bisection() -> float:
 def three_atom_law() -> DiscretizedDistribution:
     return DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
                                    np.array([0.1, 0.8, 0.1]), symmetrized=True)
+
+
+def rademacher_sum_law(a) -> DiscretizedDistribution:
+    """X = sum_i a_i eps_i: MGF prod_i cosh(a_i z), zeros i (k + 1/2) pi / a_i."""
+    a = np.asarray(a, dtype=float)
+    signs = ((np.arange(2 ** len(a))[:, None] >> np.arange(len(a))) & 1) * 2.0 - 1.0
+    atoms = np.column_stack([signs @ a, np.full(2 ** len(a), 2.0 ** -len(a))])
+    return distribution_from_atoms(atoms, symmetrize=True)
+
+
+def ladder_oracle(a, H: float) -> list[float]:
+    return sorted((k + 0.5) * math.pi / ai for ai in a
+                  for k in range(int(H * ai / math.pi) + 1) if (k + 0.5) * math.pi / ai < H)
 
 
 def uniform_angle_law(N: int = 256) -> DiscretizedDistribution:
@@ -230,6 +245,75 @@ def test_locate_double_axis_zero():
     assert z.location.real == 0.0
     assert abs(z.location.imag - math.pi) < 1e-5  # sqrt-tol limited for m = 2
     assert rep.total_count == 2
+
+
+LADDER_REGION = Rectangle(-1, 1, 0, 6)
+
+
+def assert_ladder_zeros(a, rep):
+    assert rep.piz_verdict == VERDICT_PIZ
+    assert all(z.location.real == 0.0 for z in rep.zeros)
+    got = sorted(z.location.imag for z in rep.zeros for _ in range(z.multiplicity))
+    oracle = ladder_oracle(a, LADDER_REGION.im_max)
+    assert len(got) == len(oracle) == rep.total_count
+    assert max(abs(x - y) for x, y in zip(got, oracle)) < 1e-8
+
+
+@pytest.mark.parametrize("a", [
+    (1.0, 1.0005),  # two pairs of zeros, 7.9e-4 and 2.4e-3 apart
+    # a pair of zeros 2.3e-3 apart at 5.17i
+    (0.7376, 0.928, 0.843, 0.4576, 0.5101, 0.9115, 0.3037, 0.8749),
+    # a pair of zeros 1.8e-3 apart at 2.38i
+    (0.325, 0.6604, 0.6263, 0.942, 0.7405, 0.6599, 0.6478, 0.4733),
+    # a cut whose halves miscount 1 + 1 with no sign change of g: parity check
+    (0.7823, 0.6886, 0.3294, 0.5073, 0.949, 0.8492, 0.309, 0.5076, 0.3069, 0.8792),
+], ids=["m2-close-pairs", "m8-pair-at-5.17i", "m8-pair-at-2.38i", "m10-parity"])
+def test_locate_rademacher_sums_on_the_axis(a):
+    rep = locate_zeros(EntireMGF(rademacher_sum_law(a)), LADDER_REGION)
+    assert_ladder_zeros(a, rep)
+
+
+def test_locate_asymmetric_region_symmetric_source():
+    f = EntireMGF(rademacher())
+    wide = locate_zeros(f, Rectangle(-1, 2, 0, 8))
+    core = locate_zeros(f, Rectangle(-1, 1, 0, 8))
+    assert wide.piz_verdict == core.piz_verdict == VERDICT_PIZ
+    assert wide.total_count == 3
+    assert [z.location for z in wide.zeros] == [z.location for z in core.zeros]
+
+
+def assert_three_atom_pairs(rep, p: float, a: float):
+    """Zeros (+-arccosh((1 - 2p) / 2p) + i (2k + 1) pi) / a of (p, 1 - 2p, p) at (-a, 0, a)."""
+    r = math.acosh((1.0 - 2.0 * p) / (2.0 * p)) / a
+    assert rep.piz_verdict == VERDICT_OFF_AXIS
+    locs = sorted((z.location for z in rep.zeros), key=lambda z: (round(z.imag, 6), z.real))
+    expect = [complex(s * r, (2 * k + 1) * math.pi / a) for k in (0, 1) for s in (-1, 1)]
+    assert len(locs) == 4
+    assert max(abs(u - v) for u, v in zip(locs, expect)) < 1e-8
+
+
+def test_locate_asymmetric_region_three_atom_mirror_pair():
+    r = math.acosh(4.0) / 2.0
+    rep = locate_zeros(EntireMGF(three_atom_law()), Rectangle(-2 * r, 3 * r, 0, 2 * math.pi))
+    assert_three_atom_pairs(rep, 0.1, 2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=4))
+def test_property_rademacher_sums_have_their_exact_axis_zeros(a):
+    ys = ladder_oracle(a, LADDER_REGION.im_max) + [LADDER_REGION.im_max]
+    assume(min(np.diff(ys), default=1.0) >= 1e-3)
+    assert_ladder_zeros(a, locate_zeros(EntireMGF(rademacher_sum_law(a)), LADDER_REGION))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.floats(0.03, 0.2), st.floats(0.5, 2.0))
+def test_property_three_atom_laws_give_their_off_axis_pairs(p, a):
+    r = math.acosh((1.0 - 2.0 * p) / (2.0 * p)) / a
+    law = DiscretizedDistribution(np.array([-a, 0.0, a]), np.array([p, 1.0 - 2.0 * p, p]),
+                                  symmetrized=True)
+    rep = locate_zeros(EntireMGF(law), Rectangle(-2 * r, 2 * r, 0, 4 * math.pi / a))
+    assert_three_atom_pairs(rep, p, a)
 
 
 def test_hadamard_counts_multiplicity():
