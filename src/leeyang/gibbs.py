@@ -237,9 +237,9 @@ class DiscretizedDistribution:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         """True iff the reflected atom list matches within tol after coalescing."""
         xs, ws = _coalesce(self.xs, self.ws)
-        rx, rw = _coalesce(-xs[::-1], ws[::-1])
-        if len(rx) != len(xs):
-            return False
+        # the reflection of a coalesced list is sorted with every gap > COALESCE_TOL,
+        # so coalescing it again would return it unchanged
+        rx, rw = -xs[::-1], ws[::-1]
         return bool(np.all(np.abs(rx - xs) <= max(tol, COALESCE_TOL))
                     and np.all(np.abs(rw - ws) <= tol))
 

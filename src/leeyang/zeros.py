@@ -26,9 +26,11 @@ The toolchain is:
 
 Zero location on sources with many atoms routes evaluations through a
 Chebyshev--Bessel compression of the atom sum (exact Chebyshev moments of
-the measure paired with modified-Bessel factors), which is cross-validated
-against direct summation every time it is built.  Reported residuals are
-always direct sums.
+the measure paired with modified-Bessel factors).  For a symmetric source
+the moments are built from the nonnegative half of the atoms that
+:func:`mgf_eval` also sums, with exact parity; every build is
+cross-validated against :func:`mgf_eval`, and the report records which
+evaluator ran.  Reported residuals are always direct sums.
 
 Caveat: a discretized distribution approximates a continuum law, so its
 MGF's zeros approximate the true ones only up to quadrature error.  Use
@@ -126,9 +128,12 @@ def default_region(R: float = 8.0) -> Rectangle:
 class EntireMGF:
     """The entire function f(z) = E[exp(z X)] of a finite atomic law.
 
-    Carries the cached variance and a symmetry flag.  Construction checks
-    f(0) = 1 (unit mass) and, for symmetric sources, that f(it) is real to
-    1e-10 at a few sampled t.
+    Carries the cached variance, a symmetry flag and, for symmetric sources,
+    the nonnegative half (atom at 0, then the x > 0 weights and positions)
+    from which both :func:`mgf_eval` and the spectral evaluator are built.
+    Construction checks f(0) = 1 (unit mass) and, for symmetric sources,
+    that Im f(it) = sum_j w_j sin(t x_j) over every atom is below 1e-10 at a
+    few sampled t.
     """
 
     def __init__(self, source: DiscretizedDistribution):
@@ -142,16 +147,19 @@ class EntireMGF:
         self._cosh_half = (ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
         if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
             raise ValueError("f(0) differs from 1 by more than 1e-12")
-        if self.symmetric:
-            for t in (0.3, 0.7, 1.3):
-                if abs(mgf_eval(self, 1j * t).imag) > 1e-10:
-                    raise ValueError("symmetric source but f(it) not real to 1e-10")
+        # over every atom: the cosh halves would make f(it) real by construction
+        if self.symmetric and np.any(np.abs(np.sin(np.outer((0.3, 0.7, 1.3), xs)) @ ws) > 1e-10):
+            raise ValueError("symmetric source but f(it) not real to 1e-10")
         self._fast: _SpectralEvaluator | _DirectEvaluator | None = None
-        self.fast_path = "direct"
 
     @property
     def support_radius(self) -> float:
         return max(abs(self._ends[0]), abs(self._ends[1]))
+
+    @property
+    def fast_path(self) -> str:
+        """Which batch evaluator the last :meth:`evaluator` call built."""
+        return self._fast.path if self._fast is not None else "direct"
 
     def evaluator(self, radius: float):
         """Batch evaluator valid for |z| <= radius (spectral for large sources)."""
@@ -161,13 +169,11 @@ class EntireMGF:
         wmax = radius * max(self.support_radius, 1e-300)
         if n_atoms > _SPECTRAL_ATOM_THRESHOLD and wmax < 650.0:
             try:
-                self._fast = _SpectralEvaluator(self.source, radius)
-                self.fast_path = "spectral"
+                self._fast = _SpectralEvaluator(self, radius)
                 return self._fast
             except NumericalError:
                 pass
         self._fast = _DirectEvaluator(self.source, radius)
-        self.fast_path = "direct"
         return self._fast
 
 
@@ -196,6 +202,8 @@ def _scaled_direct(xs, ws, zs, dws=None):
 class _DirectEvaluator:
     """Vectorised direct summation, scaled against overflow."""
 
+    path, K, xval_ratio = "direct", None, None
+
     def __init__(self, source: DiscretizedDistribution, radius: float):
         self.radius = radius
         self._xs = source.xs
@@ -210,48 +218,73 @@ class _DirectEvaluator:
         return _scaled_direct(self._xs, self._ws, zs, self._dws)
 
 
+def _chebyshev_moments(u: np.ndarray, cols: np.ndarray, K: int):
+    """sum_j cols[j] T_k(u_j) for k = 0..K as a (K + 1, ncols) array.
+
+    Works through the atoms in blocks: an in-place three-term recurrence
+    fills a (K + 1) x block table of T_k(u_j) (1.5 MB at K = 92), and one
+    matrix product with the block's columns accumulates every moment row.
+    """
+    block = 2048
+    out = np.zeros((K + 1, cols.shape[1]))
+    table = np.empty((K + 1, min(block, len(u))))
+    for i in range(0, len(u), block):
+        ub = u[i:i + block]
+        t = table[:, :len(ub)]
+        t[0] = 1.0
+        t[1] = ub
+        u2 = 2.0 * ub
+        for k in range(2, K + 1):
+            np.multiply(u2, t[k - 1], out=t[k])
+            t[k] -= t[k - 2]
+        out += t @ cols[i:i + len(ub)]
+    return out
+
+
 class _SpectralEvaluator:
     """Chebyshev--Bessel compression of the atom sum.
 
     Writing x = L u with u in [-1, 1] and w = z L, the expansion
     exp(w u) = I_0(w) + 2 sum_k I_k(w) T_k(u) turns f(z) into
     m_0 I_0(w) + 2 sum_k m_k I_k(w) with m_k the (exact) Chebyshev moments
-    of the measure.  The Bessel row I_0..I_K at complex w is obtained
-    spectrally as the Fourier coefficients of t -> exp(w cos t).  Truncation
-    K is chosen so the neglected terms are below machine precision for
-    |z| <= radius; the instance is cross-validated against direct summation
-    at construction and raises NumericalError on disagreement.
+    of the measure, and f'(z) likewise with the moments m'_k of x dmu.  For
+    a symmetric source the moments come from the nonnegative half
+    (``EntireMGF._cosh_half``) with doubled weights and exact parity, since
+    T_k(-u) = (-1)^k T_k(u): odd m_k and even m'_k vanish, and the atom at 0
+    adds w_0 T_k(0) = w_0 (-1)^(k/2) to the even m_k.  The Bessel row
+    I_0..I_K at complex w is obtained spectrally as the Fourier coefficients
+    of t -> exp(w cos t).  Truncation K is chosen so the neglected terms are
+    below machine precision for |z| <= radius; the instance is
+    cross-validated against :func:`mgf_eval` at eight points at construction
+    (``xval_ratio`` is the largest error over its bound) and raises
+    NumericalError on disagreement.
     """
 
-    def __init__(self, source: DiscretizedDistribution, radius: float):
+    path = "spectral"
+
+    def __init__(self, f: EntireMGF, radius: float):
         self.radius = radius
-        self.scale = max(source.support_radius, 1e-300)
+        self.scale = max(f.support_radius, 1e-300)
         wmax = radius * self.scale
-        self.K = int(1.3 * wmax) + 48
-        self.M = 1 << int(math.ceil(math.log2(max(4 * self.K, 64))))
-        u = source.xs / self.scale
-        ws = source.ws
-        dws = source.ws * source.xs
-        K = self.K
-        m = np.empty(K + 1)
-        md = np.empty(K + 1)
-        Tm1 = np.ones_like(u)
-        T = u.copy()
-        m[0] = ws.sum()
-        md[0] = dws.sum()
-        m[1] = float(ws @ T)
-        md[1] = float(dws @ T)
-        for k in range(2, K + 1):
-            Tm1, T = T, 2.0 * u * T - Tm1
-            m[k] = float(ws @ T)
-            md[k] = float(dws @ T)
+        K = self.K = int(1.3 * wmax) + 48
+        self.M = 1 << int(math.ceil(math.log2(max(4 * K, 64))))
+        if f.symmetric:
+            at0, ws, xs = f._cosh_half
+            ws = 2.0 * ws
+        else:
+            ws, xs = f.source.ws, f.source.xs
+        m, md = _chebyshev_moments(xs / self.scale, np.column_stack([ws, ws * xs]), K).T
+        if f.symmetric:
+            m[1::2] = 0.0
+            md[0::2] = 0.0
+            m[0::2] += at0 * (-1.0) ** np.arange(len(m[0::2]))
         m[1:] *= 2.0
         md[1:] *= 2.0
         self._m = m
         self._md = md
         self._cos_t = np.cos(2.0 * math.pi * np.arange(self.M) / self.M)
-        self._source = source
-        self._validate(source)
+        self._symmetric = f.symmetric
+        self._validate(f)
 
     def _bessel_rows(self, zs):
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
@@ -264,6 +297,12 @@ class _SpectralEvaluator:
             coeff = np.fft.fft(g, axis=1)[:, : self.K + 1] / self.M
             out_f[i:i + chunk] = coeff @ self._m
             out_df[i:i + chunk] = coeff @ self._md
+        if self._symmetric:
+            # f(iy) = E cos(yX) is real and f'(iy) = i E[X sin(yX)] imaginary;
+            # the FFT's rounding would leave about 1e-16 in the other part
+            axis = zs.real == 0.0
+            out_f.imag[axis] = 0.0
+            out_df.real[axis] = 0.0
         return out_f, out_df
 
     def eval_batch(self, zs):
@@ -274,17 +313,17 @@ class _SpectralEvaluator:
         vals, dvals = self._bessel_rows(zs)
         return vals, dvals, np.zeros(vals.shape)
 
-    def _validate(self, source):
+    def _validate(self, f: EntireMGF):
         R = self.radius
         pts = np.array([0.31 * R + 0.17j * R, -0.52 * R + 0.61j * R,
                         0.05 * R + 0.93j * R, 0.71 * R - 0.13j * R,
                         -0.23 * R - 0.47j * R, 0.97j * R, 0.89 * R, -0.61 * R])
         fast, _ = self.eval_batch(pts)
-        mant, shift = _scaled_direct(source.xs, source.ws, pts)
-        direct = mant * np.exp(shift)
+        direct = np.array([mgf_eval(f, z) for z in pts])
         scale = np.exp(np.abs(pts.real) * self.scale)
-        bad = np.abs(fast - direct) > 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
-        if np.any(bad):
+        bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
+        self.xval_ratio = float(np.max(np.abs(fast - direct) / bound))
+        if not self.xval_ratio <= 1.0:
             raise NumericalError("spectral MGF evaluator failed cross-validation against direct sum")
 
 
@@ -292,7 +331,8 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
     """Direct evaluation of f(z) = sum_j w_j exp(z x_j).
 
     Uses numpy's pairwise summation; symmetric sources are evaluated by
-    cosh pairing over the positive-support half plus the atom at 0.  If the
+    cosh pairing over the positive-support half plus the atom at 0, as a real
+    cos sum on the imaginary axis.  If the
     largest term would overflow, the value is computed in scaled form and an
     OverflowError naming the log-scale is raised only when the final result
     itself cannot be represented.
@@ -303,6 +343,8 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
     if max(z.real * xmax, z.real * xmin) < 650.0:
         if f.symmetric:
             at0, wpos, xpos = f._cosh_half
+            if z.real == 0.0:
+                return complex(at0 + 2.0 * np.sum(wpos * np.cos(z.imag * xpos)))
             return complex(at0 + 2.0 * np.sum(wpos * np.cosh(z * xpos)))
         return complex(np.sum(ws * np.exp(z * xs)))
     mants, shifts = _scaled_direct(xs, ws, np.array([z]))
@@ -414,6 +456,9 @@ class ZeroReport:
     max_abs_re: float = 0.0
     total_count: int = 0
     notes: tuple[str, ...] = ()
+    # {"path", "K", "xval_ratio"} of the batch evaluator; K and xval_ratio
+    # (largest cross-check error over its bound) are None when direct
+    evaluator: dict | None = field(default=None, hash=False)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -427,6 +472,7 @@ class ZeroReport:
             "total_count": self.total_count,
             "cells": [{"rect": r.as_dict(), "count": c} for r, c in self.cell_counts],
             "notes": list(self.notes),
+            "evaluator": self.evaluator,
         }, sort_keys=True)
 
     def zeros_csv(self) -> str:
@@ -453,7 +499,8 @@ def zero_report_from_json(text: str) -> ZeroReport:
     return ZeroReport(region=region, zeros=zeros, piz_verdict=doc["verdict"],
                       max_abs_re=doc.get("max_abs_re", 0.0),
                       total_count=doc.get("total_count", len(zeros)),
-                      notes=tuple(doc.get("notes", ())))
+                      notes=tuple(doc.get("notes", ())),
+                      evaluator=doc.get("evaluator"))
 
 
 def newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: int = 100):
@@ -674,7 +721,9 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
 
     return ZeroReport(region=region, zeros=tuple(merged),
                       cell_counts=tuple(cells), piz_verdict=verdict,
-                      max_abs_re=max_re, total_count=total, notes=tuple(notes))
+                      max_abs_re=max_re, total_count=total, notes=tuple(notes),
+                      evaluator={"path": evaluator.path, "K": evaluator.K,
+                                 "xval_ratio": evaluator.xval_ratio})
 
 
 def refinement_stable_report(dist_factory, N: int, region: Rectangle | None = None,

@@ -37,6 +37,7 @@ def test_villain_verify_passes(edge_graph, tmp_path, capsys):
     assert doc["config"]["subcommand"] == "villain-verify"
     assert doc["results"]["verdict"] == "PIZ-in-region"
     assert doc["results"]["max_grid_displacement"] < 1e-9
+    assert doc["results"]["evaluator"] == {"path": "direct", "K": None, "xval_ratio": None}
 
 
 def test_spin_dist_then_zeros_pipeline(edge_graph, tmp_path):

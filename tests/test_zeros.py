@@ -1,5 +1,6 @@
 """Zero location and Hadamard fits against closed-form and series oracles."""
 
+import json
 import math
 import random
 
@@ -13,9 +14,9 @@ from leeyang.errors import NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec,
                            discretized_gaussian, distribution_from_atoms,
                            observable_distribution, rademacher)
-from leeyang.graphs import build_graph
+from leeyang.graphs import build_graph, path_graph
 from leeyang.zeros import (EntireMGF, Rectangle, VERDICT_INCONCLUSIVE,
-                           VERDICT_OFF_AXIS, VERDICT_PIZ,
+                           VERDICT_OFF_AXIS, VERDICT_PIZ, _scaled_direct,
                            count_zeros_rectangle, hadamard_fit, locate_zeros,
                            mgf_eval, refinement_stable_report,
                            zero_report_from_json)
@@ -72,6 +73,15 @@ def uniform_angle_law(N: int = 256) -> DiscretizedDistribution:
 def test_mgf_eval_rademacher_cosh_zero():
     f = EntireMGF(rademacher())
     assert abs(mgf_eval(f, 1j * math.pi / 2)) < 1e-12
+
+
+def test_symmetric_flag_on_a_skewed_law_is_rejected():
+    # Im f(it) = 0.1 sin t is 0.030, 0.064, 0.096 at the checked t; the cosh
+    # halves of the law would report exactly 0
+    skew = DiscretizedDistribution(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.5, 0.3]))
+    object.__setattr__(skew, "symmetrized", True)
+    with pytest.raises(ValueError, match="not real"):
+        EntireMGF(skew)
 
 
 def test_mgf_eval_point_mass():
@@ -218,6 +228,10 @@ def test_report_json_roundtrip():
     rep = locate_zeros(f, Rectangle(-2, 2, 0, 2))
     rep2 = zero_report_from_json(rep.to_json())
     assert rep2.piz_verdict == rep.piz_verdict
+    assert rep2.evaluator == rep.evaluator == {"path": "direct", "K": None, "xval_ratio": None}
+    doc = json.loads(rep.to_json())
+    del doc["evaluator"]
+    assert zero_report_from_json(json.dumps(doc)).evaluator is None
     assert len(rep2.zeros) == len(rep.zeros)
     assert abs(rep2.zeros[0].location - rep.zeros[0].location) < 1e-15
     csv_text = rep.zeros_csv()
@@ -433,3 +447,43 @@ def test_spectral_evaluator_agrees_with_direct():
     fast, shift = ev.eval_batch(zs)
     for z, fv, s in zip(zs, fast, shift):
         assert abs(fv * np.exp(s) - mgf_eval(f, z)) < 1e-9 * max(1.0, abs(mgf_eval(f, z)))
+
+
+def villain_path3_law():
+    return observable_distribution(ModelSpec("villain", path_graph(3)), 128)
+
+
+def pinned_xy_path4_law():
+    m = ModelSpec("xy", path_graph(4), boundary={"v0": 0.3})
+    return observable_distribution(m, 64, symmetrize=False)
+
+
+@pytest.mark.parametrize("law, symmetric", [(villain_path3_law, True),
+                                            (pinned_xy_path4_law, False)])
+def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
+    # the spectral moments and mgf_eval both read the nonnegative half of a
+    # symmetric law; the reference here sums over every atom.  Points lie in
+    # the criterion-1 region [-4, 4] x [0, 8] and its mirror.
+    d = law()
+    f = EntireMGF(d)
+    radius = 8.0 * math.sqrt(2.0)
+    ev = f.evaluator(radius)
+    assert f.fast_path == "spectral" and f.symmetric == symmetric
+    rng = random.Random(5)
+    zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-8, 8)) for _ in range(16)])
+    fv, dv, shift = ev.eval_pair_batch(zs)
+    mant, dmant, ref_shift = _scaled_direct(d.xs, d.ws, zs, d.ws * d.xs)
+    for got, ref in ((fv * np.exp(shift), mant * np.exp(ref_shift)),
+                     (dv * np.exp(shift), dmant * np.exp(ref_shift))):
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+    on_axis = ev.eval_batch(1j * np.linspace(0.1, radius, 13))[0]
+    assert np.all(on_axis.imag == 0.0) == symmetric
+    assert 0.0 <= ev.xval_ratio <= 1.0
+
+
+def test_report_records_the_spectral_evaluator():
+    f = EntireMGF(villain_path3_law())
+    rep = locate_zeros(f, Rectangle(-1, 1, 0, 2))
+    ev = f.evaluator(1.0)
+    assert rep.evaluator == {"path": "spectral", "K": ev.K, "xval_ratio": ev.xval_ratio}
+    assert zero_report_from_json(rep.to_json()).evaluator == rep.evaluator
