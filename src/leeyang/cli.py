@@ -1,12 +1,18 @@
 """Reproducible experiment runner.
 
 Every pipeline of the package is exposed as a subcommand writing JSON/CSV
-files that embed the fully resolved configuration and a format version, so
-a run is reproducible from its own output.  One master seed drives all
-randomness (streams are split with numpy's SeedSequence).
+files that embed a format version and, as ``config``, every flag of the
+subcommand as parsed, so a run is reproducible from its own output: that
+``config`` fed back through ``--config`` repeats the run.  One master seed
+drives all randomness (streams are split with numpy's SeedSequence).
+
+The argument parser is the only place a flag is known.  ``--config`` makes
+the values of a JSON file the subcommand's defaults, so the file may supply
+required flags and a flag on the command line, in any spelling argparse
+accepts, wins over it.
 
 Exit codes: 0 success, 1 numerical failure (including a failed PIZ
-verification), 2 usage error.
+verification and a NaN or infinity in a report), 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,13 +41,20 @@ from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, _rect_rad
 FORMAT_VERSION = 1
 
 
-def _report(config: dict, results: dict) -> str:
-    return json.dumps({
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "config": config,
-        "results": results,
-    }, sort_keys=True, indent=1)
+def _config(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+
+
+def _report(args: argparse.Namespace, results: dict) -> str:
+    try:
+        return json.dumps({
+            "format_version": FORMAT_VERSION,
+            "tool_version": __version__,
+            "config": _config(args),
+            "results": results,
+        }, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{args.subcommand}: NaN or infinity in the report") from None
 
 
 def _write(out_dir: str, name: str, text: str) -> Path:
@@ -52,8 +65,8 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return target
 
 
-def _csv_with_config(config: dict, body: str) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n" + body
+def _csv_with_config(args: argparse.Namespace, body: str) -> str:
+    return "# config: " + json.dumps(_config(args), sort_keys=True) + "\n" + body
 
 
 def _load_dist(path: str) -> DiscretizedDistribution:
@@ -61,10 +74,6 @@ def _load_dist(path: str) -> DiscretizedDistribution:
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return DiscretizedDistribution.from_json(text)
     return DiscretizedDistribution.from_csv(text)
-
-
-def _region_from(args) -> Rectangle:
-    return Rectangle(*args.region)
 
 
 def _config_value(action: argparse.Action, key: str, val):
@@ -82,28 +91,35 @@ def _config_value(action: argparse.Action, key: str, val):
     return ns.value
 
 
-def _apply_config(args, argv, parser: argparse.ArgumentParser) -> None:
-    """Fill parameters from the --config JSON for flags absent on the line.
+def _config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the values of the --config JSON the subcommand's defaults.
 
-    Keys use either dash or underscore form; an explicit command-line flag,
-    spelled ``--flag value`` or ``--flag=value``, always wins over the file.
-    A value is accepted exactly when the command line accepts it after the
-    flag (a list gives one token per element); null keeps the default, and
-    keys that name no option of the subcommand are ignored.
+    Keys use either dash or underscore form.  A value is accepted exactly
+    when the command line accepts it after the flag (a list gives one token
+    per element); it satisfies a required flag, and the flag given on the
+    line wins over it.  null keeps the default, and keys that name no option
+    of the subcommand are ignored.
     """
-    if not getattr(args, "config", None):
-        return
-    cfg = json.loads(Path(args.config).read_text())
-    given = {tok.split("=", 1)[0] for tok in argv}
+    # a one-option parser finds --config under every spelling the real one
+    # accepts; a missing value is left for the real parser to report
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    # the top-level parser takes no option values: its first positional is the subcommand
+    name = next((tok for tok in argv if not tok.startswith("-")), None)
     # argparse has no public lookup of a subcommand's option actions
-    sub = parser._subparsers._group_actions[0].choices[args.subcommand]
+    sub = parser._subparsers._group_actions[0].choices.get(name)
+    if path is None or sub is None:
+        return
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"--config {path}: not a JSON object")
     for key, val in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        action = sub._option_string_actions.get(flag)
-        if action is None or action.nargs == 0 or action.dest == "config":
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.nargs == 0 or action.dest == "config" or val is None:
             continue
-        if flag not in given and val is not None:
-            setattr(args, action.dest, _config_value(action, key, val))
+        action.default = _config_value(action, key, val)
+        action.required = False
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +130,19 @@ def _cmd_spin_dist(args) -> int:
     graph = graph_from_json(Path(args.graph).read_text())
     model = ModelSpec(kind=args.model, graph=graph, inverse_temperature=args.beta)
     dist = observable_distribution(model, args.grid_n)
-    config = {"subcommand": "spin-dist", "graph": args.graph, "model": args.model,
-              "beta": args.beta, "grid_n": args.grid_n, "out": args.out}
-    _write(args.out, "spin_dist.csv", _csv_with_config(config, dist.to_csv()))
-    _write(args.out, "spin_dist.json", _report(config, {
+    _write(args.out, "spin_dist.json", _report(args, {
         "n_atoms": len(dist.xs), "variance": dist.variance,
         "support_radius": dist.support_radius, "symmetrized": dist.symmetrized}))
+    _write(args.out, "spin_dist.csv", _csv_with_config(args, dist.to_csv()))
     print(f"spin-dist: {len(dist.xs)} atoms, variance {dist.variance:.6g}")
     return 0
 
 
 def _cmd_zeros(args) -> int:
     dist = _load_dist(args.dist)
-    report = locate_zeros(EntireMGF(dist), _region_from(args), args.tol)
-    config = {"subcommand": "zeros", "dist": args.dist, "region": list(args.region),
-              "tol": args.tol, "out": args.out}
-    _write(args.out, "zero_report.json", _report(config, json.loads(report.to_json())))
-    _write(args.out, "zeros.csv", _csv_with_config(config, report.zeros_csv()))
+    report = locate_zeros(EntireMGF(dist), Rectangle(*args.region), args.tol)
+    _write(args.out, "zero_report.json", _report(args, json.loads(report.to_json())))
+    _write(args.out, "zeros.csv", _csv_with_config(args, report.zeros_csv()))
     print(f"zeros: {report.total_count} zero(s), verdict {report.piz_verdict}")
     return 0
 
@@ -146,22 +158,15 @@ def _cmd_classify(args) -> int:
     if source is None and profile is None:
         raise ValueError("classify needs --dist or --tail-a")
     verdict = classify(source, profile=profile, zero_report=zr)
-    config = {"subcommand": "classify", "dist": args.dist, "tail_a": args.tail_a,
-              "tail_b": args.tail_b, "tail_residual": args.tail_residual,
-              "zeros": args.zeros, "out": args.out}
     results = json.loads(verdict.to_json())
     results["tail_method"] = profile.method if profile else None
-    _write(args.out, "class_verdict.json", _report(config, results))
+    _write(args.out, "class_verdict.json", _report(args, results))
     print(f"classify: {verdict.verdict}")
     return 0
 
 
 def _cmd_chain_limit(args) -> int:
     ns = [int(s) for s in args.n_list.split(",")]
-    config = {"subcommand": "chain-limit", "b": args.b, "n_list": ",".join(map(str, ns)),
-              "grid_n": args.grid_n, "pair": list(args.pair),
-              "pair_ref": list(args.pair_ref), "threads": args.threads,
-              "out": args.out}
 
     def one(n: int) -> dict:
         row = chain_vs_heat(n, args.b, args.grid_n)
@@ -176,8 +181,8 @@ def _cmd_chain_limit(args) -> int:
     body = "n,b,sup_distance,l1_distance,ratio,limit_ratio\n" + "".join(
         f"{r['n']},{r['b']!r},{r['sup_distance']!r},{r['l1_distance']!r},"
         f"{r['ratio']!r},{r['limit_ratio']!r}\n" for r in rows)
-    _write(args.out, "chain_limit.csv", _csv_with_config(config, body))
-    _write(args.out, "chain_limit.json", _report(config, {"rows": rows}))
+    _write(args.out, "chain_limit.json", _report(args, {"rows": rows}))
+    _write(args.out, "chain_limit.csv", _csv_with_config(args, body))
     for r in rows:
         print(f"chain-limit: n={r['n']} sup={r['sup_distance']:.3e} "
               f"l1={r['l1_distance']:.3e} ratio_gap={abs(r['ratio'] - r['limit_ratio']):.2e}")
@@ -186,10 +191,7 @@ def _cmd_chain_limit(args) -> int:
 
 def _cmd_dirichlet_ratio(args) -> int:
     res = dirichlet_ratio(args.n, args.b, tuple(args.pair), tuple(args.pair_ref), args.grid_n)
-    config = {"subcommand": "dirichlet-ratio", "b": args.b, "n": args.n,
-              "pair": list(args.pair), "pair_ref": list(args.pair_ref),
-              "grid_n": args.grid_n, "out": args.out}
-    _write(args.out, "dirichlet_ratio.json", _report(config, res))
+    _write(args.out, "dirichlet_ratio.json", _report(args, res))
     print(f"dirichlet-ratio: ratio {res['ratio']:.6g}, limit {res['limit_ratio']:.6g}, "
           f"gap {res['gap']:.3e}")
     return 0
@@ -199,9 +201,6 @@ def _cmd_gmc_moments(args) -> int:
     domain = Domain(args.domain, args.radius)
     ks = list(range(1, args.k_max + 1))
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(args.seed).spawn(len(ks))]
-    config = {"subcommand": "gmc-moments", "beta_sq": args.beta_sq, "k_max": args.k_max,
-              "samples": args.samples, "seed": args.seed, "domain": args.domain,
-              "radius": args.radius, "threads": args.threads, "out": args.out}
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         ests = list(pool.map(lambda kz: mc_moment(domain, args.beta_sq, kz[0],
                                                   args.samples, kz[1]), zip(ks, seeds)))
@@ -209,14 +208,14 @@ def _cmd_gmc_moments(args) -> int:
     pred = tail_prediction(args.beta_sq)
     body = "k,estimate,stderr,samples,low_confidence\n" + "".join(
         f"{e.k},{e.estimate!r},{e.stderr!r},{e.samples},{int(e.low_confidence)}\n" for e in ests)
-    _write(args.out, "gmc_moments.csv", _csv_with_config(config, body))
     results = {"moments": [e.as_dict() for e in ests],
                "tail_exponent": pred.exponent, "slowtail_flagged": pred.slowtail_flagged}
     if fit:
         results["growth_fit"] = {"beta_sq_hat": fit.beta_sq_hat, "c_hat": fit.c_hat,
                                  "residual": fit.residual, "slope_stderr": fit.slope_stderr,
                                  "ci": list(fit.ci)}
-    _write(args.out, "gmc_moments.json", _report(config, results))
+    _write(args.out, "gmc_moments.json", _report(args, results))
+    _write(args.out, "gmc_moments.csv", _csv_with_config(args, body))
     for e in ests:
         print(f"gmc-moments: k={e.k} estimate={e.estimate:.6g} +- {e.stderr:.2g}")
     if fit:
@@ -231,9 +230,7 @@ def _cmd_dgff_check(args) -> int:
     emp = (fields.T @ fields) / args.samples
     G = domain.green_matrix()
     rel = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
-    config = {"subcommand": "dgff-check", "side": args.side, "samples": args.samples,
-              "seed": args.seed, "out": args.out}
-    _write(args.out, "dgff_check.json", _report(config, {
+    _write(args.out, "dgff_check.json", _report(args, {
         "frobenius_relative_error": rel, "interior_sites": domain.n_interior}))
     print(f"dgff-check: Frobenius relative error {rel:.4f} on {domain.n_interior} sites")
     return 0
@@ -244,7 +241,7 @@ def _cmd_m_stat(args) -> int:
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     dist = bin_distribution(samples, B=args.bins)
     f = EntireMGF(dist)
-    region = _region_from(args)
+    region = Rectangle(*args.region)
     report = locate_zeros(f, region, args.tol)
 
     # bootstrap error bars on each located zero: Newton from the baseline;
@@ -271,16 +268,12 @@ def _cmd_m_stat(args) -> int:
                           "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
                           "bootstrap_unconverged": boots.count(None)})
 
-    config = {"subcommand": "m-stat", "n": args.n, "r": args.r, "beta": args.beta,
-              "samples": args.samples, "seed": args.seed, "bins": args.bins,
-              "bootstrap": args.bootstrap, "region": list(args.region),
-              "tol": args.tol, "out": args.out}
     results = {"mean": float(np.mean(samples)), "std": float(np.std(samples, ddof=1)),
                "second_moment": float(np.mean(samples**2)),
                "exploratory": True,
                "verdict": report.piz_verdict,
                "zeros": zero_rows}
-    _write(args.out, "m_stat.json", _report(config, results))
+    _write(args.out, "m_stat.json", _report(args, results))
     if args.dump_field:
         fld = sample_gmc_field(domain, args.beta, args.seed)
         save_field_snapshot(Path(args.out) / args.dump_field, fld, args.n, args.r)
@@ -296,13 +289,11 @@ def _cmd_villain_verify(args) -> int:
     def factory(N: int) -> DiscretizedDistribution:
         return observable_distribution(model, N)
 
-    region = _region_from(args)
-    report, disp = refinement_stable_report(factory, args.grid_n, region, args.tol)
-    config = {"subcommand": "villain-verify", "graph": args.graph, "grid_n": args.grid_n,
-              "region": list(args.region), "tol": args.tol, "out": args.out}
+    report, disp = refinement_stable_report(factory, args.grid_n, Rectangle(*args.region),
+                                            args.tol)
     results = json.loads(report.to_json())
     results["max_grid_displacement"] = disp
-    _write(args.out, "zero_report.json", _report(config, results))
+    _write(args.out, "zero_report.json", _report(args, results))
     ok = report.piz_verdict == VERDICT_PIZ
     print(f"villain-verify: {report.total_count} zero(s), max |Re z| = "
           f"{report.max_abs_re:.3e}, verdict {report.piz_verdict}")
@@ -417,9 +408,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv, parser)
+        _config_defaults(parser, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except NumericalError as e:
         print(f"{type(e).__module__}: numerical failure: {e}", file=sys.stderr)

@@ -373,8 +373,7 @@ class LatticeDomain:
     for sampling is limited to DENSE_SAMPLING_CAP interior sites.
     """
 
-    def __init__(self, sites, radius_product: float | None = None):
-        self.radius_product = radius_product
+    def __init__(self, sites):
         self.sites = sorted(set((int(x), int(y)) for x, y in sites))
         site_set = set(self.sites)
         self.boundary = [s for s in self.sites
@@ -404,7 +403,7 @@ class LatticeDomain:
 
     @classmethod
     def disk(cls, radius: float) -> "LatticeDomain":
-        return cls(_disk_sites(radius), radius_product=radius)
+        return cls(_disk_sites(radius))
 
     @classmethod
     def square(cls, interior_side: int) -> "LatticeDomain":

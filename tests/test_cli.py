@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,14 @@ def test_config_value_the_flag_rejects_is_usage_error(cfg_doc, edge_graph, tmp_p
     assert repr(key) in capsys.readouterr().err
 
 
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[64]")
+    assert main(["classify", "--tail-a", "1.3889", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
 def test_config_lists_fill_multi_value_flags(tmp_path):
     three = tmp_path / "three.csv"
     three.write_text(THREE_ATOM_CSV)
@@ -268,6 +277,92 @@ def test_config_lists_fill_multi_value_flags(tmp_path):
     assert doc["config"]["region"] == [-2.0, 2.0, 0.0, 2.0] and doc["config"]["tol"] == 1e-10
     cfg.write_text(json.dumps({"region": [-2, 2, 0]}))
     assert main(["zeros", "--dist", str(three), "--config", str(cfg), "--out", str(out)]) == 2
+
+
+# every subcommand at a small size: its flags (EDGE and THREE stand for input
+# files) and the JSON report it writes
+SMALL_RUNS = {
+    "spin-dist": (["--graph", "EDGE", "--grid-n", "16"], "spin_dist.json"),
+    "zeros": (["--dist", "THREE", "--region", "-2", "2", "0", "2"], "zero_report.json"),
+    "classify": (["--dist", "THREE", "--tail-a", "1.3889"], "class_verdict.json"),
+    "chain-limit": (["--n-list", "16,32", "--grid-n", "128", "--b", "0.7"], "chain_limit.json"),
+    "dirichlet-ratio": (["--n", "16", "--grid-n", "128"], "dirichlet_ratio.json"),
+    "gmc-moments": (["--beta-sq", "0.5", "--k-max", "2", "--samples", "10000", "--seed", "11"],
+                    "gmc_moments.json"),
+    "dgff-check": (["--side", "3", "--samples", "500", "--seed", "3"], "dgff_check.json"),
+    "m-stat": (M_STAT_SMALL[1:] + ["--bootstrap", "3", "--dump-field", "field.bin"],
+               "m_stat.json"),
+    "villain-verify": (["--graph", "EDGE", "--grid-n", "32"], "zero_report.json"),
+}
+
+
+@pytest.mark.parametrize("sub", list(SMALL_RUNS))
+def test_output_config_repeats_the_run(sub, edge_graph, tmp_path):
+    # the recorded config holds every flag as parsed, required ones included;
+    # fed back with only --out on the line, it gives the same results and files
+    three = tmp_path / "three.csv"
+    three.write_text(THREE_ATOM_CSV)
+    flags, report = SMALL_RUNS[sub]
+    argv = [sub] + [{"EDGE": edge_graph, "THREE": str(three)}.get(a, a) for a in flags]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(out1)]) == 0
+    doc1 = json.loads((out1 / report).read_text())
+    parsed = vars(build_parser().parse_args(argv + ["--out", str(out1)]))
+    assert set(doc1["config"]) == set(parsed) - {"func", "config"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc1["config"]))
+    assert main([sub, "--config", str(cfg), "--out", str(out2)]) == 0
+    doc2 = json.loads((out2 / report).read_text())
+    assert doc2["results"] == doc1["results"]
+    assert doc2["config"] == {**doc1["config"], "out": str(out2)}
+    assert sorted(f.name for f in out2.iterdir()) == sorted(f.name for f in out1.iterdir())
+    if sub == "m-stat":
+        assert doc1["config"]["dump_field"] == "field.bin"
+        assert (out2 / "field.bin").read_bytes() == (out1 / "field.bin").read_bytes()
+
+
+def test_abbreviated_flag_beats_the_config_file(edge_graph, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_n": 64}))
+    out = tmp_path / "o"
+    assert main(["spin-dist", "--graph", edge_graph, "--config", str(cfg), "--grid", "32",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "spin_dist.json").read_text())["config"]["grid_n"] == 32
+
+
+@pytest.mark.parametrize("spelling", [["--conf", "CFG"], ["--config=CFG"]],
+                         ids=["abbreviated", "equals"])
+def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": edge_graph, "grid_n": 64}))
+    out = tmp_path / "o"
+    assert main(["spin-dist", *(a.replace("CFG", str(cfg)) for a in spelling),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "spin_dist.json").read_text())
+    assert doc["config"]["grid_n"] == 64 and doc["config"]["graph"] == edge_graph
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, report", [
+    (["dgff-check", "--side", "3", "--samples", "0", "--seed", "1"], "dgff_check.json"),
+    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
+      "--bootstrap", "2", "--seed", "1"], "m_stat.json"),
+], ids=["dgff-check-no-samples", "m-stat-one-sample"])
+def test_non_finite_report_is_a_numerical_failure(argv, report, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not (out / report).exists()
+    assert "NaN or infinity" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # each README example names only flags the parser knows, and every
+    # subcommand has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("leeyang ")]
+    subs = [build_parser().parse_args(shlex.split(ln)[1:]).subcommand for ln in lines]
+    assert sorted(subs) == sorted(SMALL_RUNS)
 
 
 def test_missing_graph_file_is_usage_error(tmp_path):
