@@ -225,6 +225,8 @@ def _cmd_gmc_moments(args) -> int:
 
 
 def _cmd_dgff_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError("dgff-check --samples must be at least 1")
     domain = LatticeDomain.square(args.side)
     fields = dgff_sample(domain, args.seed, size=args.samples)
     emp = (fields.T @ fields) / args.samples
@@ -237,6 +239,8 @@ def _cmd_dgff_check(args) -> int:
 
 
 def _cmd_m_stat(args) -> int:
+    if args.samples < 2:
+        raise ValueError("m-stat --samples must be at least 2 for a standard deviation")
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     dist = bin_distribution(samples, B=args.bins)

@@ -215,16 +215,15 @@ class DiscretizedDistribution:
             raise ValueError("atom positions must be finite")
         if not np.all((ws > 0) & np.isfinite(ws)):
             raise ValueError("atom weights must be positive and finite")
+        if np.any(xs[1:] < xs[:-1]):  # atoms read from a file come in any order
+            order = np.argsort(xs, kind="stable")
+            xs, ws = xs[order], ws[order]
         if not abs(ws.sum() - 1.0) <= 1e-12:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1 within 1e-12")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
         if self.symmetrized and not self.is_symmetric(1e-12):
             raise ValueError("symmetrized distribution is not closed under x -> -x")
-
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.xs.tolist(), self.ws.tolist()))
 
     @property
     def variance(self) -> float:

@@ -11,8 +11,8 @@ The toolchain is:
   with cosh pairing for symmetric sources and scaled evaluation on overflow;
   every reported residual is one of these;
 * :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours,
-  axis samples and Newton steps: ``eval_batch`` returns f and
-  ``eval_pair_batch`` f and f' as mantissas sharing one log-scale per point;
+  axis samples and Newton steps: its one method ``eval_pair_batch`` returns
+  f and f' as mantissas sharing one log-scale per point;
 * :func:`count_zeros_rectangle` -- winding number along the rectangle
   boundary with adaptive phase tracking (segments are bisected until every
   phase increment is below pi/2);
@@ -173,49 +173,40 @@ class EntireMGF:
                 return self._fast
             except NumericalError:
                 pass
-        self._fast = _DirectEvaluator(self.source, radius)
+        self._fast = _DirectEvaluator(self, radius)
         return self._fast
 
 
-def _scaled_direct(xs, ws, zs, dws=None):
-    """(mantissa, log-scale) of sum_j w_j exp(z x_j) for an array of z.
-
-    With ``dws``, the mantissa of sum_j dws_j exp(z x_j) on the same scale is
-    returned in between, taken from the same exp matrix.
-    """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    re = zs.real
-    xmin, xmax = float(xs.min()), float(xs.max())
-    shift = np.where(re >= 0, re * xmax, re * xmin)
-    mant = np.empty(zs.shape, dtype=complex)
-    dmant = None if dws is None else np.empty(zs.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(len(xs), 1)))
-    for i in range(0, len(zs), chunk):
-        sl = slice(i, i + chunk)
-        expo = np.exp(zs[sl, None] * xs[None, :] - shift[sl, None])
-        mant[sl] = expo @ ws
-        if dws is not None:
-            dmant[sl] = expo @ dws
-    return (mant, shift) if dws is None else (mant, dmant, shift)
-
-
 class _DirectEvaluator:
-    """Vectorised direct summation, scaled against overflow."""
+    """Vectorised direct summation over every atom, scaled against overflow."""
 
     path, K, xval_ratio = "direct", None, None
 
-    def __init__(self, source: DiscretizedDistribution, radius: float):
+    def __init__(self, f: EntireMGF, radius: float):
         self.radius = radius
-        self._xs = source.xs
-        self._ws = source.ws
-        self._dws = source.ws * source.xs
-
-    def eval_batch(self, zs):
-        return _scaled_direct(self._xs, self._ws, zs)
+        self._ends = f._ends
+        self._xs = f.source.xs
+        self._ws = f.source.ws
+        self._dws = self._ws * self._xs
 
     def eval_pair_batch(self, zs):
-        """(f, f') mantissas sharing one log-scale per point."""
-        return _scaled_direct(self._xs, self._ws, zs, self._dws)
+        """(f, f') mantissas of an array of z sharing one log-scale per point.
+
+        Both sums are taken from the same matrix of exp(z x_j - shift).
+        """
+        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        re = zs.real
+        xmin, xmax = self._ends
+        shift = np.where(re >= 0, re * xmax, re * xmin)
+        mant = np.empty(zs.shape, dtype=complex)
+        dmant = np.empty(zs.shape, dtype=complex)
+        chunk = max(1, int(4e6 // len(self._xs)))
+        for i in range(0, len(zs), chunk):
+            sl = slice(i, i + chunk)
+            expo = np.exp(zs[sl, None] * self._xs[None, :] - shift[sl, None])
+            mant[sl] = expo @ self._ws
+            dmant[sl] = expo @ self._dws
+        return mant, dmant, shift
 
 
 def _chebyshev_moments(u: np.ndarray, cols: np.ndarray, K: int):
@@ -286,7 +277,8 @@ class _SpectralEvaluator:
         self._symmetric = f.symmetric
         self._validate(f)
 
-    def _bessel_rows(self, zs):
+    def eval_pair_batch(self, zs):
+        """(f, f') of an array of z; the log-scale is 0 at every point."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         out_f = np.empty(zs.shape, dtype=complex)
         out_df = np.empty(zs.shape, dtype=complex)
@@ -303,22 +295,14 @@ class _SpectralEvaluator:
             axis = zs.real == 0.0
             out_f.imag[axis] = 0.0
             out_df.real[axis] = 0.0
-        return out_f, out_df
-
-    def eval_batch(self, zs):
-        vals, _ = self._bessel_rows(zs)
-        return vals, np.zeros(vals.shape)
-
-    def eval_pair_batch(self, zs):
-        vals, dvals = self._bessel_rows(zs)
-        return vals, dvals, np.zeros(vals.shape)
+        return out_f, out_df, np.zeros(zs.shape)
 
     def _validate(self, f: EntireMGF):
         R = self.radius
         pts = np.array([0.31 * R + 0.17j * R, -0.52 * R + 0.61j * R,
                         0.05 * R + 0.93j * R, 0.71 * R - 0.13j * R,
                         -0.23 * R - 0.47j * R, 0.97j * R, 0.89 * R, -0.61 * R])
-        fast, _ = self.eval_batch(pts)
+        fast, _, _ = self.eval_pair_batch(pts)
         direct = np.array([mgf_eval(f, z) for z in pts])
         scale = np.exp(np.abs(pts.real) * self.scale)
         bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
@@ -337,7 +321,6 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
     OverflowError naming the log-scale is raised only when the final result
     itself cannot be represented.
     """
-    xs, ws = f.source.xs, f.source.ws
     z = complex(z)
     xmin, xmax = f._ends
     if max(z.real * xmax, z.real * xmin) < 650.0:
@@ -346,13 +329,14 @@ def mgf_eval(f: EntireMGF, z: complex) -> complex:
             if z.real == 0.0:
                 return complex(at0 + 2.0 * np.sum(wpos * np.cos(z.imag * xpos)))
             return complex(at0 + 2.0 * np.sum(wpos * np.cosh(z * xpos)))
-        return complex(np.sum(ws * np.exp(z * xs)))
-    mants, shifts = _scaled_direct(xs, ws, np.array([z]))
+        return complex(np.sum(f.source.ws * np.exp(z * f.source.xs)))
+    # a fresh evaluator, so the cached one of f is not replaced
+    mants, _, shifts = _DirectEvaluator(f, abs(z)).eval_pair_batch(np.array([z]))
     mant, shift = complex(mants[0]), float(shifts[0])
     log_abs = shift + math.log(abs(mant)) if mant != 0 else -math.inf
     if log_abs > 700.0:
         raise OverflowError(f"|f(z)| overflows float64; log scale {shift:.6g}, "
-                            f"use f.evaluator(radius).eval_batch for the mantissa")
+                            f"use f.evaluator(radius).eval_pair_batch for the mantissa")
     return complex(mant * math.exp(shift))
 
 
@@ -378,7 +362,7 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
             pts.append(a + (b - a) * (t / per_side))
     pts.append(corners[0])
     zs = np.array(pts, dtype=complex)
-    mant, shift = evaluator.eval_batch(zs)
+    mant, _, shift = evaluator.eval_pair_batch(zs)
 
     min_seg = 1e-12 * max(rect.diameter, 1e-30)
     for _ in range(64):
@@ -398,7 +382,7 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
         if np.any(seg_len < min_seg):
             raise NumericalError("zero on contour: phase jump persists at segment scale")
         mids = 0.5 * (zs[bad] + zs[bad + 1])
-        m_mant, m_shift = evaluator.eval_batch(mids)
+        m_mant, _, m_shift = evaluator.eval_pair_batch(mids)
         zs = np.insert(zs, bad + 1, mids)
         mant = np.insert(mant, bad + 1, m_mant)
         shift = np.insert(shift, bad + 1, m_shift)
@@ -570,7 +554,7 @@ def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: f
 
 def _axis_values(evaluator, ys: np.ndarray) -> np.ndarray:
     """g(y) = f(iy), real for a symmetric source; the log-scale is 0 on the axis."""
-    return evaluator.eval_batch(1j * ys)[0].real
+    return evaluator.eval_pair_batch(1j * ys)[0].real
 
 
 def _axis_roots(evaluator, lo: float, hi: float, n: int):

@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leeyang.cli import build_parser, main
@@ -342,16 +343,30 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     assert doc["config"]["grid_n"] == 64 and doc["config"]["graph"] == edge_graph
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv, report", [
-    (["dgff-check", "--side", "3", "--samples", "0", "--seed", "1"], "dgff_check.json"),
-    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
-      "--bootstrap", "2", "--seed", "1"], "m_stat.json"),
+@pytest.mark.parametrize("argv", [
+    ["dgff-check", "--side", "3", "--samples", "0", "--seed", "1"],
+    ["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
+     "--bootstrap", "2", "--seed", "1"],
 ], ids=["dgff-check-no-samples", "m-stat-one-sample"])
-def test_non_finite_report_is_a_numerical_failure(argv, report, tmp_path, capsys):
+def test_too_few_samples_is_a_usage_error(argv, tmp_path, capsys):
+    # refused before sampling: these counts could only give a NaN statistic
     out = tmp_path / "o"
-    assert main(argv + ["--out", str(out)]) == 1
-    assert not (out / report).exists()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_non_finite_report_is_a_numerical_failure(monkeypatch, tmp_path, capsys):
+    import leeyang.cli as cli
+
+    def nan_fields(domain, seed, size):
+        return np.full((size, domain.n_interior), np.nan)
+
+    monkeypatch.setattr(cli, "dgff_sample", nan_fields)
+    out = tmp_path / "o"
+    assert main(["dgff-check", "--side", "3", "--samples", "4", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert not (out / "dgff_check.json").exists()
     assert "NaN or infinity" in capsys.readouterr().err
 
 

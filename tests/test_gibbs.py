@@ -145,6 +145,27 @@ def test_kolmogorov_distance_exact():
     assert kolmogorov_distance(p, p) == 0.0
 
 
+def test_atoms_in_any_order_are_sorted_by_position():
+    flipped = DiscretizedDistribution(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    assert flipped.cdf(0.0) == 0.5
+    assert kolmogorov_distance(rademacher(), flipped) == 0.0
+    xs = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
+    ws = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    perm = np.array([3, 0, 4, 2, 1])
+    shuffled = DiscretizedDistribution(xs[perm], ws[perm])
+    assert np.array_equal(shuffled.xs, xs) and np.array_equal(shuffled.ws, ws)
+    # a file written by hand need not list its atoms in order
+    d = DiscretizedDistribution(xs, ws)
+    header, *rows = d.to_csv().splitlines()
+    reread = DiscretizedDistribution.from_csv("\n".join([header, *rows[::-1]]))
+    assert np.array_equal(reread.xs, xs) and np.array_equal(reread.ws, ws)
+    assert np.array_equal(reread.cdf(xs), d.cdf(xs))
+    # sorted input, as every builder makes, passes through bit for bit
+    law = observable_distribution(ModelSpec("xy", single_edge_graph(1.0)), 32)
+    again = DiscretizedDistribution(law.xs, law.ws, law.grid_size, law.symmetrized)
+    assert np.array_equal(again.xs, law.xs) and np.array_equal(again.ws, law.ws)
+
+
 # ---------------------------------------------------------------------------
 # observable_distribution
 # ---------------------------------------------------------------------------
