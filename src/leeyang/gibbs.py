@@ -45,6 +45,7 @@ from .graphs import FiniteGraph
 COALESCE_TOL = 1e-12
 DEFAULT_GRID = 128
 DEFAULT_EVAL_BUDGET = 10**8
+PERIODIZED_GAUSSIAN_TOL = 1e-16
 
 _TWO_PI = 2.0 * math.pi
 
@@ -60,25 +61,23 @@ def wrap_angle(theta):
     return np.where(t == -math.pi, math.pi, t)
 
 
-def periodized_gaussian(theta, J: float, tol: float = 1e-16):
+def periodized_gaussian(theta, J: float):
     """Periodized Gaussian edge weight sum_m exp(-(J/2)(theta + 2 pi m)^2).
 
     ``theta`` is reduced to (-pi, pi] first, which makes the 2-pi periodicity
     exact.  Images m = 0, +-1, +-2, ... are added outward until the first
-    omitted pair is below ``tol`` times the accumulated sum.  Vectorises over
-    ``theta``.
+    omitted pair is below PERIODIZED_GAUSSIAN_TOL times the accumulated sum.
+    Vectorises over ``theta``.
     """
     if not J > 0:
         raise ValueError(f"periodized Gaussian needs J > 0, got {J}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     t = wrap_angle(theta)
     total = np.exp(-0.5 * J * t * t)
     m = 1
     while True:
         term = np.exp(-0.5 * J * (t + _TWO_PI * m) ** 2) + np.exp(-0.5 * J * (t - _TWO_PI * m) ** 2)
         new_total = total + term
-        if np.all(term <= tol * new_total):
+        if np.all(term <= PERIODIZED_GAUSSIAN_TOL * new_total):
             total = new_total
             break
         total = new_total
@@ -130,22 +129,6 @@ class ModelSpec:
                     raise ValueError(f"pinned boundary on vertex {v!r} not in the graph")
                 if not (-math.pi < ang <= math.pi):
                     raise ValueError(f"pinned angle {ang} for {v!r} outside (-pi, pi]")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "inverse_temperature": self.inverse_temperature,
-            "boundary": self.boundary,
-            "graph": json.loads(self.graph.to_json()),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        from .graphs import graph_from_json
-        doc = json.loads(text)
-        return cls(kind=doc["kind"], graph=graph_from_json(json.dumps(doc["graph"])),
-                   inverse_temperature=doc.get("inverse_temperature", 1.0),
-                   boundary=doc.get("boundary"))
 
 
 def _run_starts(xs: np.ndarray, tol: float = COALESCE_TOL) -> np.ndarray:

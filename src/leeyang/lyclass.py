@@ -157,19 +157,15 @@ def classify(source=None, *, profile: TailProfile | None = None,
              zero_report: ZeroReport | None = None) -> ClassVerdict:
     """Combine symmetry, tail and zero evidence into a class verdict.
 
-    ``source`` may be a DiscretizedDistribution or a TailProfile.  A finite
-    atomic law is always sub-Gaussian (bounded support), so sub-Gaussianity
-    verdicts carry information only for TailProfile inputs describing a
-    limiting law.  Exclusion is monotone in evidence: an off-axis zero or a
-    confident exponent fit in (1, 2) can never be outweighed.  A confident
-    slow-tail fit together with a PIZ certificate over a large region is
-    contradictory and is flagged as numerical tension instead of being
-    silently resolved.
+    ``source`` is a DiscretizedDistribution.  A finite atomic law is always
+    sub-Gaussian (bounded support), so sub-Gaussianity verdicts carry
+    information only for a ``profile`` describing a limiting law.  Exclusion
+    is monotone in evidence: an off-axis zero or a confident exponent fit in
+    (1, 2) can never be outweighed.  A confident slow-tail fit together with
+    a PIZ certificate over a large region is contradictory and is flagged as
+    numerical tension instead of being silently resolved.
     """
     notes: list[str] = []
-    if isinstance(source, TailProfile):
-        profile = source if profile is None else profile
-        source = None
 
     symmetric = True
     if source is not None:

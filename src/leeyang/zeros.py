@@ -7,12 +7,13 @@ axis (the "pure imaginary zeros" property).
 
 The toolchain is:
 
-* :func:`mgf_eval` -- reference evaluation by direct (pairwise) summation,
-  with cosh pairing for symmetric sources and scaled evaluation on overflow;
-  every reported residual is one of these;
+* :func:`mgf_eval` -- f(z) at one point by the direct atom sum, which takes
+  a symmetric source over its nonnegative half (so f(iy) is exactly real)
+  and is scaled against overflow; every reported residual is one of these;
 * :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours,
-  axis samples and Newton steps: its one method ``eval_pair_batch`` returns
-  f and f' as mantissas sharing one log-scale per point;
+  axis samples and Newton steps: the same direct sum, or its spectral
+  compression for sources with many atoms; its one method
+  ``eval_pair_batch`` returns f and f' as mantissas sharing one log-scale;
 * :func:`count_zeros_rectangle` -- winding number along the rectangle
   boundary with adaptive phase tracking (segments are bisected until every
   phase increment is below pi/2);
@@ -24,13 +25,10 @@ The toolchain is:
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
 
-Zero location on sources with many atoms routes evaluations through a
-Chebyshev--Bessel compression of the atom sum (exact Chebyshev moments of
-the measure paired with modified-Bessel factors).  For a symmetric source
-the moments are built from the nonnegative half of the atoms that
-:func:`mgf_eval` also sums, with exact parity; every build is
-cross-validated against :func:`mgf_eval`, and the report records which
-evaluator ran.  Reported residuals are always direct sums.
+The spectral compression pairs exact Chebyshev moments of the measure with
+modified-Bessel factors; a symmetric source's moments come from the same
+nonnegative half, with exact parity.  Every build is cross-validated
+against :func:`mgf_eval`, and the report records which evaluator ran.
 
 Caveat: a discretized distribution approximates a continuum law, so its
 MGF's zeros approximate the true ones only up to quadrature error.  Use
@@ -128,9 +126,9 @@ def default_region(R: float = 8.0) -> Rectangle:
 class EntireMGF:
     """The entire function f(z) = E[exp(z X)] of a finite atomic law.
 
-    Carries the cached variance, a symmetry flag and, for symmetric sources,
-    the nonnegative half (atom at 0, then the x > 0 weights and positions)
-    from which both :func:`mgf_eval` and the spectral evaluator are built.
+    Carries the cached variance, a symmetry flag, the nonnegative half of a
+    symmetric source (atom at 0, then the x > 0 weights and positions) and
+    the direct sum ``_direct``, built once and valid at every radius.
     Construction checks f(0) = 1 (unit mass) and, for symmetric sources,
     that Im f(it) = sum_j w_j sin(t x_j) over every atom is below 1e-10 at a
     few sampled t.
@@ -141,7 +139,6 @@ class EntireMGF:
         self.variance = source.variance
         self.symmetric = source.symmetrized or source.is_symmetric(1e-12)
         xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
-        # what mgf_eval needs on every call: the support ends and cosh halves;
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
         self._cosh_half = (ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
@@ -150,6 +147,7 @@ class EntireMGF:
         # over every atom: the cosh halves would make f(it) real by construction
         if self.symmetric and np.any(np.abs(np.sin(np.outer((0.3, 0.7, 1.3), xs)) @ ws) > 1e-10):
             raise ValueError("symmetric source but f(it) not real to 1e-10")
+        self._direct = _DirectEvaluator(self)
         self._fast: _SpectralEvaluator | _DirectEvaluator | None = None
 
     @property
@@ -158,7 +156,7 @@ class EntireMGF:
 
     @property
     def fast_path(self) -> str:
-        """Which batch evaluator the last :meth:`evaluator` call built."""
+        """Which batch evaluator the last :meth:`evaluator` call returned."""
         return self._fast.path if self._fast is not None else "direct"
 
     def evaluator(self, radius: float):
@@ -173,39 +171,69 @@ class EntireMGF:
                 return self._fast
             except NumericalError:
                 pass
-        self._fast = _DirectEvaluator(self, radius)
+        self._fast = self._direct
         return self._fast
 
 
 class _DirectEvaluator:
-    """Vectorised direct summation over every atom, scaled against overflow."""
+    """The direct atom sum, valid at every radius; :func:`mgf_eval` is one point of it.
 
-    path, K, xval_ratio = "direct", None, None
+    A symmetric source at |Re z| L < 650 (L the support radius) is summed
+    over its nonnegative half, f = w_0 + sum w (e^{zx} + e^{-zx}) and
+    f' = sum w x (e^{zx} - e^{-zx}), from e^{ax}, its reciprocal and cos, sin
+    of bx (z = a + ib): on the axis e^{ax} = 1, so f(iy) is exactly real and
+    f'(iy) exactly imaginary.  Other points and sources are summed over all
+    atoms of exp(z x_j - shift), shift = max_j Re z x_j.  Each point is one
+    row of numpy's pairwise sums, so it gets the same bits in any batch.
+    """
 
-    def __init__(self, f: EntireMGF, radius: float):
-        self.radius = radius
-        self._ends = f._ends
-        self._xs = f.source.xs
-        self._ws = f.source.ws
-        self._dws = self._ws * self._xs
+    path, K, xval_ratio, radius = "direct", None, None, math.inf
+
+    def __init__(self, f: EntireMGF):
+        self._ends, self._L, self._source = f._ends, f.support_radius, f.source
+        self._half = f._cosh_half if f.symmetric else None
 
     def eval_pair_batch(self, zs):
-        """(f, f') mantissas of an array of z sharing one log-scale per point.
-
-        Both sums are taken from the same matrix of exp(z x_j - shift).
-        """
+        """(f, f') mantissas of an array of z sharing one log-scale per point."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        re = zs.real
-        xmin, xmax = self._ends
-        shift = np.where(re >= 0, re * xmax, re * xmin)
-        mant = np.empty(zs.shape, dtype=complex)
-        dmant = np.empty(zs.shape, dtype=complex)
-        chunk = max(1, int(4e6 // len(self._xs)))
+        half = (self._half is not None) & (np.abs(zs.real) * self._L < 650.0)
+        if half.all():
+            return self._half_sum(zs)
+        out = np.empty((3,) + zs.shape, dtype=complex)
+        for sel, part in ((half, self._half_sum), (~half, self._full_sum)):
+            if sel.any():
+                out[:, sel] = part(zs[sel])
+        return out[0], out[1], out[2].real
+
+    def _half_sum(self, zs):
+        # [[cosh c, sinh s], [sinh c, cosh s]] of ax and c, s = cos, sin of bx,
+        # doubled and weighted by w and w x, sum to [[Re f, Im f], [Re f', Im f']]
+        at0, ws, xs = self._half
+        out = np.empty((2, len(zs), 2))
+        chunk = max(1, int(1e5 // max(len(xs), 1)))
+        for i in range(0, len(zs), chunk):
+            z = zs[i:i + chunk, None]
+            p = np.exp(z.real * xs)
+            q = 1.0 / p
+            t = z.imag * xs
+            hyp = np.array([p + q, p - q])
+            terms = np.array([hyp, hyp[::-1]]) * np.array([np.cos(t), np.sin(t)])
+            terms *= ws
+            terms[1] *= xs
+            out[:, i:i + chunk] = terms.sum(axis=-1).transpose(0, 2, 1)
+        out[0, :, 0] += at0
+        mant, dmant = out.view(complex)[..., 0]
+        return mant, dmant, np.zeros(len(zs))
+
+    def _full_sum(self, zs):
+        xs, ws = self._source.xs, self._source.ws
+        shift = np.where(zs.real >= 0, zs.real * self._ends[1], zs.real * self._ends[0])
+        mant, dmant = np.empty((2,) + zs.shape, dtype=complex)
+        chunk = max(1, int(1e6 // len(xs)))
         for i in range(0, len(zs), chunk):
             sl = slice(i, i + chunk)
-            expo = np.exp(zs[sl, None] * self._xs[None, :] - shift[sl, None])
-            mant[sl] = expo @ self._ws
-            dmant[sl] = expo @ self._dws
+            expo = np.exp(zs[sl, None] * xs - shift[sl, None])
+            mant[sl], dmant[sl] = np.sum(expo * ws, axis=1), np.sum(expo * (ws * xs), axis=1)
         return mant, dmant, shift
 
 
@@ -311,33 +339,23 @@ class _SpectralEvaluator:
             raise NumericalError("spectral MGF evaluator failed cross-validation against direct sum")
 
 
-def mgf_eval(f: EntireMGF, z: complex) -> complex:
-    """Direct evaluation of f(z) = sum_j w_j exp(z x_j).
-
-    Uses numpy's pairwise summation; symmetric sources are evaluated by
-    cosh pairing over the positive-support half plus the atom at 0, as a real
-    cos sum on the imaginary axis.  If the
-    largest term would overflow, the value is computed in scaled form and an
-    OverflowError naming the log-scale is raised only when the final result
-    itself cannot be represented.
-    """
-    z = complex(z)
-    xmin, xmax = f._ends
-    if max(z.real * xmax, z.real * xmin) < 650.0:
-        if f.symmetric:
-            at0, wpos, xpos = f._cosh_half
-            if z.real == 0.0:
-                return complex(at0 + 2.0 * np.sum(wpos * np.cos(z.imag * xpos)))
-            return complex(at0 + 2.0 * np.sum(wpos * np.cosh(z * xpos)))
-        return complex(np.sum(f.source.ws * np.exp(z * f.source.xs)))
-    # a fresh evaluator, so the cached one of f is not replaced
-    mants, _, shifts = _DirectEvaluator(f, abs(z)).eval_pair_batch(np.array([z]))
-    mant, shift = complex(mants[0]), float(shifts[0])
+def _unscale(mant: complex, shift: float) -> complex:
+    """mant e^shift, or an OverflowError naming the log-scale if it cannot be represented."""
     log_abs = shift + math.log(abs(mant)) if mant != 0 else -math.inf
     if log_abs > 700.0:
         raise OverflowError(f"|f(z)| overflows float64; log scale {shift:.6g}, "
                             f"use f.evaluator(radius).eval_pair_batch for the mantissa")
     return complex(mant * math.exp(shift))
+
+
+def mgf_eval(f: EntireMGF, z: complex) -> complex:
+    """f(z) = sum_j w_j exp(z x_j): the direct sum ``f._direct`` at one point.
+
+    Every reported residual is one of these.  A value too large for float64
+    raises an OverflowError naming its log-scale.
+    """
+    mant, _, shift = f._direct.eval_pair_batch(np.array([complex(z)]))
+    return _unscale(mant[0], float(shift[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +509,14 @@ def newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: in
     """Newton from z0 with steps from ``evaluator``; returns (z, |f(z)|, converged).
 
     Convergence means the direct-sum residual mgf_eval is below ``tol``; one
-    polishing step is taken past that gate.
+    polishing step is taken past that gate.  When ``evaluator`` is the direct
+    sum, the residual is read off the evaluation that gives the step.
     """
     z = complex(z0)
     for _ in range(max_iter):
-        fv, dv, _ = evaluator.eval_pair_batch(np.array([z]))
+        fv, dv, shift = evaluator.eval_pair_batch(np.array([z]))
         fz, dfz = fv[0], dv[0]
-        res = abs(mgf_eval(f, z))
+        res = abs(_unscale(fz, float(shift[0])) if evaluator is f._direct else mgf_eval(f, z))
         if res < tol:
             if dfz != 0:  # one polishing step past the tolerance gate
                 z = z - fz / dfz

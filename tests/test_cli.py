@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leeyang import cli
 from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
 from leeyang.gmc import load_field_snapshot
@@ -204,11 +205,19 @@ M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
                 "--samples", "2000", "--bins", "60", "--seed", "19"]
 
 
-def test_m_stat_unconverged_bootstrap_is_counted(tmp_path):
-    # no replicate can reach |f| < 1e-300: none may enter the error bar, and
-    # with fewer than two converged replicates there is no error bar at all
+def test_m_stat_unconverged_bootstrap_is_counted(tmp_path, monkeypatch):
+    # every replicate's Newton run reports unconverged: none may enter the
+    # error bar, and with fewer than two converged replicates there is no
+    # error bar at all
+    newton_refine = cli.newton_refine
+
+    def unconverged(*args, **kwargs):
+        z, res, _ = newton_refine(*args, **kwargs)
+        return z, res, False
+
+    monkeypatch.setattr(cli, "newton_refine", unconverged)
     out = str(tmp_path / "ms")
-    assert main(M_STAT_SMALL + ["--bootstrap", "4", "--tol", "1e-300", "--out", out]) == 0
+    assert main(M_STAT_SMALL + ["--bootstrap", "4", "--out", out]) == 0
     zeros = json.loads((Path(out) / "m_stat.json").read_text())["results"]["zeros"]
     assert zeros
     for z in zeros:

@@ -18,10 +18,9 @@ from leeyang.gibbs import (DiscretizedDistribution, ModelSpec,
 from leeyang.gmc import bin_distribution
 from leeyang.graphs import build_graph, path_graph, single_edge_graph
 from leeyang.zeros import (EntireMGF, Rectangle, VERDICT_INCONCLUSIVE,
-                           VERDICT_OFF_AXIS, VERDICT_PIZ, _DirectEvaluator,
-                           count_zeros_rectangle, hadamard_fit, locate_zeros,
-                           mgf_eval, refinement_stable_report,
-                           zero_report_from_json)
+                           VERDICT_OFF_AXIS, VERDICT_PIZ, count_zeros_rectangle,
+                           hadamard_fit, locate_zeros, mgf_eval, newton_refine,
+                           refinement_stable_report, zero_report_from_json)
 
 
 def bessel_j0_series(x: float) -> float:
@@ -463,9 +462,10 @@ def pinned_xy_path4_law():
 @pytest.mark.parametrize("law, symmetric", [(villain_path3_law, True),
                                             (pinned_xy_path4_law, False)])
 def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
-    # the spectral moments and mgf_eval both read the nonnegative half of a
-    # symmetric law; the reference here sums over every atom.  Points lie in
-    # the criterion-1 region [-4, 4] x [0, 8] and its mirror.
+    # the spectral moments and the direct sum both read the nonnegative half
+    # of a symmetric law; the reference here is a plain numpy sum over every
+    # atom.  Points lie in the criterion-1 region [-4, 4] x [0, 8] and its
+    # mirror, where e^{|Re z| L} stays far from overflow.
     d = law()
     f = EntireMGF(d)
     radius = 8.0 * math.sqrt(2.0)
@@ -474,9 +474,9 @@ def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
     rng = random.Random(5)
     zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-8, 8)) for _ in range(16)])
     fv, dv, shift = ev.eval_pair_batch(zs)
-    mant, dmant, ref_shift = _DirectEvaluator(f, radius).eval_pair_batch(zs)
-    for got, ref in ((fv * np.exp(shift), mant * np.exp(ref_shift)),
-                     (dv * np.exp(shift), dmant * np.exp(ref_shift))):
+    expo = np.exp(np.outer(zs, d.xs))
+    for got, ref in ((fv * np.exp(shift), expo @ d.ws),
+                     (dv * np.exp(shift), expo @ (d.ws * d.xs))):
         assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
     on_axis = ev.eval_pair_batch(1j * np.linspace(0.1, radius, 13))[0]
     assert np.all(on_axis.imag == 0.0) == symmetric
@@ -538,3 +538,46 @@ def test_zero_report_does_not_depend_on_the_evaluator(law, region, monkeypatch):
             == [z.multiplicity for z in direct.zeros])
     assert all(abs(a.location - b.location) <= 1e-9
                for a, b in zip(spectral.zeros, direct.zeros))
+
+
+DIRECT = 10**12  # a spectral threshold no law reaches: every evaluator is the direct sum
+SYMMETRIC_LAWS = [pytest.param(three_atom_law, id="three-atom"),
+                  pytest.param(villain_path3_law, id="villain-path3-128"),
+                  pytest.param(binned_normal_law, id="binned-normal-200")]
+
+
+@pytest.mark.parametrize("law", SYMMETRIC_LAWS)
+def test_direct_sum_is_exactly_real_on_the_axis(law, monkeypatch):
+    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    f = EntireMGF(law())
+    fv, dv, shift = f.evaluator(12.0).eval_pair_batch(1j * np.linspace(0.05, 12.0, 97))
+    assert f.fast_path == "direct"
+    assert np.all(fv.imag == 0.0) and np.all(dv.real == 0.0) and np.all(shift == 0.0)
+
+
+@pytest.mark.parametrize("threshold", [0, DIRECT], ids=["spectral", "direct"])
+@pytest.mark.parametrize("law", SYMMETRIC_LAWS[1:])
+def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch):
+    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", threshold)
+    f = EntireMGF(law())
+    rep = locate_zeros(f, Rectangle(-1, 1, 0, 8))
+    axis = [z.location for z in rep.zeros if z.location.real == 0.0]
+    assert axis
+    ev = f.evaluator(8.0 * math.sqrt(2.0))
+    for y0 in axis:
+        # started off the zero along the axis, so Newton takes several steps
+        z, res, ok = newton_refine(f, ev, y0 + 1e-3j, 1e-10)
+        assert ok and z.real == 0.0 and abs(z - y0) < 1e-9
+
+
+@pytest.mark.parametrize("law", [rademacher, villain_path3_law, pinned_xy_path4_law])
+def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
+    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    f = EntireMGF(law())
+    L = f.support_radius
+    # axis and off-axis points, and two where |Re z| L > 650 takes the log-scale
+    zs = np.array([0.7j, 3.1j, 0.4 + 2.2j, -1.3 - 0.6j, 660.0 / L + 1.0j, -680.0 / L + 0.5j])
+    mant, _, shift = f.evaluator(float(np.max(np.abs(zs)))).eval_pair_batch(zs)
+    assert f.fast_path == "direct" and shift[-1] > 0.0
+    for z, m, s in zip(zs, mant, shift):
+        assert mgf_eval(f, z) == complex(m) * math.exp(s)
