@@ -198,6 +198,8 @@ def _cmd_dirichlet_ratio(args) -> int:
 
 
 def _cmd_gmc_moments(args) -> int:
+    if args.k_max < 1:
+        raise ValueError("gmc-moments --k-max must be at least 1")
     domain = Domain(args.domain, args.radius)
     ks = list(range(1, args.k_max + 1))
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(args.seed).spawn(len(ks))]
@@ -241,6 +243,8 @@ def _cmd_dgff_check(args) -> int:
 def _cmd_m_stat(args) -> int:
     if args.samples < 2:
         raise ValueError("m-stat --samples must be at least 2 for a standard deviation")
+    if args.bootstrap < 0:
+        raise ValueError("m-stat --bootstrap must be at least 0")
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     dist = bin_distribution(samples, B=args.bins)

@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceededError, NumericalError
 from .gibbs import DiscretizedDistribution, distribution_from_atoms
-from .lyclass import TailProfile
+from .lyclass import TailProfile, slowtail_applies
 
 DENSE_SAMPLING_CAP = 4000
 MC_BATCHES = 64
@@ -328,7 +328,11 @@ def moment_growth_fit(moments) -> GrowthFit:
 class TailPrediction:
     beta_sq: float
     exponent: float
-    slowtail_flagged: bool
+
+    @property
+    def slowtail_flagged(self) -> bool:
+        """The class's slow-tail rule applied to this prediction's own profile."""
+        return slowtail_applies(self.to_profile())
 
     def to_profile(self) -> TailProfile:
         return TailProfile(exponent_a=self.exponent, coefficient=float("nan"),
@@ -344,9 +348,7 @@ def tail_prediction(beta_sq: float) -> TailPrediction:
     """
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
-    expo = 2.0 / beta_sq
-    return TailPrediction(beta_sq=beta_sq, exponent=expo,
-                          slowtail_flagged=bool(1.0 < beta_sq < 2.0))
+    return TailPrediction(beta_sq=beta_sq, exponent=2.0 / beta_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +371,10 @@ class LatticeDomain:
     Laplacian L = 4 I - A (unit edge weights, adjacency among interior
     only).  The Green's matrix is G = L^{-1}: the covariance of the
     zero-boundary discrete Gaussian free field.  Boundary sites carry no
-    Green's entries.  Column solves are cached; the dense factorisation used
-    for sampling is limited to DENSE_SAMPLING_CAP interior sites.
+    Green's entries, and a region without interior sites is refused.
+    :meth:`green_matrix` is the only reader of G: one solve of the cached
+    sparse LU factorisation per requested site.  The dense factorisation
+    used for sampling is limited to DENSE_SAMPLING_CAP interior sites.
     """
 
     def __init__(self, sites):
@@ -381,6 +385,8 @@ class LatticeDomain:
                                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))]
         bset = set(self.boundary)
         self.interior = [s for s in self.sites if s not in bset]
+        if not self.interior:
+            raise ValueError(f"lattice domain of {len(self.sites)} sites has no interior site")
         self._idx = {s: i for i, s in enumerate(self.interior)}
         n = len(self.interior)
         rows, cols, vals = [], [], []
@@ -397,9 +403,7 @@ class LatticeDomain:
                     vals.append(-1.0)
         self.laplacian = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
         self._lu = None
-        self._green_cols: dict[int, np.ndarray] = {}
         self._chol = None
-        self._green_dense = None
 
     @classmethod
     def disk(cls, radius: float) -> "LatticeDomain":
@@ -418,43 +422,28 @@ class LatticeDomain:
     def is_interior(self, site) -> bool:
         return (int(site[0]), int(site[1])) in self._idx
 
-    def _splu(self):
+    def green_matrix(self, sites=None) -> np.ndarray:
+        """Green's block G[a, b] = G(sites[a], sites[b]), column b one LU solve
+        against the unit vector of sites[b]; all interior sites (capped) by default."""
+        if sites is None:
+            if self.n_interior > DENSE_SAMPLING_CAP:
+                raise BudgetExceededError(
+                    f"dense Green's matrix for {self.n_interior} interior sites exceeds "
+                    f"the cap {DENSE_SAMPLING_CAP}; restrict to a site list instead")
+            sites = self.interior
+        try:
+            idx = np.array([self._idx[(int(x), int(y))] for x, y in sites], dtype=np.intp)
+        except KeyError as e:
+            raise ValueError(f"site {e.args[0]} is not an interior site "
+                             "(boundary sites carry no Green's entries)") from None
         if self._lu is None:
             self._lu = spla.splu(self.laplacian)
-        return self._lu
-
-    def green_column(self, site) -> np.ndarray:
-        s = (int(site[0]), int(site[1]))
-        i = self._idx.get(s)
-        if i is None:
-            raise ValueError(f"site {s} is not an interior site (boundary sites carry "
-                             "no Green's entries)")
-        col = self._green_cols.get(i)
-        if col is None:
+        G = np.empty((len(idx), len(idx)))
+        for b, i in enumerate(idx):
             e = np.zeros(self.n_interior)
             e[i] = 1.0
-            col = self._splu().solve(e)
-            self._green_cols[i] = col
-        return col
-
-    def green_matrix(self, sites=None) -> np.ndarray:
-        """Dense Green's matrix restricted to the given interior sites (all by default)."""
-        if sites is None:
-            if self._green_dense is None:
-                if self.n_interior > DENSE_SAMPLING_CAP:
-                    raise BudgetExceededError(
-                        f"dense Green's matrix for {self.n_interior} interior sites exceeds "
-                        f"the cap {DENSE_SAMPLING_CAP}; restrict to a site list instead")
-                eye = np.eye(self.n_interior)
-                self._green_dense = self._splu().solve(eye)
-            return self._green_dense
-        idx = [self._idx[(int(x), int(y))] for x, y in sites]
-        cols = np.stack([self.green_column(self.interior[i]) for i in idx], axis=1)
-        return cols[idx, :]
-
-    def green_diag(self, sites) -> np.ndarray:
-        return np.array([self.green_column(s)[self._idx[(int(s[0]), int(s[1]))]]
-                         for s in sites])
+            G[:, b] = self._lu.solve(e)[idx]
+        return G
 
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the Laplacian (dense; capped size)."""
@@ -470,14 +459,9 @@ class LatticeDomain:
 def lattice_green(domain: LatticeDomain, x, y) -> float:
     """Entry G(x, y) of the inverse Dirichlet graph Laplacian.
 
-    Computed by a cached sparse solve of the source column; both sites must
-    be interior.
+    Row y of the solve for source column x; both sites must be interior.
     """
-    sy = (int(y[0]), int(y[1]))
-    if sy not in domain._idx:
-        raise ValueError(f"site {sy} is not an interior site")
-    col = domain.green_column(x)
-    return float(col[domain._idx[sy]])
+    return float(domain.green_matrix([y, x])[0, 1])
 
 
 def dgff_sample(domain: LatticeDomain, seed: int | None = None, *,
@@ -515,9 +499,9 @@ def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:
     return sites
 
 
-def _site_weights(n: int, beta: float, green_diag) -> np.ndarray:
-    """lam(x) = (1/n^2) exp((beta^2/2) G(x,x)) from the Green's diagonal on D_n."""
-    return np.exp(0.5 * beta**2 * np.asarray(green_diag)) / float(n) ** 2
+def _site_weights(n: int, beta: float, G: np.ndarray) -> np.ndarray:
+    """lam(x) = (1/n^2) exp((beta^2/2) G(x,x)) from the Green's block G on D_n."""
+    return np.exp(0.5 * beta**2 * np.diag(G)) / float(n) ** 2
 
 
 @dataclass(frozen=True)
@@ -554,10 +538,10 @@ def sample_gmc_field(domain: LatticeDomain, beta: float, seed: int) -> DiscreteG
 def lambda_weights(n: int, domain: LatticeDomain, beta: float) -> np.ndarray:
     """Per-site weights (1/n^2) exp((beta^2/2) G(x,x)) over D_n (all positive)."""
     sites = _summation_sites(domain, n)
-    return _site_weights(n, beta, domain.green_diag(sites))
+    return _site_weights(n, beta, domain.green_matrix(sites))
 
 
-def m_statistic(n: int, field: DiscreteGmcField, green_diag: np.ndarray | None = None) -> float:
+def m_statistic(n: int, field: DiscreteGmcField) -> float:
     """Renormalised chaos sum M = sum_{x in D_n} lam(x) cos h(x).
 
     lam(x) = (1/n^2) exp((beta^2/2) G(x,x)); using the lattice Green's
@@ -565,9 +549,7 @@ def m_statistic(n: int, field: DiscreteGmcField, green_diag: np.ndarray | None =
     moment exactly |D_n|/n^2 (no asymptotic constants enter).
     """
     sites = _summation_sites(field.domain, n)
-    if green_diag is None:
-        green_diag = field.domain.green_diag(sites)
-    lam = _site_weights(n, field.beta, green_diag)
+    lam = _site_weights(n, field.beta, field.domain.green_matrix(sites))
     return float(lam @ np.cos(field.angles_at(sites)))
 
 
@@ -578,9 +560,9 @@ def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
     With the Green's-diagonal normaliser the diagonal terms cancel and
     E[Mhat^k] = sum over k-tuples of sites of n^{-2k}
     exp(-(beta^2/2) sum_{i != j} G(x_i, x_j)).  k = 1 gives |D_n|/n^2
-    exactly; k = 2 is evaluated densely; k = 3, 4 fall back to Monte Carlo
-    over site tuples when ``mc_tuples`` is given (else the exact sum must
-    fit the cost budget).
+    exactly; k >= 2 sums over all site tuples, or over ``mc_tuples`` uniform
+    Monte Carlo tuples when given (else the exact sum must fit the cost
+    budget).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -597,21 +579,16 @@ def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
     G = domain.green_matrix(sites)
     pref = float(n) ** (-2 * k)
     if mc_tuples is None:
-        if k == 2:
-            return pref * float(np.sum(np.exp(-beta**2 * G)))
         idx = np.stack(np.meshgrid(*([np.arange(m)] * k), indexing="ij"), axis=-1).reshape(-1, k)
-        ex = np.zeros(len(idx))
-        for a in range(k):
-            for b in range(a + 1, k):
-                ex -= beta**2 * G[idx[:, a], idx[:, b]]
-        return pref * float(np.sum(np.exp(ex)))
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    picks = rng.integers(0, m, size=(mc_tuples, k))
-    ex = np.zeros(mc_tuples)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        idx = rng.integers(0, m, size=(mc_tuples, k))
+    ex = np.zeros(len(idx))
     for a in range(k):
         for b in range(a + 1, k):
-            ex -= beta**2 * G[picks[:, a], picks[:, b]]
+            ex -= beta**2 * G[idx[:, a], idx[:, b]]
+    if mc_tuples is None:
+        return pref * float(np.sum(np.exp(ex)))
     return pref * float(m**k) * float(np.mean(np.exp(ex)))
 
 
@@ -629,7 +606,7 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     sites = _summation_sites(domain, n)
     G = domain.green_matrix(sites)
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
-    lam = _site_weights(n, beta, np.diag(G))
+    lam = _site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(nsamples)
     chunk = max(1, int(5e6 // max(len(sites), 1)))
@@ -647,7 +624,10 @@ def bin_distribution(samples: np.ndarray, B: int = 200) -> DiscretizedDistributi
 
     The bin width covers the sample range symmetrically; the result is
     symmetrised (exploratory input for zero analysis, not a certificate).
+    B >= 1: with no bin on either side the law would be the point mass at 0.
     """
+    if B < 1:
+        raise ValueError(f"need at least one bin on each side of 0, got bins B = {B}")
     samples = np.asarray(samples, dtype=float)
     half = float(np.max(np.abs(samples))) * (1.0 + 1e-9) if len(samples) else 1.0
     if half == 0.0:

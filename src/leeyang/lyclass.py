@@ -33,7 +33,7 @@ from .zeros import (EntireMGF, Rectangle, ZeroReport, VERDICT_OFF_AXIS,
                     VERDICT_PIZ, default_region, locate_zeros)
 
 SLOWTAIL_RESIDUAL_MAX = 0.05
-POISSON_GUARD = 1.05  # fits with a <= 1.05 stay undetermined, never excluded
+POISSON_GUARD = 1.05  # fitted or typed-in a <= 1.05 stay undetermined, never excluded
 
 VERDICT_CONSISTENT = "consistent-with-class"
 VERDICT_SLOWTAIL = "excluded-by-slow-tail"
@@ -148,9 +148,12 @@ class ClassVerdict:
         }, sort_keys=True)
 
 
-def _slowtail_applies(profile: TailProfile) -> bool:
-    return (POISSON_GUARD < profile.exponent_a < 2.0
-            and profile.fit_residual < SLOWTAIL_RESIDUAL_MAX)
+def slowtail_applies(profile: TailProfile) -> bool:
+    """A confident tail exponent in (1, 2), which excludes the class.  The
+    Poisson guard holds back fitted and user-supplied exponents; an exact
+    prediction is no fit."""
+    floor = 1.0 if profile.method == "predicted" else POISSON_GUARD
+    return floor < profile.exponent_a < 2.0 and profile.fit_residual < SLOWTAIL_RESIDUAL_MAX
 
 
 def classify(source=None, *, profile: TailProfile | None = None,
@@ -181,10 +184,11 @@ def classify(source=None, *, profile: TailProfile | None = None,
         if profile.fit_residual < SLOWTAIL_RESIDUAL_MAX:
             if profile.exponent_a >= 2.0:
                 sub_ev, sub_b = "yes", profile.coefficient
-            elif profile.exponent_a > POISSON_GUARD:
+            elif slowtail_applies(profile):
                 sub_ev = "no"
             else:
-                notes.append("exponent fit in the Poisson-guard band a <= 1.05; undetermined")
+                notes.append("tail exponent a <= 1, or a fit in the Poisson-guard band "
+                             "a <= 1.05; undetermined")
         else:
             notes.append(f"tail fit residual {profile.fit_residual:.3g} above "
                          f"{SLOWTAIL_RESIDUAL_MAX}; undetermined")
@@ -196,7 +200,7 @@ def classify(source=None, *, profile: TailProfile | None = None,
         elif zero_report.piz_verdict == VERDICT_PIZ:
             piz_ev = "PIZ-in-tested-region"
 
-    slowtail = profile is not None and _slowtail_applies(profile)
+    slowtail = profile is not None and slowtail_applies(profile)
 
     tension = False
     if slowtail and piz_ev == "PIZ-in-tested-region":
@@ -299,7 +303,7 @@ def weak_limit_harness(sequence, limit=None, *, region: Rectangle | None = None,
     first_zero = [float(min((z.location.imag for z in r.zeros), default=math.inf))
                   for r in reports]
     all_piz = all(r.piz_verdict == VERDICT_PIZ for r in reports)
-    violated = limit_profile is not None and _slowtail_applies(limit_profile)
+    violated = limit_profile is not None and slowtail_applies(limit_profile)
     contradiction = all_piz and violated
     if contradiction:
         notes.append("all finite-n verdicts are PIZ but the limit profile violates the "

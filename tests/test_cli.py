@@ -352,17 +352,25 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     assert doc["config"]["grid_n"] == 64 and doc["config"]["graph"] == edge_graph
 
 
-@pytest.mark.parametrize("argv", [
-    ["dgff-check", "--side", "3", "--samples", "0", "--seed", "1"],
-    ["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
-     "--bootstrap", "2", "--seed", "1"],
-], ids=["dgff-check-no-samples", "m-stat-one-sample"])
-def test_too_few_samples_is_a_usage_error(argv, tmp_path, capsys):
-    # refused before sampling: these counts could only give a NaN statistic
+@pytest.mark.parametrize("argv, named", [
+    (["dgff-check", "--side", "3", "--samples", "0", "--seed", "1"], "--samples"),
+    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
+      "--bootstrap", "2", "--seed", "1"], "--samples"),
+    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "100",
+      "--bins", "0", "--bootstrap", "2", "--seed", "1"], "bins"),
+    (["gmc-moments", "--beta-sq", "0.5", "--k-max", "0", "--seed", "1"], "--k-max"),
+    (["dgff-check", "--side", "0", "--samples", "10", "--seed", "1"], "interior site"),
+    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "100",
+      "--bootstrap", "-1", "--seed", "1"], "--bootstrap"),
+], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
+        "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap"])
+def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
+    # meaningless counts are refused before any output is written: they
+    # could only give a NaN statistic, an empty list or a point mass at 0
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
-    assert "--samples" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_non_finite_report_is_a_numerical_failure(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,20 @@ def test_green_boundary_rejected():
     boundary_site = dom.boundary[0]
     with pytest.raises(ValueError, match="interior"):
         lattice_green(dom, boundary_site, (0, 0))
+    with pytest.raises(ValueError, match=re.escape(f"site {boundary_site} is not an interior")):
+        dom.green_matrix([(0, 0), boundary_site])
+
+
+def test_green_block_is_one_reader():
+    # the full matrix, a site block of it and a single entry read the same
+    # per-site solves, bit for bit (the m-stat domain: disk 20, sites D_10)
+    dom = LatticeDomain.disk(20.0)
+    sites = [(x, y) for x in range(-10, 11) for y in range(-10, 11) if x * x + y * y <= 100]
+    idx = [dom.interior.index(s) for s in sites]
+    block = dom.green_matrix()[np.ix_(idx, idx)]
+    assert np.array_equal(block, dom.green_matrix(sites))
+    for a, b in ((0, 0), (5, 17), (200, 3)):
+        assert lattice_green(dom, sites[b], sites[a]) == block[a, b]
 
 
 def test_green_center_log_growth():

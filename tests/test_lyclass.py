@@ -8,6 +8,7 @@ import pytest
 
 from leeyang.gibbs import (DiscretizedDistribution, discretized_gaussian,
                            rademacher)
+from leeyang.gmc import tail_prediction
 from leeyang.lyclass import (TailProfile, VERDICT_CONSISTENT, VERDICT_OFFAXIS,
                              VERDICT_SLOWTAIL, VERDICT_UNDETERMINED,
                              classify, tail_exponent, weak_limit_harness)
@@ -115,12 +116,24 @@ def test_classify_monotone_in_evidence():
 
 
 def test_classify_poisson_guard():
-    # fits with a <= 1.05 stay undetermined (Poisson-type tails are compatible
-    # with purely imaginary zeros)
-    prof = TailProfile(exponent_a=1.02, coefficient=1.0, fit_window=None,
-                       fit_residual=0.0, method="from_moments")
-    v = classify(profile=prof)
-    assert v.verdict == VERDICT_UNDETERMINED
+    # fitted or typed-in a <= 1.05 stay undetermined (Poisson-type tails are
+    # compatible with purely imaginary zeros)
+    for a, method in ((1.02, "from_moments"), (1.03, "user_supplied")):
+        prof = TailProfile(exponent_a=a, coefficient=1.0, fit_window=None,
+                           fit_residual=0.0, method=method)
+        v = classify(profile=prof)
+        assert v.verdict == VERDICT_UNDETERMINED
+        assert v.subgaussian_evidence == "undetermined"
+
+
+@pytest.mark.parametrize("beta_sq", [1.44, 1.92, 1.95])
+def test_predicted_slow_tail_agrees_with_classify(beta_sq):
+    # an exact exponent 2/beta^2 in (1, 1.05] is no fit, so the Poisson
+    # guard does not hold it back: the flag and the verdict say the same
+    pred = tail_prediction(beta_sq)
+    v = classify(profile=pred.to_profile())
+    assert pred.slowtail_flagged
+    assert v.verdict == VERDICT_SLOWTAIL and v.subgaussian_evidence == "no"
 
 
 def test_classify_uncertain_fit_undetermined():
