@@ -245,6 +245,8 @@ def _cmd_m_stat(args) -> int:
         raise ValueError("m-stat --samples must be at least 2 for a standard deviation")
     if args.bootstrap < 0:
         raise ValueError("m-stat --bootstrap must be at least 0")
+    if args.bins < 1:
+        raise ValueError("m-stat --bins must be at least 1 (one bin on each side of 0)")
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     dist = bin_distribution(samples, B=args.bins)

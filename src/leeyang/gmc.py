@@ -28,6 +28,11 @@ Normaliser convention: the renormalising exponent for site x is
 (rather than its log-asymptotic form), which cancels exactly in the k = 1
 moment and removes any additive-constant ambiguity.
 
+Imports: scipy (sparse LU, dense Cholesky and triangular solves) is imported
+inside the functions that factor a lattice Laplacian, so importing this
+module -- and ``leeyang`` -- loads numpy only; the continuum side never
+loads scipy.
+
 Randomness: every sampler takes one integer seed; independent streams are
 derived with numpy's SeedSequence spawning, and reductions run in a fixed
 order, so results are reproducible bit-for-bit for a given seed.
@@ -40,9 +45,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceededError, NumericalError
 from .gibbs import DiscretizedDistribution, distribution_from_atoms
@@ -373,11 +375,14 @@ class LatticeDomain:
     zero-boundary discrete Gaussian free field.  Boundary sites carry no
     Green's entries, and a region without interior sites is refused.
     :meth:`green_matrix` is the only reader of G: one solve of the cached
-    sparse LU factorisation per requested site.  The dense factorisation
-    used for sampling is limited to DENSE_SAMPLING_CAP interior sites.
+    sparse LU factorisation per distinct requested site.  The dense
+    factorisation used for sampling is limited to DENSE_SAMPLING_CAP
+    interior sites.
     """
 
     def __init__(self, sites):
+        import scipy.sparse as sp
+
         self.sites = sorted(set((int(x), int(y)) for x, y in sites))
         site_set = set(self.sites)
         self.boundary = [s for s in self.sites
@@ -422,31 +427,42 @@ class LatticeDomain:
     def is_interior(self, site) -> bool:
         return (int(site[0]), int(site[1])) in self._idx
 
+    def _interior_index(self, sites) -> np.ndarray:
+        """Positions of ``sites`` among the interior sites; a non-interior
+        site raises ValueError naming it."""
+        try:
+            return np.array([self._idx[(int(x), int(y))] for x, y in sites], dtype=np.intp)
+        except KeyError as e:
+            raise ValueError(f"site {e.args[0]} is not an interior site "
+                             "(boundary sites carry no Green's entries or field values)") from None
+
     def green_matrix(self, sites=None) -> np.ndarray:
         """Green's block G[a, b] = G(sites[a], sites[b]), column b one LU solve
-        against the unit vector of sites[b]; all interior sites (capped) by default."""
+        against the unit vector of sites[b] (one solve per distinct site); all
+        interior sites (capped) by default."""
+        import scipy.sparse.linalg as spla
+
         if sites is None:
             if self.n_interior > DENSE_SAMPLING_CAP:
                 raise BudgetExceededError(
                     f"dense Green's matrix for {self.n_interior} interior sites exceeds "
                     f"the cap {DENSE_SAMPLING_CAP}; restrict to a site list instead")
             sites = self.interior
-        try:
-            idx = np.array([self._idx[(int(x), int(y))] for x, y in sites], dtype=np.intp)
-        except KeyError as e:
-            raise ValueError(f"site {e.args[0]} is not an interior site "
-                             "(boundary sites carry no Green's entries)") from None
+        idx = self._interior_index(sites)
         if self._lu is None:
             self._lu = spla.splu(self.laplacian)
-        G = np.empty((len(idx), len(idx)))
-        for b, i in enumerate(idx):
+        distinct, col = np.unique(idx, return_inverse=True)
+        G = np.empty((len(idx), len(distinct)))
+        for b, i in enumerate(distinct):
             e = np.zeros(self.n_interior)
             e[i] = 1.0
             G[:, b] = self._lu.solve(e)[idx]
-        return G
+        return G[:, col]
 
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the Laplacian (dense; capped size)."""
+        import scipy.linalg as sla
+
         if self._chol is None:
             if self.n_interior > DENSE_SAMPLING_CAP:
                 raise BudgetExceededError(
@@ -475,6 +491,8 @@ def dgff_sample(domain: LatticeDomain, seed: int | None = None, *,
     decomposition of a constant-boundary field).  Returns shape
     (n_interior,) or (size, n_interior).
     """
+    import scipy.linalg as sla
+
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     C = domain.cholesky()
@@ -519,8 +537,7 @@ class DiscreteGmcField:
     seed: int
 
     def angles_at(self, sites) -> np.ndarray:
-        idx = [self.domain._idx[(int(x), int(y))] for x, y in sites]
-        return self.h[idx]
+        return self.h[self.domain._interior_index(sites)]
 
 
 def sample_gmc_field(domain: LatticeDomain, beta: float, seed: int) -> DiscreteGmcField:
@@ -601,6 +618,8 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     law as restricting a full-domain DGFF sample; Phi is drawn uniformly per
     sample, so the ensemble law of M is symmetric under sign flip.
     """
+    import scipy.linalg as sla
+
     if not 0.0 < beta < math.sqrt(2.0):
         raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
     sites = _summation_sites(domain, n)

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import NumericalError
 from .gibbs import COALESCE_TOL, DiscretizedDistribution
@@ -808,6 +807,18 @@ class HadamardFit:
         return abs(variance - 2.0 * (self.sum_inv_sq + self.tail_correction))
 
 
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0: psi'(x) = 1/x^2 + psi'(x + 1) up to x >= 20, then
+    the asymptotic series 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7)
+    - 1/(30x^9) (Abramowitz & Stegun 6.4.12)."""
+    head = 0.0
+    while x < 20.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    t = 1.0 / (x * x)
+    return head + 1.0 / x + 0.5 * t + t / x * (1 / 6 - t * (1 / 30 - t * (1 / 42 - t / 30)))
+
+
 def _axis_ordinates(zeros, tol: float) -> list[float]:
     ys = []
     for z in zeros:
@@ -832,7 +843,8 @@ def hadamard_fit(f: EntireMGF, zeros, Y: float | None = None,
     of the zero sum is extrapolated by fitting the asymptotically linear
     spacing y_k ~ alpha k + gamma on the top half of the supplied zeros and
     summing (alpha k + gamma)^{-2} beyond the last one with the trigamma
-    function.  B = max(0, Var/2 - sum - tail).
+    function (its recurrence up to argument 20, then the asymptotic series
+    of Abramowitz & Stegun 6.4.12).  B = max(0, Var/2 - sum - tail).
     """
     if not f.symmetric:
         raise ValueError("hadamard_fit requires a symmetric source")
@@ -854,7 +866,7 @@ def hadamard_fit(f: EntireMGF, zeros, Y: float | None = None,
         coef, *_ = np.linalg.lstsq(A, ys_arr[half:], rcond=None)
         alpha, gamma = float(coef[0]), float(coef[1])
         if alpha > 0 and K + 1 + gamma / alpha > 0:
-            tail = float(polygamma(1, K + 1 + gamma / alpha)) / alpha**2
+            tail = _trigamma(K + 1 + gamma / alpha) / alpha**2
 
     var = f.variance
     B = max(0.0, 0.5 * var - s - tail)

@@ -357,7 +357,7 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "1",
       "--bootstrap", "2", "--seed", "1"], "--samples"),
     (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "100",
-      "--bins", "0", "--bootstrap", "2", "--seed", "1"], "bins"),
+      "--bins", "0", "--bootstrap", "2", "--seed", "1"], "--bins"),
     (["gmc-moments", "--beta-sq", "0.5", "--k-max", "0", "--seed", "1"], "--k-max"),
     (["dgff-check", "--side", "0", "--samples", "10", "--seed", "1"], "interior site"),
     (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "100",
@@ -371,6 +371,19 @@ def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+def test_m_stat_refuses_no_bins_before_sampling(monkeypatch, tmp_path, capsys):
+    import leeyang.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("m-stat sampled before checking --bins")
+
+    monkeypatch.setattr(cli, "sample_m_statistics", no_sampling)
+    out = tmp_path / "o"
+    assert main(["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--bins", "0",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert "--bins" in capsys.readouterr().err
 
 
 def test_non_finite_report_is_a_numerical_failure(monkeypatch, tmp_path, capsys):

@@ -359,6 +359,33 @@ def test_green_block_is_one_reader():
         assert lattice_green(dom, sites[b], sites[a]) == block[a, b]
 
 
+def test_green_solves_each_distinct_site_once():
+    dom = LatticeDomain.disk(6.0)
+    ref = dom.green_matrix([(0, 0)])[0, 0]
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, b):
+            self.solves += 1
+            return self.lu.solve(b)
+
+    dom._lu = CountingLU(dom._lu)
+    assert lattice_green(dom, (0, 0), (0, 0)) == ref
+    assert dom._lu.solves == 1
+    G = dom.green_matrix([(1, 2), (0, 0), (1, 2)])
+    assert dom._lu.solves == 3
+    assert np.array_equal(G[:, 0], G[:, 2]) and np.array_equal(G[0], G[2])
+    assert G[1, 1] == ref
+
+
+def test_field_angles_at_names_a_non_interior_site():
+    field = sample_gmc_field(LatticeDomain.disk(4.0), 1.0, 2)
+    with pytest.raises(ValueError, match=re.escape("site (-4, 0) is not an interior")):
+        field.angles_at([(0, 0), (-4, 0)])
+
+
 def test_green_center_log_growth():
     # the rescaled diagonal (2d) G(0,0) tracks (2/pi) log n between sizes
     vals = {}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros
+from scipy.special import jn_zeros, polygamma
 
 from leeyang import zeros
 from leeyang.errors import NumericalError
@@ -433,6 +433,31 @@ def test_hadamard_rejects_off_axis_and_asymmetric():
     skew = DiscretizedDistribution(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
     with pytest.raises(ValueError, match="symmetric"):
         hadamard_fit(EntireMGF(skew), [])
+
+
+def test_trigamma_matches_scipy_polygamma():
+    xs = np.concatenate([np.geomspace(0.05, 1e6, 20001),
+                         [np.nextafter(20.0, 0.0), 19.999999, 20.0, 1.0, 0.5]])
+    got = np.array([zeros._trigamma(float(x)) for x in xs])
+    ref = polygamma(1, xs)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("law, Y", [
+    (rademacher(), 60 * math.pi),
+    (uniform_angle_law(512), 60 * math.pi),
+    (DiscretizedDistribution(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.25] * 4),
+                             symmetrized=True), 40 * math.pi),
+], ids=["rademacher", "uniform-angle", "double-zero"])
+def test_hadamard_tail_matches_polygamma_reference(law, Y):
+    f = EntireMGF(law)
+    fit = hadamard_fit(f, locate_zeros(f, Rectangle(-1, 1, 0, Y)), Y=Y)
+    K = len(fit.y_k)
+    assert K >= 6 and fit.spacing > 0
+    tail = float(polygamma(1, K + 1 + fit.offset / fit.spacing)) / fit.spacing**2
+    B = max(0.0, 0.5 * f.variance - fit.sum_inv_sq - tail)
+    assert abs(fit.tail_correction - tail) <= 1e-14 * tail
+    assert abs(fit.B - B) <= 1e-14 * B
 
 
 def test_spectral_evaluator_agrees_with_direct():
