@@ -25,19 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gibbs import _convolution_power, edge_weight, periodized_gaussian, wrap_angle
+from .gibbs import _TWO_PI, _convolution_power, circle_grid, edge_weight, periodized_gaussian
 
 DEFAULT_CHAIN_GRID = 512
-_TWO_PI = 2.0 * math.pi
-
-
-def fft_circle_grid(N: int) -> np.ndarray:
-    """Angles 2 pi j / N (j = 0..N-1) wrapped to (-pi, pi], in FFT order.
-
-    Index-space circular convolution of samples on this grid is exactly
-    function convolution on the circle, with no phase offset.
-    """
-    return np.asarray(wrap_angle(_TWO_PI * np.arange(N) / N))
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class CircleKernel:
     @property
     def grid(self) -> np.ndarray:
         """Angles of the stored samples (FFT order, wrapped to (-pi, pi])."""
-        return fft_circle_grid(self.N)
+        return circle_grid(self.N)
 
     def mass(self) -> float:
         return float(self.values.mean()) * _TWO_PI
@@ -98,7 +88,7 @@ def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
     """
     if not B >= 0:
         raise ValueError(f"inverse temperature must be non-negative, got {B}")
-    g = edge_weight("xy", fft_circle_grid(N), 1.0, B)
+    g = edge_weight("xy", circle_grid(N), 1.0, B)
     Z = float(g.sum()) * _TWO_PI / N
     return CircleKernel(values=g / Z, log_normalization=B + math.log(Z))
 
@@ -128,7 +118,7 @@ def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> Circl
     """
     if not t > 0 or not b > 0:
         raise ValueError("heat kernel needs t > 0 and b > 0")
-    vals = np.asarray(periodized_gaussian(fft_circle_grid(N), b / t))
+    vals = np.asarray(periodized_gaussian(circle_grid(N), b / t))
     Z = float(vals.sum()) * _TWO_PI / N
     return CircleKernel(values=vals / Z, log_normalization=math.log(Z))
 
@@ -175,10 +165,10 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
         if not (-math.pi < th <= math.pi):
             raise ValueError(f"pinned angle {th} outside (-pi, pi]")
     B = n * b
+    grid = circle_grid(N)  # the n = 1 ratio needs no grid, but N is checked for every n
     if n == 1:
         ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))
     else:
-        grid = fft_circle_grid(N)
         q_hat = np.fft.rfft(_convolution_power(edge_weight("xy", grid, 1.0, B), n - 2))
 
         def partial_sum(th0: float, th1: float) -> float:

@@ -29,7 +29,7 @@ from . import __version__
 from .chain import chain_vs_heat, dirichlet_ratio
 from .errors import NumericalError
 from .gibbs import (DiscretizedDistribution, ModelSpec, observable_distribution)
-from .gmc import (Domain, LatticeDomain, bin_distribution, dgff_sample,
+from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_sample,
                   mc_moment, moment_growth_fit, sample_gmc_field,
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
@@ -198,8 +198,8 @@ def _cmd_dirichlet_ratio(args) -> int:
 
 
 def _cmd_gmc_moments(args) -> int:
-    if args.k_max < 1:
-        raise ValueError("gmc-moments --k-max must be at least 1")
+    if not 1 <= args.k_max <= DESK_MAX_K:
+        raise ValueError(f"gmc-moments --k-max must be between 1 and {DESK_MAX_K}")
     domain = Domain(args.domain, args.radius)
     ks = list(range(1, args.k_max + 1))
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(args.seed).spawn(len(ks))]

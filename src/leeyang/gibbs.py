@@ -50,15 +50,22 @@ PERIODIZED_GAUSSIAN_TOL = 1e-16
 _TWO_PI = 2.0 * math.pi
 
 
-def circle_grid(N: int) -> np.ndarray:
-    """Uniform N-point angular grid on (-pi, pi] (the point pi is included)."""
-    return -math.pi + _TWO_PI * np.arange(1, N + 1) / N
-
-
 def wrap_angle(theta):
     """Reduce an angle to (-pi, pi]."""
     t = np.mod(np.asarray(theta, dtype=float) + math.pi, _TWO_PI) - math.pi
     return np.where(t == -math.pi, math.pi, t)
+
+
+def circle_grid(N: int) -> np.ndarray:
+    """Angles 2 pi j / N (j = 0..N-1) wrapped to (-pi, pi], in FFT order.
+
+    Index (i - j) mod N holds theta_i - theta_j, so index-space circular
+    convolution of samples on this grid is exactly function convolution on
+    the circle, with no phase offset.
+    """
+    if not (isinstance(N, numbers.Integral) and N > 0):
+        raise ValueError(f"grid size must be a positive integer, got {N!r}")
+    return wrap_angle(_TWO_PI * np.arange(N) / N)
 
 
 def periodized_gaussian(theta, J: float):
@@ -131,9 +138,9 @@ class ModelSpec:
                     raise ValueError(f"pinned angle {ang} for {v!r} outside (-pi, pi]")
 
 
-def _run_starts(xs: np.ndarray, tol: float = COALESCE_TOL) -> np.ndarray:
-    """Start indices of the runs of the sorted ``xs``: a run ends where the gap exceeds tol."""
-    return np.concatenate(([0], np.nonzero(np.diff(xs) > tol)[0] + 1))
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """Start indices of the runs of the sorted ``xs``: a run ends at a gap above COALESCE_TOL."""
+    return np.concatenate(([0], np.nonzero(np.diff(xs) > COALESCE_TOL)[0] + 1))
 
 
 def _merge_runs(xs: np.ndarray, ws: np.ndarray, starts: np.ndarray):
@@ -147,13 +154,13 @@ def _merge_runs(xs: np.ndarray, ws: np.ndarray, starts: np.ndarray):
     return out_x, out_w
 
 
-def _coalesce(xs: np.ndarray, ws: np.ndarray, tol: float = COALESCE_TOL):
-    """Merge atoms whose positions differ by less than tol (weights added)."""
+def _coalesce(xs: np.ndarray, ws: np.ndarray):
+    """Merge atoms whose positions differ by at most COALESCE_TOL (weights added)."""
     if len(xs) == 0:
         return xs, ws
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
-    return _merge_runs(xs, ws[order], _run_starts(xs, tol))
+    return _merge_runs(xs, ws[order], _run_starts(xs))
 
 
 def _symmetrize(xs: np.ndarray, ws: np.ndarray):
@@ -205,7 +212,7 @@ class DiscretizedDistribution:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1 within 1e-12")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
-        if self.symmetrized and not self.is_symmetric(1e-12):
+        if self.symmetrized and not self.is_symmetric():
             raise ValueError("symmetrized distribution is not closed under x -> -x")
 
     @property
@@ -216,14 +223,14 @@ class DiscretizedDistribution:
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.xs))) if len(self.xs) else 0.0
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """True iff the reflected atom list matches within tol after coalescing."""
+    def is_symmetric(self) -> bool:
+        """True iff the reflected atom list matches within COALESCE_TOL after coalescing."""
         xs, ws = _coalesce(self.xs, self.ws)
         # the reflection of a coalesced list is sorted with every gap > COALESCE_TOL,
         # so coalescing it again would return it unchanged
         rx, rw = -xs[::-1], ws[::-1]
-        return bool(np.all(np.abs(rx - xs) <= max(tol, COALESCE_TOL))
-                    and np.all(np.abs(rw - ws) <= tol))
+        return bool(np.all(np.abs(rx - xs) <= COALESCE_TOL)
+                    and np.all(np.abs(rw - ws) <= COALESCE_TOL))
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous CDF evaluated at x (vectorised)."""
@@ -360,8 +367,8 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         J_e = G.coupling[e]
         if u in axis and v in axis:
             a, b = axis[u], axis[v]
-            wv = edge_weight(model.kind, _TWO_PI * idx / N, J_e, B)
-            mat = wv[(idx[:, None] - idx[None, :]) % N]  # [i_a, i_b]
+            # [i_a, i_b] is the weight at theta_{i_a} - theta_{i_b}
+            mat = edge_weight(model.kind, grid, J_e, B)[(idx[:, None] - idx[None, :]) % N]
             pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
         elif u in axis or v in axis:
             fv, pv = (u, v) if u in axis else (v, u)
@@ -386,13 +393,13 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         # which fixes the rounding of every weight
         return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
 
-    # indices i and N-2-i (mod N) carry the angles theta and -theta: one chunk
+    # indices j and -j (mod N) carry the angles theta and -theta: one chunk
     # sums the pair's weights in index order (0 and pi are their own mirrors)
     xs, ws = [], []
-    for i0 in range(N // 2 - 1, N):
-        w = functools.reduce(np.add, (chunk_weight(i) for i in sorted({(N - 2 - i0) % N, i0})))
+    for j in range(N // 2 + 1):
+        w = functools.reduce(np.add, (chunk_weight(i) for i in sorted({j, -j % N})))
         cx, cw = _merge_runs(rest, w.ravel()[order], starts)
-        xs.append(x0[i0] + cx)
+        xs.append(x0[j] + cx)
         ws.append(cw)
     return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
 
@@ -430,7 +437,7 @@ def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
         raise ValueError(f"chain length must be a positive integer, got {n}")
     _check_grid(N)
     cosg = np.cos(circle_grid(N))
-    pn = _convolution_power(edge_weight("xy", _TWO_PI * np.arange(N) / N, 1.0, B), n)
+    pn = _convolution_power(edge_weight("xy", circle_grid(N), 1.0, B), n)
 
     lam0, lam1 = float(lam_ends[0]), float(lam_ends[1])
     # value over (start index i, step d): lam0 cos theta_i + lam1 cos theta_{i+d}

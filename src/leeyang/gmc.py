@@ -52,6 +52,7 @@ from .lyclass import TailProfile, slowtail_applies
 
 DENSE_SAMPLING_CAP = 4000
 MC_BATCHES = 64
+DESK_MAX_K = 6
 EXACT_MOMENT_BUDGET = 2 * 10**7
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _LN2 = math.log(2.0)
@@ -216,7 +217,7 @@ class MomentEstimate:
 
 
 def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *,
-              max_k: int = 6) -> MomentEstimate:
+              max_k: int = DESK_MAX_K) -> MomentEstimate:
     """Monte Carlo estimate of E|W_U|^{2k} = |U|^{2k} E[coulomb weight].
 
     Plain average of the Coulomb weight over uniform 2k-tuples in the

@@ -136,7 +136,7 @@ class EntireMGF:
     def __init__(self, source: DiscretizedDistribution):
         self.source = source
         self.variance = source.variance
-        self.symmetric = source.symmetrized or source.is_symmetric(1e-12)
+        self.symmetric = source.symmetrized or source.is_symmetric()
         xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))

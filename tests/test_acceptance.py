@@ -207,7 +207,7 @@ def test_criterion_7b_synthetic_recovery():
     report("7b (synthetic growth recovery)", True, f"(beta^2, c) recovered to {err:.1e}")
 
 
-@pytest.mark.xfail(strict=False, reason=(
+@pytest.mark.xfail(reason=(
     "the asymptotic k log k growth slope is not identifiable from k <= 5 "
     "moments: the 2-parameter model fits desk-scale data with slope ~0.45 and "
     "in-sample residuals below the Monte Carlo noise, so no honest confidence "

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from leeyang.chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
-                           fft_circle_grid, heat_kernel_circle, kernel_power,
+                           heat_kernel_circle, kernel_power,
                            laplace_normalization, make_xy_kernel)
 from leeyang.errors import NumericalError
-from leeyang.gibbs import periodized_gaussian
+from leeyang.gibbs import circle_grid, periodized_gaussian
 
 
 def bessel_i0_series(x: float) -> float:
@@ -25,6 +25,14 @@ def test_xy_kernel_zero_coupling_uniform():
     k = make_xy_kernel(0.0, 128)
     assert np.allclose(k.values, 1.0 / (2 * math.pi))
     assert abs(k.normalization - 2 * math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 101, 512])
+def test_kernels_read_the_circle_grid(N):
+    k = make_xy_kernel(2.0, N)
+    assert np.array_equal(k.grid, circle_grid(N))
+    w = np.exp(2.0 * (np.cos(circle_grid(N)) - 1.0))
+    assert np.array_equal(k.values, w / (float(w.sum()) * 2 * math.pi / N))
 
 
 def test_xy_kernel_normalization_is_bessel():
@@ -169,7 +177,7 @@ def dense_dirichlet_ratio(n, b, pair, pair_ref, N):
     float sum of them loses up to 1.2e-10 relative at n = 256, b = 2.
     """
     B = n * b
-    grid = np.asarray(fft_circle_grid(N))
+    grid = circle_grid(N)
     M = np.exp(B * (np.cos(grid[:, None] - grid[None, :]) - 1.0))
 
     def log_terms(th0, th1):

@@ -362,8 +362,15 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     (["dgff-check", "--side", "0", "--samples", "10", "--seed", "1"], "interior site"),
     (["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--samples", "100",
       "--bootstrap", "-1", "--seed", "1"], "--bootstrap"),
+    (["gmc-moments", "--beta-sq", "0.5", "--k-max", "7", "--samples", "100000",
+      "--seed", "1"], "--k-max"),
+    (["chain-limit", "--n-list", "4", "--grid-n", "0"], "grid size"),
+    (["chain-limit", "--n-list", "4", "--grid-n", "-4"], "grid size"),
+    (["dirichlet-ratio", "--n", "1", "--grid-n", "0"], "grid size"),
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
-        "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap"])
+        "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
+        "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
+        "dirichlet-ratio-one-edge-empty-grid"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     # meaningless counts are refused before any output is written: they
     # could only give a NaN statistic, an empty list or a point mass at 0
@@ -384,6 +391,20 @@ def test_m_stat_refuses_no_bins_before_sampling(monkeypatch, tmp_path, capsys):
     assert main(["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--bins", "0",
                  "--seed", "1", "--out", str(out)]) == 2
     assert "--bins" in capsys.readouterr().err
+
+
+def test_gmc_moments_refuses_k_max_above_cap_before_sampling(monkeypatch, tmp_path, capsys):
+    import leeyang.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("gmc-moments sampled before checking --k-max")
+
+    monkeypatch.setattr(cli, "mc_moment", no_sampling)
+    out = tmp_path / "o"
+    assert main(["gmc-moments", "--beta-sq", "0.5", "--k-max", str(cli.DESK_MAX_K + 1),
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--k-max" in capsys.readouterr().err
 
 
 def test_non_finite_report_is_a_numerical_failure(monkeypatch, tmp_path, capsys):

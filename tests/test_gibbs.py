@@ -13,7 +13,7 @@ from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, _coalesce, _finis
                            _restrict, circle_grid, distribution_from_atoms, edge_weight,
                            kolmogorov_distance, observable_distribution,
                            periodized_gaussian, rademacher,
-                           transfer_chain_distribution)
+                           transfer_chain_distribution, wrap_angle)
 from leeyang.graphs import build_graph, path_graph, single_edge_graph
 from leeyang.zeros import EntireMGF, mgf_eval
 
@@ -220,7 +220,7 @@ def test_output_symmetric_and_normalized():
     for kind in ("xy", "villain"):
         d = observable_distribution(ModelSpec(kind, path_graph(3, J=1.5, lam=1.0)), 64)
         assert abs(d.ws.sum() - 1.0) < 1e-12
-        assert d.symmetrized and d.is_symmetric(1e-12)
+        assert d.symmetrized and d.is_symmetric()
 
 
 def test_pinned_boundary_distribution():
@@ -229,7 +229,7 @@ def test_pinned_boundary_distribution():
     m = ModelSpec("villain", g, boundary={"y": 0.0})
     d = observable_distribution(m, 64)
     assert abs(d.ws.sum() - 1.0) < 1e-12
-    assert d.is_symmetric(1e-12)
+    assert d.is_symmetric()
     raw = observable_distribution(m, 64, symmetrize=False)
     assert not raw.symmetrized
 
@@ -268,6 +268,37 @@ def test_grid_size_must_be_positive_even_integer(N):
         observable_distribution(ModelSpec("xy", single_edge_graph()), N)
     with pytest.raises(ValueError, match="grid size"):
         transfer_chain_distribution(2, 1.0, (1.0, 1.0), N)
+    with pytest.raises(ValueError, match="grid size"):
+        circle_grid(N)
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 512])
+def test_circle_grid_is_fft_ordered(N):
+    grid = circle_grid(N)
+    assert grid[0] == 0.0 and grid[N // 2] == math.pi
+    assert np.all((grid > -math.pi) & (grid <= math.pi))
+    # index -j holds -theta_j, and index i - j holds theta_i - theta_j modulo 2 pi
+    ulp = np.spacing(math.pi)
+    j = np.array([k for k in range(N) if k != N // 2])
+    assert np.max(np.abs(grid[-j % N] + grid[j])) <= 4 * ulp
+    idx = np.arange(N)
+    diff = wrap_angle(grid[:, None] - grid[None, :]) - grid[(idx[:, None] - idx[None, :]) % N]
+    assert np.max(np.abs(wrap_angle(diff))) <= 8 * ulp
+
+
+def test_free_law_reads_the_circle_grid(monkeypatch):
+    import leeyang.gibbs as gibbs
+
+    sizes = []
+
+    def spy(N):
+        sizes.append(N)
+        return circle_grid(N)
+
+    monkeypatch.setattr(gibbs, "circle_grid", spy)
+    d = observable_distribution(ModelSpec("villain", path_graph(3, J=1.0)), 64)
+    assert sizes == [64]
+    assert np.array_equal(d.xs, -d.xs[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -523,7 +523,7 @@ def test_bin_distribution_symmetric():
     rng = np.random.default_rng(2)
     samples = rng.normal(0, 1, 5000)
     d = bin_distribution(samples, B=50)
-    assert d.symmetrized and d.is_symmetric(1e-12)
+    assert d.symmetrized and d.is_symmetric()
     assert abs(d.ws.sum() - 1.0) < 1e-12
     assert d.grid_size == 101
 
