@@ -158,7 +158,7 @@ def _coalesce(xs: np.ndarray, ws: np.ndarray):
     """Merge atoms whose positions differ by at most COALESCE_TOL (weights added)."""
     if len(xs) == 0:
         return xs, ws
-    order = np.argsort(xs, kind="stable")
+    order = np.argsort(xs)  # a tie only reorders the sum of one run's weights
     xs = xs[order]
     return _merge_runs(xs, ws[order], _run_starts(xs))
 
@@ -224,7 +224,10 @@ class DiscretizedDistribution:
         return float(np.max(np.abs(self.xs))) if len(self.xs) else 0.0
 
     def is_symmetric(self) -> bool:
-        """True iff the reflected atom list matches within COALESCE_TOL after coalescing."""
+        """True iff the atoms are a bitwise mirror (as :func:`_symmetrize` builds) or
+        the reflected atom list matches within COALESCE_TOL after coalescing."""
+        if np.array_equal(self.xs, -self.xs[::-1]) and np.array_equal(self.ws, self.ws[::-1]):
+            return True
         xs, ws = _coalesce(self.xs, self.ws)
         # the reflection of a coalesced list is sorted with every gap > COALESCE_TOL,
         # so coalescing it again would return it unchanged
@@ -327,12 +330,15 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
 
     The tensor grid is summed in chunks that fix the first free angle.  The
     rest of S does not depend on it, so it is sorted and cut into
-    ``COALESCE_TOL`` runs once, and each chunk's weights are gathered into
-    that order and summed per run: its atoms come out sorted.  Two grid
-    angles theta and -theta share one chunk, whose weights are the sum of
-    their two restricted weights (never one of them doubled: a pinned
-    neighbour makes the density asymmetric in theta), so N/2 + 1 chunks
-    cover the grid.
+    ``COALESCE_TOL`` runs once, and the factors that do not touch the first
+    angle are multiplied once and gathered into that order.  A chunk builds
+    only the factors on the first angle, a table over its free neighbours
+    (N entries for a path end), gathers it by each sorted point's neighbour
+    index, multiplies and sums per run: its atoms come out sorted.  Two grid
+    angles theta and -theta share one chunk, whose table is the sum of their
+    two restricted tables (never one of them doubled: a pinned neighbour
+    makes the density asymmetric in theta), so N/2 + 1 chunks cover the
+    grid.
 
     Refuses when N**(number of free vertices) exceeds ``budget``, and a grid
     size N that is not a positive even integer.
@@ -378,8 +384,9 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
 
     # S = lam cos(theta) on axis 0 plus a rest that no chunk changes: the
-    # rest is sorted and cut into runs once.  Every free axis carries a value
-    # and a node factor, so the rest and each chunk's weights span all N^nd points
+    # rest is sorted and cut into runs once, and the factors off axis 0 are
+    # multiplied once (``base``).  Every free axis carries a value and a node
+    # factor, so both span all N^nd points
     nd = m - 1
     rest = functools.reduce(np.add, (_restrict((axis[v],), G.weight[v] * np.cos(grid), 0, nd)
                                      for v in free[1:]), np.array(s_pinned)).ravel()
@@ -387,18 +394,25 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     rest = rest[order]
     starts = _run_starts(rest)
     x0 = G.weight[free[0]] * np.cos(grid)
+    on0 = [(ax, t) for ax, t in weights if ax[:1] == (0,)]
+    base = functools.reduce(np.multiply, (_restrict(ax, t, 0, nd) for ax, t in weights
+                                          if ax[:1] != (0,))).ravel()[order]
+    # t_idx: each sorted rest point's flat index over axis 0's free neighbours
+    t_idx = 0
+    for b in sorted({ax[1] for ax, _ in on0 if len(ax) == 2}):
+        t_idx = t_idx * N + order // N ** (nd - b) % N
 
-    def chunk_weight(i0):
-        # axis 0 fixed at grid index i0; factors multiply in list order,
-        # which fixes the rounding of every weight
-        return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in weights))
+    def table(i0):
+        # the factors on axis 0 at grid index i0, multiplied in list order:
+        # a table over axis 0's free neighbours
+        return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in on0))
 
     # indices j and -j (mod N) carry the angles theta and -theta: one chunk
-    # sums the pair's weights in index order (0 and pi are their own mirrors)
+    # sums the pair's tables in index order (0 and pi are their own mirrors)
     xs, ws = [], []
     for j in range(N // 2 + 1):
-        w = functools.reduce(np.add, (chunk_weight(i) for i in sorted({j, -j % N})))
-        cx, cw = _merge_runs(rest, w.ravel()[order], starts)
+        u = functools.reduce(np.add, (table(i) for i in sorted({j, -j % N})))
+        cx, cw = _merge_runs(rest, u.ravel()[t_idx] * base, starts)
         xs.append(x0[j] + cx)
         ws.append(cw)
     return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)

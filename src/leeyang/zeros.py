@@ -7,9 +7,10 @@ axis (the "pure imaginary zeros" property).
 
 The toolchain is:
 
-* :func:`mgf_eval` -- f(z) at one point by the direct atom sum, which takes
-  a symmetric source over its nonnegative half (so f(iy) is exactly real)
-  and is scaled against overflow; every reported residual is one of these;
+* :func:`mgf_eval` -- f(z) alone at one point by the direct atom sum, with
+  the bits of the batch evaluator's f; it takes a symmetric source over its
+  nonnegative half (so f(iy) is exactly real) and is scaled against
+  overflow; every reported residual is one of these;
 * :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours,
   axis samples and Newton steps: the same direct sum, or its spectral
   compression for sources with many atoms; its one method
@@ -28,7 +29,8 @@ The toolchain is:
 The spectral compression pairs exact Chebyshev moments of the measure with
 modified-Bessel factors; a symmetric source's moments come from the same
 nonnegative half, with exact parity.  Every build is cross-validated
-against :func:`mgf_eval`, and the report records which evaluator ran.
+against the direct sum's f at eight points in one batch, and the report
+records which evaluator ran.
 
 Caveat: a discretized distribution approximates a continuum law, so its
 MGF's zeros approximate the true ones only up to quadrature error.  Use
@@ -55,6 +57,9 @@ MAX_PERTURB = 6
 GRID_STABILITY_FACTOR = 10.0
 _SPECTRAL_ATOM_THRESHOLD = 4096
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
+# the spectral evaluator's cross-check points, as fractions of its radius
+_XVAL_POINTS = (0.31 + 0.17j, -0.52 + 0.61j, 0.05 + 0.93j, 0.71 - 0.13j,
+                -0.23 - 0.47j, 0.97j, 0.89, -0.61)
 
 VERDICT_PIZ = "PIZ-in-region"
 VERDICT_OFF_AXIS = "off-axis-zero-found"
@@ -179,11 +184,12 @@ class _DirectEvaluator:
 
     A symmetric source at |Re z| L < 650 (L the support radius) is summed
     over its nonnegative half, f = w_0 + sum w (e^{zx} + e^{-zx}) and
-    f' = sum w x (e^{zx} - e^{-zx}), from e^{ax}, its reciprocal and cos, sin
-    of bx (z = a + ib): on the axis e^{ax} = 1, so f(iy) is exactly real and
+    f' = sum w x (e^{zx} - e^{-zx}), from p = e^{ax}, q = 1/p and c, s = cos,
+    sin of bx (z = a + ib): on the axis p = q = 1, so f(iy) is exactly real and
     f'(iy) exactly imaginary.  Other points and sources are summed over all
     atoms of exp(z x_j - shift), shift = max_j Re z x_j.  Each point is one
-    row of numpy's pairwise sums, so it gets the same bits in any batch.
+    row of numpy's pairwise sums, so it gets the same bits in any batch, and
+    f gets the same bits with or without f'.
     """
 
     path, K, xval_ratio, radius = "direct", None, None, math.inf
@@ -194,46 +200,72 @@ class _DirectEvaluator:
 
     def eval_pair_batch(self, zs):
         """(f, f') mantissas of an array of z sharing one log-scale per point."""
+        (mant, dmant), shift = self._sums(zs, True)
+        return mant, dmant, shift
+
+    def values(self, zs):
+        """(f mantissas, log-scales) of an array of z, without f'."""
+        (mant,), shift = self._sums(zs, False)
+        return mant, shift
+
+    def _sums(self, zs, deriv: bool):
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         half = (self._half is not None) & (np.abs(zs.real) * self._L < 650.0)
-        if half.all():
-            return self._half_sum(zs)
-        out = np.empty((3,) + zs.shape, dtype=complex)
+        sums = np.empty((1 + deriv,) + zs.shape, dtype=complex)
+        shift = np.zeros(zs.shape)
         for sel, part in ((half, self._half_sum), (~half, self._full_sum)):
             if sel.any():
-                out[:, sel] = part(zs[sel])
-        return out[0], out[1], out[2].real
+                sums[:, sel], shift[sel] = part(zs[sel], deriv)
+        return sums, shift
 
-    def _half_sum(self, zs):
-        # [[cosh c, sinh s], [sinh c, cosh s]] of ax and c, s = cos, sin of bx,
-        # doubled and weighted by w and w x, sum to [[Re f, Im f], [Re f', Im f']]
+    def _half_sum(self, zs, deriv):
+        # Re f = sum ((p + q) c) w, Im f = sum ((p - q) s) w; f' swaps the pairs
+        # and takes x.  p + q = 2, p - q = 0 on the axis and c = 1, s = 0 on the
+        # real axis exactly, so a block of such points (one point of a large
+        # law) skips exp, or cos and sin
         at0, ws, xs = self._half
-        out = np.empty((2, len(zs), 2))
+        sums = np.empty((1 + deriv, len(zs)), dtype=complex)
         chunk = max(1, int(1e5 // max(len(xs), 1)))
         for i in range(0, len(zs), chunk):
-            z = zs[i:i + chunk, None]
-            p = np.exp(z.real * xs)
-            q = 1.0 / p
-            t = z.imag * xs
-            hyp = np.array([p + q, p - q])
-            terms = np.array([hyp, hyp[::-1]]) * np.array([np.cos(t), np.sin(t)])
-            terms *= ws
-            terms[1] *= xs
-            out[:, i:i + chunk] = terms.sum(axis=-1).transpose(0, 2, 1)
-        out[0, :, 0] += at0
-        mant, dmant = out.view(complex)[..., 0]
-        return mant, dmant, np.zeros(len(zs))
+            sl = slice(i, i + chunk)
+            z = zs[sl, None]
+            if z.real.any():
+                p = np.exp(z.real * xs)
+                q = 1.0 / p
+                even, odd = p + q, p - q
+            else:
+                even, odd = 2.0, None
+            if z.imag.any():
+                t = z.imag * xs
+                cos, sin = np.cos(t), (np.sin(t) if deriv or odd is not None else None)
+            else:
+                cos, sin = 1.0, None
+            sums[0, sl] = _term_sum(even, cos, ws) + 1j * _term_sum(odd, sin, ws)
+            if deriv:
+                sums[1, sl] = _term_sum(odd, cos, ws, xs) + 1j * _term_sum(even, sin, ws, xs)
+        sums.real[0] += at0
+        return sums, 0.0
 
-    def _full_sum(self, zs):
+    def _full_sum(self, zs, deriv):
         xs, ws = self._source.xs, self._source.ws
         shift = np.where(zs.real >= 0, zs.real * self._ends[1], zs.real * self._ends[0])
-        mant, dmant = np.empty((2,) + zs.shape, dtype=complex)
+        sums = np.empty((1 + deriv,) + zs.shape, dtype=complex)
         chunk = max(1, int(1e6 // len(xs)))
         for i in range(0, len(zs), chunk):
             sl = slice(i, i + chunk)
             expo = np.exp(zs[sl, None] * xs - shift[sl, None])
-            mant[sl], dmant[sl] = np.sum(expo * ws, axis=1), np.sum(expo * (ws * xs), axis=1)
-        return mant, dmant, shift
+            sums[0, sl] = np.sum(expo * ws, axis=1)
+            if deriv:
+                sums[1, sl] = np.sum(expo * (ws * xs), axis=1)
+        return sums, shift
+
+
+def _term_sum(h, t, ws, xs=None):
+    """sum_j (h_j t_j) w_j [x_j] over the last axis; None is an exact zero factor."""
+    if h is None or t is None:
+        return 0.0
+    terms = h * t * ws
+    return np.sum(terms if xs is None else terms * xs, axis=-1)
 
 
 def _chebyshev_moments(u: np.ndarray, cols: np.ndarray, K: int):
@@ -273,7 +305,8 @@ class _SpectralEvaluator:
     I_0..I_K at complex w is obtained spectrally as the Fourier coefficients
     of t -> exp(w cos t).  Truncation K is chosen so the neglected terms are
     below machine precision for |z| <= radius; the instance is
-    cross-validated against :func:`mgf_eval` at eight points at construction
+    cross-validated against the direct sum's f (the values of :func:`mgf_eval`,
+    in one batch) at the eight ``_XVAL_POINTS`` at construction
     (``xval_ratio`` is the largest error over its bound) and raises
     NumericalError on disagreement.
     """
@@ -325,12 +358,10 @@ class _SpectralEvaluator:
         return out_f, out_df, np.zeros(zs.shape)
 
     def _validate(self, f: EntireMGF):
-        R = self.radius
-        pts = np.array([0.31 * R + 0.17j * R, -0.52 * R + 0.61j * R,
-                        0.05 * R + 0.93j * R, 0.71 * R - 0.13j * R,
-                        -0.23 * R - 0.47j * R, 0.97j * R, 0.89 * R, -0.61 * R])
+        pts = self.radius * np.array(_XVAL_POINTS)
         fast, _, _ = self.eval_pair_batch(pts)
-        direct = np.array([mgf_eval(f, z) for z in pts])
+        mant, shift = f._direct.values(pts)
+        direct = np.array([_unscale(m, s) for m, s in zip(mant, shift)])
         scale = np.exp(np.abs(pts.real) * self.scale)
         bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
         self.xval_ratio = float(np.max(np.abs(fast - direct) / bound))
@@ -350,10 +381,11 @@ def _unscale(mant: complex, shift: float) -> complex:
 def mgf_eval(f: EntireMGF, z: complex) -> complex:
     """f(z) = sum_j w_j exp(z x_j): the direct sum ``f._direct`` at one point.
 
+    Computes f only, with the same bits as the f of ``eval_pair_batch``.
     Every reported residual is one of these.  A value too large for float64
     raises an OverflowError naming its log-scale.
     """
-    mant, _, shift = f._direct.eval_pair_batch(np.array([complex(z)]))
+    mant, shift = f._direct.values(np.array([complex(z)]))
     return _unscale(mant[0], float(shift[0]))
 
 

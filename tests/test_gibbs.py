@@ -122,6 +122,40 @@ def test_is_symmetric_permutation_invariant():
         assert d.is_symmetric()
 
 
+def is_symmetric_with_coalesce_calls(d, monkeypatch):
+    import leeyang.gibbs as gibbs
+
+    calls = []
+
+    def spy(xs, ws):
+        calls.append(len(xs))
+        return _coalesce(xs, ws)
+
+    monkeypatch.setattr(gibbs, "_coalesce", spy)
+    return d.is_symmetric(), len(calls)
+
+
+def test_is_symmetric_reads_a_bitwise_mirror_first(monkeypatch):
+    xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+    ws = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    # a bitwise mirror needs no coalescing
+    assert is_symmetric_with_coalesce_calls(DiscretizedDistribution(xs, ws), monkeypatch) == (True, 0)
+    # positions mirrored within 1e-13 only: the coalescing comparison says yes
+    near = DiscretizedDistribution(xs + np.array([0.0, 0.0, 0.0, 1e-13, 0.0]), ws)
+    assert not np.array_equal(near.xs, -near.xs[::-1])
+    assert is_symmetric_with_coalesce_calls(near, monkeypatch) == (True, 1)
+    assert DiscretizedDistribution(near.xs, near.ws, symmetrized=True).symmetrized
+    # one weight off by 1e-9 (the atom at 0 keeps the mass), and mirrored
+    # positions under asymmetric weights
+    off = (xs, ws + np.array([1e-9, 0.0, -1e-9, 0.0, 0.0]))
+    skew = (np.array([-1.0, 1.0]), np.array([0.3, 0.7]))
+    for atoms in (off, skew):
+        assert is_symmetric_with_coalesce_calls(DiscretizedDistribution(*atoms),
+                                                monkeypatch) == (False, 1)
+        with pytest.raises(ValueError, match="closed"):
+            DiscretizedDistribution(*atoms, symmetrized=True)
+
+
 def test_symmetrized_flag_checked():
     with pytest.raises(ValueError, match="closed"):
         DiscretizedDistribution(np.array([-1.0, 2.0]), np.array([0.5, 0.5]),
@@ -411,16 +445,17 @@ def test_triangle_matches_brute_force_tensor_sum(kind, boundary, symmetrize):
     assert abs(mgf_eval(f, z) - want) < 1e-13
 
 
-def chunked_observable_distribution(model, N, symmetrize):
-    """The former builder: one chunk per grid index of the first free angle,
-    each chunk's atoms sorted and coalesced on their own."""
+def chunked_atoms(model, N):
+    """The former builder's atoms before the finish: one chunk per grid index
+    of the first free angle, each chunk's atoms sorted and coalesced on their
+    own."""
     G = model.graph
     pinned = dict(model.boundary or {})
     free = [v for v in G.vertices if v not in pinned]
     m = len(free)
     s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
     if m == 0:
-        return _finish_law(np.array([s_pinned]), np.array([1.0]), N, symmetrize)
+        return np.array([s_pinned]), np.array([1.0])
     grid = circle_grid(N)
     axis = {v: i for i, v in enumerate(free)}
     B = model.inverse_temperature
@@ -451,9 +486,15 @@ def chunked_observable_distribution(model, N, symmetrize):
                            np.broadcast_to(w, (N,) * nd).ravel())
         xs.append(cx)
         ws.append(cw)
-    return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
+    return np.concatenate(xs), np.concatenate(ws)
 
 
+MIDDLE_FIRST_PATH3 = build_graph(["v1", "v0", "v2"], [("v0", "v1"), ("v1", "v2")],
+                                 {("v0", "v1"): 1.0, ("v1", "v2"): 0.6},
+                                 {"v0": 1.0, "v1": 0.8, "v2": 0.5})
+STAR4 = build_graph(["o", "a", "b", "c"], [("o", "a"), ("o", "b"), ("o", "c")],
+                    {("o", "a"): 0.9, ("o", "b"): 1.3, ("o", "c"): 0.7},
+                    {"o": 0.6, "a": 1.0, "b": 0.8, "c": 0.5})
 CRITERION_1_MODELS = {
     f"{gname}-{kind}-J{J}-lam{lam}": ModelSpec(kind, gf(J, lam))
     for gname, gf in {"edge": lambda J, lam: single_edge_graph(J=J, lam=(lam, lam)),
@@ -467,14 +508,20 @@ REFERENCE_MODELS = {
                                   boundary={"v1": 0.3, "v3": -1.1}),
     "path3-all-pinned": ModelSpec("villain", path_graph(3, J=1.0),
                                   boundary={"v0": 0.3, "v1": -1.1, "v2": 2.0}),
+    # the first listed vertex is the chunk axis: 2 and 3 free neighbours, or none
+    "path3-middle-first": ModelSpec("villain", MIDDLE_FIRST_PATH3),
+    "star4-centre-first": ModelSpec("xy", STAR4, 1.2),
+    "star4-one-leaf-pinned": ModelSpec("villain", STAR4, boundary={"b": 0.7}),
+    "one-free-vertex": ModelSpec("xy", STAR4, 0.9, boundary={"a": 0.3, "b": -1.1, "c": 2.0}),
 }
 
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
 def test_observable_distribution_matches_chunked_reference(model):
     for N in (32, 64):
+        atoms = chunked_atoms(model, N)
         for symmetrize in (True, False):
-            want = chunked_observable_distribution(model, N, symmetrize)
+            want = _finish_law(*atoms, N, symmetrize)
             got = observable_distribution(model, N, symmetrize=symmetrize)
             assert len(got.xs) == len(want.xs), (N, symmetrize)
             assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)

@@ -595,14 +595,62 @@ def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch)
         assert ok and z.real == 0.0 and abs(z - y0) < 1e-9
 
 
-@pytest.mark.parametrize("law", [rademacher, villain_path3_law, pinned_xy_path4_law])
+def unsymmetrised_villain_path3_law():
+    # symmetric within COALESCE_TOL but not a bitwise mirror: the half sum
+    return observable_distribution(ModelSpec("villain", path_graph(3)), 64, symmetrize=False)
+
+
+def real_part_at_650(L):
+    """The float a > 0 nearest 650 / L with a L == 650 exactly in float64."""
+    near = 650.0 / L + np.spacing(650.0 / L) * np.array([0, -1, 1, -2, 2, -3, 3])
+    exact = near[near * L == 650.0]
+    assert len(exact), f"no float a with a * {L!r} == 650"
+    return float(exact[0])
+
+
+@pytest.mark.parametrize("law", [rademacher, villain_path3_law, pinned_xy_path4_law,
+                                 unsymmetrised_villain_path3_law])
 def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
     monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
-    f = EntireMGF(law())
+    d = law()
+    f = EntireMGF(d)
     L = f.support_radius
-    # axis and off-axis points, and two where |Re z| L > 650 takes the log-scale
-    zs = np.array([0.7j, 3.1j, 0.4 + 2.2j, -1.3 - 0.6j, 660.0 / L + 1.0j, -680.0 / L + 0.5j])
+    a650 = real_part_at_650(L)
+    # z = 0, real points of each sign, axis and off-axis points, |Re z| L = 650
+    # (the full sum) and two beyond it, where the log-scale is taken
+    zs = np.array([0.0, 0.8, -1.7, 0.7j, 3.1j, 0.4 + 2.2j, -1.3 - 0.6j,
+                   a650 + 0.3j, -a650, 660.0 / L + 1.0j, -680.0 / L + 0.5j])
+    if law is unsymmetrised_villain_path3_law:
+        assert not d.symmetrized and not np.array_equal(d.xs, -d.xs[::-1])
+        assert f.symmetric and f._direct._half is not None
     mant, _, shift = f.evaluator(float(np.max(np.abs(zs)))).eval_pair_batch(zs)
-    assert f.fast_path == "direct" and shift[-1] > 0.0
+    assert f.fast_path == "direct"
+    if f.symmetric:
+        assert np.all(shift[:7] == 0.0)  # the half sum
+    assert np.all(shift[7:] != 0.0)  # the full sum from |Re z| L = 650 on
     for z, m, s in zip(zs, mant, shift):
         assert mgf_eval(f, z) == complex(m) * math.exp(s)
+    assert mgf_eval(f, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectral_cross_check_reads_the_direct_sum(monkeypatch):
+    d = villain_path3_law()
+    f = EntireMGF(d)
+    R = 8.0 * math.sqrt(2.0)
+    ev = f.evaluator(R)
+    assert f.fast_path == "spectral"
+    # the ratio from eight separate mgf_eval calls, bit for bit
+    pts = R * np.array(zeros._XVAL_POINTS)
+    fast = ev.eval_pair_batch(pts)[0]
+    direct = np.array([mgf_eval(f, z) for z in pts])
+    scale = np.exp(np.abs(pts.real) * f.support_radius)
+    bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
+    assert ev.xval_ratio == float(np.max(np.abs(fast - direct) / bound))
+    # moments off by 1e-6 are caught, and the evaluator falls back to the direct sum
+    moments = zeros._chebyshev_moments
+    monkeypatch.setattr(zeros, "_chebyshev_moments", lambda *a: moments(*a) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="cross-validation"):
+        zeros._SpectralEvaluator(f, R)
+    f = EntireMGF(d)
+    f.evaluator(R)
+    assert f.fast_path == "direct"
