@@ -254,17 +254,18 @@ def _cmd_m_stat(args) -> int:
     region = Rectangle(*args.region)
     report = locate_zeros(f, region, args.tol)
 
-    # bootstrap error bars on each located zero: Newton from the baseline;
-    # a replicate that does not reach |f| < tol (None) is counted, not averaged in
+    # bootstrap error bars on each located zero: one lockstep Newton per
+    # replicate from every baseline zero; a replicate that does not reach
+    # |f| < tol (None) is counted, not averaged in
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-    boot_lists: list[list[complex | None]] = [[] for _ in report.zeros]
+    starts = [z.location for z in report.zeros]
+    boot_lists: list[list[complex | None]] = [[] for _ in starts]
     for _ in range(args.bootstrap):
         res = rng.choice(samples, size=len(samples), replace=True)
         fb = EntireMGF(bin_distribution(res, B=args.bins))
-        ev = fb.evaluator(_rect_radius(region))
-        for i, z in enumerate(report.zeros):
-            zz, _, ok = newton_refine(fb, ev, z.location, args.tol)
-            boot_lists[i].append(zz if ok else None)
+        zz, _, ok = newton_refine(fb, fb.evaluator(_rect_radius(region)), starts, args.tol)
+        for boots, z, converged in zip(boot_lists, zz, ok):
+            boots.append(z if converged else None)
     # a zero on the imaginary axis (a symmetrised law's) has a real part that
     # is rounding noise, so its spread is no error bar
     zero_rows = []

@@ -35,7 +35,10 @@ loads scipy.
 
 Randomness: every sampler takes one integer seed; independent streams are
 derived with numpy's SeedSequence spawning, and reductions run in a fixed
-order, so results are reproducible bit-for-bit for a given seed.
+order, so results are reproducible bit-for-bit for a given seed -- with one
+exception: :func:`dgff_sample` and :func:`sample_m_statistics` solve and
+multiply through BLAS, whose blocking depends on its thread count, so their
+bits are fixed only at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
-from .gibbs import DiscretizedDistribution, distribution_from_atoms
+from .gibbs import DiscretizedDistribution, _finish_law
 from .lyclass import TailProfile, slowtail_applies
 
 DENSE_SAMPLING_CAP = 4000
@@ -487,22 +490,25 @@ def dgff_sample(domain: LatticeDomain, seed: int | None = None, *,
     """Gaussian field on interior sites with covariance G = L^{-1}.
 
     With L = C C^T (dense Cholesky), h = C^{-T} z for standard normal z has
-    covariance C^{-T} C^{-1} = L^{-1} exactly.  A constant Dirichlet
+    covariance C^{-T} C^{-1} = L^{-1} exactly.  The (n_interior, size) normal
+    block is solved from the right, h^T = z^T C^{-1}, by BLAS ``trsm`` on
+    z^T, which is already in Fortran order, so the samples overwrite z's own
+    memory and no copy of the block is made.  A constant Dirichlet
     boundary value shifts every sample by that constant (the domain-Markov
     decomposition of a constant-boundary field).  Returns shape
     (n_interior,) or (size, n_interior).
     """
-    import scipy.linalg as sla
+    from scipy.linalg.blas import dtrsm
 
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     C = domain.cholesky()
     n = domain.n_interior
     z = rng.standard_normal((n, 1) if size is None else (n, size))
-    h = sla.solve_triangular(C, z, lower=True, trans="T")
+    h = dtrsm(1.0, C, z.T, side=1, lower=1, overwrite_b=1)
     if boundary_value != 0.0:
-        h = h + boundary_value
-    return h[:, 0] if size is None else h.T
+        h += boundary_value
+    return h[0] if size is None else h
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +623,10 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     Samples the exact Gaussian marginal of the field on the D_n summation
     sites (Cholesky of the restricted Green's matrix), which has the same
     law as restricting a full-domain DGFF sample; Phi is drawn uniformly per
-    sample, so the ensemble law of M is symmetric under sign flip.
+    sample, so the ensemble law of M is symmetric under sign flip.  Each
+    chunk's field g = C z replaces its normal block z and is turned into
+    cos(beta g + Phi) in its own memory, so a chunk holds at most two
+    (sites x chunk) blocks.
     """
     import scipy.linalg as sla
 
@@ -629,13 +638,20 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     lam = _site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = np.empty(nsamples)
+    # the chunk size fixes the order in which the random stream is drawn
     chunk = max(1, int(5e6 // max(len(sites), 1)))
     for i in range(0, nsamples, chunk):
         c = min(chunk, nsamples - i)
         z = rng.standard_normal((len(sites), c))
         g = C @ z
+        del z
         phi = rng.uniform(-math.pi, math.pi, size=c)
-        out[i:i + c] = lam @ np.cos(beta * g + phi[None, :])
+        # cos(beta g + phi) in g's memory: the ufuncs of the expression, in its order
+        np.multiply(beta, g, out=g)
+        np.add(g, phi[None, :], out=g)
+        np.cos(g, out=g)
+        out[i:i + c] = lam @ g
+        del g
     return out
 
 
@@ -652,12 +668,10 @@ def bin_distribution(samples: np.ndarray, B: int = 200) -> DiscretizedDistributi
     half = float(np.max(np.abs(samples))) * (1.0 + 1e-9) if len(samples) else 1.0
     if half == 0.0:
         half = 1.0
-    edges = np.linspace(-half, half, 2 * B + 2)
-    counts, _ = np.histogram(samples, bins=edges)
+    counts, edges = np.histogram(samples, bins=2 * B + 1, range=(-half, half))
     centers = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
-    atoms = list(zip(centers[keep], counts[keep].astype(float)))
-    return distribution_from_atoms(atoms, grid_size=2 * B + 1, symmetrize=True)
+    return _finish_law(centers[keep], counts[keep].astype(float), 2 * B + 1, True)
 
 
 # ---------------------------------------------------------------------------

@@ -536,32 +536,55 @@ def zero_report_from_json(text: str) -> ZeroReport:
                       evaluator=doc.get("evaluator"))
 
 
-def newton_refine(f: EntireMGF, evaluator, z0: complex, tol: float, max_iter: int = 100):
-    """Newton from z0 with steps from ``evaluator``; returns (z, |f(z)|, converged).
+def _abs_values(mant, shift) -> np.ndarray:
+    """|mant e^shift| point by point, each through :func:`_unscale`."""
+    return np.array([abs(_unscale(m, s)) for m, s in zip(mant, shift)])
 
-    Convergence means the direct-sum residual mgf_eval is below ``tol``; one
-    polishing step is taken past that gate.  When ``evaluator`` is the direct
-    sum, the residual is read off the evaluation that gives the step.
+
+def newton_refine(f: EntireMGF, evaluator, z0, tol: float, max_iter: int = 100):
+    """Newton from each start in ``z0`` with steps from ``evaluator``, in lockstep.
+
+    Returns arrays (z, |f(z)|, converged), one entry per start (a scalar is
+    one start).  Convergence means the direct-sum residual mgf_eval is below
+    ``tol``; one polishing step is taken past that gate.  A start also stops
+    where f' = 0, where its step falls below 1e-16 (1 + |z|), or after
+    ``max_iter`` steps; then its residual is evaluated at its last z.  Every
+    iteration evaluates the starts still running in one batch; the direct
+    sum gives each point the bits of a batch of its own, so on that path
+    each start ends exactly where a run from it alone would.  When
+    ``evaluator`` is the direct sum, the residual is read off the evaluation
+    that gives the step.
     """
-    z = complex(z0)
+    z = np.array(z0, dtype=complex).reshape(-1)
+    res = np.empty(z.shape)
+    ok = np.zeros(z.shape, dtype=bool)
+    run = np.arange(len(z))
     for _ in range(max_iter):
-        fv, dv, shift = evaluator.eval_pair_batch(np.array([z]))
-        fz, dfz = fv[0], dv[0]
-        res = abs(_unscale(fz, float(shift[0])) if evaluator is f._direct else mgf_eval(f, z))
-        if res < tol:
-            if dfz != 0:  # one polishing step past the tolerance gate
-                z = z - fz / dfz
-                res = abs(mgf_eval(f, z))
-            return z, res, True
-        if dfz == 0:
+        if not len(run):
             break
-        step = fz / dfz
-        z = z - step
-        if abs(step) < 1e-16 * (1.0 + abs(z)):
-            res = abs(mgf_eval(f, z))
-            return z, res, bool(res < tol)
-    res = abs(mgf_eval(f, z))
-    return z, res, bool(res < tol)
+        fz, dfz, shift = evaluator.eval_pair_batch(z[run])
+        if evaluator is f._direct:
+            r = _abs_values(fz, shift)
+        else:
+            r = _abs_values(*f._direct.values(z[run]))
+        conv, move = r < tol, dfz != 0
+        step = np.zeros(fz.shape, dtype=complex)
+        np.divide(fz, dfz, out=step, where=move)
+        z[run[move]] -= step[move]  # for a converged start, its polishing step
+        # np.hypot is abs() of one complex bit for bit; np.abs of an array may not be
+        stall = move & (np.hypot(step.real, step.imag)
+                        < 1e-16 * (1.0 + np.hypot(z[run].real, z[run].imag)))
+        stop = conv | ~move | stall
+        kept = conv & ~move  # converged where f' = 0: z did not move and r stands
+        ok[run[conv]] = True
+        res[run[kept]] = r[kept]
+        last = run[stop & ~kept]
+        res[last] = _abs_values(*f._direct.values(z[last]))
+        ok[last] |= res[last] < tol
+        run = run[~stop]
+    res[run] = _abs_values(*f._direct.values(z[run]))
+    ok[run] = res[run] < tol
+    return z, res, ok
 
 
 def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: float,
@@ -579,8 +602,8 @@ def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: f
             cells.append((rect, 0))
             continue
         if (cnt == 1 and rect.diameter < MIN_CELL_DIAM) or rect.diameter < 1e-5:
-            z, res, ok = newton_refine(f, evaluator, rect.center, tol)
-            found.append(ZeroInfo(z, res, ok, cnt))
+            (z,), (res,), (ok,) = newton_refine(f, evaluator, rect.center, tol)
+            found.append(ZeroInfo(z, float(res), bool(ok), cnt))
             cells.append((rect, cnt))
             if cnt != 1:
                 notes.append(f"multiplicity-{cnt} cluster at {z:.6g}")

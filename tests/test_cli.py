@@ -212,8 +212,8 @@ def test_m_stat_unconverged_bootstrap_is_counted(tmp_path, monkeypatch):
     newton_refine = cli.newton_refine
 
     def unconverged(*args, **kwargs):
-        z, res, _ = newton_refine(*args, **kwargs)
-        return z, res, False
+        z, res, ok = newton_refine(*args, **kwargs)
+        return z, res, np.zeros(len(ok), dtype=bool)
 
     monkeypatch.setattr(cli, "newton_refine", unconverged)
     out = str(tmp_path / "ms")

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
                          moment_growth_fit, sample_gmc_field,
                          sample_m_statistics, save_field_snapshot,
                          tail_prediction)
+from leeyang.gibbs import distribution_from_atoms
 from leeyang.gmc import _log_coulomb
 
 
@@ -423,6 +425,82 @@ def test_dgff_boundary_shift_exact():
     assert np.allclose(h1 - h0, 2.5, atol=0, rtol=0)
 
 
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes traced while fn runs); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dgff_sample_matches_the_left_solve():
+    import scipy.linalg as sla
+
+    dom = LatticeDomain.square(6)
+    n = dom.n_interior
+    for size in (None, 1, 700):
+        h = dgff_sample(dom, seed=41, size=size)
+        z = np.random.default_rng(np.random.SeedSequence(41)).standard_normal(
+            (n, 1 if size is None else size))
+        ref = sla.solve_triangular(dom.cholesky(), z, lower=True, trans="T").T
+        if size is None:
+            assert h.shape == (n,)
+            ref = ref[0]
+        else:
+            assert h.shape == (size, n)
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_dgff_sample_solves_in_the_normal_block():
+    dom = LatticeDomain.square(11)
+    dom.cholesky()
+    h, peak = traced_peak(dgff_sample, dom, seed=9, size=20000)
+    assert h.shape == (20000, 121)
+    # the left solve copied the (sites x samples) block into Fortran order
+    assert peak < 1.25 * h.nbytes
+
+
+def former_sample_m_statistics(domain, n, beta, nsamples, seed):
+    """The out-of-place chunk expression the in-place sampler replaced."""
+    import scipy.linalg as sla
+
+    sites = gmc._summation_sites(domain, n)
+    G = domain.green_matrix(sites)
+    C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
+    lam = gmc._site_weights(n, beta, G)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = np.empty(nsamples)
+    chunk = max(1, int(5e6 // max(len(sites), 1)))
+    for i in range(0, nsamples, chunk):
+        c = min(chunk, nsamples - i)
+        z = rng.standard_normal((len(sites), c))
+        g = C @ z
+        phi = rng.uniform(-math.pi, math.pi, size=c)
+        out[i:i + c] = lam @ np.cos(beta * g + phi[None, :])
+    return out
+
+
+def test_m_statistics_in_place_keep_the_bits():
+    dom = LatticeDomain.disk(6.0)
+    for n, beta, seed in ((3, 1.2, 19), (2, 0.7, 4)):
+        assert np.array_equal(sample_m_statistics(dom, n, beta, 3000, seed),
+                              former_sample_m_statistics(dom, n, beta, 3000, seed))
+
+
+def test_m_statistics_hold_two_blocks_per_chunk():
+    dom = LatticeDomain.disk(4.0)
+    sites = len(gmc._summation_sites(dom, 2))
+    chunk = int(5e6 // sites)  # the sampler's chunk: its two chunks are drawn here
+    nsamples = chunk + 1000
+    sample_m_statistics(dom, 2, 1.0, 10, seed=1)
+    out, peak = traced_peak(sample_m_statistics, dom, 2, 1.0, nsamples, seed=1)
+    assert out.shape == (nsamples,)
+    # z and C z, never the out-of-place expression's four blocks
+    assert peak < 2.5 * sites * chunk * 8 + out.nbytes
+
+
 def test_dgff_domain_cap():
     dom = LatticeDomain.disk(50.0)
     with pytest.raises(BudgetExceededError, match="cap"):
@@ -526,6 +604,36 @@ def test_bin_distribution_symmetric():
     assert d.symmetrized and d.is_symmetric()
     assert abs(d.ws.sum() - 1.0) < 1e-12
     assert d.grid_size == 101
+
+
+def former_bin_distribution(samples, B):
+    """The binning through explicit edges and a list of atoms it replaced."""
+    half = float(np.max(np.abs(samples))) * (1.0 + 1e-9)
+    edges = np.linspace(-half, half, 2 * B + 2)
+    counts, _ = np.histogram(samples, bins=edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    keep = counts > 0
+    atoms = list(zip(centers[keep], counts[keep].astype(float)))
+    return distribution_from_atoms(atoms, grid_size=2 * B + 1, symmetrize=True)
+
+
+@pytest.mark.parametrize("B", [1, 7, 200])
+def test_bin_distribution_equal_bins_count_every_edge(B):
+    # samples exactly on every interior edge of the binning their own largest
+    # |sample| m fixes, and at +-m; then every edge and +-half directly
+    m = 1.3
+    half = m * (1.0 + 1e-9)
+    edges = np.linspace(-half, half, 2 * B + 2)
+    on_edges = np.concatenate([edges[1:-1], [-m, m, 0.0]])
+    normal = np.random.default_rng(B).normal(0, 1, 5000)
+    for samples in (on_edges, normal):
+        new, old = bin_distribution(samples, B), former_bin_distribution(samples, B)
+        assert new.xs.tobytes() == old.xs.tobytes() and new.ws.tobytes() == old.ws.tobytes()
+        assert new.grid_size == old.grid_size == 2 * B + 1 and new.symmetrized
+    counts, got_edges = np.histogram(edges, bins=2 * B + 1, range=(-half, half))
+    assert np.array_equal(got_edges, edges)
+    assert np.array_equal(counts, np.histogram(edges, bins=edges)[0])
+    assert counts.sum() == len(edges)
 
 
 def test_field_snapshot_roundtrip(tmp_path):

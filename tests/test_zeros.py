@@ -591,13 +591,119 @@ def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch)
     ev = f.evaluator(8.0 * math.sqrt(2.0))
     for y0 in axis:
         # started off the zero along the axis, so Newton takes several steps
-        z, res, ok = newton_refine(f, ev, y0 + 1e-3j, 1e-10)
+        (z,), (res,), (ok,) = newton_refine(f, ev, y0 + 1e-3j, 1e-10)
         assert ok and z.real == 0.0 and abs(z - y0) < 1e-9
 
 
 def unsymmetrised_villain_path3_law():
     # symmetric within COALESCE_TOL but not a bitwise mirror: the half sum
     return observable_distribution(ModelSpec("villain", path_graph(3)), 64, symmetrize=False)
+
+
+def scalar_newton_reference(f, evaluator, z0, tol, max_iter=100):
+    """The former one-start Newton loop, kept as the reference of each start."""
+    z = complex(z0)
+    for _ in range(max_iter):
+        fv, dv, shift = evaluator.eval_pair_batch(np.array([z]))
+        fz, dfz = fv[0], dv[0]
+        res = abs(zeros._unscale(fz, float(shift[0])) if evaluator is f._direct
+                  else mgf_eval(f, z))
+        if res < tol:
+            if dfz != 0:
+                z = z - fz / dfz
+                res = abs(mgf_eval(f, z))
+            return z, res, True
+        if dfz == 0:
+            break
+        step = fz / dfz
+        z = z - step
+        if abs(step) < 1e-16 * (1.0 + abs(z)):
+            res = abs(mgf_eval(f, z))
+            return z, res, bool(res < tol)
+    res = abs(mgf_eval(f, z))
+    return z, res, bool(res < tol)
+
+
+def newton_bits(z, res, ok):
+    return (np.asarray(z, dtype=complex).tobytes(), np.asarray(res, dtype=float).tobytes(),
+            np.asarray(ok, dtype=bool).tobytes())
+
+
+def asymmetric_three_atom_law():
+    return distribution_from_atoms([(-1.0, 0.3), (0.5, 0.5), (2.0, 0.2)])
+
+
+# per law: a start near a zero, a repeated start, z = 0 (where f' = 0 for a
+# symmetric law), an off-axis start and a far start
+NEWTON_CASES = [
+    pytest.param(rademacher, [0.01 + 1.57j, 4.71j, 4.71j, 0.0, 0.4 + 2.2j, 2.5 + 9.0j],
+                 id="rademacher"),
+    pytest.param(three_atom_law, [1.0 + 1.6j, 1.03 + 4.7j, 1.03 + 4.7j, 0.0, -0.9 + 1.5j,
+                                  2.5 + 9.0j], id="three-atom"),
+    pytest.param(unsymmetrised_villain_path3_law, [1.0j, 2.2j, 2.2j, 0.0, 0.3 + 4.0j,
+                                                   2.5 + 9.0j], id="villain-path3-unsym"),
+    pytest.param(asymmetric_three_atom_law, [0.5 + 2.0j, 2.0j, 2.0j, 0.0, -0.7 + 3.1j,
+                                             2.5 + 9.0j], id="asymmetric"),
+]
+
+
+@pytest.mark.parametrize("law, starts", NEWTON_CASES)
+def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts, monkeypatch):
+    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    f = EntireMGF(law())
+    ev = f.evaluator(12.0)
+    assert ev is f._direct
+    starts = np.array(starts)
+    # tol 1e-10: polished or stopped; tol 0: no start converges, so each one
+    # stalls or stops where f' = 0; max_iter 2: most stop at the cap
+    for tol, max_iter in ((1e-10, 100), (0.0, 100), (1e-10, 2)):
+        batch = newton_refine(f, ev, starts, tol, max_iter=max_iter)
+        assert all(len(a) == len(starts) for a in batch)
+        singles = [newton_refine(f, ev, z0, tol, max_iter=max_iter) for z0 in starts]
+        assert all(len(a) == 1 for single in singles for a in single)
+        reference = [scalar_newton_reference(f, ev, z0, tol, max_iter) for z0 in starts]
+        for i in range(len(starts)):
+            one = tuple(a[i] for a in batch)
+            assert newton_bits(*one) == newton_bits(*singles[i]) == newton_bits(*reference[i])
+    z, res, ok = newton_refine(f, ev, starts, 1e-10)
+    assert ok.dtype == bool and res.dtype == float and z.dtype == complex
+    assert ok[0] and res[0] < 1e-10  # polished past the gate
+    assert newton_bits(z[1], res[1], ok[1]) == newton_bits(z[2], res[2], ok[2])
+    if f.symmetric:
+        # f'(0) = 0: the start stays put, unconverged, with its residual f(0) = 1
+        assert z[3] == 0.0 and not ok[3] and abs(res[3] - 1.0) < 1e-12
+    # without a tolerance to meet, a start that converges stops by stalling
+    # at its zero long before the cap: a thousand more iterations change nothing
+    stalled = newton_refine(f, ev, starts[ok], 0.0, max_iter=100)
+    assert newton_bits(*stalled) == newton_bits(*newton_refine(f, ev, starts[ok], 0.0,
+                                                               max_iter=1100))
+    assert not stalled[2].any() and np.all(np.abs(stalled[0] - z[ok]) < 1e-9)
+    capped_z, _, capped_ok = newton_refine(f, ev, starts, 1e-10, max_iter=2)
+    assert not capped_ok[5] and capped_z[5] != z[5]
+
+
+def test_newton_batch_on_the_spectral_path(monkeypatch):
+    # spectral rows depend on the batch they are evaluated in, so a start
+    # ends within rounding of its own run, not on its bits
+    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", 0)
+    f = EntireMGF(villain_path3_law())
+    ev = f.evaluator(8.0 * math.sqrt(2.0))
+    assert f.fast_path == "spectral"
+    starts = np.array([1.0j, 2.5j, 2.5j, 0.3 + 4.0j, 0.2 + 5.5j, 0.0, 7.5j, -0.4 + 3.0j])
+    z, res, ok = newton_refine(f, ev, starts, 1e-10)
+    assert ok.sum() == len(starts) - 1 and not ok[5]
+    for i, z0 in enumerate(starts):
+        (z1,), (res1,), (ok1,) = newton_refine(f, ev, z0, 1e-10)
+        assert ok1 == ok[i] and abs(z1 - z[i]) <= 1e-12
+
+
+def test_newton_of_no_start_evaluates_nothing():
+    class NoCalls:
+        def eval_pair_batch(self, zs):
+            raise AssertionError("no start, no evaluation")
+
+    z, res, ok = newton_refine(EntireMGF(three_atom_law()), NoCalls(), [], 1e-10)
+    assert z.shape == res.shape == ok.shape == (0,)
 
 
 def real_part_at_650(L):
