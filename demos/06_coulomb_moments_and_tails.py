@@ -8,6 +8,7 @@ pure-imaginary-zero property is impossible for the limit law.
 """
 
 from leeyang import UNIT_DISK, mc_moment, moment_growth_fit, tail_prediction
+from leeyang.lyclass import slowtail_applies
 
 beta_sq = 1.44
 ests = []
@@ -25,5 +26,5 @@ print("note: at k <= 5 the fitted slope sits far below the asymptotic "
       "value beta^2; the k log k regime emerges only at much larger k.")
 
 pred = tail_prediction(beta_sq)
-print(f"predicted tail exponent 2/beta^2 = {pred.exponent:.4f}; "
-      f"slow-tail regime flagged: {pred.slowtail_flagged}")
+print(f"predicted tail exponent 2/beta^2 = {pred.exponent_a:.4f}; "
+      f"slow-tail regime flagged: {slowtail_applies(pred)}")

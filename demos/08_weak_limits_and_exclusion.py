@@ -26,7 +26,7 @@ print("scaled two-point laws: first zero heights",
       [f"{h:.6f}" for h in rep2.first_zero_heights],
       f"-> pi/2 = {math.pi / 2:.6f}")
 
-profile = tail_prediction(1.44).to_profile()
+profile = tail_prediction(1.44)
 rep3 = weak_limit_harness(seq2, profile, region=Rectangle(-2, 2, 0, 8))
 print(f"slow-tail limit profile (exponent {profile.exponent_a:.4f}): "
       f"contradiction flag = {rep3.contradiction_flag}")

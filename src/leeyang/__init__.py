@@ -23,7 +23,7 @@ from .chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
                     heat_kernel_circle, kernel_power, laplace_normalization,
                     make_xy_kernel)
 from .gmc import (CoulombConfig, DiscreteGmcField, Domain, GrowthFit,
-                  LatticeDomain, MomentEstimate, TailPrediction, UNIT_DISK,
+                  LatticeDomain, MomentEstimate, UNIT_DISK,
                   bin_distribution, coulomb_weight, dgff_sample,
                   gmc_moment_formula, lambda_weights, lattice_green,
                   load_field_snapshot, m_statistic, mc_moment,

@@ -13,8 +13,6 @@ XY :func:`leeyang.gibbs.edge_weight` with J = 1, exp(B (cos - 1)) <= 1, so no
 coupling overflows.  Kernels are probability densities on (-pi, pi]: values
 >= 0 on the grid and mean value times 2 pi equal to 1 within 1e-10 under
 every operation here; NaN fails both checks.
-Each (n, b) computation is deterministic and independent, so parameter grids
-parallelise trivially.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .errors import NumericalError
 from .gibbs import _TWO_PI, _convolution_power, circle_grid, edge_weight, periodized_gaussian
 
 DEFAULT_CHAIN_GRID = 512
+TOP_MODE_TOL = 1e-9  # most of its mass an n-step kernel may keep in the top grid mode
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,26 @@ def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> Circl
     return CircleKernel(values=vals / Z, log_normalization=math.log(Z))
 
 
+def _require_resolved(top: complex, n: int, N: int) -> None:
+    """NumericalError naming N unless the unit-mass top grid mode |top| <= TOP_MODE_TOL."""
+    if not abs(top) <= TOP_MODE_TOL:
+        raise NumericalError(f"grid size {N} does not resolve the {n}-step kernel: its top "
+                             f"Fourier mode holds {abs(top):.3g} of its mass "
+                             f"(limit {TOP_MODE_TOL:g})")
+
+
 def chain_vs_heat(n: int, b: float, N: int = DEFAULT_CHAIN_GRID) -> dict:
     """Distance between the n-step chain kernel at B_n = n b and the heat kernel.
 
-    Returns sup and L1 distances at time t = 1; both shrink like 1/n.
+    Returns sup and L1 distances at time t = 1; both shrink like 1/n.  A grid
+    whose top Fourier mode holds more than TOP_MODE_TOL = 1e-9 of the n-step
+    kernel's mass raises NumericalError.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need chain length n >= 2, got {n}")
-    stepped = kernel_power(make_xy_kernel(n * b, N), n)
+    one = make_xy_kernel(n * b, N)
+    _require_resolved(abs(np.fft.rfft(one.values)[-1] / one.values.sum()) ** n, n, N)
+    stepped = kernel_power(one, n)
     heat = heat_kernel_circle(1.0, b, N)
     return {
         "n": n, "b": b, "N": N,
@@ -155,7 +166,9 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
     NumericalError instead of giving a ratio off by more than about 1e-6
     relative.  The limiting value is the ratio of periodized Gaussians with
     precision b (the heat kernel of :func:`heat_kernel_circle` at t = 1) at
-    the two angle differences, returned alongside.
+    the two angle differences, returned alongside.  For n >= 2, a grid whose
+    top Fourier mode holds more than TOP_MODE_TOL = 1e-9 of the n-step
+    kernel's mass (q and the two end rows) raises NumericalError.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
@@ -173,6 +186,7 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
 
         def partial_sum(th0: float, th1: float) -> float:
             first = np.fft.rfft(edge_weight("xy", grid - th0, 1.0, B))
+            _require_resolved(q_hat[-1] * (first[-1] / first[0]) ** 2, n, N)
             inner = np.fft.irfft(first * q_hat, N)
             last = edge_weight("xy", th1 - grid, 1.0, B)
             s = float(last @ inner)

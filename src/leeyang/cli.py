@@ -33,7 +33,7 @@ from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_samp
                   mc_moment, moment_growth_fit, sample_gmc_field,
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
-from .lyclass import TailProfile, classify
+from .lyclass import TailProfile, classify, slowtail_applies
 from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, _rect_radius,
                     locate_zeros, newton_refine, refinement_stable_report,
                     zero_report_from_json)
@@ -151,7 +151,8 @@ def _cmd_classify(args) -> int:
     source = _load_dist(args.dist) if args.dist else None
     profile = None
     if args.tail_a is not None:
-        profile = TailProfile(exponent_a=args.tail_a, coefficient=args.tail_b or float("nan"),
+        b = float("nan") if args.tail_b is None else args.tail_b
+        profile = TailProfile(exponent_a=args.tail_a, coefficient=b,
                               fit_window=None, fit_residual=args.tail_residual,
                               method="user_supplied")
     zr = zero_report_from_json(Path(args.zeros).read_text()) if args.zeros else None
@@ -166,18 +167,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_chain_limit(args) -> int:
-    ns = [int(s) for s in args.n_list.split(",")]
-
-    def one(n: int) -> dict:
+    rows = []
+    for n in (int(s) for s in args.n_list.split(",")):
         row = chain_vs_heat(n, args.b, args.grid_n)
         rat = dirichlet_ratio(n, args.b, tuple(args.pair), tuple(args.pair_ref),
                               args.grid_n)
-        row["ratio"] = rat["ratio"]
-        row["limit_ratio"] = rat["limit_ratio"]
-        return row
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(one, ns))
+        rows.append(row | {"ratio": rat["ratio"], "limit_ratio": rat["limit_ratio"]})
     body = "n,b,sup_distance,l1_distance,ratio,limit_ratio\n" + "".join(
         f"{r['n']},{r['b']!r},{r['sup_distance']!r},{r['l1_distance']!r},"
         f"{r['ratio']!r},{r['limit_ratio']!r}\n" for r in rows)
@@ -211,7 +206,7 @@ def _cmd_gmc_moments(args) -> int:
     body = "k,estimate,stderr,samples,low_confidence\n" + "".join(
         f"{e.k},{e.estimate!r},{e.stderr!r},{e.samples},{int(e.low_confidence)}\n" for e in ests)
     results = {"moments": [e.as_dict() for e in ests],
-               "tail_exponent": pred.exponent, "slowtail_flagged": pred.slowtail_flagged}
+               "tail_exponent": pred.exponent_a, "slowtail_flagged": slowtail_applies(pred)}
     if fit:
         results["growth_fit"] = {"beta_sq_hat": fit.beta_sq_hat, "c_hat": fit.c_hat,
                                  "residual": fit.residual, "slope_stderr": fit.slope_stderr,
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON file with parameter defaults")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (chain-limit and gmc-moments)")
+                        help="worker threads (gmc-moments only)")
         if seed_required:
             sp.add_argument("--seed", type=int, required=True, help="master RNG seed")
 

@@ -8,10 +8,12 @@ distance|^{beta^2}.  :func:`mc_moment` estimates it by plain Monte Carlo
 with batch-means error bars, which it flags as unreliable for beta^2 >= 1
 (the weight's second moment diverges there), and a Kish effective sample
 size; :func:`moment_growth_fit` fits the growth law
-log m_{2k} = beta^2 k log k + c k, and
-:func:`tail_prediction` converts beta^2 into the stretched tail exponent
-2 / beta^2, flagging the exponent range (1, 2) where slow tails force
-off-axis zeros.
+log m_{2k} = beta^2 k log k + c k (the regression of
+:func:`leeyang.lyclass.tail_exponent`, with its own weights), and
+:func:`tail_prediction` gives the exact
+:class:`~leeyang.lyclass.TailProfile` of exponent 2 / beta^2, which
+:func:`~leeyang.lyclass.slowtail_applies` flags in the range (1, 2) where
+slow tails force off-axis zeros.
 
 Lattice side: a :class:`LatticeDomain` carries the sites of a disk (or
 square) in Z^2, the interior/boundary partition, and the Dirichlet Green's
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, NumericalError
 from .gibbs import DiscretizedDistribution, _finish_law
-from .lyclass import TailProfile, slowtail_applies
+from .lyclass import TailProfile, _growth_lstsq
 
 DENSE_SAMPLING_CAP = 4000
 MC_BATCHES = 64
@@ -316,11 +318,7 @@ def moment_growth_fit(moments) -> GrowthFit:
         w = 1.0 / sig**2
     else:
         w = np.ones_like(y)
-    X = np.stack([k * np.log(k), k], axis=1)
-    sw = np.sqrt(w)
-    coef, res_arr, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
-    fitted = X @ coef
-    resid = y - fitted
+    coef, resid, X = _growth_lstsq(k, y, w)
     dof = max(len(y) - 2, 1)
     chi2 = float(np.sum(w * resid**2))
     cov = np.linalg.inv((X * w[:, None]).T @ X)
@@ -330,31 +328,17 @@ def moment_growth_fit(moments) -> GrowthFit:
                      residual=float(np.sqrt(np.mean(resid**2))), slope_stderr=slope_se)
 
 
-@dataclass(frozen=True)
-class TailPrediction:
-    beta_sq: float
-    exponent: float
+def tail_prediction(beta_sq: float) -> TailProfile:
+    """The exact tail profile of |W_U|: exponent a = 2/beta^2, coefficient unknown.
 
-    @property
-    def slowtail_flagged(self) -> bool:
-        """The class's slow-tail rule applied to this prediction's own profile."""
-        return slowtail_applies(self.to_profile())
-
-    def to_profile(self) -> TailProfile:
-        return TailProfile(exponent_a=self.exponent, coefficient=float("nan"),
-                           fit_window=None, fit_residual=0.0, method="predicted")
-
-
-def tail_prediction(beta_sq: float) -> TailPrediction:
-    """Stretched tail exponent 2/beta^2 of |W_U|, flagged when in (1, 2).
-
-    The flag marks beta in (1, sqrt 2): tails slower than Gaussian yet
-    faster than exponential, the regime where the PIZ property is impossible
-    for the limiting law.
+    :func:`leeyang.lyclass.slowtail_applies` flags a in (1, 2), i.e. beta in
+    (1, sqrt 2): tails slower than Gaussian yet faster than exponential, the
+    regime where the PIZ property is impossible for the limiting law.
     """
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
-    return TailPrediction(beta_sq=beta_sq, exponent=2.0 / beta_sq)
+    return TailProfile(exponent_a=2.0 / beta_sq, coefficient=float("nan"),
+                       fit_window=None, fit_residual=0.0, method="predicted")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ class TailProfile:
     def __post_init__(self):
         if not self.exponent_a > 0:
             raise ValueError(f"tail exponent must be positive, got {self.exponent_a}")
+        if self.coefficient <= 0 or self.fit_residual < 0:
+            raise ValueError(f"need a tail coefficient > 0 (NaN if unknown) and a fit residual "
+                             f">= 0, got {self.coefficient} and {self.fit_residual}")
+
+
+def _growth_lstsq(k: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least squares of y = log m_{2k} on X = (k log k, k): (coef, y - X coef, X)."""
+    X = np.stack([k * np.log(k), k], axis=1)
+    sw = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
+    return coef, y - X @ coef, X
 
 
 def tail_exponent(moments=None, tail_probabilities=None, *,
@@ -88,40 +99,35 @@ def tail_exponent(moments=None, tail_probabilities=None, *,
         if keep.sum() < 2:
             keep = k >= 1
         kk, y = k[keep], np.log(m[keep])
-        X = np.stack([kk * np.log(kk), kk], axis=1)
-        W = np.diag(kk)
-        coef, *_ = np.linalg.lstsq(np.sqrt(W) @ X, np.sqrt(W) @ y, rcond=None)
+        coef, resid, _ = _growth_lstsq(kk, y, kk)
         s, c = float(coef[0]), float(coef[1])
-        fitted = X @ coef
-        residual = float(np.sqrt(np.mean((y - fitted) ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
         if s <= 0:
             raise ValueError(f"moment growth slope {s:.4g} is not positive; no stretched tail")
         a = 2.0 / s
         # moments of exp(-b t^a): log m_{2k} = (2/a) k log k + (2/a)(log(2/a) - 1 - log b) k + O(log k)
-        b_hat = (2.0 / (a * math.e)) * math.exp(-c * a / 2.0)
-        return TailProfile(exponent_a=a, coefficient=b_hat,
-                           fit_window=(float(kk[0]), float(kk[-1])),
-                           fit_residual=residual, method="from_moments")
-
-    pts = [(float(t), float(p)) for t, p in tail_probabilities if 0.0 < p < 1.0]
-    if len(pts) < 3:
-        raise ValueError("tail-probability method needs at least 3 usable points")
-    t = np.array([p[0] for p in pts])
-    p = np.array([p[1] for p in pts])
-    if np.any(t <= 0):
-        raise ValueError("tail thresholds must be positive")
-    x = np.log(t)
-    y = np.log(-np.log(p))
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    a, logb = float(coef[0]), float(coef[1])
-    fitted = A @ coef
-    residual = float(np.sqrt(np.mean((y - fitted) ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
-    if a <= 0:
-        raise ValueError(f"tail exponent fit gave non-positive a = {a:.4g}")
-    return TailProfile(exponent_a=a, coefficient=math.exp(logb),
-                       fit_window=(float(t[0]), float(t[-1])),
-                       fit_residual=residual, method="from_tail_probabilities")
+        b = (2.0 / (a * math.e)) * math.exp(-c * a / 2.0)
+        window, method = kk, "from_moments"
+    else:
+        pts = [(float(t), float(p)) for t, p in tail_probabilities if 0.0 < p < 1.0]
+        if len(pts) < 3:
+            raise ValueError("tail-probability method needs at least 3 usable points")
+        t = np.array([p[0] for p in pts])
+        p = np.array([p[1] for p in pts])
+        if np.any(t <= 0):
+            raise ValueError("tail thresholds must be positive")
+        x = np.log(t)
+        y = np.log(-np.log(p))
+        A = np.stack([x, np.ones_like(x)], axis=1)
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        resid = y - A @ coef
+        a, logb = float(coef[0]), float(coef[1])
+        if a <= 0:
+            raise ValueError(f"tail exponent fit gave non-positive a = {a:.4g}")
+        b, window, method = math.exp(logb), t, "from_tail_probabilities"
+    residual = float(np.sqrt(np.mean(resid ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
+    return TailProfile(exponent_a=a, coefficient=b,
+                       fit_window=(float(window[0]), float(window[-1])),
+                       fit_residual=residual, method=method)
 
 
 @dataclass(frozen=True)

@@ -688,7 +688,7 @@ def _axis_zeros(f: EntireMGF, evaluator, core: Rectangle, cnt: int, tol: float,
         lo, hi, cnt = bands.pop()
         h = hi - lo
         ys, grid, g = _axis_roots(evaluator, lo, hi, max(64, math.ceil(4.0 * lam * h)))
-        res = [abs(mgf_eval(f, 1j * y)) for y in ys]
+        res = _abs_values(*f._direct.values(1j * ys)).tolist()
         roots = [ZeroInfo(complex(0.0, y), r, r < tol, 1) for y, r in zip(ys, res)]
         accounted = len(roots) == cnt
         n_side = 0

@@ -314,7 +314,7 @@ def test_criterion_10_weak_limit_harness():
     drift = [abs(h - math.pi / 2) for h in rep_r.first_zero_heights]
     assert all(b < a for a, b in zip(drift[:-1], drift[1:]))
 
-    prof = tail_prediction(1.44).to_profile()
+    prof = tail_prediction(1.44)
     assert abs(prof.exponent_a - 1.3889) < 1e-4
     v = classify(profile=prof)
     assert v.verdict == VERDICT_SLOWTAIL

@@ -22,7 +22,10 @@ def test_benchmark_tracer_records_spans(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        zeros.locate_zeros(zeros.EntireMGF(rademacher()), zeros.Rectangle(-1, 1, 0, 2))
+        f = zeros.EntireMGF(rademacher())
+        zeros.locate_zeros(f, zeros.Rectangle(-1, 1, 0, 2))
+        # locate_zeros takes its axis residuals in one batch, not through mgf_eval
+        zeros.mgf_eval(f, 0.5j)
         chain.chain_vs_heat(16, 1.0, 64)
         dist = gibbs.observable_distribution(ModelSpec("villain", single_edge_graph()), 16)
     finally:

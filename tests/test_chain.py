@@ -232,6 +232,22 @@ def test_dirichlet_ratio_refuses_unresolved_tail():
     assert abs(got / dense_dirichlet_ratio(*args) - 1.0) < 1e-6
 
 
+def test_unresolved_grid_is_refused():
+    # on 1, 2, 3 or 8 points the n-step kernel keeps 0.55 to 1 of its mass in
+    # the top Fourier mode (N = 16 keeps 5.9e-10 at n = 16, b = 1)
+    for N in (1, 2, 3, 8):
+        with pytest.raises(NumericalError, match=f"grid size {N} does not resolve"):
+            chain_vs_heat(16, 1.0, N)
+        for n in (2, 16):
+            with pytest.raises(NumericalError, match=f"grid size {N} does not resolve"):
+                dirichlet_ratio(n, 1.0, (0.0, 1.0), (0.0, 0.0), N)
+    chain_vs_heat(16, 1.0, 16)
+    dirichlet_ratio(16, 1.0, (0.0, 1.0), (0.0, 0.0), 16)
+    # the one-edge closed form needs no grid
+    r = dirichlet_ratio(1, 1.0, (0.0, 1.0), (0.0, 0.0), 1)
+    assert r["ratio"] == math.exp(1.0 * (math.cos(1.0) - math.cos(0.0)))
+
+
 def test_dirichlet_ratio_validates_angles():
     with pytest.raises(ValueError, match="outside"):
         dirichlet_ratio(8, 1.0, (4.0, 0.0), (0.0, 0.0), 128)

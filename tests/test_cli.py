@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,8 @@ from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
 from leeyang.gmc import load_field_snapshot
 from leeyang.zeros import OFFAXIS_FACTOR
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EDGE_GRAPH = json.dumps({
     "vertices": ["x", "y"], "edges": [["x", "y"]],
@@ -96,6 +101,29 @@ def test_classify_from_tail(tmp_path):
     assert doc["results"]["tail_method"] == "user_supplied"
 
 
+@pytest.mark.parametrize("extra", [["--tail-b", "0"], ["--tail-b", "-1"],
+                                   ["--tail-residual", "-0.1"]],
+                         ids=["zero-b", "negative-b", "negative-residual"])
+def test_classify_refuses_impossible_tail_profile(extra, tmp_path, capsys):
+    # b = 0 is no sub-Gaussian bound, b < 0 none at all, and a negative
+    # residual would read as a confident fit
+    out = tmp_path / "c"
+    assert main(["classify", "--tail-a", "2.5", *extra, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tail coefficient > 0" in capsys.readouterr().err
+
+
+def test_classify_without_tail_b_writes_unknown_b(tmp_path):
+    out = str(tmp_path / "c")
+    assert main(["classify", "--tail-a", "2.5", "--out", out]) == 0
+    doc = json.loads((Path(out) / "class_verdict.json").read_text())
+    assert doc["results"]["subgaussian_evidence"] == "yes"
+    assert doc["results"]["subgaussian_b"] is None
+    assert main(["classify", "--tail-a", "2.5", "--tail-b", "0.5", "--out", out]) == 0
+    doc = json.loads((Path(out) / "class_verdict.json").read_text())
+    assert doc["results"]["subgaussian_b"] == 0.5
+
+
 def test_classify_needs_evidence(tmp_path, capsys):
     assert main(["classify", "--out", str(tmp_path)]) == 2
 
@@ -135,6 +163,22 @@ def test_chain_limit_strong_coupling_is_finite(tmp_path):
         assert all(math.isfinite(r[k]) for k in
                    ("sup_distance", "l1_distance", "ratio", "limit_ratio"))
     assert 1.6 <= rows[0]["sup_distance"] / rows[1]["sup_distance"] <= 2.4
+
+
+@pytest.mark.parametrize("grid", ["1", "2", "3"])
+def test_chain_limit_refuses_unresolved_grid(grid, tmp_path, capsys):
+    # a grid of 1-3 points holds the grid's own kernel, not the chain's: the
+    # distances it would report measure the grid
+    out = tmp_path / "c"
+    assert main(["chain-limit", "--n-list", "4,16", "--grid-n", grid, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"grid size {grid} does not resolve" in capsys.readouterr().err
+
+
+def test_dirichlet_ratio_unresolved_grid(tmp_path):
+    # the one-edge closed form needs no grid; two edges on two points do
+    assert main(["dirichlet-ratio", "--n", "1", "--grid-n", "1", "--out", str(tmp_path)]) == 0
+    assert main(["dirichlet-ratio", "--n", "2", "--grid-n", "2", "--out", str(tmp_path)]) == 1
 
 
 def test_dirichlet_ratio_output(tmp_path):
@@ -452,6 +496,26 @@ def test_threads_default_ignores_environment(monkeypatch):
     monkeypatch.setenv("LEEYANG_THREADS", "3")
     args = build_parser().parse_args(["gmc-moments", "--beta-sq", "0.5", "--seed", "1"])
     assert args.threads == 1
+
+
+def test_blas_threads_do_not_change_gmc_moments(tmp_path):
+    # the Coulomb-gas sampler reduces in a fixed order without BLAS, so its
+    # bits must not depend on the BLAS thread count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        proc = subprocess.run([sys.executable, "-m", "leeyang.cli", "gmc-moments",
+                               "--beta-sq", "1.44", "--k-max", "3", "--samples", "20000",
+                               "--seed", "7", "--out", str(out)],
+                              env=env | {"OPENBLAS_NUM_THREADS": blas},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        rows = [ln for ln in (out / "gmc_moments.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        outs.append((json.loads((out / "gmc_moments.json").read_text())["results"], rows))
+    assert outs[0] == outs[1]
 
 
 def test_threads_do_not_change_results(tmp_path):

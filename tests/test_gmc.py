@@ -19,6 +19,7 @@ from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
                          sample_m_statistics, save_field_snapshot,
                          tail_prediction)
 from leeyang.gibbs import distribution_from_atoms
+from leeyang.lyclass import slowtail_applies
 from leeyang.gmc import _log_coulomb
 
 
@@ -314,13 +315,17 @@ def test_growth_fit_rejections():
 
 def test_tail_prediction_values():
     p = tail_prediction(1.44)
-    assert abs(p.exponent - 2.0 / 1.44) < 1e-15
-    assert p.slowtail_flagged
-    assert not tail_prediction(1.0).slowtail_flagged
-    assert abs(tail_prediction(0.64).exponent - 3.125) < 1e-15
-    assert not tail_prediction(0.64).slowtail_flagged
-    prof = p.to_profile()
-    assert prof.exponent_a == p.exponent
+    assert abs(p.exponent_a - 2.0 / 1.44) < 1e-15
+    assert slowtail_applies(p)
+    assert not slowtail_applies(tail_prediction(1.0))
+    assert abs(tail_prediction(0.64).exponent_a - 3.125) < 1e-15
+    assert not slowtail_applies(tail_prediction(0.64))
+    # the exact profile: exponent 2/beta^2, coefficient unknown, no fit
+    assert (p.exponent_a, p.fit_window, p.fit_residual, p.method) == \
+        (2.0 / 1.44, None, 0.0, "predicted")
+    assert math.isnan(p.coefficient)
+    with pytest.raises(ValueError, match="beta"):
+        tail_prediction(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import pytest
 
 from leeyang.gibbs import (DiscretizedDistribution, discretized_gaussian,
                            rademacher)
-from leeyang.gmc import tail_prediction
+from leeyang.gmc import moment_growth_fit, tail_prediction
 from leeyang.lyclass import (TailProfile, VERDICT_CONSISTENT, VERDICT_OFFAXIS,
                              VERDICT_SLOWTAIL, VERDICT_UNDETERMINED,
-                             classify, tail_exponent, weak_limit_harness)
+                             classify, slowtail_applies, tail_exponent,
+                             weak_limit_harness)
 from leeyang.zeros import EntireMGF, Rectangle, locate_zeros
 
 
@@ -75,6 +76,92 @@ def test_tail_exponent_rejections():
         tail_exponent(moments=[1.0, 2.0, 3.0, 4.0], tail_probabilities=[(1, 0.5)])
 
 
+def former_tail_exponent_fit(m, min_k):
+    """tail_exponent's own k log k regression before it was shared with
+    moment_growth_fit: a diagonal weight matrix diag(k) multiplied in."""
+    m = np.asarray(m, dtype=float)
+    k = np.arange(1, len(m) + 1, dtype=float)
+    keep = k >= min_k
+    if keep.sum() < 2:
+        keep = k >= 1
+    kk, y = k[keep], np.log(m[keep])
+    X = np.stack([kk * np.log(kk), kk], axis=1)
+    W = np.diag(kk)
+    coef, *_ = np.linalg.lstsq(np.sqrt(W) @ X, np.sqrt(W) @ y, rcond=None)
+    s, c = float(coef[0]), float(coef[1])
+    fitted = X @ coef
+    residual = float(np.sqrt(np.mean((y - fitted) ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
+    a = 2.0 / s
+    b_hat = (2.0 / (a * math.e)) * math.exp(-c * a / 2.0)
+    return a, b_hat, (float(kk[0]), float(kk[-1])), residual
+
+
+def former_growth_fit(rows):
+    """moment_growth_fit's own regression before it was shared with tail_exponent."""
+    k = np.array([r[0] for r in rows], dtype=float)
+    est = np.array([r[1] for r in rows])
+    se = np.array([r[2] for r in rows])
+    y = np.log(est)
+    sig = np.where(se > 0, se / est, 0.0)
+    if np.all(sig > 0):
+        w = 1.0 / sig**2
+    else:
+        w = np.ones_like(y)
+    X = np.stack([k * np.log(k), k], axis=1)
+    sw = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
+    resid = y - X @ coef
+    dof = max(len(y) - 2, 1)
+    chi2 = float(np.sum(w * resid**2))
+    cov = np.linalg.inv((X * w[:, None]).T @ X)
+    scale = max(1.0, chi2 / dof) if np.all(sig > 0) else chi2 / dof
+    return (float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))),
+            float(math.sqrt(cov[0, 0] * scale)))
+
+
+def growth_inputs():
+    """Moment sequences for the bit-identity checks: exact Gaussian and
+    stretched-exponential moments and noisy k log k growth, K = 4..39."""
+    seqs = [[float(double_factorial(2 * k - 1)) for k in range(1, K + 1)] for K in (4, 9, 20)]
+    seqs += [[math.gamma((2 * k + 1) / 1.4) / math.gamma(1 / 1.4) for k in range(1, K + 1)]
+             for K in (5, 12, 39)]
+    rng = np.random.default_rng(18)
+    for K in (4, 6, 11, 25):
+        k = np.arange(1, K + 1)
+        logm = rng.uniform(0.8, 2.5) * k * np.log(k) + rng.uniform(0.5, 1.5) * k
+        seqs.append(list(np.exp(logm + rng.normal(0.0, 0.01, K))))
+    return seqs
+
+
+@pytest.mark.parametrize("min_k", [1, 3])
+def test_tail_exponent_keeps_its_former_fit_bits(min_k):
+    for ms in growth_inputs():
+        prof = tail_exponent(moments=ms, min_k=min_k)
+        a, b, window, residual = former_tail_exponent_fit(ms, min_k)
+        assert (prof.exponent_a, prof.coefficient, prof.fit_window, prof.fit_residual) == \
+            (a, b, window, residual)
+
+
+def test_moment_growth_fit_keeps_its_former_fit_bits():
+    rng = np.random.default_rng(19)
+    for ms in growth_inputs():
+        exact = [(k, m, 0.0) for k, m in enumerate(ms, 1)]
+        noisy = [(k, m, m * rng.uniform(0.01, 0.2)) for k, m in enumerate(ms, 1)]
+        mixed = noisy[:-1] + [exact[-1]]
+        for rows in (exact, noisy, mixed):
+            fit = moment_growth_fit(rows)
+            assert (fit.beta_sq_hat, fit.c_hat, fit.residual, fit.slope_stderr) == \
+                former_growth_fit(rows)
+
+
+@pytest.mark.parametrize("coefficient, residual", [(0.0, 0.0), (-1.0, 0.0), (-math.inf, 0.0),
+                                                   (1.0, -0.01)])
+def test_tail_profile_refuses_impossible_fits(coefficient, residual):
+    with pytest.raises(ValueError, match="tail coefficient > 0"):
+        TailProfile(exponent_a=2.5, coefficient=coefficient, fit_window=None,
+                    fit_residual=residual, method="user_supplied")
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -131,8 +218,8 @@ def test_predicted_slow_tail_agrees_with_classify(beta_sq):
     # an exact exponent 2/beta^2 in (1, 1.05] is no fit, so the Poisson
     # guard does not hold it back: the flag and the verdict say the same
     pred = tail_prediction(beta_sq)
-    v = classify(profile=pred.to_profile())
-    assert pred.slowtail_flagged
+    v = classify(profile=pred)
+    assert slowtail_applies(pred)
     assert v.verdict == VERDICT_SLOWTAIL and v.subgaussian_evidence == "no"
 
 

@@ -760,3 +760,25 @@ def test_spectral_cross_check_reads_the_direct_sum(monkeypatch):
     f = EntireMGF(d)
     f.evaluator(R)
     assert f.fast_path == "direct"
+
+
+@pytest.mark.parametrize("law, located", [
+    (lambda: observable_distribution(ModelSpec("villain", path_graph(3)), 128), True),
+    (rademacher, True),
+    (lambda: discretized_gaussian(1.0), False),
+    (lambda: observable_distribution(ModelSpec("xy", path_graph(3)), 64, symmetrize=False),
+     False),
+], ids=["villain-path3-128", "rademacher", "gaussian", "xy-path3-unsymmetrised"])
+def test_axis_residuals_in_one_batch_match_mgf_eval(law, located):
+    # _axis_zeros takes a band's root residuals in one direct-sum batch; each
+    # must carry the bits mgf_eval gives at that root alone
+    f = EntireMGF(law())
+    ys = np.concatenate([np.linspace(0.0, 8.0, 29), [math.pi / 2, 1.2345678901234567]])
+    batch = zeros._abs_values(*f._direct.values(1j * ys)).tolist()
+    assert batch == [abs(mgf_eval(f, 1j * y)) for y in ys]
+    if located:
+        axis = [z for z in locate_zeros(f, Rectangle(-4.0, 4.0, 0.0, 8.0)).zeros
+                if z.location.real == 0.0]
+        assert axis
+        for z in axis:
+            assert type(z.residual) is float and z.residual == abs(mgf_eval(f, z.location))
