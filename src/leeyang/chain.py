@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gibbs import _TWO_PI, _convolution_power, circle_grid, edge_weight, periodized_gaussian
+from .gibbs import (_TWO_PI, _convolution_power, _require_resolved, circle_grid, edge_weight,
+                    periodized_gaussian)
 
 DEFAULT_CHAIN_GRID = 512
-TOP_MODE_TOL = 1e-9  # most of its mass an n-step kernel may keep in the top grid mode
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,6 @@ def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> Circl
     vals = np.asarray(periodized_gaussian(circle_grid(N), b / t))
     Z = float(vals.sum()) * _TWO_PI / N
     return CircleKernel(values=vals / Z, log_normalization=math.log(Z))
-
-
-def _require_resolved(top: complex, n: int, N: int) -> None:
-    """NumericalError naming N unless the unit-mass top grid mode |top| <= TOP_MODE_TOL."""
-    if not abs(top) <= TOP_MODE_TOL:
-        raise NumericalError(f"grid size {N} does not resolve the {n}-step kernel: its top "
-                             f"Fourier mode holds {abs(top):.3g} of its mass "
-                             f"(limit {TOP_MODE_TOL:g})")
 
 
 def chain_vs_heat(n: int, b: float, N: int = DEFAULT_CHAIN_GRID) -> dict:

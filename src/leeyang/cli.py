@@ -34,9 +34,8 @@ from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_samp
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
-from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, _rect_radius,
-                    locate_zeros, newton_refine, refinement_stable_report,
-                    zero_report_from_json)
+from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, locate_zeros,
+                    newton_refine, refinement_stable_report, zero_report_from_json)
 
 FORMAT_VERSION = 1
 
@@ -242,12 +241,11 @@ def _cmd_m_stat(args) -> int:
         raise ValueError("m-stat --bootstrap must be at least 0")
     if args.bins < 1:
         raise ValueError("m-stat --bins must be at least 1 (one bin on each side of 0)")
+    region = Rectangle(*args.region)
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     dist = bin_distribution(samples, B=args.bins)
-    f = EntireMGF(dist)
-    region = Rectangle(*args.region)
-    report = locate_zeros(f, region, args.tol)
+    report = locate_zeros(EntireMGF(dist), region, args.tol)
 
     # bootstrap error bars on each located zero: one lockstep Newton per
     # replicate from every baseline zero; a replicate that does not reach
@@ -258,7 +256,7 @@ def _cmd_m_stat(args) -> int:
     for _ in range(args.bootstrap):
         res = rng.choice(samples, size=len(samples), replace=True)
         fb = EntireMGF(bin_distribution(res, B=args.bins))
-        zz, _, ok = newton_refine(fb, fb.evaluator(_rect_radius(region)), starts, args.tol)
+        zz, _, ok = newton_refine(fb, starts, args.tol)
         for boots, z, converged in zip(boot_lists, zz, ok):
             boots.append(z if converged else None)
     # a zero on the imaginary axis (a symmetrised law's) has a real part that

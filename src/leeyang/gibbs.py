@@ -46,6 +46,7 @@ COALESCE_TOL = 1e-12
 DEFAULT_GRID = 128
 DEFAULT_EVAL_BUDGET = 10**8
 PERIODIZED_GAUSSIAN_TOL = 1e-16
+TOP_MODE_TOL = 1e-9  # most of its mass an n-step kernel may keep in the top grid mode
 
 _TWO_PI = 2.0 * math.pi
 
@@ -436,6 +437,15 @@ def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
     return pn / pn.sum()
 
 
+def _require_resolved(top: complex, n: int, N: int) -> None:
+    """NumericalError naming N unless |top| <= TOP_MODE_TOL, for ``top`` the top grid
+    mode of an n-step chain kernel over its mass (here and in :mod:`leeyang.chain`)."""
+    if not abs(top) <= TOP_MODE_TOL:
+        raise NumericalError(f"grid size {N} does not resolve the {n}-step kernel: its top "
+                             f"Fourier mode holds {abs(top):.3g} of its mass "
+                             f"(limit {TOP_MODE_TOL:g})")
+
+
 def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
                                 N: int = DEFAULT_GRID, *,
                                 symmetrize: bool = True) -> DiscretizedDistribution:
@@ -445,13 +455,16 @@ def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
     and the one-step transition density on the grid is the row-normalised
     circulant of the XY :func:`edge_weight` with J = 1.  The n-step kernel is
     its n-fold circle convolution power (:func:`_convolution_power`), which
-    agrees with n repeated kernel applications to machine precision.
+    agrees with n repeated kernel applications to machine precision, on a
+    grid that resolves it (:func:`_require_resolved`, else NumericalError).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
     _check_grid(N)
     cosg = np.cos(circle_grid(N))
-    pn = _convolution_power(edge_weight("xy", circle_grid(N), 1.0, B), n)
+    row = edge_weight("xy", circle_grid(N), 1.0, B)
+    _require_resolved((np.fft.rfft(row)[-1] / row.sum()) ** n, n, N)
+    pn = _convolution_power(row, n)
 
     lam0, lam1 = float(lam_ends[0]), float(lam_ends[1])
     # value over (start index i, step d): lam0 cos theta_i + lam1 cos theta_{i+d}

@@ -57,11 +57,12 @@ class TailProfile:
     method: str
 
     def __post_init__(self):
-        if not self.exponent_a > 0:
-            raise ValueError(f"tail exponent must be positive, got {self.exponent_a}")
-        if self.coefficient <= 0 or self.fit_residual < 0:
-            raise ValueError(f"need a tail coefficient > 0 (NaN if unknown) and a fit residual "
-                             f">= 0, got {self.coefficient} and {self.fit_residual}")
+        if not 0 < self.exponent_a < math.inf:
+            raise ValueError(f"tail exponent must be finite and positive, got {self.exponent_a}")
+        b = self.coefficient
+        if not ((math.isnan(b) or 0 < b < math.inf) and 0 <= self.fit_residual < math.inf):
+            raise ValueError(f"need a finite tail coefficient > 0 (NaN if unknown) and a finite "
+                             f"fit residual >= 0, got {b} and {self.fit_residual}")
 
 
 def _growth_lstsq(k: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -8,20 +8,21 @@ axis (the "pure imaginary zeros" property).
 The toolchain is:
 
 * :func:`mgf_eval` -- f(z) alone at one point by the direct atom sum, with
-  the bits of the batch evaluator's f; it takes a symmetric source over its
+  the bits of the direct evaluator's f; it takes a symmetric source over its
   nonnegative half (so f(iy) is exactly real) and is scaled against
   overflow; every reported residual is one of these;
-* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours,
-  axis samples and Newton steps: the same direct sum, or its spectral
-  compression for sources with many atoms; its one method
-  ``eval_pair_batch`` returns f and f' as mantissas sharing one log-scale;
+* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours and
+  axis samples: the same direct sum, or its spectral compression for
+  sources with many atoms; its one method ``values`` returns f as
+  mantissas and their log-scales;
 * :func:`count_zeros_rectangle` -- winding number along the rectangle
   boundary with adaptive phase tracking (segments are bisected until every
   phase increment is below pi/2);
 * :func:`locate_zeros` -- a :class:`ZeroReport`; for a symmetric source the
   axis-symmetric part of the region is certified by the bisected sign
   changes of the real g(y) = f(iy), everything else by recursive rectangle
-  subdivision driven by the counter and :func:`newton_refine`;
+  subdivision driven by the counter and :func:`newton_refine`, whose f and
+  f' are always the direct sum's;
 * :func:`hadamard_fit` -- the quadratic coefficient B and the variance
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
@@ -76,8 +77,9 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_max > self.re_min and self.im_max > self.im_min):
-            raise ValueError(f"degenerate rectangle {self}")
+        # NaN fails both comparisons, an infinite bound the second
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"degenerate or non-finite rectangle {self}")
 
     @property
     def width(self) -> float:
@@ -189,7 +191,8 @@ class _DirectEvaluator:
     f'(iy) exactly imaginary.  Other points and sources are summed over all
     atoms of exp(z x_j - shift), shift = max_j Re z x_j.  Each point is one
     row of numpy's pairwise sums, so it gets the same bits in any batch, and
-    f gets the same bits with or without f'.
+    f gets the same bits with or without f'.  ``eval_pair_batch`` is the one
+    source of f' in the package: :func:`newton_refine` reads it.
     """
 
     path, K, xval_ratio, radius = "direct", None, None, math.inf
@@ -297,11 +300,11 @@ class _SpectralEvaluator:
     Writing x = L u with u in [-1, 1] and w = z L, the expansion
     exp(w u) = I_0(w) + 2 sum_k I_k(w) T_k(u) turns f(z) into
     m_0 I_0(w) + 2 sum_k m_k I_k(w) with m_k the (exact) Chebyshev moments
-    of the measure, and f'(z) likewise with the moments m'_k of x dmu.  For
-    a symmetric source the moments come from the nonnegative half
-    (``EntireMGF._cosh_half``) with doubled weights and exact parity, since
-    T_k(-u) = (-1)^k T_k(u): odd m_k and even m'_k vanish, and the atom at 0
-    adds w_0 T_k(0) = w_0 (-1)^(k/2) to the even m_k.  The Bessel row
+    of the measure; it answers f only, as ``values``, since Newton steps
+    read the direct sum.  For a symmetric source the moments come from the
+    nonnegative half (``EntireMGF._cosh_half``) with doubled weights and
+    exact parity, since T_k(-u) = (-1)^k T_k(u): odd m_k vanish, and the
+    atom at 0 adds w_0 T_k(0) = w_0 (-1)^(k/2) to the even m_k.  The Bessel row
     I_0..I_K at complex w is obtained spectrally as the Fourier coefficients
     of t -> exp(w cos t).  Truncation K is chosen so the neglected terms are
     below machine precision for |z| <= radius; the instance is
@@ -324,42 +327,37 @@ class _SpectralEvaluator:
             ws = 2.0 * ws
         else:
             ws, xs = f.source.ws, f.source.xs
-        m, md = _chebyshev_moments(xs / self.scale, np.column_stack([ws, ws * xs]), K).T
+        # the ws * xs column is not used, but a one-column product rounds
+        # differently in BLAS and moves zero-ladder axis zeros where |g'| ~ 1e-10
+        m = _chebyshev_moments(xs / self.scale, np.column_stack([ws, ws * xs]), K)[:, 0]
         if f.symmetric:
             m[1::2] = 0.0
-            md[0::2] = 0.0
             m[0::2] += at0 * (-1.0) ** np.arange(len(m[0::2]))
         m[1:] *= 2.0
-        md[1:] *= 2.0
         self._m = m
-        self._md = md
         self._cos_t = np.cos(2.0 * math.pi * np.arange(self.M) / self.M)
         self._symmetric = f.symmetric
         self._validate(f)
 
-    def eval_pair_batch(self, zs):
-        """(f, f') of an array of z; the log-scale is 0 at every point."""
+    def values(self, zs):
+        """(f, log-scales) of an array of z; the log-scale is 0 at every point."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         out_f = np.empty(zs.shape, dtype=complex)
-        out_df = np.empty(zs.shape, dtype=complex)
         chunk = max(1, int(2e6 // self.M))
         for i in range(0, len(zs), chunk):
             w = zs[i:i + chunk] * self.scale
             g = np.exp(w[:, None] * self._cos_t[None, :])
             coeff = np.fft.fft(g, axis=1)[:, : self.K + 1] / self.M
             out_f[i:i + chunk] = coeff @ self._m
-            out_df[i:i + chunk] = coeff @ self._md
         if self._symmetric:
-            # f(iy) = E cos(yX) is real and f'(iy) = i E[X sin(yX)] imaginary;
-            # the FFT's rounding would leave about 1e-16 in the other part
-            axis = zs.real == 0.0
-            out_f.imag[axis] = 0.0
-            out_df.real[axis] = 0.0
-        return out_f, out_df, np.zeros(zs.shape)
+            # f(iy) = E cos(yX) is real; the FFT's rounding would leave about
+            # 1e-16 in its imaginary part
+            out_f.imag[zs.real == 0.0] = 0.0
+        return out_f, np.zeros(zs.shape)
 
     def _validate(self, f: EntireMGF):
         pts = self.radius * np.array(_XVAL_POINTS)
-        fast, _, _ = self.eval_pair_batch(pts)
+        fast, _ = self.values(pts)
         mant, shift = f._direct.values(pts)
         direct = np.array([_unscale(m, s) for m, s in zip(mant, shift)])
         scale = np.exp(np.abs(pts.real) * self.scale)
@@ -374,14 +372,14 @@ def _unscale(mant: complex, shift: float) -> complex:
     log_abs = shift + math.log(abs(mant)) if mant != 0 else -math.inf
     if log_abs > 700.0:
         raise OverflowError(f"|f(z)| overflows float64; log scale {shift:.6g}, "
-                            f"use f.evaluator(radius).eval_pair_batch for the mantissa")
+                            f"use f.evaluator(radius).values for the mantissa")
     return complex(mant * math.exp(shift))
 
 
 def mgf_eval(f: EntireMGF, z: complex) -> complex:
     """f(z) = sum_j w_j exp(z x_j): the direct sum ``f._direct`` at one point.
 
-    Computes f only, with the same bits as the f of ``eval_pair_batch``.
+    Computes f only, with the same bits as the direct evaluator's ``values``.
     Every reported residual is one of these.  A value too large for float64
     raises an OverflowError naming its log-scale.
     """
@@ -411,7 +409,7 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
             pts.append(a + (b - a) * (t / per_side))
     pts.append(corners[0])
     zs = np.array(pts, dtype=complex)
-    mant, _, shift = evaluator.eval_pair_batch(zs)
+    mant, shift = evaluator.values(zs)
 
     min_seg = 1e-12 * max(rect.diameter, 1e-30)
     for _ in range(64):
@@ -431,7 +429,7 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
         if np.any(seg_len < min_seg):
             raise NumericalError("zero on contour: phase jump persists at segment scale")
         mids = 0.5 * (zs[bad] + zs[bad + 1])
-        m_mant, _, m_shift = evaluator.eval_pair_batch(mids)
+        m_mant, m_shift = evaluator.values(mids)
         zs = np.insert(zs, bad + 1, mids)
         mant = np.insert(mant, bad + 1, m_mant)
         shift = np.insert(shift, bad + 1, m_shift)
@@ -541,19 +539,19 @@ def _abs_values(mant, shift) -> np.ndarray:
     return np.array([abs(_unscale(m, s)) for m, s in zip(mant, shift)])
 
 
-def newton_refine(f: EntireMGF, evaluator, z0, tol: float, max_iter: int = 100):
-    """Newton from each start in ``z0`` with steps from ``evaluator``, in lockstep.
+def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
+    """Newton from each start in ``z0`` on the direct sum ``f._direct``, in lockstep.
 
     Returns arrays (z, |f(z)|, converged), one entry per start (a scalar is
     one start).  Convergence means the direct-sum residual mgf_eval is below
     ``tol``; one polishing step is taken past that gate.  A start also stops
     where f' = 0, where its step falls below 1e-16 (1 + |z|), or after
     ``max_iter`` steps; then its residual is evaluated at its last z.  Every
-    iteration evaluates the starts still running in one batch; the direct
-    sum gives each point the bits of a batch of its own, so on that path
-    each start ends exactly where a run from it alone would.  When
-    ``evaluator`` is the direct sum, the residual is read off the evaluation
-    that gives the step.
+    iteration evaluates the starts still running in one ``eval_pair_batch``
+    of the direct sum, which gives each point the bits of a batch of its
+    own: each start ends exactly where a run from it alone would, whichever
+    batch evaluator counted the zeros.  Each residual is read off the
+    evaluation that gives the step.
     """
     z = np.array(z0, dtype=complex).reshape(-1)
     res = np.empty(z.shape)
@@ -562,11 +560,8 @@ def newton_refine(f: EntireMGF, evaluator, z0, tol: float, max_iter: int = 100):
     for _ in range(max_iter):
         if not len(run):
             break
-        fz, dfz, shift = evaluator.eval_pair_batch(z[run])
-        if evaluator is f._direct:
-            r = _abs_values(fz, shift)
-        else:
-            r = _abs_values(*f._direct.values(z[run]))
+        fz, dfz, shift = f._direct.eval_pair_batch(z[run])
+        r = _abs_values(fz, shift)
         conv, move = r < tol, dfz != 0
         step = np.zeros(fz.shape, dtype=complex)
         np.divide(fz, dfz, out=step, where=move)
@@ -587,7 +582,7 @@ def newton_refine(f: EntireMGF, evaluator, z0, tol: float, max_iter: int = 100):
     return z, res, ok
 
 
-def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: float,
+def _split_and_newton(f: EntireMGF, rect: Rectangle, cnt: int, tol: float,
                       cells: list, notes: list[str]) -> list[ZeroInfo]:
     """The general path: split rect until each cell holds one zero, then Newton.
 
@@ -602,7 +597,7 @@ def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: f
             cells.append((rect, 0))
             continue
         if (cnt == 1 and rect.diameter < MIN_CELL_DIAM) or rect.diameter < 1e-5:
-            (z,), (res,), (ok,) = newton_refine(f, evaluator, rect.center, tol)
+            (z,), (res,), (ok,) = newton_refine(f, rect.center, tol)
             found.append(ZeroInfo(z, float(res), bool(ok), cnt))
             cells.append((rect, cnt))
             if cnt != 1:
@@ -627,7 +622,7 @@ def _split_and_newton(f: EntireMGF, evaluator, rect: Rectangle, cnt: int, tol: f
 
 def _axis_values(evaluator, ys: np.ndarray) -> np.ndarray:
     """g(y) = f(iy), real for a symmetric source; the log-scale is 0 on the axis."""
-    return evaluator.eval_pair_batch(1j * ys)[0].real
+    return evaluator.values(1j * ys)[0].real
 
 
 def _axis_roots(evaluator, lo: float, hi: float, n: int):
@@ -706,8 +701,7 @@ def _axis_zeros(f: EntireMGF, evaluator, core: Rectangle, cnt: int, tol: float,
         found += roots
         cells.append((Rectangle(-m, m, lo, hi), cnt))
         if accounted and n_side:
-            for z in _split_and_newton(f, evaluator, Rectangle(h, m, lo, hi), n_side,
-                                       tol, cells, notes):
+            for z in _split_and_newton(f, Rectangle(h, m, lo, hi), n_side, tol, cells, notes):
                 found += [z, replace(z, location=complex(-z.location.real, z.location.imag))]
         elif cnt > len(roots):
             y = float(grid[np.argmin(np.abs(g))])
@@ -751,7 +745,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
         found += _axis_zeros(f, evaluator, core, core_cnt, tol, cells, notes)
         general = [(s, count_zeros_rectangle(f, s)) for s in strips]
     for rect, cnt in general:
-        found += _split_and_newton(f, evaluator, rect, cnt, tol, cells, notes)
+        found += _split_and_newton(f, rect, cnt, tol, cells, notes)
 
     # merge duplicates (Newton iterates that converged to the same point)
     merged: list[ZeroInfo] = []

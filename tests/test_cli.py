@@ -101,16 +101,28 @@ def test_classify_from_tail(tmp_path):
     assert doc["results"]["tail_method"] == "user_supplied"
 
 
-@pytest.mark.parametrize("extra", [["--tail-b", "0"], ["--tail-b", "-1"],
-                                   ["--tail-residual", "-0.1"]],
-                         ids=["zero-b", "negative-b", "negative-residual"])
+@pytest.mark.parametrize("extra", [["--tail-b", "0"], ["--tail-b", "-1"], ["--tail-b", "inf"],
+                                   ["--tail-residual", "-0.1"], ["--tail-residual", "nan"],
+                                   ["--tail-residual", "inf"]],
+                         ids=["zero-b", "negative-b", "infinite-b", "negative-residual",
+                              "nan-residual", "infinite-residual"])
 def test_classify_refuses_impossible_tail_profile(extra, tmp_path, capsys):
     # b = 0 is no sub-Gaussian bound, b < 0 none at all, and a negative
-    # residual would read as a confident fit
+    # residual would read as a confident fit; an infinite b or residual, or a
+    # NaN residual, is no fit either
     out = tmp_path / "c"
     assert main(["classify", "--tail-a", "2.5", *extra, "--out", str(out)]) == 2
     assert not out.exists()
     assert "tail coefficient > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a", ["inf", "nan"])
+def test_classify_refuses_non_finite_tail_exponent(a, tmp_path, capsys):
+    # a usage error, not a NaN or infinity in the report
+    out = tmp_path / "c"
+    assert main(["classify", "--tail-a", a, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tail exponent must be finite" in capsys.readouterr().err
 
 
 def test_classify_without_tail_b_writes_unknown_b(tmp_path):
@@ -422,6 +434,26 @@ def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", [["0", "inf", "0", "8"], ["-4", "4", "0", "nan"],
+                                    ["1", "-1", "0", "8"]], ids=["inf", "nan", "empty"])
+def test_region_must_be_a_finite_rectangle(region, edge_graph, tmp_path, capsys, monkeypatch):
+    # refused as a usage error before any sampling, law or output
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a region that is no rectangle")
+
+    monkeypatch.setattr(cli, "sample_m_statistics", no_work)
+    monkeypatch.setattr(cli, "observable_distribution", no_work)
+    three = tmp_path / "three.csv"
+    three.write_text(THREE_ATOM_CSV)
+    for argv in (["zeros", "--dist", str(three)],
+                 ["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--seed", "1"],
+                 ["villain-verify", "--graph", edge_graph]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--region", *region, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "degenerate or non-finite rectangle" in capsys.readouterr().err
 
 
 def test_m_stat_refuses_no_bins_before_sampling(monkeypatch, tmp_path, capsys):

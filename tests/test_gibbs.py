@@ -371,6 +371,16 @@ def test_chain_converges_to_villain_edge():
     assert gaps[2] < 1e-3
 
 
+def test_chain_law_refuses_unresolved_grid():
+    # the rule of leeyang.chain: on 8 points the 16-step kernel at B = 16
+    # keeps 0.55 of its mass in the top Fourier mode, and the law's f(1)
+    # would read 2.2178 against 1.9887
+    with pytest.raises(NumericalError, match="grid size 8 does not resolve the 16-step"):
+        transfer_chain_distribution(16, 16.0, (1.0, 1.0), 8)
+    f = EntireMGF(transfer_chain_distribution(16, 16.0, (1.0, 1.0), 64))
+    assert abs(mgf_eval(f, 1.0) - 1.9887) < 1e-4
+
+
 def test_chain_rejects_bad_length():
     with pytest.raises(ValueError):
         transfer_chain_distribution(0, 1.0)

@@ -155,11 +155,20 @@ def test_moment_growth_fit_keeps_its_former_fit_bits():
 
 
 @pytest.mark.parametrize("coefficient, residual", [(0.0, 0.0), (-1.0, 0.0), (-math.inf, 0.0),
-                                                   (1.0, -0.01)])
+                                                   (1.0, -0.01), (math.inf, 0.0),
+                                                   (1.0, math.nan), (1.0, math.inf),
+                                                   (math.nan, math.nan)])
 def test_tail_profile_refuses_impossible_fits(coefficient, residual):
     with pytest.raises(ValueError, match="tail coefficient > 0"):
         TailProfile(exponent_a=2.5, coefficient=coefficient, fit_window=None,
                     fit_residual=residual, method="user_supplied")
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+def test_tail_profile_refuses_exponent_that_is_not_finite_and_positive(a):
+    with pytest.raises(ValueError, match="tail exponent must be finite and positive"):
+        TailProfile(exponent_a=a, coefficient=1.0, fit_window=None, fit_residual=0.0,
+                    method="user_supplied")
 
 
 # ---------------------------------------------------------------------------

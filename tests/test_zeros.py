@@ -470,7 +470,7 @@ def test_spectral_evaluator_agrees_with_direct():
     assert f.fast_path == "spectral"
     rng = random.Random(5)
     zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-7, 7)) for _ in range(12)])
-    fast, _, shift = ev.eval_pair_batch(zs)
+    fast, shift = ev.values(zs)
     for z, fv, s in zip(zs, fast, shift):
         assert abs(fv * np.exp(s) - mgf_eval(f, z)) < 1e-9 * max(1.0, abs(mgf_eval(f, z)))
 
@@ -498,12 +498,10 @@ def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
     assert f.fast_path == "spectral" and f.symmetric == symmetric
     rng = random.Random(5)
     zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-8, 8)) for _ in range(16)])
-    fv, dv, shift = ev.eval_pair_batch(zs)
-    expo = np.exp(np.outer(zs, d.xs))
-    for got, ref in ((fv * np.exp(shift), expo @ d.ws),
-                     (dv * np.exp(shift), expo @ (d.ws * d.xs))):
-        assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
-    on_axis = ev.eval_pair_batch(1j * np.linspace(0.1, radius, 13))[0]
+    fv, shift = ev.values(zs)
+    ref = np.exp(np.outer(zs, d.xs)) @ d.ws
+    assert np.all(np.abs(fv * np.exp(shift) - ref) <= 1e-9 * np.abs(ref))
+    on_axis = ev.values(1j * np.linspace(0.1, radius, 13))[0]
     assert np.all(on_axis.imag == 0.0) == symmetric
     assert 0.0 <= ev.xval_ratio <= 1.0
 
@@ -524,6 +522,10 @@ def model_law(kind, graph, N):
     return lambda: observable_distribution(ModelSpec(kind, graph), N)
 
 
+def asymmetric_three_atom_law():
+    return distribution_from_atoms([(-1.0, 0.3), (0.5, 0.5), (2.0, 0.2)])
+
+
 CRITERION_1_REGION = Rectangle(-4, 4, 0, 8)
 EVALUATOR_CASES = [
     pytest.param(rademacher, Rectangle(-2, 2, 0, 8), id="rademacher"),
@@ -538,6 +540,7 @@ EVALUATOR_CASES = [
         ModelSpec("xy", path_graph(4), boundary={"v0": 0.3}), 16, symmetrize=False),
         CRITERION_1_REGION, id="xy-path4-pinned-16"),
     pytest.param(binned_normal_law, CRITERION_1_REGION, id="binned-normal-200"),
+    pytest.param(asymmetric_three_atom_law, CRITERION_1_REGION, id="asymmetric-three-atom"),
     # spectral (K = 180, xval_ratio 0.020): inconclusive, a phantom axis
     # cluster at 6i; direct: PIZ with no zeros, as e^{z^2/2} has none.  At
     # 2 + 6i the spectral value is -9.5e-7 - 6.0e-7i against 9.5e-8 - 6.0e-8i
@@ -563,6 +566,10 @@ def test_zero_report_does_not_depend_on_the_evaluator(law, region, monkeypatch):
             == [z.multiplicity for z in direct.zeros])
     assert all(abs(a.location - b.location) <= 1e-9
                for a, b in zip(spectral.zeros, direct.zeros))
+    if not f.symmetric:
+        # the general path: the evaluator only counts, and Newton reads the
+        # direct sum, so each zero is the same to the bit
+        assert [repr(z) for z in spectral.zeros] == [repr(z) for z in direct.zeros]
 
 
 DIRECT = 10**12  # a spectral threshold no law reaches: every evaluator is the direct sum
@@ -588,10 +595,9 @@ def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch)
     rep = locate_zeros(f, Rectangle(-1, 1, 0, 8))
     axis = [z.location for z in rep.zeros if z.location.real == 0.0]
     assert axis
-    ev = f.evaluator(8.0 * math.sqrt(2.0))
     for y0 in axis:
         # started off the zero along the axis, so Newton takes several steps
-        (z,), (res,), (ok,) = newton_refine(f, ev, y0 + 1e-3j, 1e-10)
+        (z,), (res,), (ok,) = newton_refine(f, y0 + 1e-3j, 1e-10)
         assert ok and z.real == 0.0 and abs(z - y0) < 1e-9
 
 
@@ -600,14 +606,13 @@ def unsymmetrised_villain_path3_law():
     return observable_distribution(ModelSpec("villain", path_graph(3)), 64, symmetrize=False)
 
 
-def scalar_newton_reference(f, evaluator, z0, tol, max_iter=100):
+def scalar_newton_reference(f, z0, tol, max_iter=100):
     """The former one-start Newton loop, kept as the reference of each start."""
     z = complex(z0)
     for _ in range(max_iter):
-        fv, dv, shift = evaluator.eval_pair_batch(np.array([z]))
+        fv, dv, shift = f._direct.eval_pair_batch(np.array([z]))
         fz, dfz = fv[0], dv[0]
-        res = abs(zeros._unscale(fz, float(shift[0])) if evaluator is f._direct
-                  else mgf_eval(f, z))
+        res = abs(zeros._unscale(fz, float(shift[0])))
         if res < tol:
             if dfz != 0:
                 z = z - fz / dfz
@@ -627,10 +632,6 @@ def scalar_newton_reference(f, evaluator, z0, tol, max_iter=100):
 def newton_bits(z, res, ok):
     return (np.asarray(z, dtype=complex).tobytes(), np.asarray(res, dtype=float).tobytes(),
             np.asarray(ok, dtype=bool).tobytes())
-
-
-def asymmetric_three_atom_law():
-    return distribution_from_atoms([(-1.0, 0.3), (0.5, 0.5), (2.0, 0.2)])
 
 
 # per law: a start near a zero, a repeated start, z = 0 (where f' = 0 for a
@@ -657,15 +658,15 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
     # tol 1e-10: polished or stopped; tol 0: no start converges, so each one
     # stalls or stops where f' = 0; max_iter 2: most stop at the cap
     for tol, max_iter in ((1e-10, 100), (0.0, 100), (1e-10, 2)):
-        batch = newton_refine(f, ev, starts, tol, max_iter=max_iter)
+        batch = newton_refine(f, starts, tol, max_iter=max_iter)
         assert all(len(a) == len(starts) for a in batch)
-        singles = [newton_refine(f, ev, z0, tol, max_iter=max_iter) for z0 in starts]
+        singles = [newton_refine(f, z0, tol, max_iter=max_iter) for z0 in starts]
         assert all(len(a) == 1 for single in singles for a in single)
-        reference = [scalar_newton_reference(f, ev, z0, tol, max_iter) for z0 in starts]
+        reference = [scalar_newton_reference(f, z0, tol, max_iter) for z0 in starts]
         for i in range(len(starts)):
             one = tuple(a[i] for a in batch)
             assert newton_bits(*one) == newton_bits(*singles[i]) == newton_bits(*reference[i])
-    z, res, ok = newton_refine(f, ev, starts, 1e-10)
+    z, res, ok = newton_refine(f, starts, 1e-10)
     assert ok.dtype == bool and res.dtype == float and z.dtype == complex
     assert ok[0] and res[0] < 1e-10  # polished past the gate
     assert newton_bits(z[1], res[1], ok[1]) == newton_bits(z[2], res[2], ok[2])
@@ -674,35 +675,28 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
         assert z[3] == 0.0 and not ok[3] and abs(res[3] - 1.0) < 1e-12
     # without a tolerance to meet, a start that converges stops by stalling
     # at its zero long before the cap: a thousand more iterations change nothing
-    stalled = newton_refine(f, ev, starts[ok], 0.0, max_iter=100)
-    assert newton_bits(*stalled) == newton_bits(*newton_refine(f, ev, starts[ok], 0.0,
+    stalled = newton_refine(f, starts[ok], 0.0, max_iter=100)
+    assert newton_bits(*stalled) == newton_bits(*newton_refine(f, starts[ok], 0.0,
                                                                max_iter=1100))
     assert not stalled[2].any() and np.all(np.abs(stalled[0] - z[ok]) < 1e-9)
-    capped_z, _, capped_ok = newton_refine(f, ev, starts, 1e-10, max_iter=2)
+    capped_z, _, capped_ok = newton_refine(f, starts, 1e-10, max_iter=2)
     assert not capped_ok[5] and capped_z[5] != z[5]
 
 
-def test_newton_batch_on_the_spectral_path(monkeypatch):
-    # spectral rows depend on the batch they are evaluated in, so a start
-    # ends within rounding of its own run, not on its bits
-    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", 0)
-    f = EntireMGF(villain_path3_law())
-    ev = f.evaluator(8.0 * math.sqrt(2.0))
-    assert f.fast_path == "spectral"
-    starts = np.array([1.0j, 2.5j, 2.5j, 0.3 + 4.0j, 0.2 + 5.5j, 0.0, 7.5j, -0.4 + 3.0j])
-    z, res, ok = newton_refine(f, ev, starts, 1e-10)
-    assert ok.sum() == len(starts) - 1 and not ok[5]
-    for i, z0 in enumerate(starts):
-        (z1,), (res1,), (ok1,) = newton_refine(f, ev, z0, 1e-10)
-        assert ok1 == ok[i] and abs(z1 - z[i]) <= 1e-12
-
-
 def test_newton_of_no_start_evaluates_nothing():
-    class NoCalls:
+    f = EntireMGF(three_atom_law())
+    direct = f._direct
+
+    class NoSteps:
         def eval_pair_batch(self, zs):
             raise AssertionError("no start, no evaluation")
 
-    z, res, ok = newton_refine(EntireMGF(three_atom_law()), NoCalls(), [], 1e-10)
+        def values(self, zs):
+            assert len(zs) == 0, "no start, no residual"
+            return direct.values(zs)
+
+    f._direct = NoSteps()
+    z, res, ok = newton_refine(f, [], 1e-10)
     assert z.shape == res.shape == ok.shape == (0,)
 
 
@@ -747,7 +741,7 @@ def test_spectral_cross_check_reads_the_direct_sum(monkeypatch):
     assert f.fast_path == "spectral"
     # the ratio from eight separate mgf_eval calls, bit for bit
     pts = R * np.array(zeros._XVAL_POINTS)
-    fast = ev.eval_pair_batch(pts)[0]
+    fast = ev.values(pts)[0]
     direct = np.array([mgf_eval(f, z) for z in pts])
     scale = np.exp(np.abs(pts.real) * f.support_radius)
     bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
