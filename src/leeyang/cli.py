@@ -34,8 +34,9 @@ from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_samp
                   sample_m_statistics, save_field_snapshot, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
-from .zeros import (OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ, locate_zeros,
-                    newton_refine, refinement_stable_report, zero_report_from_json)
+from .zeros import (MERGE_DISTANCE, OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ,
+                    locate_zeros, newton_refine, refinement_stable_report,
+                    zero_report_from_json)
 
 FORMAT_VERSION = 1
 
@@ -69,10 +70,7 @@ def _csv_with_config(args: argparse.Namespace, body: str) -> str:
 
 
 def _load_dist(path: str) -> DiscretizedDistribution:
-    text = Path(path).read_text()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return DiscretizedDistribution.from_json(text)
-    return DiscretizedDistribution.from_csv(text)
+    return DiscretizedDistribution.from_csv(Path(path).read_text())
 
 
 def _config_value(action: argparse.Action, key: str, val):
@@ -234,6 +232,16 @@ def _cmd_dgff_check(args) -> int:
     return 0
 
 
+def _same_zeros(ends, ok, starts, region: Rectangle) -> np.ndarray:
+    """Which Newton runs from the baseline zeros ``starts`` found their own zero again:
+    converged, inside ``region``, nearest their own start, no other end within MERGE_DISTANCE."""
+    inside = ((region.re_min <= ends.real) & (ends.real <= region.re_max)
+              & (region.im_min <= ends.imag) & (ends.imag <= region.im_max))
+    own = np.argmin(np.abs(ends[:, None] - starts), axis=1) == np.arange(len(starts))
+    alone = (np.abs(ends[:, None] - ends) < MERGE_DISTANCE).sum(axis=1) == 1
+    return ok & inside & own & alone
+
+
 def _cmd_m_stat(args) -> int:
     if args.samples < 2:
         raise ValueError("m-stat --samples must be at least 2 for a standard deviation")
@@ -248,17 +256,17 @@ def _cmd_m_stat(args) -> int:
     report = locate_zeros(EntireMGF(dist), region, args.tol)
 
     # bootstrap error bars on each located zero: one lockstep Newton per
-    # replicate from every baseline zero; a replicate that does not reach
-    # |f| < tol (None) is counted, not averaged in
+    # replicate from every baseline zero; a replicate that does not find the
+    # same zero again (see _same_zeros) is counted (None), not averaged in
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-    starts = [z.location for z in report.zeros]
+    starts = np.array([z.location for z in report.zeros])
     boot_lists: list[list[complex | None]] = [[] for _ in starts]
-    for _ in range(args.bootstrap):
+    for _ in range(args.bootstrap if len(starts) else 0):
         res = rng.choice(samples, size=len(samples), replace=True)
         fb = EntireMGF(bin_distribution(res, B=args.bins))
         zz, _, ok = newton_refine(fb, starts, args.tol)
-        for boots, z, converged in zip(boot_lists, zz, ok):
-            boots.append(z if converged else None)
+        for boots, z, same in zip(boot_lists, zz, _same_zeros(zz, ok, starts, region)):
+            boots.append(z if same else None)
     # a zero on the imaginary axis (a symmetrised law's) has a real part that
     # is rounding noise, so its spread is no error bar
     zero_rows = []

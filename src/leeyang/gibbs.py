@@ -32,7 +32,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -255,24 +254,11 @@ class DiscretizedDistribution:
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         rows = list(csv.reader(lines))
         body = rows[1:] if rows and rows[0][:1] == ["x"] else rows
-        xs = np.array([float(r[0]) for r in body if r])
-        ws = np.array([float(r[1]) for r in body if r])
+        if any(len(r) < 2 for r in body):
+            raise ValueError(f"law CSV row {','.join(min(body, key=len))!r}: not an x,w pair")
+        xs = np.array([float(r[0]) for r in body])
+        ws = np.array([float(r[1]) for r in body])
         return cls(xs, ws, grid_size=grid_size, symmetrized=symmetrized)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "format_version": 1,
-            "grid_size": self.grid_size,
-            "symmetrized": self.symmetrized,
-            "atoms": [[float(x), float(w)] for x, w in zip(self.xs, self.ws)],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        doc = json.loads(text)
-        atoms = np.asarray(doc["atoms"], dtype=float)
-        return cls(atoms[:, 0], atoms[:, 1],
-                   grid_size=doc.get("grid_size"), symmetrized=doc.get("symmetrized", False))
 
 
 def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> DiscretizedDistribution:

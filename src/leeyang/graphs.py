@@ -112,8 +112,13 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
 
 
 def graph_from_json(text: str) -> FiniteGraph:
-    """Parse the JSON graph document format (see FiniteGraph.to_json)."""
+    """Parse the JSON graph document format (see FiniteGraph.to_json): an object
+    with "vertices" and "edges" and optional "J" and "lambda", which default as
+    in :func:`build_graph`.  A missing required key raises ValueError naming it."""
     doc = json.loads(text)
+    for key in ("vertices", "edges"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"graph JSON: not an object with the key {key!r}")
     couplings = {tuple(k.split("|")): v for k, v in doc.get("J", {}).items()}
     return build_graph(doc["vertices"], doc["edges"], couplings, doc.get("lambda", {}))
 

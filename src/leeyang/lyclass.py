@@ -249,32 +249,6 @@ class WeakLimitReport:
     consistent: bool
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "format_version": 1,
-            "distances_consecutive": list(self.distances_consecutive),
-            "distances_to_limit": list(self.distances_to_limit),
-            "variances": list(self.variances),
-            "variance_sup": self.variance_sup,
-            "first_zero_heights": [h if math.isfinite(h) else None
-                                   for h in self.first_zero_heights],
-            "verdicts": [r.piz_verdict for r in self.zero_reports],
-            "all_piz": self.all_piz,
-            "limit_subgaussian_violated": self.limit_subgaussian_violated,
-            "contradiction_flag": self.contradiction_flag,
-            "distances_shrink": self.distances_shrink,
-            "consistent": self.consistent,
-            "notes": list(self.notes),
-        }, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["n,kolmogorov_to_limit,first_zero_height,variance"]
-        for i in range(len(self.variances)):
-            d = self.distances_to_limit[i] if i < len(self.distances_to_limit) else float("nan")
-            h = self.first_zero_heights[i]
-            lines.append(f"{i},{d!r},{h!r},{self.variances[i]!r}")
-        return "\n".join(lines) + "\n"
-
 
 def weak_limit_harness(sequence, limit=None, *, region: Rectangle | None = None,
                        tol: float = 1e-10) -> WeakLimitReport:

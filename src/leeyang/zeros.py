@@ -55,6 +55,7 @@ OFFAXIS_FACTOR = 100.0
 MIN_CELL_DIAM = 0.1
 BOUNDARY_FLOOR = 1e-13
 MAX_PERTURB = 6
+MERGE_DISTANCE = 5e-8  # Newton ends closer than this are one zero
 GRID_STABILITY_FACTOR = 10.0
 _SPECTRAL_ATOM_THRESHOLD = 4096
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
@@ -459,7 +460,6 @@ def count_zeros_rectangle(f: EntireMGF, rect: Rectangle, *, perturb: bool = True
             if not perturb or attempt == MAX_PERTURB:
                 raise
             eps = rect.diameter * 1e-7 * 4.0**attempt
-    raise NumericalError("zero on contour after maximum perturbation attempts")
 
 
 def _rect_radius(rect: Rectangle) -> float:
@@ -518,11 +518,15 @@ def zero_report_from_json(text: str) -> ZeroReport:
     """Rebuild a ZeroReport from its JSON serialization (cells omitted).
 
     Accepts both the bare report and the command-line wrapper that nests it
-    under a "results" key.
+    under a "results" key; a missing "region", "zeros" or "verdict" raises
+    ValueError naming it.
     """
     doc = json.loads(text)
-    if "region" not in doc and "results" in doc:
+    if isinstance(doc, dict) and "region" not in doc and "results" in doc:
         doc = doc["results"]
+    for key in ("region", "zeros", "verdict"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"zero report JSON: not an object with the key {key!r}")
     region = Rectangle(**doc["region"])
     zeros = tuple(ZeroInfo(complex(z["re"], z["im"]), z["residual"],
                            bool(z["refined"]), int(z.get("multiplicity", 1)))
@@ -750,7 +754,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     # merge duplicates (Newton iterates that converged to the same point)
     merged: list[ZeroInfo] = []
     for z in sorted(found, key=lambda zi: (zi.location.imag, zi.location.real)):
-        if merged and abs(z.location - merged[-1].location) < 5e-8:
+        if merged and abs(z.location - merged[-1].location) < MERGE_DISTANCE:
             prev = merged[-1]
             merged[-1] = ZeroInfo(prev.location, min(prev.residual, z.residual),
                                   prev.refined and z.refined,
@@ -871,15 +875,11 @@ def _trigamma(x: float) -> float:
 def _axis_ordinates(zeros, tol: float) -> list[float]:
     ys = []
     for z in zeros:
-        if isinstance(z, ZeroInfo):
-            loc, mult = z.location, z.multiplicity
-        else:
-            loc, mult = complex(z), 1
-        if abs(loc.real) > OFFAXIS_FACTOR * tol:
-            raise ValueError(f"off-axis zero {loc} passed to hadamard_fit")
-        if loc.imag <= 0:
-            raise ValueError(f"zero ordinates must be positive, got {loc}")
-        ys.extend([loc.imag] * mult)
+        if abs(z.location.real) > OFFAXIS_FACTOR * tol:
+            raise ValueError(f"off-axis zero {z.location} passed to hadamard_fit")
+        if z.location.imag <= 0:
+            raise ValueError(f"zero ordinates must be positive, got {z.location}")
+        ys.extend([z.location.imag] * z.multiplicity)
     return sorted(ys)
 
 
@@ -887,8 +887,8 @@ def hadamard_fit(f: EntireMGF, zeros, Y: float | None = None,
                  tol: float = DEFAULT_TOL) -> HadamardFit:
     """Fit B from the variance identity Var = 2 (B + sum_k y_k^{-2}).
 
-    ``zeros`` is a ZeroReport, a list of ZeroInfo, or positive imaginary
-    ordinates y_k (only zeros with 0 < Im z <= Y are used).  The unseen tail
+    ``zeros`` is a ZeroReport or a list of ZeroInfo on the positive imaginary
+    axis, each counted with its multiplicity (only Im z <= Y are used).  The unseen tail
     of the zero sum is extrapolated by fitting the asymptotically linear
     spacing y_k ~ alpha k + gamma on the top half of the supplied zeros and
     summing (alpha k + gamma)^{-2} beyond the last one with the trigamma

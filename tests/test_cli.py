@@ -15,7 +15,7 @@ from leeyang import cli
 from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
 from leeyang.gmc import load_field_snapshot
-from leeyang.zeros import OFFAXIS_FACTOR
+from leeyang.zeros import OFFAXIS_FACTOR, Rectangle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -246,15 +246,24 @@ def test_m_stat_with_field_dump(tmp_path):
     assert snap["n"] == 3 and snap["beta"] == 1.2 and snap["seed"] == 19
     # the binned law is symmetrised: Re z of an axis zero is rounding noise,
     # so it has no error bar; the off-axis pair keeps one
-    on_axis = [z for z in doc["results"]["zeros"] if abs(z["re"]) <= OFFAXIS_FACTOR * 1e-10]
+    zs = doc["results"]["zeros"]
+    on_axis = [z for z in zs if abs(z["re"]) <= OFFAXIS_FACTOR * 1e-10]
     assert on_axis
-    for z in doc["results"]["zeros"]:
-        assert z["bootstrap_unconverged"] == 0
+    for z in zs:
         assert z["bootstrap_se_im"] > 0
         if z in on_axis:
             assert z["bootstrap_se_re"] is None
         else:
             assert z["bootstrap_se_re"] > 0
+    # a replicate counts only where it finds the same zero again: some
+    # replicate moves 6.0743i past its neighbour, and the runs from the
+    # mirror pair fail or succeed together
+    (z6,) = [z for z in zs if abs(z["im"] - 6.0743) < 1e-4]
+    assert z6["bootstrap_unconverged"] >= 1
+    left, right = [z for z in zs if z not in on_axis]
+    assert left["bootstrap_unconverged"] == right["bootstrap_unconverged"]
+    for key in ("bootstrap_se_re", "bootstrap_se_im"):
+        assert left[key] == pytest.approx(right[key], rel=1e-12)
 
 
 M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
@@ -279,6 +288,35 @@ def test_m_stat_unconverged_bootstrap_is_counted(tmp_path, monkeypatch):
     for z in zeros:
         assert z["bootstrap_unconverged"] == 4
         assert z["bootstrap_se_re"] is None and z["bootstrap_se_im"] is None
+
+
+def test_m_stat_two_runs_on_one_zero_both_count_unconverged(tmp_path, monkeypatch):
+    # in every replicate the runs from the two lowest zeros end, converged,
+    # on the lowest one: the replicate cannot tell which of them it found
+    newton_refine = cli.newton_refine
+
+    def collide(f, starts, tol):
+        z, res, ok = newton_refine(f, starts, tol)
+        z[:2] = starts[0], starts[0] + 1e-9
+        ok[:2] = True
+        return z, res, ok
+
+    monkeypatch.setattr(cli, "newton_refine", collide)
+    out = str(tmp_path / "ms")
+    assert main(M_STAT_SMALL + ["--bootstrap", "4", "--out", out]) == 0
+    zeros = json.loads((Path(out) / "m_stat.json").read_text())["results"]["zeros"]
+    assert [z["bootstrap_unconverged"] for z in zeros[:3]] == [4, 4, 0]
+    assert zeros[0]["bootstrap_se_im"] is None and zeros[1]["bootstrap_se_im"] is None
+
+
+def test_bootstrap_run_counts_only_where_it_finds_its_own_zero():
+    starts = np.array([1j, 2j, 3j, 4j, -0.5 + 5j, 0.5 + 5j])
+    ends = np.array([1j + 1e-6, 1.9j, 1.5 + 3j, 2.1j, 5j, 5j])
+    ok = np.array([True, False, True, True, True, True])
+    same = cli._same_zeros(ends, ok, starts, Rectangle(-1, 1, 0, 6))
+    # found; unconverged; outside the region; nearer another zero; the mirror
+    # pair's runs both on one axis point
+    assert same.tolist() == [True, False, False, False, False, False]
 
 
 def test_config_file_provides_defaults(edge_graph, tmp_path):
@@ -505,6 +543,44 @@ def test_readme_commands_parse():
     lines = [ln for ln in block.splitlines() if ln.startswith("leeyang ")]
     subs = [build_parser().parse_args(shlex.split(ln)[1:]).subcommand for ln in lines]
     assert sorted(subs) == sorted(SMALL_RUNS)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spin-dist", "--graph", "no_vertices.json"], "not an object with the key 'vertices'"),
+    (["villain-verify", "--graph", "no_edges.json"], "not an object with the key 'edges'"),
+    (["spin-dist", "--graph", "list.json"], "graph JSON: not an object"),
+    (["classify", "--dist", "law.csv", "--zeros", "m_stat.json"],
+     "not an object with the key 'region'"),
+    (["zeros", "--dist", "spin_dist.json"], "not an x,w pair"),
+])
+def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("no_vertices.json").write_text('{"edges": []}')
+    Path("no_edges.json").write_text('{"vertices": ["x"]}')
+    Path("list.json").write_text("[1, 2]")
+    Path("law.csv").write_text(THREE_ATOM_CSV)
+    # an m-stat report: its results carry zeros and a verdict, but no region
+    Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {
+        "mean": 0.0, "std": 1.0, "second_moment": 1.0, "exploratory": True,
+        "verdict": "PIZ-in-region", "zeros": []}}))
+    assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "16"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_villain_verify_failure_still_writes_the_report(tmp_path, capsys):
+    # J = 200 is far too stiff for grid 16: the zeros move under grid doubling
+    graph = tmp_path / "stiff.json"
+    graph.write_text(json.dumps(json.loads(EDGE_GRAPH) | {"J": {"x|y": 200.0}}))
+    out = tmp_path / "out"
+    assert main(["villain-verify", "--graph", str(graph), "--grid-n", "16",
+                 "--out", str(out)]) == 1
+    assert "PIZ verification failed: verdict inconclusive" in capsys.readouterr().err
+    doc = json.loads((out / "zero_report.json").read_text())
+    assert doc["results"]["verdict"] == "inconclusive"
 
 
 def test_missing_graph_file_is_usage_error(tmp_path):

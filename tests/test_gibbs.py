@@ -162,12 +162,10 @@ def test_symmetrized_flag_checked():
                                 symmetrized=True)
 
 
-def test_csv_json_roundtrip():
+def test_csv_roundtrip():
     d = rademacher(1.5)
     d2 = DiscretizedDistribution.from_csv(d.to_csv(), symmetrized=True)
     assert np.allclose(d2.xs, d.xs) and np.allclose(d2.ws, d.ws)
-    d3 = DiscretizedDistribution.from_json(d.to_json())
-    assert np.allclose(d3.xs, d.xs) and d3.symmetrized
 
 
 def test_kolmogorov_distance_exact():

@@ -296,12 +296,3 @@ def test_harness_limit_contradiction_flag():
 def test_harness_requires_three_laws():
     with pytest.raises(ValueError, match="at least 3"):
         weak_limit_harness([rademacher(), rademacher()], None)
-
-
-def test_harness_serialization():
-    seq = [rademacher(1 + 1 / n) for n in (2, 4, 8)]
-    rep = weak_limit_harness(seq, rademacher(1.0), region=Rectangle(-2, 2, 0, 8))
-    doc = rep.to_json()
-    assert "contradiction_flag" in doc
-    csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0] == "n,kolmogorov_to_limit,first_zero_height,variance"

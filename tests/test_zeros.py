@@ -173,6 +173,16 @@ def test_count_zero_on_contour_raises_without_perturbation():
         count_zeros_rectangle(f, Rectangle(-1, 1, math.pi / 2, 3.0), perturb=False)
 
 
+def test_zero_on_contour_is_found_after_perturbation():
+    # the same boundary through i pi/2: the grown rectangle holds the zero
+    f = EntireMGF(rademacher())
+    region = Rectangle(-1, 1, math.pi / 2, 3.0)
+    assert count_zeros_rectangle(f, region) == 1
+    rep = locate_zeros(f, region)
+    assert rep.piz_verdict == VERDICT_PIZ
+    assert [z.location for z in rep.zeros] == [1.5707963267948966j]
+
+
 # ---------------------------------------------------------------------------
 # locate_zeros
 # ---------------------------------------------------------------------------
