@@ -9,8 +9,8 @@ every edge weight in the package (here and in :mod:`leeyang.chain`) is
 * ``villain`` -- V(theta_u - theta_v; J_e), the periodized
   Gaussian sum_m exp(-(J_e/2)(theta + 2 pi m)^2).
 
-At strong coupling most weights underflow to 0; those atoms carry no mass and
-are dropped when atoms are coalesced.
+At strong coupling most weights underflow to 0, in the product of edge weights
+or when the law is normalised; those atoms carry no mass and are dropped.
 
 Angles live on a uniform N-point grid of (-pi, pi]; with smooth periodic
 integrands the trapezoid rule (uniform weights) is spectrally accurate, so
@@ -163,26 +163,6 @@ def _coalesce(xs: np.ndarray, ws: np.ndarray):
     return _merge_runs(xs, ws[order], _run_starts(xs))
 
 
-def _symmetrize(xs: np.ndarray, ws: np.ndarray):
-    """Average a measure with its reflection; output exactly closed under x -> -x.
-
-    Works by folding onto |x| and mirroring, so paired atoms have bitwise
-    opposite positions and identical weights.
-    """
-    fold_x = np.abs(xs)
-    fold_w = ws.copy()
-    fold_x, fold_w = _coalesce(fold_x, fold_w)
-    if len(fold_x) and fold_x[0] <= COALESCE_TOL:
-        zero_w = fold_w[0]
-        fold_x, fold_w = fold_x[1:], fold_w[1:]
-    else:
-        zero_w = 0.0
-    xs_out = np.concatenate([-fold_x[::-1], [0.0] if zero_w > 0 else [], fold_x])
-    half = fold_w / 2.0
-    ws_out = np.concatenate([half[::-1], [zero_w] if zero_w > 0 else [], half])
-    return xs_out, ws_out
-
-
 @dataclass(frozen=True)
 class DiscretizedDistribution:
     """Finite atomic measure {(x_j, w_j)} with unit mass, sorted by position.
@@ -224,7 +204,7 @@ class DiscretizedDistribution:
         return float(np.max(np.abs(self.xs))) if len(self.xs) else 0.0
 
     def is_symmetric(self) -> bool:
-        """True iff the atoms are a bitwise mirror (as :func:`_symmetrize` builds) or
+        """True iff the atoms are a bitwise mirror (as :func:`_finish_law` builds) or
         the reflected atom list matches within COALESCE_TOL after coalescing."""
         if np.array_equal(self.xs, -self.xs[::-1]) and np.array_equal(self.ws, self.ws[::-1]):
             return True
@@ -262,21 +242,31 @@ class DiscretizedDistribution:
 
 
 def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> DiscretizedDistribution:
-    """Coalesce raw atoms, normalise to unit mass and optionally symmetrise."""
-    xs, ws = _coalesce(xs, ws)
+    """The law of raw atoms, coalesced once and normalised to unit mass.
+
+    Atoms whose weight underflows to 0 when normalised carry no mass and are
+    dropped.  A symmetrised law averages the measure with its reflection: the
+    atoms are folded onto |x| before the coalesce and mirrored after it, so
+    paired atoms have bitwise opposite positions and identical weights, and
+    an atom within COALESCE_TOL of 0 sits at exactly 0.
+    """
+    xs, ws = _coalesce(np.abs(xs) if symmetrize else xs, ws)
     total = ws.sum()
     if not total > 0:
         raise NumericalError(f"atom weights sum to {total!r}; every configuration's "
                              "weight underflowed")
     ws = ws / total
+    xs, ws = xs[ws > 0], ws[ws > 0]
     if symmetrize:
-        xs, ws = _symmetrize(xs, ws)
-        ws = ws / ws.sum()
+        n0 = int(xs[0] <= COALESCE_TOL)  # the atom at 0 is its own mirror
+        pos, half = xs[n0:], ws[n0:] / 2.0
+        xs = np.concatenate([-pos[::-1], np.zeros(n0), pos])
+        ws = np.concatenate([half[::-1], ws[:n0], half])
     return DiscretizedDistribution(xs, ws, grid_size=grid_size, symmetrized=symmetrize)
 
 
 def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> DiscretizedDistribution:
-    """Build a distribution from raw (x, w) pairs: normalise, coalesce, optionally symmetrise."""
+    """Build a distribution from raw (x, w) pairs: coalesce, normalise, optionally symmetrise."""
     arr = np.asarray(list(atoms), dtype=float)
     return _finish_law(arr[:, 0], arr[:, 1], grid_size, symmetrize)
 
@@ -466,9 +456,7 @@ def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,
         n_atoms += 1
     xs = np.linspace(-half_width * sigma, half_width * sigma, n_atoms)
     ws = np.exp(-0.5 * (xs / sigma) ** 2)
-    ws = ws / ws.sum()
-    xs_s, ws_s = _symmetrize(xs, ws)
-    return DiscretizedDistribution(xs_s, ws_s / ws_s.sum(), symmetrized=True)
+    return _finish_law(xs, ws / ws.sum(), None, True)
 
 
 def rademacher(scale: float = 1.0) -> DiscretizedDistribution:

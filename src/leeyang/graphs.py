@@ -114,11 +114,20 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
 def graph_from_json(text: str) -> FiniteGraph:
     """Parse the JSON graph document format (see FiniteGraph.to_json): an object
     with "vertices" and "edges" and optional "J" and "lambda", which default as
-    in :func:`build_graph`.  A missing required key raises ValueError naming it."""
+    in :func:`build_graph`.  A missing required key, "edges" that is not a list
+    of two-element pairs, and "J" or "lambda" that is not an object raise
+    ValueError naming the key."""
     doc = json.loads(text)
     for key in ("vertices", "edges"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"graph JSON: not an object with the key {key!r}")
+    if not (isinstance(doc["edges"], list)
+            and all(isinstance(e, list) and len(e) == 2 for e in doc["edges"])):
+        raise ValueError(f"graph JSON: 'edges' {doc['edges']!r} is not a list of "
+                         "two-element pairs")
+    for key in ("J", "lambda"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"graph JSON: {key!r} {doc[key]!r} is not an object")
     couplings = {tuple(k.split("|")): v for k, v in doc.get("J", {}).items()}
     return build_graph(doc["vertices"], doc["edges"], couplings, doc.get("lambda", {}))
 

@@ -518,8 +518,9 @@ def zero_report_from_json(text: str) -> ZeroReport:
     """Rebuild a ZeroReport from its JSON serialization (cells omitted).
 
     Accepts both the bare report and the command-line wrapper that nests it
-    under a "results" key; a missing "region", "zeros" or "verdict" raises
-    ValueError naming it.
+    under a "results" key.  A missing "region", "zeros" or "verdict", a
+    region that is not four finite bounds, and a zero that lacks "re", "im",
+    "residual" or "refined" raise ValueError naming it.
     """
     doc = json.loads(text)
     if isinstance(doc, dict) and "region" not in doc and "results" in doc:
@@ -527,7 +528,18 @@ def zero_report_from_json(text: str) -> ZeroReport:
     for key in ("region", "zeros", "verdict"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"zero report JSON: not an object with the key {key!r}")
-    region = Rectangle(**doc["region"])
+    region = doc["region"]  # Rectangle refuses non-finite and degenerate bounds
+    if not (isinstance(region, dict) and sorted(region) == ["im_max", "im_min", "re_max", "re_min"]
+            and all(isinstance(b, (int, float)) for b in region.values())):
+        raise ValueError(f"zero report JSON: region {region!r} is not the four bounds "
+                         "re_min, re_max, im_min, im_max")
+    if not isinstance(doc["zeros"], list):
+        raise ValueError(f"zero report JSON: zeros {doc['zeros']!r} is not a list")
+    for z in doc["zeros"]:
+        if not (isinstance(z, dict) and {"re", "im", "residual", "refined"} <= set(z)):
+            raise ValueError(f"zero report JSON: zero {z!r} lacks one of the keys "
+                             "re, im, residual, refined")
+    region = Rectangle(**region)
     zeros = tuple(ZeroInfo(complex(z["re"], z["im"]), z["residual"],
                            bool(z["refined"]), int(z.get("multiplicity", 1)))
                   for z in doc["zeros"])
@@ -727,12 +739,16 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     (_split_and_newton), whose Newton runs stop at direct-sum |f| < tol.
     The verdict is off-axis-zero-found iff some refined zero has
     |Re z| > 100 tol; unrefined zeros, or listed zeros that do not add up to
-    the contour count, make it inconclusive.
+    the contour count, make it inconclusive.  The report depends only on the
+    law, the region and tol: an evaluator that f cached for another radius
+    is not reused.
     """
     if region is None:
         region = default_region()
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if f._fast is not None and f._fast.radius != _rect_radius(region):
+        f._fast = None
     evaluator = f.evaluator(_rect_radius(region))
     notes: list[str] = []
     cells: list[tuple[Rectangle, int]] = []

@@ -552,6 +552,12 @@ def test_readme_commands_parse():
     (["classify", "--dist", "law.csv", "--zeros", "m_stat.json"],
      "not an object with the key 'region'"),
     (["zeros", "--dist", "spin_dist.json"], "not an x,w pair"),
+    (["classify", "--dist", "law.csv", "--zeros", "no_residual.json"],
+     "lacks one of the keys re, im, residual, refined"),
+    (["classify", "--dist", "law.csv", "--zeros", "empty_region.json"],
+     "region {} is not the four bounds"),
+    (["spin-dist", "--graph", "one_ended_edge.json"], "'edges' [['x']]"),
+    (["spin-dist", "--graph", "list_J.json"], "'J' [1]"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -559,11 +565,19 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
     Path("no_vertices.json").write_text('{"edges": []}')
     Path("no_edges.json").write_text('{"vertices": ["x"]}')
     Path("list.json").write_text("[1, 2]")
+    Path("one_ended_edge.json").write_text('{"vertices": ["x", "y"], "edges": [["x"]]}')
+    Path("list_J.json").write_text('{"vertices": ["x", "y"], "edges": [["x", "y"]], "J": [1]}')
     Path("law.csv").write_text(THREE_ATOM_CSV)
     # an m-stat report: its results carry zeros and a verdict, but no region
     Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {
         "mean": 0.0, "std": 1.0, "second_moment": 1.0, "exploratory": True,
         "verdict": "PIZ-in-region", "zeros": []}}))
+    region = {"re_min": -4.0, "re_max": 4.0, "im_min": 0.0, "im_max": 8.0}
+    Path("no_residual.json").write_text(json.dumps({
+        "region": region, "verdict": "PIZ-in-region",
+        "zeros": [{"re": 0.0, "im": 1.5, "refined": True}]}))
+    Path("empty_region.json").write_text(json.dumps({
+        "region": {}, "verdict": "PIZ-in-region", "zeros": []}))
     assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "16"]) == 0
     capsys.readouterr()
     assert main(argv + ["--out", "out"]) == 2
