@@ -315,7 +315,9 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     angles theta and -theta share one chunk, whose table is the sum of their
     two restricted tables (never one of them doubled: a pinned neighbour
     makes the density asymmetric in theta), so N/2 + 1 chunks cover the
-    grid.
+    grid.  A symmetrised free-boundary law needs only N//4 + 1 of them: the
+    pi shift maps chunk j onto chunk N/2 - j with S negated, which the fold
+    onto |x| cannot tell apart.
 
     Refuses when N**(number of free vertices) exceeds ``budget``, and a grid
     size N that is not a positive even integer.
@@ -385,13 +387,17 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in on0))
 
     # indices j and -j (mod N) carry the angles theta and -theta: one chunk
-    # sums the pair's tables in index order (0 and pi are their own mirrors)
+    # sums the pair's tables in index order (0 and pi are their own mirrors).
+    # With no pin, the pi shift (index + N/2 on every free axis) keeps every
+    # weight bitwise and negates S, so chunk N/2 - j holds chunk j's atoms
+    # reflected; a folded law builds j <= N/4 and doubles all but j = N/4
+    half = symmetrize and not pinned
     xs, ws = [], []
-    for j in range(N // 2 + 1):
+    for j in range(N // 4 + 1 if half else N // 2 + 1):
         u = functools.reduce(np.add, (table(i) for i in sorted({j, -j % N})))
         cx, cw = _merge_runs(rest, u.ravel()[t_idx] * base, starts)
         xs.append(x0[j] + cx)
-        ws.append(cw)
+        ws.append(2.0 * cw if half and 4 * j != N else cw)
     return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
 
 

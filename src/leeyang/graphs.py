@@ -115,8 +115,9 @@ def graph_from_json(text: str) -> FiniteGraph:
     """Parse the JSON graph document format (see FiniteGraph.to_json): an object
     with "vertices" and "edges" and optional "J" and "lambda", which default as
     in :func:`build_graph`.  A missing required key, "edges" that is not a list
-    of two-element pairs, and "J" or "lambda" that is not an object raise
-    ValueError naming the key."""
+    of two-element pairs, "J" or "lambda" that is not an object, and a "J" key
+    that is the label (:func:`edge_label`, either endpoint order) of no listed
+    edge or of more than one raise ValueError naming the key."""
     doc = json.loads(text)
     for key in ("vertices", "edges"):
         if not isinstance(doc, dict) or key not in doc:
@@ -128,7 +129,19 @@ def graph_from_json(text: str) -> FiniteGraph:
     for key in ("J", "lambda"):
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"graph JSON: {key!r} {doc[key]!r} is not an object")
-    couplings = {tuple(k.split("|")): v for k, v in doc.get("J", {}).items()}
+    # a "J" key is an edge label; vertex labels may contain '|' themselves, so
+    # each key is looked up among the labels of the document's own edges
+    edges_of: dict[str, set[Edge]] = {}
+    for u, v in doc["edges"]:
+        e = _edge_key(str(u), str(v))
+        for label in (edge_label(e), edge_label(e[::-1])):
+            edges_of.setdefault(label, set()).add(e)
+    couplings = {}
+    for k, j in doc.get("J", {}).items():
+        if len(edges_of.get(k, ())) != 1:
+            raise ValueError(f"graph JSON: 'J' key {k!r} names "
+                             f"{'more than one edge' if k in edges_of else 'no edge'}")
+        couplings[next(iter(edges_of[k]))] = j
     return build_graph(doc["vertices"], doc["edges"], couplings, doc.get("lambda", {}))
 
 

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from leeyang import gibbs
 from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, _coalesce, _finish_law,
                            _restrict, circle_grid, distribution_from_atoms, edge_weight,
@@ -532,7 +533,7 @@ REFERENCE_MODELS = {
 
 @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
 def test_observable_distribution_matches_chunked_reference(model):
-    for N in (32, 64):
+    for N in (2, 6, 30, 32, 34, 64):  # N = 2 mod 4 has no chunk that is its own pi-shift mirror
         atoms = chunked_atoms(model, N)
         for symmetrize in (True, False):
             want = _finish_law(*atoms, N, symmetrize)
@@ -540,6 +541,36 @@ def test_observable_distribution_matches_chunked_reference(model):
             assert len(got.xs) == len(want.xs), (N, symmetrize)
             assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
             assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+
+
+FREE_REFERENCE_MODELS = {name: m for name, m in REFERENCE_MODELS.items() if not m.boundary}
+
+
+@pytest.mark.parametrize("model", FREE_REFERENCE_MODELS.values(), ids=FREE_REFERENCE_MODELS.keys())
+def test_free_boundary_raw_law_is_symmetric(model):
+    # the pi shift that lets a symmetrised free law build half its chunks:
+    # the unsymmetrised law still builds every chunk and must be symmetric
+    assert observable_distribution(model, 32, symmetrize=False).is_symmetric()
+
+
+def test_pinned_raw_law_is_not_symmetric():
+    model = triangle_model("xy", TRIANGLE_BOUNDARIES["one-pinned"])
+    assert not observable_distribution(model, 32, symmetrize=False).is_symmetric()
+
+
+@pytest.mark.parametrize("boundary,symmetrize,calls", [
+    (None, True, 64 // 4 + 2), (None, False, 64 // 2 + 2),
+    (TRIANGLE_BOUNDARIES["one-pinned"], True, 64 // 2 + 2),
+    (TRIANGLE_BOUNDARIES["one-pinned"], False, 64 // 2 + 2)],
+    ids=["free", "free-raw", "one-pinned", "one-pinned-raw"])
+def test_only_a_free_symmetrised_law_builds_half_the_chunks(monkeypatch, boundary, symmetrize,
+                                                            calls):
+    # _merge_runs runs once per chunk and once in the finish
+    count = []
+    merge = gibbs._merge_runs
+    monkeypatch.setattr(gibbs, "_merge_runs", lambda *a: count.append(1) or merge(*a))
+    observable_distribution(triangle_model("villain", boundary), 64, symmetrize=symmetrize)
+    assert len(count) == calls
 
 
 def test_observable_distribution_bit_stable():

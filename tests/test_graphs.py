@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -56,6 +57,29 @@ def test_json_roundtrip():
     assert g2.weight == g.weight
     doc = json.loads(g.to_json())
     assert "v0|v1" in doc["J"]
+
+
+def test_json_roundtrip_with_bar_in_vertex_labels():
+    # subdivided vertex labels contain '|', the separator of a "J" key
+    g = subdivide(single_edge_graph(J=0.7), 2, 1.0).as_finite_graph()
+    g2 = graph_from_json(g.to_json())
+    assert (g2.vertices, g2.edges) == (g.vertices, g.edges)
+    assert g2.coupling == g.coupling
+    assert g2.weight == g.weight
+
+
+def test_json_coupling_key_in_either_endpoint_order():
+    g = graph_from_json('{"vertices": ["x", "y"], "edges": [["y", "x"]], "J": {"y|x": 2.5}}')
+    assert g.coupling == {("x", "y"): 2.5}
+
+
+@pytest.mark.parametrize("edges,key,what", [
+    ([["a|b", "c"], ["a", "b|c"]], "a|b|c", "more than one edge"),
+    ([["a|b", "c"]], "a|b", "no edge")])
+def test_json_coupling_key_must_name_one_edge(edges, key, what):
+    doc = {"vertices": ["a", "b", "c", "a|b", "b|c"], "edges": edges, "J": {key: 1.0}}
+    with pytest.raises(ValueError, match=f"'J' key '{re.escape(key)}' names {what}"):
+        graph_from_json(json.dumps(doc))
 
 
 def test_subdivide_single_edge_n4():
