@@ -266,8 +266,13 @@ def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> 
 
 
 def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> DiscretizedDistribution:
-    """Build a distribution from raw (x, w) pairs: coalesce, normalise, optionally symmetrise."""
+    """Build a distribution from raw (x, w) pairs: coalesce, normalise, optionally symmetrise.
+
+    Anything but a non-empty sequence of pairs or an (n, 2) array raises ValueError."""
     arr = np.asarray(list(atoms), dtype=float)
+    if not (arr.ndim == 2 and arr.shape[1] == 2 and len(arr)):
+        raise ValueError(f"atoms must be a non-empty sequence of (x, w) pairs, "
+                         f"got shape {arr.shape}")
     return _finish_law(arr[:, 0], arr[:, 1], grid_size, symmetrize)
 
 

@@ -114,14 +114,17 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
 def graph_from_json(text: str) -> FiniteGraph:
     """Parse the JSON graph document format (see FiniteGraph.to_json): an object
     with "vertices" and "edges" and optional "J" and "lambda", which default as
-    in :func:`build_graph`.  A missing required key, "edges" that is not a list
-    of two-element pairs, "J" or "lambda" that is not an object, and a "J" key
-    that is the label (:func:`edge_label`, either endpoint order) of no listed
-    edge or of more than one raise ValueError naming the key."""
+    in :func:`build_graph`.  A missing required key, "vertices" that is not a
+    list, "edges" that is not a list of two-element pairs, "J" or "lambda"
+    that is not an object of numbers, and a "J" key that is the label
+    (:func:`edge_label`, either endpoint order) of no listed edge or of more
+    than one raise ValueError naming the key."""
     doc = json.loads(text)
     for key in ("vertices", "edges"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"graph JSON: not an object with the key {key!r}")
+    if not isinstance(doc["vertices"], list):
+        raise ValueError(f"graph JSON: 'vertices' {doc['vertices']!r} is not a list")
     if not (isinstance(doc["edges"], list)
             and all(isinstance(e, list) and len(e) == 2 for e in doc["edges"])):
         raise ValueError(f"graph JSON: 'edges' {doc['edges']!r} is not a list of "
@@ -129,6 +132,9 @@ def graph_from_json(text: str) -> FiniteGraph:
     for key in ("J", "lambda"):
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"graph JSON: {key!r} {doc[key]!r} is not an object")
+        for k, x in doc.get(key, {}).items():
+            if type(x) not in (int, float):  # bool is not a JSON number
+                raise ValueError(f"graph JSON: {key!r} value {x!r} at {k!r} is not a number")
     # a "J" key is an edge label; vertex labels may contain '|' themselves, so
     # each key is looked up among the labels of the document's own edges
     edges_of: dict[str, set[Edge]] = {}

@@ -7,22 +7,23 @@ axis (the "pure imaginary zeros" property).
 
 The toolchain is:
 
-* :func:`mgf_eval` -- f(z) alone at one point by the direct atom sum, with
-  the bits of the direct evaluator's f; it takes a symmetric source over its
-  nonnegative half (so f(iy) is exactly real) and is scaled against
-  overflow; every reported residual is one of these;
-* :meth:`EntireMGF.evaluator` -- the batch evaluator used for contours and
-  axis samples: the same direct sum, or its spectral compression for
-  sources with many atoms; its one method ``values`` returns f as
-  mantissas and their log-scales;
-* :func:`count_zeros_rectangle` -- winding number along the rectangle
-  boundary with adaptive phase tracking (segments are bisected until every
-  phase increment is below pi/2);
-* :func:`locate_zeros` -- a :class:`ZeroReport`; for a symmetric source the
-  axis-symmetric part of the region is certified by the bisected sign
-  changes of the real g(y) = f(iy), everything else by recursive rectangle
-  subdivision driven by the counter and :func:`newton_refine`, whose f and
-  f' are always the direct sum's;
+* :class:`EntireMGF` -- f itself, as the direct atom sum: ``values`` returns
+  f as mantissas and their log-scales, ``eval_pair_batch`` f and f'; a
+  symmetric source is summed over its nonnegative half (so f(iy) is exactly
+  real);
+* :func:`mgf_eval` -- f(z) alone at one point, with the bits of ``values``
+  and scaled against overflow; every reported residual is one of these;
+* :meth:`EntireMGF.evaluator` -- builds the batch evaluator for contours and
+  axis samples: the MGF itself, or a new spectral compression for sources
+  with many atoms; the MGF keeps no reference to it;
+* :func:`count_zeros_rectangle` -- winding number, on the evaluator it is
+  given, along the rectangle boundary with adaptive phase tracking
+  (segments are bisected until every phase increment is below pi/2);
+* :func:`locate_zeros` -- a :class:`ZeroReport` from one evaluator built for
+  its region; for a symmetric source the axis-symmetric part of the region
+  is certified by the bisected sign changes of the real g(y) = f(iy),
+  everything else by recursive rectangle subdivision driven by the counter
+  and :func:`newton_refine`, whose f and f' are always the direct sum's;
 * :func:`hadamard_fit` -- the quadratic coefficient B and the variance
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
@@ -131,15 +132,28 @@ def default_region(R: float = 8.0) -> Rectangle:
 # ---------------------------------------------------------------------------
 
 class EntireMGF:
-    """The entire function f(z) = E[exp(z X)] of a finite atomic law.
+    """The entire function f(z) = E[exp(z X)] of a finite atomic law, summed directly.
 
-    Carries the cached variance, a symmetry flag, the nonnegative half of a
-    symmetric source (atom at 0, then the x > 0 weights and positions) and
-    the direct sum ``_direct``, built once and valid at every radius.
+    The MGF is itself the direct batch evaluator, valid at every radius
+    (``path = "direct"``, ``K = xval_ratio = None``, ``radius = inf``);
+    :func:`mgf_eval` is one point of it.  A symmetric source keeps its
+    nonnegative half ``_half`` (atom at 0, then the x > 0 weights and
+    positions) and at |Re z| L < 650 (L the support radius) is summed over
+    it, f = w_0 + sum w (e^{zx} + e^{-zx}) and f' = sum w x (e^{zx} - e^{-zx}),
+    from p = e^{ax}, q = 1/p and c, s = cos, sin of bx (z = a + ib): on the
+    axis p = q = 1, so f(iy) is exactly real and f'(iy) exactly imaginary.
+    Other points and sources are summed over all atoms of exp(z x_j - shift),
+    shift = max_j Re z x_j.  Each point is one row of numpy's pairwise sums,
+    so it gets the same bits in any batch, and f gets the same bits with or
+    without f'.  ``eval_pair_batch`` is the one source of f' in the package:
+    :func:`newton_refine` reads it.
+
     Construction checks f(0) = 1 (unit mass) and, for symmetric sources,
     that Im f(it) = sum_j w_j sin(t x_j) over every atom is below 1e-10 at a
     few sampled t.
     """
+
+    path, K, xval_ratio, radius = "direct", None, None, math.inf
 
     def __init__(self, source: DiscretizedDistribution):
         self.source = source
@@ -148,59 +162,32 @@ class EntireMGF:
         xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
-        self._cosh_half = (ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
+        self.support_radius = max(abs(self._ends[0]), abs(self._ends[1]))
         if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
             raise ValueError("f(0) differs from 1 by more than 1e-12")
-        # over every atom: the cosh halves would make f(it) real by construction
+        # over every atom: the half sums would make f(it) real by construction
         if self.symmetric and np.any(np.abs(np.sin(np.outer((0.3, 0.7, 1.3), xs)) @ ws) > 1e-10):
             raise ValueError("symmetric source but f(it) not real to 1e-10")
-        self._direct = _DirectEvaluator(self)
-        self._fast: _SpectralEvaluator | _DirectEvaluator | None = None
-
-    @property
-    def support_radius(self) -> float:
-        return max(abs(self._ends[0]), abs(self._ends[1]))
-
-    @property
-    def fast_path(self) -> str:
-        """Which batch evaluator the last :meth:`evaluator` call returned."""
-        return self._fast.path if self._fast is not None else "direct"
+        self._half = ((ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
+                      if self.symmetric else None)
+        self.fast_path = "direct"  # the path of the last :meth:`evaluator`
 
     def evaluator(self, radius: float):
-        """Batch evaluator valid for |z| <= radius (spectral for large sources)."""
-        if self._fast is not None and self._fast.radius >= radius:
-            return self._fast
-        n_atoms = len(self.source.xs)
-        wmax = radius * max(self.support_radius, 1e-300)
-        if n_atoms > _SPECTRAL_ATOM_THRESHOLD and wmax < 650.0:
+        """A batch evaluator valid for |z| <= radius, built anew on every call.
+
+        The spectral compression for a source of more than 4096 atoms when it
+        builds and passes its cross-check, else the MGF itself; either way
+        ``fast_path`` records its path and the MGF keeps no reference to it.
+        """
+        ev = self
+        if (len(self.source.xs) > _SPECTRAL_ATOM_THRESHOLD
+                and radius * max(self.support_radius, 1e-300) < 650.0):
             try:
-                self._fast = _SpectralEvaluator(self, radius)
-                return self._fast
+                ev = _SpectralEvaluator(self, radius)
             except NumericalError:
                 pass
-        self._fast = self._direct
-        return self._fast
-
-
-class _DirectEvaluator:
-    """The direct atom sum, valid at every radius; :func:`mgf_eval` is one point of it.
-
-    A symmetric source at |Re z| L < 650 (L the support radius) is summed
-    over its nonnegative half, f = w_0 + sum w (e^{zx} + e^{-zx}) and
-    f' = sum w x (e^{zx} - e^{-zx}), from p = e^{ax}, q = 1/p and c, s = cos,
-    sin of bx (z = a + ib): on the axis p = q = 1, so f(iy) is exactly real and
-    f'(iy) exactly imaginary.  Other points and sources are summed over all
-    atoms of exp(z x_j - shift), shift = max_j Re z x_j.  Each point is one
-    row of numpy's pairwise sums, so it gets the same bits in any batch, and
-    f gets the same bits with or without f'.  ``eval_pair_batch`` is the one
-    source of f' in the package: :func:`newton_refine` reads it.
-    """
-
-    path, K, xval_ratio, radius = "direct", None, None, math.inf
-
-    def __init__(self, f: EntireMGF):
-        self._ends, self._L, self._source = f._ends, f.support_radius, f.source
-        self._half = f._cosh_half if f.symmetric else None
+        self.fast_path = ev.path
+        return ev
 
     def eval_pair_batch(self, zs):
         """(f, f') mantissas of an array of z sharing one log-scale per point."""
@@ -214,7 +201,7 @@ class _DirectEvaluator:
 
     def _sums(self, zs, deriv: bool):
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        half = (self._half is not None) & (np.abs(zs.real) * self._L < 650.0)
+        half = (self._half is not None) & (np.abs(zs.real) * self.support_radius < 650.0)
         sums = np.empty((1 + deriv,) + zs.shape, dtype=complex)
         shift = np.zeros(zs.shape)
         for sel, part in ((half, self._half_sum), (~half, self._full_sum)):
@@ -251,7 +238,7 @@ class _DirectEvaluator:
         return sums, 0.0
 
     def _full_sum(self, zs, deriv):
-        xs, ws = self._source.xs, self._source.ws
+        xs, ws = self.source.xs, self.source.ws
         shift = np.where(zs.real >= 0, zs.real * self._ends[1], zs.real * self._ends[0])
         sums = np.empty((1 + deriv,) + zs.shape, dtype=complex)
         chunk = max(1, int(1e6 // len(xs)))
@@ -303,7 +290,7 @@ class _SpectralEvaluator:
     m_0 I_0(w) + 2 sum_k m_k I_k(w) with m_k the (exact) Chebyshev moments
     of the measure; it answers f only, as ``values``, since Newton steps
     read the direct sum.  For a symmetric source the moments come from the
-    nonnegative half (``EntireMGF._cosh_half``) with doubled weights and
+    nonnegative half (``EntireMGF._half``) with doubled weights and
     exact parity, since T_k(-u) = (-1)^k T_k(u): odd m_k vanish, and the
     atom at 0 adds w_0 T_k(0) = w_0 (-1)^(k/2) to the even m_k.  The Bessel row
     I_0..I_K at complex w is obtained spectrally as the Fourier coefficients
@@ -318,13 +305,13 @@ class _SpectralEvaluator:
     path = "spectral"
 
     def __init__(self, f: EntireMGF, radius: float):
-        self.radius = radius
+        self.radius, self.support_radius = radius, f.support_radius
         self.scale = max(f.support_radius, 1e-300)
         wmax = radius * self.scale
         K = self.K = int(1.3 * wmax) + 48
         self.M = 1 << int(math.ceil(math.log2(max(4 * K, 64))))
         if f.symmetric:
-            at0, ws, xs = f._cosh_half
+            at0, ws, xs = f._half
             ws = 2.0 * ws
         else:
             ws, xs = f.source.ws, f.source.xs
@@ -359,7 +346,7 @@ class _SpectralEvaluator:
     def _validate(self, f: EntireMGF):
         pts = self.radius * np.array(_XVAL_POINTS)
         fast, _ = self.values(pts)
-        mant, shift = f._direct.values(pts)
+        mant, shift = f.values(pts)
         direct = np.array([_unscale(m, s) for m, s in zip(mant, shift)])
         scale = np.exp(np.abs(pts.real) * self.scale)
         bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
@@ -373,18 +360,18 @@ def _unscale(mant: complex, shift: float) -> complex:
     log_abs = shift + math.log(abs(mant)) if mant != 0 else -math.inf
     if log_abs > 700.0:
         raise OverflowError(f"|f(z)| overflows float64; log scale {shift:.6g}, "
-                            f"use f.evaluator(radius).values for the mantissa")
+                            f"use f.values for the mantissa")
     return complex(mant * math.exp(shift))
 
 
 def mgf_eval(f: EntireMGF, z: complex) -> complex:
-    """f(z) = sum_j w_j exp(z x_j): the direct sum ``f._direct`` at one point.
+    """f(z) = sum_j w_j exp(z x_j): the direct sum ``f.values`` at one point.
 
-    Computes f only, with the same bits as the direct evaluator's ``values``.
+    Computes f only, with the same bits as in any batch of ``f.values``.
     Every reported residual is one of these.  A value too large for float64
     raises an OverflowError naming its log-scale.
     """
-    mant, shift = f._direct.values(np.array([complex(z)]))
+    mant, shift = f.values(np.array([complex(z)]))
     return _unscale(mant[0], float(shift[0]))
 
 
@@ -439,23 +426,23 @@ def _contour_winding(evaluator, rect: Rectangle, floor_log: float, lam: float):
     raise NumericalError("contour refinement did not converge")
 
 
-def count_zeros_rectangle(f: EntireMGF, rect: Rectangle, *, perturb: bool = True) -> int:
-    """Number of zeros of f inside the rectangle, with multiplicity.
+def count_zeros_rectangle(ev, rect: Rectangle, *, perturb: bool = True) -> int:
+    """Number of zeros of f inside the rectangle, with multiplicity, counted on ``ev``.
 
+    ``ev`` is a batch evaluator valid on the rectangle: an :class:`EntireMGF`
+    counts on its direct sum, ``f.evaluator(radius)`` on what that returns.
     The count is the winding number of f along the boundary, tracked with
     adaptive segment bisection until every phase increment is below pi/2.
     If |f| dips under BOUNDARY_FLOOR on the discretized contour the
     rectangle is grown by a tiny amount and retried (a zero too close to the
     boundary); after MAX_PERTURB failures a NumericalError is raised.
     """
-    evaluator = f.evaluator(_rect_radius(rect))
     floor_log = math.log(BOUNDARY_FLOOR)
-    lam = f.support_radius
     eps = 0.0
     for attempt in range(MAX_PERTURB + 1):
         try:
-            return _contour_winding(evaluator, rect.grow(eps) if eps else rect,
-                                    floor_log, lam)
+            return _contour_winding(ev, rect.grow(eps) if eps else rect,
+                                    floor_log, ev.support_radius)
         except NumericalError:
             if not perturb or attempt == MAX_PERTURB:
                 raise
@@ -520,7 +507,8 @@ def zero_report_from_json(text: str) -> ZeroReport:
     Accepts both the bare report and the command-line wrapper that nests it
     under a "results" key.  A missing "region", "zeros" or "verdict", a
     region that is not four finite bounds, and a zero that lacks "re", "im",
-    "residual" or "refined" raise ValueError naming it.
+    "residual" or "refined", or whose first three are not numbers or whose
+    "refined" is not a boolean, raise ValueError naming it.
     """
     doc = json.loads(text)
     if isinstance(doc, dict) and "region" not in doc and "results" in doc:
@@ -539,6 +527,10 @@ def zero_report_from_json(text: str) -> ZeroReport:
         if not (isinstance(z, dict) and {"re", "im", "residual", "refined"} <= set(z)):
             raise ValueError(f"zero report JSON: zero {z!r} lacks one of the keys "
                              "re, im, residual, refined")
+        if not (all(type(z[k]) in (int, float) for k in ("re", "im", "residual"))
+                and isinstance(z["refined"], bool)):
+            raise ValueError(f"zero report JSON: zero {z!r} needs numbers re, im, "
+                             "residual and a boolean refined")
     region = Rectangle(**region)
     zeros = tuple(ZeroInfo(complex(z["re"], z["im"]), z["residual"],
                            bool(z["refined"]), int(z.get("multiplicity", 1)))
@@ -556,7 +548,7 @@ def _abs_values(mant, shift) -> np.ndarray:
 
 
 def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
-    """Newton from each start in ``z0`` on the direct sum ``f._direct``, in lockstep.
+    """Newton from each start in ``z0`` on the direct sum of f, in lockstep.
 
     Returns arrays (z, |f(z)|, converged), one entry per start (a scalar is
     one start).  Convergence means the direct-sum residual mgf_eval is below
@@ -576,7 +568,7 @@ def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
     for _ in range(max_iter):
         if not len(run):
             break
-        fz, dfz, shift = f._direct.eval_pair_batch(z[run])
+        fz, dfz, shift = f.eval_pair_batch(z[run])
         r = _abs_values(fz, shift)
         conv, move = r < tol, dfz != 0
         step = np.zeros(fz.shape, dtype=complex)
@@ -590,19 +582,20 @@ def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
         ok[run[conv]] = True
         res[run[kept]] = r[kept]
         last = run[stop & ~kept]
-        res[last] = _abs_values(*f._direct.values(z[last]))
+        res[last] = _abs_values(*f.values(z[last]))
         ok[last] |= res[last] < tol
         run = run[~stop]
-    res[run] = _abs_values(*f._direct.values(z[run]))
+    res[run] = _abs_values(*f.values(z[run]))
     ok[run] = res[run] < tol
     return z, res, ok
 
 
-def _split_and_newton(f: EntireMGF, rect: Rectangle, cnt: int, tol: float,
+def _split_and_newton(f: EntireMGF, ev, rect: Rectangle, cnt: int, tol: float,
                       cells: list, notes: list[str]) -> list[ZeroInfo]:
     """The general path: split rect until each cell holds one zero, then Newton.
 
-    A cell is refined from its centre once it holds one zero and is under
+    Cells are counted on ``ev`` and Newton steps on the direct sum of f.  A
+    cell is refined from its centre once it holds one zero and is under
     MIN_CELL_DIAM across, or as a cluster of its count once under 1e-5.
     """
     found: list[ZeroInfo] = []
@@ -622,8 +615,8 @@ def _split_and_newton(f: EntireMGF, rect: Rectangle, cnt: int, tol: float,
         for frac in _SPLIT_FRACTIONS:
             left, right = rect.split(frac)
             try:
-                c1 = count_zeros_rectangle(f, left, perturb=False)
-                c2 = count_zeros_rectangle(f, right, perturb=False)
+                c1 = count_zeros_rectangle(ev, left, perturb=False)
+                c2 = count_zeros_rectangle(ev, right, perturb=False)
             except NumericalError:
                 continue
             if c1 + c2 == cnt:
@@ -660,8 +653,7 @@ def _axis_roots(evaluator, lo: float, hi: float, n: int):
     return 0.5 * (a + b), ys, g
 
 
-def _axis_split(f: EntireMGF, evaluator, m: float, lo: float, hi: float,
-                g_lo: float, g_hi: float, cnt: int):
+def _axis_split(ev, m: float, lo: float, hi: float, g_lo: float, g_hi: float, cnt: int):
     """Cut of the band [-m, m] x [lo, hi] whose counts add up to cnt, or None.
 
     Each half's count must have the parity of g's sign change across it
@@ -669,10 +661,10 @@ def _axis_split(f: EntireMGF, evaluator, m: float, lo: float, hi: float,
     cancels in the sum.
     """
     cuts = lo + (hi - lo) * np.array(_SPLIT_FRACTIONS)
-    for cut, g_cut in zip(cuts, _axis_values(evaluator, cuts)):
+    for cut, g_cut in zip(cuts, _axis_values(ev, cuts)):
         try:
-            c1 = count_zeros_rectangle(f, Rectangle(-m, m, lo, cut), perturb=False)
-            c2 = count_zeros_rectangle(f, Rectangle(-m, m, cut, hi), perturb=False)
+            c1 = count_zeros_rectangle(ev, Rectangle(-m, m, lo, cut), perturb=False)
+            c2 = count_zeros_rectangle(ev, Rectangle(-m, m, cut, hi), perturb=False)
         except NumericalError:
             continue
         if (c1 + c2 == cnt and c1 % 2 == (np.signbit(g_lo) != np.signbit(g_cut))
@@ -681,7 +673,7 @@ def _axis_split(f: EntireMGF, evaluator, m: float, lo: float, hi: float,
     return None
 
 
-def _axis_zeros(f: EntireMGF, evaluator, core: Rectangle, cnt: int, tol: float,
+def _axis_zeros(f: EntireMGF, ev, core: Rectangle, cnt: int, tol: float,
                 cells: list, notes: list[str]) -> list[ZeroInfo]:
     """Zeros of a symmetric source in the core [-m, m] x [lo, hi].
 
@@ -698,26 +690,27 @@ def _axis_zeros(f: EntireMGF, evaluator, core: Rectangle, cnt: int, tol: float,
     while bands:
         lo, hi, cnt = bands.pop()
         h = hi - lo
-        ys, grid, g = _axis_roots(evaluator, lo, hi, max(64, math.ceil(4.0 * lam * h)))
-        res = _abs_values(*f._direct.values(1j * ys)).tolist()
+        ys, grid, g = _axis_roots(ev, lo, hi, max(64, math.ceil(4.0 * lam * h)))
+        res = _abs_values(*f.values(1j * ys)).tolist()
         roots = [ZeroInfo(complex(0.0, y), r, r < tol, 1) for y, r in zip(ys, res)]
         accounted = len(roots) == cnt
         n_side = 0
         if not accounted and h <= 0.5 / lam and h < m:
             try:
-                n_side = count_zeros_rectangle(f, Rectangle(h, m, lo, hi), perturb=False)
+                n_side = count_zeros_rectangle(ev, Rectangle(h, m, lo, hi), perturb=False)
             except NumericalError:
                 pass
             accounted = len(roots) + 2 * n_side == cnt
         if not accounted and h >= 1e-5:
-            halves = _axis_split(f, evaluator, m, lo, hi, g[0], g[-1], cnt)
+            halves = _axis_split(ev, m, lo, hi, g[0], g[-1], cnt)
             if halves:
                 bands += halves
                 continue
         found += roots
         cells.append((Rectangle(-m, m, lo, hi), cnt))
         if accounted and n_side:
-            for z in _split_and_newton(f, Rectangle(h, m, lo, hi), n_side, tol, cells, notes):
+            for z in _split_and_newton(f, ev, Rectangle(h, m, lo, hi), n_side, tol, cells,
+                                       notes):
                 found += [z, replace(z, location=complex(-z.location.real, z.location.imag))]
         elif cnt > len(roots):
             y = float(grid[np.argmin(np.abs(g))])
@@ -739,33 +732,31 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     (_split_and_newton), whose Newton runs stop at direct-sum |f| < tol.
     The verdict is off-axis-zero-found iff some refined zero has
     |Re z| > 100 tol; unrefined zeros, or listed zeros that do not add up to
-    the contour count, make it inconclusive.  The report depends only on the
-    law, the region and tol: an evaluator that f cached for another radius
-    is not reused.
+    the contour count, make it inconclusive.  Every count of the report is
+    taken on the one evaluator ``f.evaluator`` builds for the region, so the
+    report depends only on the law, the region and tol.
     """
     if region is None:
         region = default_region()
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if f._fast is not None and f._fast.radius != _rect_radius(region):
-        f._fast = None
-    evaluator = f.evaluator(_rect_radius(region))
+    ev = f.evaluator(_rect_radius(region))
     notes: list[str] = []
     cells: list[tuple[Rectangle, int]] = []
     found: list[ZeroInfo] = []
 
-    total = count_zeros_rectangle(f, region)
+    total = count_zeros_rectangle(ev, region)
     general = [(region, total)]
     if f.symmetric and region.re_min < 0.0 < region.re_max:
         m = min(-region.re_min, region.re_max)
         core = Rectangle(-m, m, region.im_min, region.im_max)
         strips = [Rectangle(a, b, region.im_min, region.im_max)
                   for a, b in ((region.re_min, -m), (m, region.re_max)) if b > a]
-        core_cnt = count_zeros_rectangle(f, core) if strips else total
-        found += _axis_zeros(f, evaluator, core, core_cnt, tol, cells, notes)
-        general = [(s, count_zeros_rectangle(f, s)) for s in strips]
+        core_cnt = count_zeros_rectangle(ev, core) if strips else total
+        found += _axis_zeros(f, ev, core, core_cnt, tol, cells, notes)
+        general = [(s, count_zeros_rectangle(ev, s)) for s in strips]
     for rect, cnt in general:
-        found += _split_and_newton(f, rect, cnt, tol, cells, notes)
+        found += _split_and_newton(f, ev, rect, cnt, tol, cells, notes)
 
     # merge duplicates (Newton iterates that converged to the same point)
     merged: list[ZeroInfo] = []
@@ -793,8 +784,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     return ZeroReport(region=region, zeros=tuple(merged),
                       cell_counts=tuple(cells), piz_verdict=verdict,
                       max_abs_re=max_re, total_count=total, notes=tuple(notes),
-                      evaluator={"path": evaluator.path, "K": evaluator.K,
-                                 "xval_ratio": evaluator.xval_ratio})
+                      evaluator={"path": ev.path, "K": ev.K, "xval_ratio": ev.xval_ratio})
 
 
 def refinement_stable_report(dist_factory, N: int, region: Rectangle | None = None,

@@ -8,17 +8,23 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 from leeyang import chain, gibbs, zeros
 from leeyang.gibbs import ModelSpec, rademacher
-from leeyang.graphs import single_edge_graph
+from leeyang.graphs import path_graph, single_edge_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_tracer_records_spans(monkeypatch):
+def import_tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_benchmark_tracer_records_spans(monkeypatch):
+    tracing = import_tracing(monkeypatch)
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
@@ -38,3 +44,20 @@ def test_benchmark_tracer_records_spans(monkeypatch):
     assert law.counts == {"grid_points": 256, "atoms_out": len(dist.xs)}
     assert zeros.locate_zeros.__module__ == "leeyang.zeros"
     assert not hasattr(zeros.locate_zeros, "__wrapped__")
+
+
+@pytest.mark.parametrize("law, spectral", [
+    (lambda: gibbs.observable_distribution(ModelSpec("villain", path_graph(3)), 128), 1),
+    (rademacher, 0),
+], ids=["villain-path3-128", "rademacher"])
+def test_benchmark_tracer_sees_one_evaluator_per_report(law, spectral, monkeypatch):
+    dist = law()
+    tracing = import_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        zeros.locate_zeros(zeros.EntireMGF(dist), zeros.Rectangle(-4, 4, 0, 8))
+    finally:
+        tracer.uninstall()
+    [span] = [s for s in tracer.spans if s.name == "zeros.evaluator"]
+    assert span.counts == {"built": 1, "spectral": spectral}

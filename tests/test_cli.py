@@ -558,6 +558,13 @@ def test_readme_commands_parse():
      "region {} is not the four bounds"),
     (["spin-dist", "--graph", "one_ended_edge.json"], "'edges' [['x']]"),
     (["spin-dist", "--graph", "list_J.json"], "'J' [1]"),
+    (["spin-dist", "--graph", "string_vertices.json"], "'vertices' 'xy' is not a list"),
+    (["spin-dist", "--graph", "number_vertices.json"], "'vertices' 3 is not a list"),
+    (["spin-dist", "--graph", "null_J.json"], "'J' value None at 'x|y' is not a number"),
+    (["classify", "--dist", "law.csv", "--zeros", "string_im.json"],
+     "zero {'re': 0.0, 'im': 'a',"),
+    (["classify", "--dist", "law.csv", "--zeros", "string_refined.json"],
+     "'refined': 'false'} needs numbers re, im, residual and a boolean refined"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -567,6 +574,10 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
     Path("list.json").write_text("[1, 2]")
     Path("one_ended_edge.json").write_text('{"vertices": ["x", "y"], "edges": [["x"]]}')
     Path("list_J.json").write_text('{"vertices": ["x", "y"], "edges": [["x", "y"]], "J": [1]}')
+    Path("string_vertices.json").write_text('{"vertices": "xy", "edges": [["x", "y"]]}')
+    Path("number_vertices.json").write_text('{"vertices": 3, "edges": []}')
+    Path("null_J.json").write_text(
+        '{"vertices": ["x", "y"], "edges": [["x", "y"]], "J": {"x|y": null}}')
     Path("law.csv").write_text(THREE_ATOM_CSV)
     # an m-stat report: its results carry zeros and a verdict, but no region
     Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {
@@ -578,6 +589,12 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
         "zeros": [{"re": 0.0, "im": 1.5, "refined": True}]}))
     Path("empty_region.json").write_text(json.dumps({
         "region": {}, "verdict": "PIZ-in-region", "zeros": []}))
+    Path("string_im.json").write_text(json.dumps({
+        "region": region, "verdict": "PIZ-in-region",
+        "zeros": [{"re": 0.0, "im": "a", "residual": 0.0, "refined": True}]}))
+    Path("string_refined.json").write_text(json.dumps({
+        "region": region, "verdict": "PIZ-in-region",
+        "zeros": [{"re": 0.0, "im": 1.5, "residual": 0.0, "refined": "false"}]}))
     assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "16"]) == 0
     capsys.readouterr()
     assert main(argv + ["--out", "out"]) == 2

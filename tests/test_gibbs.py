@@ -398,6 +398,18 @@ def test_distribution_from_atoms_coalesces():
     assert d.is_symmetric()
 
 
+def test_distribution_from_atoms_takes_only_x_w_pairs():
+    for atoms in ([(1.0, 0.5, 7.0), (-1.0, 0.5, 9.0)], [], np.empty((0, 2)), [1.0, -1.0],
+                  [[(1.0, 0.5)]]):
+        with pytest.raises(ValueError, match=r"non-empty sequence of \(x, w\) pairs"):
+            distribution_from_atoms(atoms)
+    # the (2^m, 2) array of a Rademacher sum, as the zero-ladder builds it
+    signs = ((np.arange(4)[:, None] >> np.arange(2)) & 1) * 2.0 - 1.0
+    atoms = np.column_stack([signs @ np.array([0.5, 0.75]), np.full(4, 0.25)])
+    d = distribution_from_atoms(atoms, symmetrize=True)
+    assert d.xs.tolist() == [-1.25, -0.25, 0.25, 1.25] and d.ws.tolist() == [0.25] * 4
+
+
 def test_vertex_listing_order_is_immaterial():
     lam = {"b": 1.0, "c": 0.5, "d": 0.25}
     g1 = build_graph(["b", "c", "d"], [("b", "c"), ("c", "d")], {}, lam)

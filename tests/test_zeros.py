@@ -518,8 +518,9 @@ def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
 
 def test_report_records_the_spectral_evaluator():
     f = EntireMGF(villain_path3_law())
-    rep = locate_zeros(f, Rectangle(-1, 1, 0, 2))
-    ev = f.evaluator(1.0)
+    region = Rectangle(-1, 1, 0, 2)
+    rep = locate_zeros(f, region)
+    ev = f.evaluator(zeros._rect_radius(region))  # a new one, built as the report's was
     assert rep.evaluator == {"path": "spectral", "K": ev.K, "xval_ratio": ev.xval_ratio}
     assert zero_report_from_json(rep.to_json()).evaluator == rep.evaluator
 
@@ -532,6 +533,37 @@ def test_zero_report_does_not_depend_on_an_earlier_region():
     f = EntireMGF(law)
     locate_zeros(f, Rectangle(-4, 4, 0, 12))
     assert locate_zeros(f, region).to_json() == locate_zeros(EntireMGF(law), region).to_json()
+
+
+@pytest.mark.parametrize("law, region, path, n_counts", [
+    (villain_path3_law, Rectangle(-4, 4, 0, 8), "spectral", 1),  # the axis accounts for all
+    (three_atom_law, Rectangle(-2, 2, 0, 2), "direct", 22),  # criterion 2: band cuts and splits
+], ids=["villain-path3-128", "criterion-2-three-atom"])
+def test_a_report_builds_one_evaluator_and_counts_on_it(law, region, path, n_counts,
+                                                        monkeypatch):
+    f = EntireMGF(law())
+    radii, counted_on = [], []
+    build, count = EntireMGF.evaluator, zeros.count_zeros_rectangle
+    monkeypatch.setattr(EntireMGF, "evaluator",
+                        lambda self, radius: radii.append(radius) or build(self, radius))
+    monkeypatch.setattr(zeros, "count_zeros_rectangle",
+                        lambda ev, rect, **kw: counted_on.append(ev) or count(ev, rect, **kw))
+    rep = locate_zeros(f, region)
+    assert radii == [zeros._rect_radius(region)]
+    assert rep.evaluator["path"] == path == counted_on[0].path
+    assert len(counted_on) == n_counts and all(ev is counted_on[0] for ev in counted_on)
+    assert (counted_on[0] is f) == (path == "direct")
+
+
+def test_count_is_the_same_on_the_mgf_and_on_its_evaluator():
+    f = EntireMGF(villain_path3_law())
+    region = Rectangle(-4, 4, 0, 8)
+    ev = f.evaluator(zeros._rect_radius(region))
+    assert ev.path == "spectral" and f.fast_path == "spectral"
+    counts = [(count_zeros_rectangle(f, r), count_zeros_rectangle(ev, r))
+              for r in (region, Rectangle(-1, 1, 0, 3), Rectangle(0.5, 4, 0, 8))]
+    assert [c for c, _ in counts] == [c for _, c in counts]
+    assert counts[0][0] > counts[1][0] > 0
 
 
 def binned_normal_law():
@@ -605,7 +637,7 @@ def test_spectral_value_matches_the_direct_sum_where_f_is_small():
     spectral = f.evaluator(zeros._rect_radius(Rectangle(-2, 2, 0, 6)))  # 5001 atoms: spectral
     z = np.array([2.0 + 6.0j])
     fast, _ = spectral.values(z)
-    mant, shift = f._direct.values(z)
+    mant, shift = f.values(z)
     direct = zeros._unscale(mant[0], shift[0])
     assert abs(fast[0] - direct) <= 1e-10 * abs(direct)
 
@@ -648,7 +680,7 @@ def scalar_newton_reference(f, z0, tol, max_iter=100):
     """The former one-start Newton loop, kept as the reference of each start."""
     z = complex(z0)
     for _ in range(max_iter):
-        fv, dv, shift = f._direct.eval_pair_batch(np.array([z]))
+        fv, dv, shift = f.eval_pair_batch(np.array([z]))
         fz, dfz = fv[0], dv[0]
         res = abs(zeros._unscale(fz, float(shift[0])))
         if res < tol:
@@ -691,7 +723,7 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
     monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
     f = EntireMGF(law())
     ev = f.evaluator(12.0)
-    assert ev is f._direct
+    assert ev is f
     starts = np.array(starts)
     # tol 1e-10: polished or stopped; tol 0: no start converges, so each one
     # stalls or stops where f' = 0; max_iter 2: most stop at the cap
@@ -723,17 +755,16 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
 
 def test_newton_of_no_start_evaluates_nothing():
     f = EntireMGF(three_atom_law())
-    direct = f._direct
+    values = f.values
 
-    class NoSteps:
-        def eval_pair_batch(self, zs):
-            raise AssertionError("no start, no evaluation")
+    def no_steps(zs):
+        raise AssertionError("no start, no evaluation")
 
-        def values(self, zs):
-            assert len(zs) == 0, "no start, no residual"
-            return direct.values(zs)
+    def no_residuals(zs):
+        assert len(zs) == 0, "no start, no residual"
+        return values(zs)
 
-    f._direct = NoSteps()
+    f.eval_pair_batch, f.values = no_steps, no_residuals
     z, res, ok = newton_refine(f, [], 1e-10)
     assert z.shape == res.shape == ok.shape == (0,)
 
@@ -760,7 +791,7 @@ def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
                    a650 + 0.3j, -a650, 660.0 / L + 1.0j, -680.0 / L + 0.5j])
     if law is unsymmetrised_villain_path3_law:
         assert not d.symmetrized and not np.array_equal(d.xs, -d.xs[::-1])
-        assert f.symmetric and f._direct._half is not None
+        assert f.symmetric and f._half is not None
     mant, _, shift = f.evaluator(float(np.max(np.abs(zs)))).eval_pair_batch(zs)
     assert f.fast_path == "direct"
     if f.symmetric:
@@ -806,7 +837,7 @@ def test_axis_residuals_in_one_batch_match_mgf_eval(law, located):
     # must carry the bits mgf_eval gives at that root alone
     f = EntireMGF(law())
     ys = np.concatenate([np.linspace(0.0, 8.0, 29), [math.pi / 2, 1.2345678901234567]])
-    batch = zeros._abs_values(*f._direct.values(1j * ys)).tolist()
+    batch = zeros._abs_values(*f.values(1j * ys)).tolist()
     assert batch == [abs(mgf_eval(f, 1j * y)) for y in ys]
     if located:
         axis = [z for z in locate_zeros(f, Rectangle(-4.0, 4.0, 0.0, 8.0)).zeros
