@@ -14,25 +14,27 @@ The toolchain is:
 * :func:`mgf_eval` -- f(z) alone at one point, with the bits of ``values``
   and scaled against overflow; every reported residual is one of these;
 * :meth:`EntireMGF.evaluator` -- builds the batch evaluator for contours and
-  axis samples: the MGF itself, or a new spectral compression for sources
-  with many atoms; the MGF keeps no reference to it;
+  axis samples: the MGF itself, or for sources with many atoms the MGF of a
+  new Gauss rule of the law; the MGF keeps no reference to it;
 * :func:`count_zeros_rectangle` -- winding number, on the evaluator it is
   given, along the rectangle boundary with adaptive phase tracking
   (segments are bisected until every phase increment is below pi/2);
 * :func:`locate_zeros` -- a :class:`ZeroReport` from one evaluator built for
   its region; for a symmetric source the axis-symmetric part of the region
-  is certified by the bisected sign changes of the real g(y) = f(iy),
+  is certified by the bisected sign changes of the real g(y) = f(iy) (one
+  Newton step on the direct sum finishes those bisected on a Gauss law),
   everything else by recursive rectangle subdivision driven by the counter
   and :func:`newton_refine`, whose f and f' are always the direct sum's;
 * :func:`hadamard_fit` -- the quadratic coefficient B and the variance
   identity Var = 2 (B + sum_k y_k^{-2}) for the order-2 product form
   f(z) = exp(B z^2) prod_k (1 + z^2 / y_k^2) of a symmetric source.
 
-The spectral compression pairs exact Chebyshev moments of the measure with
-modified-Bessel factors; a symmetric source's moments come from the same
-nonnegative half, with exact parity.  Every build is cross-validated
-against the direct sum's f at eight points in one batch, and the report
-records which evaluator ran.
+A K-point Gauss rule is itself a positive atomic law that matches 2K - 1
+moments, so every evaluator is an :class:`EntireMGF`; K comes from an a
+priori Chebyshev--Bessel bound on the truncation, a symmetric source's rule
+is built on t = x^2 from its nonnegative half and mirrored exactly, and
+every rule is cross-validated against the direct sum's f at eight points in
+one batch.  The report records which evaluator ran.
 
 Caveat: a discretized distribution approximates a continuum law, so its
 MGF's zeros approximate the true ones only up to quadrature error.  Use
@@ -58,9 +60,9 @@ BOUNDARY_FLOOR = 1e-13
 MAX_PERTURB = 6
 MERGE_DISTANCE = 5e-8  # Newton ends closer than this are one zero
 GRID_STABILITY_FACTOR = 10.0
-_SPECTRAL_ATOM_THRESHOLD = 4096
+_GAUSS_ATOM_THRESHOLD = 4096
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
-# the spectral evaluator's cross-check points, as fractions of its radius
+# the Gauss law's cross-check points, as fractions of its radius
 _XVAL_POINTS = (0.31 + 0.17j, -0.52 + 0.61j, 0.05 + 0.93j, 0.71 - 0.13j,
                 -0.23 - 0.47j, 0.97j, 0.89, -0.61)
 
@@ -135,7 +137,7 @@ class EntireMGF:
     """The entire function f(z) = E[exp(z X)] of a finite atomic law, summed directly.
 
     The MGF is itself the direct batch evaluator, valid at every radius
-    (``path = "direct"``, ``K = xval_ratio = None``, ``radius = inf``);
+    (``path = "direct"``, ``K = xval_ratio = None``);
     :func:`mgf_eval` is one point of it.  A symmetric source keeps its
     nonnegative half ``_half`` (atom at 0, then the x > 0 weights and
     positions) and at |Re z| L < 650 (L the support radius) is summed over
@@ -153,7 +155,7 @@ class EntireMGF:
     few sampled t.
     """
 
-    path, K, xval_ratio, radius = "direct", None, None, math.inf
+    path, K, xval_ratio = "direct", None, None
 
     def __init__(self, source: DiscretizedDistribution):
         self.source = source
@@ -175,17 +177,14 @@ class EntireMGF:
     def evaluator(self, radius: float):
         """A batch evaluator valid for |z| <= radius, built anew on every call.
 
-        The spectral compression for a source of more than 4096 atoms when it
-        builds and passes its cross-check, else the MGF itself; either way
-        ``fast_path`` records its path and the MGF keeps no reference to it.
+        For a source of more than 4096 atoms, the MGF of its Gauss rule
+        (:func:`_gauss_law`) when that is smaller than the law and passes its
+        cross-check; else the MGF itself.  Either way ``fast_path`` records
+        its path and the MGF keeps no reference to it.
         """
         ev = self
-        if (len(self.source.xs) > _SPECTRAL_ATOM_THRESHOLD
-                and radius * max(self.support_radius, 1e-300) < 650.0):
-            try:
-                ev = _SpectralEvaluator(self, radius)
-            except NumericalError:
-                pass
+        if len(self.source.xs) > _GAUSS_ATOM_THRESHOLD and radius * self.support_radius < 650.0:
+            ev = _gauss_law(self, radius) or self
         self.fast_path = ev.path
         return ev
 
@@ -259,100 +258,78 @@ def _term_sum(h, t, ws, xs=None):
     return np.sum(terms if xs is None else terms * xs, axis=-1)
 
 
-def _chebyshev_moments(u: np.ndarray, cols: np.ndarray, K: int):
-    """sum_j cols[j] T_k(u_j) for k = 0..K as a (K + 1, ncols) array.
+def _gauss_degree(w: float) -> int:
+    """Least n with 4 sum_{k>n} (w/2)^k / k! below 2^-53, for 0 <= w < 1400 (finite terms).
 
-    Works through the atoms in blocks: an in-place three-term recurrence
-    fills a (K + 1) x block table of T_k(u_j) (1.5 MB at K = 92), and one
-    matrix product with the block's columns accumulates every moment row.
+    As |I_k(v)| <= (|v|/2)^k e^{|Re v|} / k! (DLMF 10.14.4), this bounds
+    4 sum_{k>n} |I_k(v)| e^{-|Re v|} at |v| <= w; past k = w/2 the terms fall
+    geometrically, so the tail is bounded from its first term.
     """
-    block = 2048
-    out = np.zeros((K + 1, cols.shape[1]))
-    table = np.empty((K + 1, min(block, len(u))))
-    for i in range(0, len(u), block):
-        ub = u[i:i + block]
-        t = table[:, :len(ub)]
-        t[0] = 1.0
-        t[1] = ub
-        u2 = 2.0 * ub
-        for k in range(2, K + 1):
-            np.multiply(u2, t[k - 1], out=t[k])
-            t[k] -= t[k - 2]
-        out += t @ cols[i:i + len(ub)]
-    return out
+    h = 0.5 * w
+    n, term = 0, h  # term = h^(n+1) / (n+1)!
+    while not (n + 2 > h and 4.0 * term < 2.0**-53 * (1.0 - h / (n + 2))):
+        n += 1
+        term *= h / (n + 1)
+    return n
 
 
-class _SpectralEvaluator:
-    """Chebyshev--Bessel compression of the atom sum.
+def _gauss_rule(t: np.ndarray, w: np.ndarray, K: int):
+    """(nodes, weights) of the K-point Gauss rule of the measure sum_j w_j delta_{t_j}.
 
-    Writing x = L u with u in [-1, 1] and w = z L, the expansion
-    exp(w u) = I_0(w) + 2 sum_k I_k(w) T_k(u) turns f(z) into
-    m_0 I_0(w) + 2 sum_k m_k I_k(w) with m_k the (exact) Chebyshev moments
-    of the measure; it answers f only, as ``values``, since Newton steps
-    read the direct sum.  For a symmetric source the moments come from the
-    nonnegative half (``EntireMGF._half``) with doubled weights and
-    exact parity, since T_k(-u) = (-1)^k T_k(u): odd m_k vanish, and the
-    atom at 0 adds w_0 T_k(0) = w_0 (-1)^(k/2) to the even m_k.  The Bessel row
-    I_0..I_K at complex w is obtained spectrally as the Fourier coefficients
-    of t -> exp(w cos t).  Truncation K is chosen so the neglected terms are
-    below machine precision for |z| <= radius; the instance is
-    cross-validated against the direct sum's f (the values of :func:`mgf_eval`,
-    in one batch) at the eight ``_XVAL_POINTS`` at construction
-    (``xval_ratio`` is the largest error over its bound) and raises
-    NumericalError on disagreement.
+    Stieltjes' procedure on the atoms, then the eigen-decomposition of the
+    K x K Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
     """
+    mass = float(np.sum(w))
+    alpha, beta = np.zeros(K), np.zeros(K)  # beta[k]: the off-diagonal above row k
+    q_prev, q = np.zeros_like(t), np.full_like(t, 1.0 / math.sqrt(mass))
+    for k in range(K):
+        alpha[k] = np.dot(w * q * q, t)
+        if k == K - 1:
+            break
+        r = (t - alpha[k]) * q - beta[k - 1] * q_prev  # beta[-1] = 0 at k = 0
+        beta[k] = math.sqrt(np.dot(w * r, r))
+        q_prev, q = q, r / beta[k]
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+    return nodes, mass * vecs[0] ** 2
 
-    path = "spectral"
 
-    def __init__(self, f: EntireMGF, radius: float):
-        self.radius, self.support_radius = radius, f.support_radius
-        self.scale = max(f.support_radius, 1e-300)
-        wmax = radius * self.scale
-        K = self.K = int(1.3 * wmax) + 48
-        self.M = 1 << int(math.ceil(math.log2(max(4 * K, 64))))
-        if f.symmetric:
-            at0, ws, xs = f._half
-            ws = 2.0 * ws
-        else:
-            ws, xs = f.source.ws, f.source.xs
-        # the ws * xs column is not used, but a one-column product rounds
-        # differently in BLAS and moves zero-ladder axis zeros where |g'| ~ 1e-10
-        m = _chebyshev_moments(xs / self.scale, np.column_stack([ws, ws * xs]), K)[:, 0]
-        if f.symmetric:
-            m[1::2] = 0.0
-            m[0::2] += at0 * (-1.0) ** np.arange(len(m[0::2]))
-        m[1:] *= 2.0
-        self._m = m
-        self._cos_t = np.cos(2.0 * math.pi * np.arange(self.M) / self.M)
-        self._symmetric = f.symmetric
-        self._validate(f)
+def _gauss_law(f: EntireMGF, radius: float):
+    """The MGF of a Gauss rule of f's law, valid for |z| <= radius, or None.
 
-    def values(self, zs):
-        """(f, log-scales) of an array of z; the log-scale is 0 at every point."""
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        out_f = np.empty(zs.shape, dtype=complex)
-        chunk = max(1, int(2e6 // self.M))
-        for i in range(0, len(zs), chunk):
-            w = zs[i:i + chunk] * self.scale
-            g = np.exp(w[:, None] * self._cos_t[None, :])
-            coeff = np.fft.fft(g, axis=1)[:, : self.K + 1] / self.M
-            out_f[i:i + chunk] = coeff @ self._m
-        if self._symmetric:
-            # f(iy) = E cos(yX) is real; the FFT's rounding would leave about
-            # 1e-16 in its imaginary part
-            out_f.imag[zs.real == 0.0] = 0.0
-        return out_f, np.zeros(zs.shape)
-
-    def _validate(self, f: EntireMGF):
-        pts = self.radius * np.array(_XVAL_POINTS)
-        fast, _ = self.values(pts)
-        mant, shift = f.values(pts)
-        direct = np.array([_unscale(m, s) for m, s in zip(mant, shift)])
-        scale = np.exp(np.abs(pts.real) * self.scale)
-        bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
-        self.xval_ratio = float(np.max(np.abs(fast - direct) / bound))
-        if not self.xval_ratio <= 1.0:
-            raise NumericalError("spectral MGF evaluator failed cross-validation against direct sum")
+    The rule matches every moment up to degree n, so its MGF is off by at
+    most 2 min_p max |e^{zx} - p| over the support, p of degree n: below
+    2^-53 e^{|Re z| L} with n from :func:`_gauss_degree` at w = radius L.
+    A symmetric law's rule is built on t = x^2 over its nonnegative half
+    (K = n // 4 + 1) and mirrored, any other law's on x (K = n // 2 + 1).
+    None when the rule is not smaller than the law or fails the cross-check
+    against the direct sum at ``_XVAL_POINTS`` (``xval_ratio``: the largest
+    error over its bound).
+    """
+    n = _gauss_degree(radius * f.support_radius)
+    K = n // 4 + 1 if f.symmetric else n // 2 + 1
+    if (2 * K if f.symmetric else K) >= len(f.source.xs):
+        return None
+    if f.symmetric:
+        at0, ws, xs = f._half
+        t, lam = _gauss_rule(np.append(xs * xs, 0.0), np.append(2.0 * ws, at0), K)
+        r = np.sqrt(t)
+        nodes, weights = np.concatenate([-r[::-1], r]), 0.5 * np.concatenate([lam[::-1], lam])
+    else:
+        nodes, weights = _gauss_rule(f.source.xs, f.source.ws, K)
+    try:
+        g = EntireMGF(DiscretizedDistribution(nodes, weights, symmetrized=f.symmetric))
+    except ValueError:  # the rule's mass is not 1 to 1e-12, or a weight is not positive
+        return None
+    pts = radius * np.array(_XVAL_POINTS)
+    rule = np.array([_unscale(m, s) for m, s in zip(*g.values(pts))])
+    direct = np.array([_unscale(m, s) for m, s in zip(*f.values(pts))])
+    scale = np.exp(np.abs(pts.real) * f.support_radius)
+    bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
+    ratio = float(np.max(np.abs(rule - direct) / bound))
+    if not ratio <= 1.0:
+        return None
+    g.path, g.K, g.xval_ratio = "gauss", K, ratio
+    return g
 
 
 def _unscale(mant: complex, shift: float) -> complex:
@@ -505,10 +482,11 @@ def zero_report_from_json(text: str) -> ZeroReport:
     """Rebuild a ZeroReport from its JSON serialization (cells omitted).
 
     Accepts both the bare report and the command-line wrapper that nests it
-    under a "results" key.  A missing "region", "zeros" or "verdict", a
-    region that is not four finite bounds, and a zero that lacks "re", "im",
-    "residual" or "refined", or whose first three are not numbers or whose
-    "refined" is not a boolean, raise ValueError naming it.
+    under a "results" key.  A missing "region", "zeros" or "verdict", or a
+    value no report writes (a region that is not four finite bounds, an
+    unknown verdict, a zero without numbers re, im, residual, a boolean
+    refined and a positive integer multiplicity, an optional key of the
+    wrong type), raises ValueError naming it.
     """
     doc = json.loads(text)
     if isinstance(doc, dict) and "region" not in doc and "results" in doc:
@@ -518,9 +496,12 @@ def zero_report_from_json(text: str) -> ZeroReport:
             raise ValueError(f"zero report JSON: not an object with the key {key!r}")
     region = doc["region"]  # Rectangle refuses non-finite and degenerate bounds
     if not (isinstance(region, dict) and sorted(region) == ["im_max", "im_min", "re_max", "re_min"]
-            and all(isinstance(b, (int, float)) for b in region.values())):
+            and all(type(b) in (int, float) for b in region.values())):
         raise ValueError(f"zero report JSON: region {region!r} is not the four bounds "
                          "re_min, re_max, im_min, im_max")
+    if doc["verdict"] not in (VERDICT_PIZ, VERDICT_OFF_AXIS, VERDICT_INCONCLUSIVE):
+        raise ValueError(f"zero report JSON: verdict {doc['verdict']!r} is not one of "
+                         f"{VERDICT_PIZ!r}, {VERDICT_OFF_AXIS!r}, {VERDICT_INCONCLUSIVE!r}")
     if not isinstance(doc["zeros"], list):
         raise ValueError(f"zero report JSON: zeros {doc['zeros']!r} is not a list")
     for z in doc["zeros"]:
@@ -531,9 +512,17 @@ def zero_report_from_json(text: str) -> ZeroReport:
                 and isinstance(z["refined"], bool)):
             raise ValueError(f"zero report JSON: zero {z!r} needs numbers re, im, "
                              "residual and a boolean refined")
+        if not (type(z.get("multiplicity", 1)) is int and z.get("multiplicity", 1) >= 1):
+            raise ValueError(f"zero report JSON: zero {z!r} needs a positive integer "
+                             "multiplicity")
+    for key, types, what in (("max_abs_re", (int, float), "a number"),
+                             ("total_count", (int,), "an integer"), ("notes", (list,), "a list"),
+                             ("evaluator", (dict, type(None)), "an object or null")):
+        if key in doc and type(doc[key]) not in types:
+            raise ValueError(f"zero report JSON: {key!r} {doc[key]!r} is not {what}")
     region = Rectangle(**region)
     zeros = tuple(ZeroInfo(complex(z["re"], z["im"]), z["residual"],
-                           bool(z["refined"]), int(z.get("multiplicity", 1)))
+                           z["refined"], z.get("multiplicity", 1))
                   for z in doc["zeros"])
     return ZeroReport(region=region, zeros=zeros, piz_verdict=doc["verdict"],
                       max_abs_re=doc.get("max_abs_re", 0.0),
@@ -634,23 +623,33 @@ def _axis_values(evaluator, ys: np.ndarray) -> np.ndarray:
     return evaluator.values(1j * ys)[0].real
 
 
-def _axis_roots(evaluator, lo: float, hi: float, n: int):
-    """Sign changes of g on n + 1 equispaced points of [lo, hi], bisected together.
+def _axis_roots(f: EntireMGF, ev, lo: float, hi: float, n: int):
+    """Sign changes of g on n + 1 equispaced points of [lo, hi], bisected together on ev.
 
     Every bracket is halved in one batch evaluation per step until no bracket
-    shrinks any more.  Returns (roots, sample ordinates, sample values).
+    shrinks any more.  Bisection on a Gauss law fixes a root of f only to
+    about 1e-14 / |g'|, so such a root then takes one Newton step, f's direct
+    g over the rule's g', kept only where it stays inside the root's sampling
+    cell.  Returns (roots, sample ordinates, sample values).
     """
     ys = np.linspace(lo, hi, n + 1)
-    g = _axis_values(evaluator, ys)
+    g = _axis_values(ev, ys)
     i = np.nonzero(np.signbit(g[:-1]) != np.signbit(g[1:]))[0]
     a, b, neg_a = ys[i], ys[i + 1], np.signbit(g[i])
     while len(a):
         mid = 0.5 * (a + b)
         if not np.any((mid > a) & (mid < b)):
             break
-        left = np.signbit(_axis_values(evaluator, mid)) == neg_a
+        left = np.signbit(_axis_values(ev, mid)) == neg_a
         a, b = np.where(left, mid, a), np.where(left, b, mid)
-    return 0.5 * (a + b), ys, g
+    roots = 0.5 * (a + b)
+    if ev is not f:
+        dg = -ev.eval_pair_batch(1j * roots)[1].imag  # g'(y) = i f'(iy)
+        step = np.zeros_like(roots)
+        np.divide(_axis_values(f, roots), dg, out=step, where=dg != 0.0)
+        finished = roots - step
+        roots = np.where((finished > ys[i]) & (finished < ys[i + 1]), finished, roots)
+    return roots, ys, g
 
 
 def _axis_split(ev, m: float, lo: float, hi: float, g_lo: float, g_hi: float, cnt: int):
@@ -690,7 +689,7 @@ def _axis_zeros(f: EntireMGF, ev, core: Rectangle, cnt: int, tol: float,
     while bands:
         lo, hi, cnt = bands.pop()
         h = hi - lo
-        ys, grid, g = _axis_roots(ev, lo, hi, max(64, math.ceil(4.0 * lam * h)))
+        ys, grid, g = _axis_roots(f, ev, lo, hi, max(64, math.ceil(4.0 * lam * h)))
         res = _abs_values(*f.values(1j * ys)).tolist()
         roots = [ZeroInfo(complex(0.0, y), r, r < tol, 1) for y, r in zip(ys, res)]
         accounted = len(roots) == cnt

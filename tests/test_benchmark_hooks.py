@@ -46,18 +46,20 @@ def test_benchmark_tracer_records_spans(monkeypatch):
     assert not hasattr(zeros.locate_zeros, "__wrapped__")
 
 
-@pytest.mark.parametrize("law, spectral", [
-    (lambda: gibbs.observable_distribution(ModelSpec("villain", path_graph(3)), 128), 1),
-    (rademacher, 0),
+@pytest.mark.parametrize("law, path", [
+    (lambda: gibbs.observable_distribution(ModelSpec("villain", path_graph(3)), 128), "gauss"),
+    (rademacher, "direct"),
 ], ids=["villain-path3-128", "rademacher"])
-def test_benchmark_tracer_sees_one_evaluator_per_report(law, spectral, monkeypatch):
+def test_benchmark_tracer_sees_one_evaluator_per_report(law, path, monkeypatch):
     dist = law()
     tracing = import_tracing(monkeypatch)
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        zeros.locate_zeros(zeros.EntireMGF(dist), zeros.Rectangle(-4, 4, 0, 8))
+        report = zeros.locate_zeros(zeros.EntireMGF(dist), zeros.Rectangle(-4, 4, 0, 8))
     finally:
         tracer.uninstall()
     [span] = [s for s in tracer.spans if s.name == "zeros.evaluator"]
-    assert span.counts == {"built": 1, "spectral": spectral}
+    # the tracer counts only a path named "spectral", which no evaluator has
+    assert span.counts == {"built": 1, "spectral": 0}
+    assert report.evaluator["path"] == path

@@ -565,6 +565,20 @@ def test_readme_commands_parse():
      "zero {'re': 0.0, 'im': 'a',"),
     (["classify", "--dist", "law.csv", "--zeros", "string_refined.json"],
      "'refined': 'false'} needs numbers re, im, residual and a boolean refined"),
+    (["classify", "--dist", "law.csv", "--zeros", "half_multiplicity.json"],
+     "'multiplicity': 1.5} needs a positive integer multiplicity"),
+    (["classify", "--dist", "law.csv", "--zeros", "zero_multiplicity.json"],
+     "'multiplicity': 0} needs a positive integer multiplicity"),
+    (["classify", "--dist", "law.csv", "--zeros", "boolean_bound.json"],
+     "region {'re_min': True, "),
+    (["classify", "--dist", "law.csv", "--zeros", "number_verdict.json"],
+     "verdict 7 is not one of"),
+    (["classify", "--dist", "law.csv", "--zeros", "string_total.json"],
+     "'total_count' 'x' is not an integer"),
+    (["classify", "--dist", "law.csv", "--zeros", "number_evaluator.json"],
+     "'evaluator' 5 is not an object or null"),
+    (["classify", "--dist", "law.csv", "--zeros", "number_notes.json"],
+     "'notes' 3 is not a list"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -595,6 +609,17 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
     Path("string_refined.json").write_text(json.dumps({
         "region": region, "verdict": "PIZ-in-region",
         "zeros": [{"re": 0.0, "im": 1.5, "residual": 0.0, "refined": "false"}]}))
+    # one well-formed report, each file with one value of the wrong kind
+    zero = {"re": 0.0, "im": 1.5, "residual": 0.0, "refined": True}
+    report = {"region": region, "verdict": "PIZ-in-region", "zeros": [zero]}
+    for name, edit in (("half_multiplicity", {"zeros": [zero | {"multiplicity": 1.5}]}),
+                       ("zero_multiplicity", {"zeros": [zero | {"multiplicity": 0}]}),
+                       ("boolean_bound", {"region": region | {"re_min": True}}),
+                       ("number_verdict", {"verdict": 7}),
+                       ("string_total", {"total_count": "x"}),
+                       ("number_evaluator", {"evaluator": 5}),
+                       ("number_notes", {"notes": 3})):
+        Path(f"{name}.json").write_text(json.dumps(report | edit))
     assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "16"]) == 0
     capsys.readouterr()
     assert main(argv + ["--out", "out"]) == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros, polygamma
+from scipy.special import ive, jn_zeros, polygamma
 
 from leeyang import zeros
 from leeyang.errors import NumericalError
@@ -477,7 +477,7 @@ def test_spectral_evaluator_agrees_with_direct():
     d = observable_distribution(m, 128)
     f = EntireMGF(d)
     ev = f.evaluator(10.0)
-    assert f.fast_path == "spectral"
+    assert f.fast_path == "gauss"
     rng = random.Random(5)
     zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-7, 7)) for _ in range(12)])
     fast, shift = ev.values(zs)
@@ -497,15 +497,15 @@ def pinned_xy_path4_law():
 @pytest.mark.parametrize("law, symmetric", [(villain_path3_law, True),
                                             (pinned_xy_path4_law, False)])
 def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
-    # the spectral moments and the direct sum both read the nonnegative half
-    # of a symmetric law; the reference here is a plain numpy sum over every
+    # the Gauss rule and the direct sum both read the nonnegative half of a
+    # symmetric law; the reference here is a plain numpy sum over every
     # atom.  Points lie in the criterion-1 region [-4, 4] x [0, 8] and its
     # mirror, where e^{|Re z| L} stays far from overflow.
     d = law()
     f = EntireMGF(d)
     radius = 8.0 * math.sqrt(2.0)
     ev = f.evaluator(radius)
-    assert f.fast_path == "spectral" and f.symmetric == symmetric
+    assert f.fast_path == "gauss" and f.symmetric == symmetric
     rng = random.Random(5)
     zs = np.array([complex(rng.uniform(-4, 4), rng.uniform(-8, 8)) for _ in range(16)])
     fv, shift = ev.values(zs)
@@ -521,12 +521,12 @@ def test_report_records_the_spectral_evaluator():
     region = Rectangle(-1, 1, 0, 2)
     rep = locate_zeros(f, region)
     ev = f.evaluator(zeros._rect_radius(region))  # a new one, built as the report's was
-    assert rep.evaluator == {"path": "spectral", "K": ev.K, "xval_ratio": ev.xval_ratio}
+    assert rep.evaluator == {"path": "gauss", "K": ev.K, "xval_ratio": ev.xval_ratio}
     assert zero_report_from_json(rep.to_json()).evaluator == rep.evaluator
 
 
 def test_zero_report_does_not_depend_on_an_earlier_region():
-    # a spectral evaluator built for the larger region would be valid here
+    # a Gauss-law evaluator built for the larger region would be valid here
     # too, but with another K and cross-check it would write another report
     law = observable_distribution(ModelSpec("villain", path_graph(3, J=2.0)), 128)
     region = Rectangle(-4, 4, 0, 8)
@@ -536,7 +536,7 @@ def test_zero_report_does_not_depend_on_an_earlier_region():
 
 
 @pytest.mark.parametrize("law, region, path, n_counts", [
-    (villain_path3_law, Rectangle(-4, 4, 0, 8), "spectral", 1),  # the axis accounts for all
+    (villain_path3_law, Rectangle(-4, 4, 0, 8), "gauss", 1),  # the axis accounts for all
     (three_atom_law, Rectangle(-2, 2, 0, 2), "direct", 22),  # criterion 2: band cuts and splits
 ], ids=["villain-path3-128", "criterion-2-three-atom"])
 def test_a_report_builds_one_evaluator_and_counts_on_it(law, region, path, n_counts,
@@ -559,7 +559,7 @@ def test_count_is_the_same_on_the_mgf_and_on_its_evaluator():
     f = EntireMGF(villain_path3_law())
     region = Rectangle(-4, 4, 0, 8)
     ev = f.evaluator(zeros._rect_radius(region))
-    assert ev.path == "spectral" and f.fast_path == "spectral"
+    assert ev.path == "gauss" and f.fast_path == "gauss"
     counts = [(count_zeros_rectangle(f, r), count_zeros_rectangle(ev, r))
               for r in (region, Rectangle(-1, 1, 0, 3), Rectangle(0.5, 4, 0, 8))]
     assert [c for c, _ in counts] == [c for _, c in counts]
@@ -579,70 +579,71 @@ def asymmetric_three_atom_law():
 
 
 CRITERION_1_REGION = Rectangle(-4, 4, 0, 8)
+# (law, region, the path at a threshold of 0 atoms): the Gauss law where it
+# is smaller than the law, else the direct sum
 EVALUATOR_CASES = [
-    pytest.param(rademacher, Rectangle(-2, 2, 0, 8), id="rademacher"),
-    pytest.param(three_atom_law, Rectangle(-2, 2, 0, 4), id="three-atom"),
-    pytest.param(lambda: rademacher_sum_law((0.9, 0.55, 0.35, 0.7)), LADDER_REGION,
+    pytest.param(rademacher, Rectangle(-2, 2, 0, 8), "direct", id="rademacher"),
+    pytest.param(three_atom_law, Rectangle(-2, 2, 0, 4), "direct", id="three-atom"),
+    pytest.param(lambda: rademacher_sum_law((0.9, 0.55, 0.35, 0.7)), LADDER_REGION, "direct",
                  id="rademacher-sum-4"),
-    *(pytest.param(model_law(kind, single_edge_graph(J=1.0), 128), CRITERION_1_REGION,
+    *(pytest.param(model_law(kind, single_edge_graph(J=1.0), 128), CRITERION_1_REGION, "gauss",
                    id=f"{kind}-edge-128") for kind in ("villain", "xy")),
-    *(pytest.param(model_law(kind, path_graph(3), 32), CRITERION_1_REGION,
+    *(pytest.param(model_law(kind, path_graph(3), 32), CRITERION_1_REGION, "gauss",
                    id=f"{kind}-path3-32") for kind in ("villain", "xy")),
     pytest.param(lambda: observable_distribution(
         ModelSpec("xy", path_graph(4), boundary={"v0": 0.3}), 16, symmetrize=False),
-        CRITERION_1_REGION, id="xy-path4-pinned-16"),
-    pytest.param(binned_normal_law, CRITERION_1_REGION, id="binned-normal-200"),
-    pytest.param(asymmetric_three_atom_law, CRITERION_1_REGION, id="asymmetric-three-atom"),
-    # spectral (K = 180, xval_ratio 0.020): inconclusive, a contour total of
-    # -1; direct: PIZ with no zeros, as e^{z^2/2} has none.  At 2 + 6i the
-    # spectral value is -4.8e-7 - 1.1e-6i against 9.5e-8 - 6.0e-8i summed
-    # directly: the cross-check's floor 1e-13 e^{12 |Re z|} exceeds |f|.
-    # How the noise miscounts moves with the law's last bits
+        CRITERION_1_REGION, "gauss", id="xy-path4-pinned-16"),
+    pytest.param(binned_normal_law, CRITERION_1_REGION, "gauss", id="binned-normal-200"),
+    pytest.param(asymmetric_three_atom_law, CRITERION_1_REGION, "direct",
+                 id="asymmetric-three-atom"),
+    # PIZ with no zeros on either path, as e^{z^2/2} has none; the Chebyshev
+    # evaluator this law once took was inconclusive here
     pytest.param(lambda: discretized_gaussian(1.0, n_atoms=5001), Rectangle(-2, 2, 0, 6),
-                 id="gaussian-5001",
-                 marks=pytest.mark.xfail(strict=True, reason="spectral error above |f|")),
+                 "gauss", id="gaussian-5001"),
 ]
 
 
-@pytest.mark.parametrize("law, region", EVALUATOR_CASES)
-def test_zero_report_does_not_depend_on_the_evaluator(law, region, monkeypatch):
+@pytest.mark.parametrize("law, region, compressed", EVALUATOR_CASES)
+def test_zero_report_does_not_depend_on_the_evaluator(law, region, compressed, monkeypatch):
     reports = []
-    for threshold, path in ((0, "spectral"), (10**12, "direct")):
-        monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", threshold)
+    for threshold, path in ((0, compressed), (10**12, "direct")):
+        monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", threshold)
         f = EntireMGF(law())
         reports.append(locate_zeros(f, region))
         assert f.fast_path == path
-    spectral, direct = reports
-    assert spectral.piz_verdict == direct.piz_verdict
-    assert spectral.total_count == direct.total_count
-    assert ([z.multiplicity for z in spectral.zeros]
+    gauss, direct = reports
+    assert gauss.piz_verdict == direct.piz_verdict
+    assert gauss.total_count == direct.total_count
+    assert ([z.multiplicity for z in gauss.zeros]
             == [z.multiplicity for z in direct.zeros])
     assert all(abs(a.location - b.location) <= 1e-9
-               for a, b in zip(spectral.zeros, direct.zeros))
+               for a, b in zip(gauss.zeros, direct.zeros))
     if not f.symmetric:
         # the general path: the evaluator only counts, and Newton reads the
         # direct sum, so each zero is the same to the bit
-        assert [repr(z) for z in spectral.zeros] == [repr(z) for z in direct.zeros]
+        assert [repr(z) for z in gauss.zeros] == [repr(z) for z in direct.zeros]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="spectral error above |f| where |f| << e^{|Re z| L}")
-def test_spectral_value_matches_the_direct_sum_where_f_is_small():
-    # gaussian-5001's defect itself, at a point, so no luck of rounding in the
-    # contour count can hide it: at 2 + 6i the spectral value is about
-    # -4.8e-7 - 1.1e-6i against 9.5e-8 - 6.0e-8i summed directly.  The bound is
-    # the cross-check's relative tolerance 1e-10 |f|, without the envelope
-    # floor 1e-13 e^{|Re z| L} (2.6e-3 here) that lets this error through
+                   reason="Gauss law error above 1e-10 |f| where |f| << e^{|Re z| L}")
+def test_gauss_value_matches_the_direct_sum_where_f_is_small():
+    # the rule's error is bounded against the envelope e^{|Re z| L}, not |f|:
+    # at 2 + 6i, where |f| is about 1e-7, the Gauss law of gaussian-5001 is
+    # about 1e-7 of |f| off, too little to move the contour count (PIZ with
+    # count 0, above) but above the cross-check's relative tolerance
+    # 1e-10 |f|, which is the bound here, without the envelope floor
+    # 1e-13 e^{|Re z| L} (2.6e-3 here)
     f = EntireMGF(discretized_gaussian(1.0, n_atoms=5001))
-    spectral = f.evaluator(zeros._rect_radius(Rectangle(-2, 2, 0, 6)))  # 5001 atoms: spectral
+    gauss = f.evaluator(zeros._rect_radius(Rectangle(-2, 2, 0, 6)))  # 5001 atoms: compressed
     z = np.array([2.0 + 6.0j])
-    fast, _ = spectral.values(z)
+    mant, shift = gauss.values(z)
+    fast = zeros._unscale(mant[0], shift[0])
     mant, shift = f.values(z)
     direct = zeros._unscale(mant[0], shift[0])
-    assert abs(fast[0] - direct) <= 1e-10 * abs(direct)
+    assert abs(fast - direct) <= 1e-10 * abs(direct)
 
 
-DIRECT = 10**12  # a spectral threshold no law reaches: every evaluator is the direct sum
+DIRECT = 10**12  # an atom threshold no law reaches: every evaluator is the direct sum
 SYMMETRIC_LAWS = [pytest.param(three_atom_law, id="three-atom"),
                   pytest.param(villain_path3_law, id="villain-path3-128"),
                   pytest.param(binned_normal_law, id="binned-normal-200")]
@@ -650,7 +651,7 @@ SYMMETRIC_LAWS = [pytest.param(three_atom_law, id="three-atom"),
 
 @pytest.mark.parametrize("law", SYMMETRIC_LAWS)
 def test_direct_sum_is_exactly_real_on_the_axis(law, monkeypatch):
-    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", DIRECT)
     f = EntireMGF(law())
     fv, dv, shift = f.evaluator(12.0).eval_pair_batch(1j * np.linspace(0.05, 12.0, 97))
     assert f.fast_path == "direct"
@@ -660,7 +661,7 @@ def test_direct_sum_is_exactly_real_on_the_axis(law, monkeypatch):
 @pytest.mark.parametrize("threshold", [0, DIRECT], ids=["spectral", "direct"])
 @pytest.mark.parametrize("law", SYMMETRIC_LAWS[1:])
 def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch):
-    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", threshold)
+    monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", threshold)
     f = EntireMGF(law())
     rep = locate_zeros(f, Rectangle(-1, 1, 0, 8))
     axis = [z.location for z in rep.zeros if z.location.real == 0.0]
@@ -720,7 +721,7 @@ NEWTON_CASES = [
 
 @pytest.mark.parametrize("law, starts", NEWTON_CASES)
 def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts, monkeypatch):
-    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", DIRECT)
     f = EntireMGF(law())
     ev = f.evaluator(12.0)
     assert ev is f
@@ -780,7 +781,7 @@ def real_part_at_650(L):
 @pytest.mark.parametrize("law", [rademacher, villain_path3_law, pinned_xy_path4_law,
                                  unsymmetrised_villain_path3_law])
 def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
-    monkeypatch.setattr(zeros, "_SPECTRAL_ATOM_THRESHOLD", DIRECT)
+    monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", DIRECT)
     d = law()
     f = EntireMGF(d)
     L = f.support_radius
@@ -807,7 +808,7 @@ def test_spectral_cross_check_reads_the_direct_sum(monkeypatch):
     f = EntireMGF(d)
     R = 8.0 * math.sqrt(2.0)
     ev = f.evaluator(R)
-    assert f.fast_path == "spectral"
+    assert f.fast_path == "gauss"
     # the ratio from eight separate mgf_eval calls, bit for bit
     pts = R * np.array(zeros._XVAL_POINTS)
     fast = ev.values(pts)[0]
@@ -815,14 +816,41 @@ def test_spectral_cross_check_reads_the_direct_sum(monkeypatch):
     scale = np.exp(np.abs(pts.real) * f.support_radius)
     bound = 1e-10 * np.maximum(np.abs(direct), 1e-12 * scale) + 1e-13 * scale
     assert ev.xval_ratio == float(np.max(np.abs(fast - direct) / bound))
-    # moments off by 1e-6 are caught, and the evaluator falls back to the direct sum
-    moments = zeros._chebyshev_moments
-    monkeypatch.setattr(zeros, "_chebyshev_moments", lambda *a: moments(*a) * (1.0 + 1e-6))
-    with pytest.raises(NumericalError, match="cross-validation"):
-        zeros._SpectralEvaluator(f, R)
-    f = EntireMGF(d)
-    f.evaluator(R)
-    assert f.fast_path == "direct"
+    # weights off by 1e-6 are caught, and the evaluator falls back to the
+    # direct sum; so are nodes off by 1e-6, which keep the rule's unit mass
+    rule = zeros._gauss_rule
+    for fault in ((1.0, 1.0 + 1e-6), (1.0 + 1e-6, 1.0)):
+        monkeypatch.setattr(zeros, "_gauss_rule", lambda t, w, K, fault=fault: tuple(
+            a * c for a, c in zip(rule(t, w, K), fault)))
+        assert zeros._gauss_law(f, R) is None
+        g = EntireMGF(d)
+        assert g.evaluator(R) is g and g.fast_path == "direct"
+
+
+@pytest.mark.parametrize("w", [0.0, 0.1 + 0.05j, 1.0, 34.0, 34.0j, 20.0 + 25.0j,
+                               101.8 * np.exp(0.3j), -60.0 + 5.0j, 600.0 * np.exp(0.7j), 649.0])
+def test_gauss_degree_bounds_the_chebyshev_tail(w):
+    # 4 sum_{k>n} |I_k(w)| <= 2^-53 e^{|Re w|}; ive(k, w) = I_k(w) e^{-|Re w|}
+    n = zeros._gauss_degree(abs(w))
+    assert 4.0 * np.sum(np.abs(ive(np.arange(n + 1, n + 2000), w))) <= 2.0**-53
+
+
+def test_gauss_law_finishes_ladder_axis_zeros_on_the_direct_sum():
+    # the 19th law of the benchmark's zero-ladder at bench scale and seed 11
+    # (m = 14, 16,384 atoms), where |g'| falls to 2.4e-10 at an axis zero:
+    # bisection on the Gauss law alone fixes such a zero only to about
+    # 1e-14 / |g'|, and the Chebyshev evaluator it replaced was 4.8e-7 off
+    rng = np.random.default_rng(11)
+    for m in (8,) * 4 + (9,) * 4 + (10,) * 4 + (11,) * 3 + (13,) * 3 + (14,):
+        a = rng.uniform(0.3, 1.0, m)
+    f = EntireMGF(rademacher_sum_law(a))
+    rep = locate_zeros(f, LADDER_REGION)
+    assert rep.evaluator["path"] == "gauss" and rep.piz_verdict == VERDICT_PIZ
+    got = sorted(z.location.imag for z in rep.zeros for _ in range(z.multiplicity))
+    oracle = ladder_oracle(a, LADDER_REGION.im_max)
+    assert len(got) == len(oracle) == rep.total_count
+    assert all(z.location.real == 0.0 for z in rep.zeros)
+    assert max(abs(x - y) for x, y in zip(got, oracle)) <= 1e-7
 
 
 @pytest.mark.parametrize("law, located", [
