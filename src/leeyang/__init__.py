@@ -11,8 +11,7 @@ from .graphs import (FiniteGraph, SubdividedGraph, build_graph, graph_from_json,
 from .gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
                     discretized_gaussian, distribution_from_atoms, edge_weight,
                     kolmogorov_distance, observable_distribution,
-                    periodized_gaussian, rademacher,
-                    transfer_chain_distribution)
+                    periodized_gaussian, rademacher)
 from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
                     count_zeros_rectangle, default_region, hadamard_fit,
                     locate_zeros, mgf_eval, newton_refine,

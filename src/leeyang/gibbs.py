@@ -167,14 +167,12 @@ def _coalesce(xs: np.ndarray, ws: np.ndarray):
 class DiscretizedDistribution:
     """Finite atomic measure {(x_j, w_j)} with unit mass, sorted by position.
 
-    ``grid_size`` records the angular grid N that produced it (None for
-    synthetic sources); ``symmetrized`` flags exact closure under x -> -x.
+    ``symmetrized`` (keyword only) flags exact closure under x -> -x.
     """
 
     xs: np.ndarray = field(compare=False)
     ws: np.ndarray = field(compare=False)
-    grid_size: int | None = None
-    symmetrized: bool = False
+    symmetrized: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -230,7 +228,7 @@ class DiscretizedDistribution:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, grid_size=None, symmetrized=False):
+    def from_csv(cls, text: str, symmetrized=False):
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         rows = list(csv.reader(lines))
         body = rows[1:] if rows and rows[0][:1] == ["x"] else rows
@@ -238,10 +236,10 @@ class DiscretizedDistribution:
             raise ValueError(f"law CSV row {','.join(min(body, key=len))!r}: not an x,w pair")
         xs = np.array([float(r[0]) for r in body])
         ws = np.array([float(r[1]) for r in body])
-        return cls(xs, ws, grid_size=grid_size, symmetrized=symmetrized)
+        return cls(xs, ws, symmetrized=symmetrized)
 
 
-def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> DiscretizedDistribution:
+def _finish_law(xs: np.ndarray, ws: np.ndarray, symmetrize: bool) -> DiscretizedDistribution:
     """The law of raw atoms, coalesced once and normalised to unit mass.
 
     Atoms whose weight underflows to 0 when normalised carry no mass and are
@@ -262,10 +260,10 @@ def _finish_law(xs: np.ndarray, ws: np.ndarray, grid_size, symmetrize: bool) -> 
         pos, half = xs[n0:], ws[n0:] / 2.0
         xs = np.concatenate([-pos[::-1], np.zeros(n0), pos])
         ws = np.concatenate([half[::-1], ws[:n0], half])
-    return DiscretizedDistribution(xs, ws, grid_size=grid_size, symmetrized=symmetrize)
+    return DiscretizedDistribution(xs, ws, symmetrized=symmetrize)
 
 
-def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> DiscretizedDistribution:
+def distribution_from_atoms(atoms, symmetrize: bool = False) -> DiscretizedDistribution:
     """Build a distribution from raw (x, w) pairs: coalesce, normalise, optionally symmetrise.
 
     Anything but a non-empty sequence of pairs or an (n, 2) array raises ValueError."""
@@ -273,18 +271,13 @@ def distribution_from_atoms(atoms, grid_size=None, symmetrize: bool = False) -> 
     if not (arr.ndim == 2 and arr.shape[1] == 2 and len(arr)):
         raise ValueError(f"atoms must be a non-empty sequence of (x, w) pairs, "
                          f"got shape {arr.shape}")
-    return _finish_law(arr[:, 0], arr[:, 1], grid_size, symmetrize)
+    return _finish_law(arr[:, 0], arr[:, 1], symmetrize)
 
 
 def kolmogorov_distance(p: DiscretizedDistribution, q: DiscretizedDistribution) -> float:
     """Exact sup-distance between the CDFs of two atomic laws."""
     pts = np.union1d(p.xs, q.xs)
     return float(np.max(np.abs(p.cdf(pts) - q.cdf(pts))))
-
-
-def _check_grid(N) -> None:
-    if not (isinstance(N, numbers.Integral) and N > 0 and N % 2 == 0):
-        raise ValueError(f"grid size must be a positive even integer, got {N!r}")
 
 
 def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
@@ -324,47 +317,74 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     pi shift maps chunk j onto chunk N/2 - j with S negated, which the fold
     onto |x| cannot tell apart.
 
-    Refuses when N**(number of free vertices) exceeds ``budget``, and a grid
-    size N that is not a positive even integer.
+    Before that, each free weight-0 vertex whose two edges go to free vertices
+    not joined to each other is summed out: its two edge rows over the grid
+    index difference convolve exactly into one, so a chain becomes one edge.
+    A row for k > 1 edges must pass the k-step kernel check (NumericalError).
+    Refuses when N**(number of free vertices left) exceeds ``budget``, and a
+    grid size N that is not a positive even integer.
     """
-    _check_grid(N)
+    if not (isinstance(N, numbers.Integral) and N > 0 and N % 2 == 0):
+        raise ValueError(f"grid size must be a positive even integer, got {N!r}")
     G = model.graph
     pinned = dict(model.boundary or {})
+    grid = circle_grid(N)
+    B = model.inverse_temperature
+    idx = np.arange(N)
+    # free-free edge (u, v) -> (row, k): row[d] is the weight at theta_u - theta_v
+    # for the index difference d, summed over the k - 1 vertices it passes
+    links = {e: (edge_weight(model.kind, grid, G.coupling[e], B), 1) for e in G.edges
+             if e[0] not in pinned and e[1] not in pinned}
+    # one N x N gather serves every row; with N^2 over budget no two free
+    # vertices fit, so nothing is summed out and the budget check refuses
+    diff = (idx[:, None] - idx[None, :]) % N if links and N * N <= budget else None
     free = [v for v in G.vertices if v not in pinned]
+    for w in free[:] if diff is not None else ():  # one pass: summing out makes none eligible
+        mine = [e for e in links if w in e] if G.weight[w] == 0 else ()
+        if len(mine) != 2 or G.degree(w) != 2:
+            continue
+        # both rows oriented towards w: (a, ra) with ra[d] the weight at theta_a - theta_w
+        (a, ra, ka), (b, rb, kb) = [(e[0], *links[e]) if e[1] == w else
+                                    (e[1], links[e][0][-idx % N], links[e][1]) for e in mine]
+        if (a, b) in links or (b, a) in links:
+            continue
+        for e in mine:
+            del links[e]
+        row = ra @ rb[diff]  # the sum over theta_w: exact, and nonnegative
+        links[(a, b)] = (row / row.sum(), ka + kb)
+        free.remove(w)
+
     m = len(free)
-    n_evals = N**m
-    if n_evals > budget:
+    if N**m > budget:
         raise BudgetExceededError(
-            f"tensor grid needs N^|V| = {N}^{m} = {n_evals} evaluations, over budget {budget}")
+            f"tensor grid needs N^|V| = {N}^{m} = {N**m} evaluations, over budget {budget}")
 
     s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
     if m == 0:
-        return _finish_law(np.array([s_pinned]), np.array([1.0]), N, symmetrize)
+        return _finish_law(np.array([s_pinned]), np.array([1.0]), symmetrize)
 
     # The Gibbs density as a list of factors over ascending free axes
     # (Koller & Friedman, ch. 9): the pinned-pinned constant, one vector per
     # free vertex with its pinned-neighbour edges folded in, and one N x N
-    # matrix per free-free edge.
-    grid = circle_grid(N)
+    # matrix per free-free row.
     axis = {v: i for i, v in enumerate(free)}
-    B = model.inverse_temperature
-    idx = np.arange(N)
     const = 1.0
     node = [np.ones(N) for _ in range(m)]
-    pairs = []
     for e in G.edges:
         u, v = e
-        J_e = G.coupling[e]
-        if u in axis and v in axis:
-            a, b = axis[u], axis[v]
-            # [i_a, i_b] is the weight at theta_{i_a} - theta_{i_b}
-            mat = edge_weight(model.kind, grid, J_e, B)[(idx[:, None] - idx[None, :]) % N]
-            pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
-        elif u in axis or v in axis:
-            fv, pv = (u, v) if u in axis else (v, u)
-            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J_e, B)
-        else:
-            const *= edge_weight(model.kind, pinned[u] - pinned[v], J_e, B)
+        if u in pinned and v in pinned:
+            const *= edge_weight(model.kind, pinned[u] - pinned[v], G.coupling[e], B)
+        elif u in pinned or v in pinned:
+            fv, pv = (v, u) if u in pinned else (u, v)
+            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], G.coupling[e], B)
+    pairs = []
+    for (u, v), (row, k) in links.items():
+        if k > 1:
+            _require_resolved(np.fft.rfft(row)[-1], k, N)
+        a, b = axis[u], axis[v]
+        # [i_a, i_b] is the weight at theta_{i_a} - theta_{i_b}
+        mat = row[diff]
+        pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
     weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
 
     # S = lam cos(theta) on axis 0 plus a rest that no chunk changes: the
@@ -403,7 +423,7 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         cx, cw = _merge_runs(rest, u.ravel()[t_idx] * base, starts)
         xs.append(x0[j] + cx)
         ws.append(2.0 * cw if half and 4 * j != N else cw)
-    return _finish_law(np.concatenate(xs), np.concatenate(ws), N, symmetrize)
+    return _finish_law(np.concatenate(xs), np.concatenate(ws), symmetrize)
 
 
 def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
@@ -433,33 +453,6 @@ def _require_resolved(top: complex, n: int, N: int) -> None:
                              f"(limit {TOP_MODE_TOL:g})")
 
 
-def transfer_chain_distribution(n: int, B: float, lam_ends=(1.0, 1.0),
-                                N: int = DEFAULT_GRID, *,
-                                symmetrize: bool = True) -> DiscretizedDistribution:
-    """Law of lam0 cos(theta_0) + lam1 cos(theta_n) for the n-edge XY chain.
-
-    The chain has unit couplings and inverse temperature B; theta_0 is uniform
-    and the one-step transition density on the grid is the row-normalised
-    circulant of the XY :func:`edge_weight` with J = 1.  The n-step kernel is
-    its n-fold circle convolution power (:func:`_convolution_power`), which
-    agrees with n repeated kernel applications to machine precision, on a
-    grid that resolves it (:func:`_require_resolved`, else NumericalError).
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"chain length must be a positive integer, got {n}")
-    _check_grid(N)
-    cosg = np.cos(circle_grid(N))
-    row = edge_weight("xy", circle_grid(N), 1.0, B)
-    _require_resolved((np.fft.rfft(row)[-1] / row.sum()) ** n, n, N)
-    pn = _convolution_power(row, n)
-
-    lam0, lam1 = float(lam_ends[0]), float(lam_ends[1])
-    # value over (start index i, step d): lam0 cos theta_i + lam1 cos theta_{i+d}
-    vals = lam0 * cosg[:, None] + lam1 * cosg[(np.arange(N)[:, None] + np.arange(N)[None, :]) % N]
-    wts = np.broadcast_to(pn[None, :] / N, (N, N))
-    return _finish_law(vals.ravel(), wts.ravel(), N, symmetrize)
-
-
 def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,
                          n_atoms: int = 1201) -> DiscretizedDistribution:
     """Symmetric grid discretization of N(0, sigma^2), truncated at half_width sigma."""
@@ -467,7 +460,7 @@ def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,
         n_atoms += 1
     xs = np.linspace(-half_width * sigma, half_width * sigma, n_atoms)
     ws = np.exp(-0.5 * (xs / sigma) ** 2)
-    return _finish_law(xs, ws / ws.sum(), None, True)
+    return _finish_law(xs, ws / ws.sum(), True)
 
 
 def rademacher(scale: float = 1.0) -> DiscretizedDistribution:

@@ -655,7 +655,7 @@ def bin_distribution(samples: np.ndarray, B: int = 200) -> DiscretizedDistributi
     counts, edges = np.histogram(samples, bins=2 * B + 1, range=(-half, half))
     centers = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
-    return _finish_law(centers[keep], counts[keep].astype(float), 2 * B + 1, True)
+    return _finish_law(centers[keep], counts[keep].astype(float), True)
 
 
 # ---------------------------------------------------------------------------

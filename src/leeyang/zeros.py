@@ -679,8 +679,9 @@ def _axis_zeros(f: EntireMGF, ev, core: Rectangle, cnt: int, tol: float,
     The sign changes of g are axis zeros; when they fall short of a band's
     count the band is cut (_axis_split), or, once at most 0.5/lam high, its
     side box [h, m] may hold the rest in mirror pairs z, -conj z, located on
-    the general path.  A band that cannot be cut is an axis cluster placed
-    at the extremum of g.
+    the general path.  The rest of a band under 1e-5 high, the general path's
+    cluster scale, is an axis cluster at the extremum of g; in a higher band
+    that cannot be cut it is left unlisted, so the report is inconclusive.
     """
     lam = max(f.support_radius, 1e-9)
     m = core.re_max
@@ -711,12 +712,15 @@ def _axis_zeros(f: EntireMGF, ev, core: Rectangle, cnt: int, tol: float,
             for z in _split_and_newton(f, ev, Rectangle(h, m, lo, hi), n_side, tol, cells,
                                        notes):
                 found += [z, replace(z, location=complex(-z.location.real, z.location.imag))]
-        elif cnt > len(roots):
+        elif cnt > len(roots) and h < 1e-5:
             y = float(grid[np.argmin(np.abs(g))])
             r = abs(mgf_eval(f, 1j * y))
             found.append(ZeroInfo(complex(0.0, y), r, r < tol, cnt - len(roots)))
             notes.append(f"multiplicity-{cnt - len(roots)} axis cluster at {y:.6g}i "
                          f"in a band {h:.2e} high")
+        elif cnt > len(roots):
+            notes.append(f"{cnt - len(roots)} of {cnt} zeros in the axis band "
+                         f"[{lo:.6g}, {hi:.6g}]i not located: no cut resolved it")
     return found
 
 

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, _coalesce, _finish_law,
                            _restrict, circle_grid, distribution_from_atoms, edge_weight,
                            kolmogorov_distance, observable_distribution,
-                           periodized_gaussian, rademacher,
-                           transfer_chain_distribution, wrap_angle)
-from leeyang.graphs import build_graph, path_graph, single_edge_graph
+                           periodized_gaussian, rademacher, wrap_angle)
+from leeyang.graphs import build_graph, path_graph, single_edge_graph, subdivide
 from leeyang.zeros import EntireMGF, mgf_eval
 
 
@@ -163,6 +164,12 @@ def test_symmetrized_flag_checked():
                                 symmetrized=True)
 
 
+def test_symmetrized_is_keyword_only():
+    # a positional third argument once set the grid size
+    with pytest.raises(TypeError):
+        DiscretizedDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 64)
+
+
 def test_csv_roundtrip():
     d = rademacher(1.5)
     d2 = DiscretizedDistribution.from_csv(d.to_csv(), symmetrized=True)
@@ -193,7 +200,7 @@ def test_atoms_in_any_order_are_sorted_by_position():
     assert np.array_equal(reread.cdf(xs), d.cdf(xs))
     # sorted input, as every builder makes, passes through bit for bit
     law = observable_distribution(ModelSpec("xy", single_edge_graph(1.0)), 32)
-    again = DiscretizedDistribution(law.xs, law.ws, law.grid_size, law.symmetrized)
+    again = DiscretizedDistribution(law.xs, law.ws, symmetrized=law.symmetrized)
     assert np.array_equal(again.xs, law.xs) and np.array_equal(again.ws, law.ws)
 
 
@@ -306,8 +313,6 @@ def test_grid_size_must_be_positive_even_integer(N):
     with pytest.raises(ValueError, match="grid size"):
         observable_distribution(ModelSpec("xy", single_edge_graph()), N)
     with pytest.raises(ValueError, match="grid size"):
-        transfer_chain_distribution(2, 1.0, (1.0, 1.0), N)
-    with pytest.raises(ValueError, match="grid size"):
         circle_grid(N)
 
 
@@ -341,26 +346,60 @@ def test_free_law_reads_the_circle_grid(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# transfer_chain_distribution
+# chains: weight-0 vertices summed out
 # ---------------------------------------------------------------------------
 
-def test_chain_n1_matches_tensor_quadrature():
-    d_tensor = observable_distribution(
-        ModelSpec("xy", single_edge_graph(J=1.0), inverse_temperature=2.0), 128)
-    d_chain = transfer_chain_distribution(1, 2.0, (1.0, 1.0), 128)
-    ft, fc = EntireMGF(d_tensor), EntireMGF(d_chain)
-    for z in (0.5, 1.0 + 1.0j):
-        assert abs(mgf_eval(ft, z) - mgf_eval(fc, z)) < 1e-10
+def xy_chain(n, B, lam_ends=(1.0, 1.0)):
+    """The n-edge XY chain with unit couplings at inverse temperature B and
+    weight only at its two ends."""
+    verts = [f"c{i}" for i in range(n + 1)]
+    return ModelSpec("xy", build_graph(verts, zip(verts, verts[1:]), {},
+                                       {verts[0]: lam_ends[0], verts[-1]: lam_ends[1]}), B)
+
+
+SUMMED_OUT_MODELS = {
+    **{f"chain{n}": xy_chain(n, 2.0, (1.0, 0.7)) for n in (2, 3)},
+    # the end's neighbour has a pinned edge and stays; the next vertex goes
+    "chain3-end-pinned": replace(xy_chain(3, 2.0, (1.0, 0.7)), boundary={"c0": 0.3}),
+    # both spokes go: summing the first out leaves the second between the hubs
+    "subdivided-edge": ModelSpec("xy", subdivide(single_edge_graph(), 1, J=4.0).as_finite_graph()),
+}
+
+
+def test_summed_out_chain_matches_chunked_reference():
+    for model in SUMMED_OUT_MODELS.values():
+        for N in (16, 32):
+            atoms = chunked_atoms(model, N)  # every vertex on the tensor grid
+            for symmetrize in (True, False):
+                want = _finish_law(*atoms, symmetrize)
+                # two free vertices are left: the budget of N^2 refuses any more
+                got = observable_distribution(model, N, budget=N * N, symmetrize=symmetrize)
+                assert len(got.xs) == len(want.xs), (N, symmetrize)
+                assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
+                assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+
+
+def test_budget_refusal_builds_no_grid_table():
+    # with N^2 over budget no two free vertices fit, so nothing is summed out
+    # and the refusal comes before any N x N table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"2048\^3"):
+            observable_distribution(xy_chain(2, 1.0), 2048, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_chain_zero_weights_point_mass():
-    d = transfer_chain_distribution(5, 1.0, (0.0, 0.0), 64)
+    d = observable_distribution(xy_chain(5, 1.0, (0.0, 0.0)), 64)
     assert len(d.xs) == 1 and d.xs[0] == 0.0
 
 
 def test_chain_self_refinement():
-    f1 = EntireMGF(transfer_chain_distribution(3, 2.0, (1.0, 1.0), 128))
-    f2 = EntireMGF(transfer_chain_distribution(3, 2.0, (1.0, 1.0), 256))
+    f1 = EntireMGF(observable_distribution(xy_chain(3, 2.0), 128))
+    f2 = EntireMGF(observable_distribution(xy_chain(3, 2.0), 256))
     assert abs(mgf_eval(f1, 1.0) - mgf_eval(f2, 1.0)) < 1e-9
 
 
@@ -370,7 +409,7 @@ def test_chain_converges_to_villain_edge():
     fv = EntireMGF(d_v)
     gaps = []
     for n in (16, 64, 256):
-        fc = EntireMGF(transfer_chain_distribution(n, float(n), (1.0, 1.0), 256))
+        fc = EntireMGF(observable_distribution(xy_chain(n, float(n)), 256))
         gaps.append(max(abs(mgf_eval(fv, z) - mgf_eval(fc, z)) for z in (1.0, 2.0j, 1.0 + 1.0j)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
@@ -381,14 +420,9 @@ def test_chain_law_refuses_unresolved_grid():
     # keeps 0.55 of its mass in the top Fourier mode, and the law's f(1)
     # would read 2.2178 against 1.9887
     with pytest.raises(NumericalError, match="grid size 8 does not resolve the 16-step"):
-        transfer_chain_distribution(16, 16.0, (1.0, 1.0), 8)
-    f = EntireMGF(transfer_chain_distribution(16, 16.0, (1.0, 1.0), 64))
+        observable_distribution(xy_chain(16, 16.0), 8)
+    f = EntireMGF(observable_distribution(xy_chain(16, 16.0), 64))
     assert abs(mgf_eval(f, 1.0) - 1.9887) < 1e-4
-
-
-def test_chain_rejects_bad_length():
-    with pytest.raises(ValueError):
-        transfer_chain_distribution(0, 1.0)
 
 
 def test_distribution_from_atoms_coalesces():
@@ -548,7 +582,7 @@ def test_observable_distribution_matches_chunked_reference(model):
     for N in (2, 6, 30, 32, 34, 64):  # N = 2 mod 4 has no chunk that is its own pi-shift mirror
         atoms = chunked_atoms(model, N)
         for symmetrize in (True, False):
-            want = _finish_law(*atoms, N, symmetrize)
+            want = _finish_law(*atoms, symmetrize)
             got = observable_distribution(model, N, symmetrize=symmetrize)
             assert len(got.xs) == len(want.xs), (N, symmetrize)
             assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)

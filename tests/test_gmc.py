@@ -538,6 +538,18 @@ def test_m_statistic_site_check():
         m_statistic(4, field)  # D_4 touches the boundary of the disk-4 domain
 
 
+def test_m_statistic_sums_the_weighted_cosines():
+    dom = LatticeDomain.disk(9.0)
+    sites = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x * x + y * y <= 16]
+    # at beta -> 0 every angle is the boundary angle Phi and every weight 1/n^2
+    field = sample_gmc_field(dom, 1e-6, seed=3)
+    assert abs(m_statistic(4, field) - len(sites) / 16.0 * math.cos(field.phi)) < 1e-5
+    field = sample_gmc_field(dom, 1.0, seed=3)
+    lam = [math.exp(0.5 * lattice_green(dom, x, x)) / 16.0 for x in sites]
+    want = sum(w * math.cos(h) for w, h in zip(lam, field.angles_at(sites)))
+    assert abs(m_statistic(4, field) - want) < 1e-12 * sum(lam)
+
+
 def test_m_statistic_phase_averages_to_zero():
     dom = LatticeDomain.disk(9.0)
     samples = sample_m_statistics(dom, 4, 1.0, 3000, seed=12)
@@ -608,7 +620,6 @@ def test_bin_distribution_symmetric():
     d = bin_distribution(samples, B=50)
     assert d.symmetrized and d.is_symmetric()
     assert abs(d.ws.sum() - 1.0) < 1e-12
-    assert d.grid_size == 101
 
 
 def former_bin_distribution(samples, B):
@@ -619,7 +630,7 @@ def former_bin_distribution(samples, B):
     centers = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     atoms = list(zip(centers[keep], counts[keep].astype(float)))
-    return distribution_from_atoms(atoms, grid_size=2 * B + 1, symmetrize=True)
+    return distribution_from_atoms(atoms, symmetrize=True)
 
 
 @pytest.mark.parametrize("B", [1, 7, 200])
@@ -634,7 +645,7 @@ def test_bin_distribution_equal_bins_count_every_edge(B):
     for samples in (on_edges, normal):
         new, old = bin_distribution(samples, B), former_bin_distribution(samples, B)
         assert new.xs.tobytes() == old.xs.tobytes() and new.ws.tobytes() == old.ws.tobytes()
-        assert new.grid_size == old.grid_size == 2 * B + 1 and new.symmetrized
+        assert new.symmetrized
     counts, got_edges = np.histogram(edges, bins=2 * B + 1, range=(-half, half))
     assert np.array_equal(got_edges, edges)
     assert np.array_equal(counts, np.histogram(edges, bins=edges)[0])

@@ -298,6 +298,22 @@ def test_locate_rademacher_sums_on_the_axis(a):
     assert_ladder_zeros(a, rep)
 
 
+def test_uncut_axis_band_lists_no_cluster():
+    # the third law of the benchmark's zero-ladder at seed 7 (m = 8): zeros
+    # 2.9e-5 apart at 4.749i in a band 5e-2 high that no cut resolves; a
+    # cluster at the band's minimum of |g| read PIZ with a false double zero
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        a = rng.uniform(0.3, 1.0, 8)
+    rep = locate_zeros(EntireMGF(rademacher_sum_law(a)), LADDER_REGION)
+    assert rep.piz_verdict == VERDICT_INCONCLUSIVE
+    assert any("axis band [4.73719, 4.78688]i" in note for note in rep.notes)
+    oracle = ladder_oracle(a, LADDER_REGION.im_max)
+    assert len(oracle) == rep.total_count == len(rep.zeros) + 2
+    assert all(z.multiplicity == 1 and min(abs(z.location.imag - y) for y in oracle) < 1e-8
+               for z in rep.zeros)
+
+
 def test_locate_asymmetric_region_symmetric_source():
     f = EntireMGF(rademacher())
     wide = locate_zeros(f, Rectangle(-1, 2, 0, 8))
