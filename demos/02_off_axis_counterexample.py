@@ -13,8 +13,7 @@ import numpy as np
 from leeyang import (DiscretizedDistribution, EntireMGF, Rectangle, classify,
                      locate_zeros)
 
-law = DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
-                              np.array([0.1, 0.8, 0.1]), symmetrized=True)
+law = DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]), np.array([0.1, 0.8, 0.1]))
 report = locate_zeros(EntireMGF(law), Rectangle(-2, 2, 0, 2))
 expected = 0.5 * math.log(4 + math.sqrt(15))
 

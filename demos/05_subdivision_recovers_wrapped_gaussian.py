@@ -26,7 +26,7 @@ print("base graph: one edge (J = 1); subdivided model on the refined graph, N = 
 for J_hub in (4.0, 64.0):
     for n in (1, 4, 16, 64, 256):
         t0 = time.perf_counter()
-        sub = subdivide(base, n, J=J_hub).as_finite_graph()
+        sub = subdivide(base, n, J=J_hub)
         dist = observable_distribution(ModelSpec("xy", sub), N=64)
         f = EntireMGF(dist)
         gap = max(abs(mgf_eval(f, z) - mgf_eval(reference, z)) for z in zs)

@@ -6,8 +6,8 @@ analysis of complex Gaussian multiplicative chaos."""
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, NumericalError
-from .graphs import (FiniteGraph, SubdividedGraph, build_graph, graph_from_json,
-                     path_graph, single_edge_graph, subdivide)
+from .graphs import (FiniteGraph, build_graph, graph_from_json, path_graph,
+                     single_edge_graph, subdivide)
 from .gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
                     discretized_gaussian, distribution_from_atoms, edge_weight,
                     kolmogorov_distance, observable_distribution,

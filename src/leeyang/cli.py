@@ -129,7 +129,7 @@ def _cmd_spin_dist(args) -> int:
     dist = observable_distribution(model, args.grid_n)
     _write(args.out, "spin_dist.json", _report(args, {
         "n_atoms": len(dist.xs), "variance": dist.variance,
-        "support_radius": dist.support_radius, "symmetrized": dist.symmetrized}))
+        "support_radius": dist.support_radius, "symmetrized": dist.is_symmetric()}))
     _write(args.out, "spin_dist.csv", _csv_with_config(args, dist.to_csv()))
     print(f"spin-dist: {len(dist.xs)} atoms, variance {dist.variance:.6g}")
     return 0

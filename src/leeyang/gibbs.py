@@ -18,8 +18,9 @@ the law of S computed at grid size N and 2N agrees to near machine precision
 for the coupling strengths used at desk scale.
 
 The result type :class:`DiscretizedDistribution` is the universal input for
-the zero-location and classification machinery: a finite symmetric atomic
-measure {(x_j, w_j)} with unit total mass.
+the zero-location and classification machinery: a finite atomic measure
+{(x_j, w_j)} with unit total mass, symmetric when symmetrised (the default of
+:func:`observable_distribution`).
 
 All functions here are pure; distributions are immutable once built.  The
 tensor-grid evaluation sorts the chunk-independent part of S once and reduces
@@ -34,7 +35,7 @@ import functools
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,16 +164,15 @@ def _coalesce(xs: np.ndarray, ws: np.ndarray):
     return _merge_runs(xs, ws[order], _run_starts(xs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedDistribution:
     """Finite atomic measure {(x_j, w_j)} with unit mass, sorted by position.
 
-    ``symmetrized`` (keyword only) flags exact closure under x -> -x.
+    Whether it is symmetric is read from the atoms (:meth:`is_symmetric`).
     """
 
-    xs: np.ndarray = field(compare=False)
-    ws: np.ndarray = field(compare=False)
-    symmetrized: bool = field(default=False, kw_only=True)
+    xs: np.ndarray
+    ws: np.ndarray
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -190,8 +190,6 @@ class DiscretizedDistribution:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1 within 1e-12")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
-        if self.symmetrized and not self.is_symmetric():
-            raise ValueError("symmetrized distribution is not closed under x -> -x")
 
     @property
     def variance(self) -> float:
@@ -228,7 +226,7 @@ class DiscretizedDistribution:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, symmetrized=False):
+    def from_csv(cls, text: str):
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         rows = list(csv.reader(lines))
         body = rows[1:] if rows and rows[0][:1] == ["x"] else rows
@@ -236,7 +234,7 @@ class DiscretizedDistribution:
             raise ValueError(f"law CSV row {','.join(min(body, key=len))!r}: not an x,w pair")
         xs = np.array([float(r[0]) for r in body])
         ws = np.array([float(r[1]) for r in body])
-        return cls(xs, ws, symmetrized=symmetrized)
+        return cls(xs, ws)
 
 
 def _finish_law(xs: np.ndarray, ws: np.ndarray, symmetrize: bool) -> DiscretizedDistribution:
@@ -260,7 +258,7 @@ def _finish_law(xs: np.ndarray, ws: np.ndarray, symmetrize: bool) -> Discretized
         pos, half = xs[n0:], ws[n0:] / 2.0
         xs = np.concatenate([-pos[::-1], np.zeros(n0), pos])
         ws = np.concatenate([half[::-1], ws[:n0], half])
-    return DiscretizedDistribution(xs, ws, symmetrized=symmetrize)
+    return DiscretizedDistribution(xs, ws)
 
 
 def distribution_from_atoms(atoms, symmetrize: bool = False) -> DiscretizedDistribution:
@@ -465,5 +463,4 @@ def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,
 
 def rademacher(scale: float = 1.0) -> DiscretizedDistribution:
     """The two-atom law (+-scale, 1/2 each)."""
-    return DiscretizedDistribution(np.array([-scale, scale]), np.array([0.5, 0.5]),
-                                   symmetrized=True)
+    return DiscretizedDistribution(np.array([-scale, scale]), np.array([0.5, 0.5]))

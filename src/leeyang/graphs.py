@@ -13,7 +13,7 @@ Graphs are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Edge = tuple[str, str]
 
@@ -27,7 +27,7 @@ def edge_label(e: Edge) -> str:
     return f"{e[0]}|{e[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
     """Finite undirected graph with couplings J_e > 0 and weights lam_v >= 0.
 
@@ -36,8 +36,8 @@ class FiniteGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    coupling: dict[Edge, float] = field(compare=False)
-    weight: dict[str, float] = field(compare=False)
+    coupling: dict[Edge, float]
+    weight: dict[str, float]
 
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -171,54 +171,14 @@ def chain_label(v: str, e: Edge, k: int) -> str:
     return f"{v}|{edge_label(e)}|{k}"
 
 
-@dataclass(frozen=True)
-class SubdividedGraph:
-    """Star-and-path refinement of a base graph.
+def subdivide(G: FiniteGraph, n: int, J: float) -> FiniteGraph:
+    """The star-and-path refinement of G with n path edges per base edge.
 
-    Every vertex v of the base becomes a hub ``v*`` plus one spoke vertex
-    ``(v,e,0)`` per incident edge e, joined to the hub by an edge of coupling
-    ``star_coupling``.  Every base edge e={v,w} becomes a path of ``n`` edges
-    through n-1 interior vertices, each path edge carrying the chain coupling
-    n / J_e.  Interior labels are canonicalised from the smaller endpoint, so
-    the identification (v,e,k) = (w,e,n-k) holds by construction.
-    """
-
-    base: FiniteGraph
-    n: int
-    star_coupling: float
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    coupling: dict[Edge, float] = field(compare=False)
-    chain_coupling: dict[Edge, float] = field(compare=False)
-
-    def interior_vertex(self, v: str, e: Edge, k: int) -> str:
-        """Canonical label of (v, e, k); applies (v,e,k) = (w,e,n-k)."""
-        u, w = e
-        if v == u:
-            a, b, kk = u, w, k
-        elif v == w:
-            a, b, kk = u, w, self.n - k
-        else:
-            raise ValueError(f"vertex {v!r} is not an endpoint of edge {edge_label(e)!r}")
-        if not 0 <= kk <= self.n:
-            raise ValueError(f"chain index {k} out of range for n={self.n}")
-        if kk == self.n:
-            # (u,e,n) is the spoke vertex attached to the far endpoint
-            return chain_label(b, e, 0)
-        return chain_label(a, e, kk)
-
-    def as_finite_graph(self) -> FiniteGraph:
-        """View as a FiniteGraph; base field weights sit on the hub vertices."""
-        weights = {v: 0.0 for v in self.vertices}
-        for v in self.base.vertices:
-            weights[star_label(v)] = self.base.weight[v]
-        return build_graph(self.vertices, self.edges, self.coupling, weights)
-
-
-def subdivide(G: FiniteGraph, n: int, J: float) -> SubdividedGraph:
-    """Build the star-and-path refinement with n path edges per base edge.
-
-    The chain coupling on each replaced edge e is n / J_e, so that the long
+    Every vertex v of G becomes a hub ``v*`` carrying G's weight lam_v, plus
+    one weight-0 spoke vertex ``v|e|0`` per incident edge e, joined to the hub
+    by an edge of coupling J.  Every base edge e = {u, w} (u < w) becomes a
+    path of n edges from ``u|e|0`` through the weight-0 vertices ``u|e|k``
+    (0 < k < n) to ``w|e|0``, each of coupling n / J_e, so that the long
     strongly-coupled path converges (as n grows) to a periodized-Gaussian
     effective edge weight with parameter J_e.
     """
@@ -242,11 +202,9 @@ def subdivide(G: FiniteGraph, n: int, J: float) -> SubdividedGraph:
                 edges.append(se)
                 coupling[se] = J
 
-    chain_coupling: dict[Edge, float] = {}
     for e in G.edges:
         u, w = e
         b_e = n / G.coupling[e]
-        chain_coupling[e] = b_e
         path = [chain_label(u, e, 0)]
         for k in range(1, n):
             lab = chain_label(u, e, k)
@@ -258,8 +216,5 @@ def subdivide(G: FiniteGraph, n: int, J: float) -> SubdividedGraph:
             edges.append(ce)
             coupling[ce] = b_e
 
-    return SubdividedGraph(
-        base=G, n=n, star_coupling=J,
-        vertices=tuple(verts), edges=tuple(edges),
-        coupling=coupling, chain_coupling=chain_coupling,
-    )
+    weights = {star_label(v): G.weight[v] for v in G.vertices}
+    return build_graph(verts, edges, coupling, weights)

@@ -160,7 +160,7 @@ class EntireMGF:
     def __init__(self, source: DiscretizedDistribution):
         self.source = source
         self.variance = source.variance
-        self.symmetric = source.symmetrized or source.is_symmetric()
+        self.symmetric = source.is_symmetric()
         xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
@@ -317,7 +317,7 @@ def _gauss_law(f: EntireMGF, radius: float):
     else:
         nodes, weights = _gauss_rule(f.source.xs, f.source.ws, K)
     try:
-        g = EntireMGF(DiscretizedDistribution(nodes, weights, symmetrized=f.symmetric))
+        g = EntireMGF(DiscretizedDistribution(nodes, weights))
     except ValueError:  # the rule's mass is not 1 to 1e-12, or a weight is not positive
         return None
     pts = radius * np.array(_XVAL_POINTS)

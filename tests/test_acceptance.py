@@ -80,7 +80,7 @@ def test_criterion_1_piz_verification():
 
 def test_criterion_2_off_axis_counterexample():
     d = DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
-                                np.array([0.1, 0.8, 0.1]), symmetrized=True)
+                                np.array([0.1, 0.8, 0.1]))
     rep = locate_zeros(EntireMGF(d), Rectangle(-2, 2, 0, 2))
     assert rep.piz_verdict == VERDICT_OFF_AXIS
     expect = complex(0.5 * math.log(4 + math.sqrt(15.0)), math.pi / 2)

@@ -77,9 +77,10 @@ def test_spin_dist_strong_coupling_builds_a_law(edge_graph, tmp_path):
     out = str(tmp_path / "d")
     assert main(["spin-dist", "--graph", edge_graph, "--model", "xy", "--beta", "400",
                  "--out", out]) == 0
-    d = DiscretizedDistribution.from_csv((Path(out) / "spin_dist.csv").read_text(),
-                                         symmetrized=True)
+    d = DiscretizedDistribution.from_csv((Path(out) / "spin_dist.csv").read_text())
     assert abs(d.ws.sum() - 1.0) < 1e-12
+    assert d.is_symmetric()
+    assert json.loads((Path(out) / "spin_dist.json").read_text())["results"]["symmetrized"] is True
 
 
 def test_zeros_finds_off_axis(tmp_path):

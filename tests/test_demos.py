@@ -19,6 +19,7 @@ def test_all_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # a RuntimeWarning fails a demo as it fails a test (see pyproject.toml)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -15,7 +15,8 @@ from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec, _coalesce, _finish_law,
                            _restrict, circle_grid, distribution_from_atoms, edge_weight,
                            kolmogorov_distance, observable_distribution,
-                           periodized_gaussian, rademacher, wrap_angle)
+                           discretized_gaussian, periodized_gaussian, rademacher,
+                           wrap_angle)
 from leeyang.graphs import build_graph, path_graph, single_edge_graph, subdivide
 from leeyang.zeros import EntireMGF, mgf_eval
 
@@ -146,7 +147,6 @@ def test_is_symmetric_reads_a_bitwise_mirror_first(monkeypatch):
     near = DiscretizedDistribution(xs + np.array([0.0, 0.0, 0.0, 1e-13, 0.0]), ws)
     assert not np.array_equal(near.xs, -near.xs[::-1])
     assert is_symmetric_with_coalesce_calls(near, monkeypatch) == (True, 1)
-    assert DiscretizedDistribution(near.xs, near.ws, symmetrized=True).symmetrized
     # one weight off by 1e-9 (the atom at 0 keeps the mass), and mirrored
     # positions under asymmetric weights
     off = (xs, ws + np.array([1e-9, 0.0, -1e-9, 0.0, 0.0]))
@@ -154,25 +154,21 @@ def test_is_symmetric_reads_a_bitwise_mirror_first(monkeypatch):
     for atoms in (off, skew):
         assert is_symmetric_with_coalesce_calls(DiscretizedDistribution(*atoms),
                                                 monkeypatch) == (False, 1)
-        with pytest.raises(ValueError, match="closed"):
-            DiscretizedDistribution(*atoms, symmetrized=True)
 
 
-def test_symmetrized_flag_checked():
-    with pytest.raises(ValueError, match="closed"):
-        DiscretizedDistribution(np.array([-1.0, 2.0]), np.array([0.5, 0.5]),
-                                symmetrized=True)
-
-
-def test_symmetrized_is_keyword_only():
-    # a positional third argument once set the grid size
-    with pytest.raises(TypeError):
-        DiscretizedDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 64)
+def test_laws_and_graphs_compare_by_identity():
+    # atoms, couplings and weights are all data: two laws or graphs that
+    # differ only there must not compare equal, nor the models built on them
+    assert rademacher(1.0) != discretized_gaussian()
+    assert len({rademacher(1.0), rademacher(5.0)}) == 2
+    assert single_edge_graph(J=1.0) != single_edge_graph(J=5.0)
+    assert (ModelSpec("villain", single_edge_graph(J=1.0))
+            != ModelSpec("villain", single_edge_graph(J=5.0, lam=(0, 9))))
 
 
 def test_csv_roundtrip():
     d = rademacher(1.5)
-    d2 = DiscretizedDistribution.from_csv(d.to_csv(), symmetrized=True)
+    d2 = DiscretizedDistribution.from_csv(d.to_csv())
     assert np.allclose(d2.xs, d.xs) and np.allclose(d2.ws, d.ws)
 
 
@@ -200,7 +196,7 @@ def test_atoms_in_any_order_are_sorted_by_position():
     assert np.array_equal(reread.cdf(xs), d.cdf(xs))
     # sorted input, as every builder makes, passes through bit for bit
     law = observable_distribution(ModelSpec("xy", single_edge_graph(1.0)), 32)
-    again = DiscretizedDistribution(law.xs, law.ws, symmetrized=law.symmetrized)
+    again = DiscretizedDistribution(law.xs, law.ws)
     assert np.array_equal(again.xs, law.xs) and np.array_equal(again.ws, law.ws)
 
 
@@ -260,7 +256,7 @@ def test_output_symmetric_and_normalized():
     for kind in ("xy", "villain"):
         d = observable_distribution(ModelSpec(kind, path_graph(3, J=1.5, lam=1.0)), 64)
         assert abs(d.ws.sum() - 1.0) < 1e-12
-        assert d.symmetrized and d.is_symmetric()
+        assert d.is_symmetric()
 
 
 def test_pinned_boundary_distribution():
@@ -271,7 +267,7 @@ def test_pinned_boundary_distribution():
     assert abs(d.ws.sum() - 1.0) < 1e-12
     assert d.is_symmetric()
     raw = observable_distribution(m, 64, symmetrize=False)
-    assert not raw.symmetrized
+    assert not raw.is_symmetric()
 
 
 STRONG_COUPLING_MODELS = {
@@ -362,7 +358,7 @@ SUMMED_OUT_MODELS = {
     # the end's neighbour has a pinned edge and stays; the next vertex goes
     "chain3-end-pinned": replace(xy_chain(3, 2.0, (1.0, 0.7)), boundary={"c0": 0.3}),
     # both spokes go: summing the first out leaves the second between the hubs
-    "subdivided-edge": ModelSpec("xy", subdivide(single_edge_graph(), 1, J=4.0).as_finite_graph()),
+    "subdivided-edge": ModelSpec("xy", subdivide(single_edge_graph(), 1, J=4.0)),
 }
 
 
@@ -377,6 +373,23 @@ def test_summed_out_chain_matches_chunked_reference():
                 assert len(got.xs) == len(want.xs), (N, symmetrize)
                 assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
                 assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+
+
+def test_weight0_vertex_between_joined_neighbours_stays():
+    # summing q out would join p and r a second time, so q stays on the grid:
+    # N^2 refuses, and N^3 builds the law of every vertex on the tensor grid
+    J = {("p", "q"): 1.2, ("q", "r"): 0.6, ("p", "r"): 0.8}
+    model = ModelSpec("xy", build_graph(["q", "p", "r"], list(J), J,
+                                        {"p": 1.0, "q": 0.0, "r": 0.4}), 1.1)
+    for N in (8, 16):
+        with pytest.raises(BudgetExceededError, match=rf"{N}\^3"):
+            observable_distribution(model, N, budget=N**2)
+        for symmetrize in (True, False):
+            want = _finish_law(*chunked_atoms(model, N), symmetrize)
+            got = observable_distribution(model, N, budget=N**3, symmetrize=symmetrize)
+            assert len(got.xs) == len(want.xs), (N, symmetrize)
+            assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
+            assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
 
 
 def test_budget_refusal_builds_no_grid_table():

@@ -618,7 +618,7 @@ def test_bin_distribution_symmetric():
     rng = np.random.default_rng(2)
     samples = rng.normal(0, 1, 5000)
     d = bin_distribution(samples, B=50)
-    assert d.symmetrized and d.is_symmetric()
+    assert d.is_symmetric()
     assert abs(d.ws.sum() - 1.0) < 1e-12
 
 
@@ -645,7 +645,7 @@ def test_bin_distribution_equal_bins_count_every_edge(B):
     for samples in (on_edges, normal):
         new, old = bin_distribution(samples, B), former_bin_distribution(samples, B)
         assert new.xs.tobytes() == old.xs.tobytes() and new.ws.tobytes() == old.ws.tobytes()
-        assert new.symmetrized
+        assert new.is_symmetric()
     counts, got_edges = np.histogram(edges, bins=2 * B + 1, range=(-half, half))
     assert np.array_equal(got_edges, edges)
     assert np.array_equal(counts, np.histogram(edges, bins=edges)[0])

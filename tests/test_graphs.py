@@ -61,7 +61,7 @@ def test_json_roundtrip():
 
 def test_json_roundtrip_with_bar_in_vertex_labels():
     # subdivided vertex labels contain '|', the separator of a "J" key
-    g = subdivide(single_edge_graph(J=0.7), 2, 1.0).as_finite_graph()
+    g = subdivide(single_edge_graph(J=0.7), 2, 1.0)
     g2 = graph_from_json(g.to_json())
     assert (g2.vertices, g2.edges) == (g.vertices, g.edges)
     assert g2.coupling == g.coupling
@@ -91,7 +91,10 @@ def test_subdivide_single_edge_n4():
     star = [e for e in s.edges if s.coupling[e] == 10.0]
     chain = [e for e in s.edges if s.coupling[e] == 4.0]  # n / J_e = 4
     assert len(star) == 2 and len(chain) == 4
-    assert s.chain_coupling[("x", "y")] == 4.0
+    # the path runs from x's spoke through the interior vertices to y's spoke
+    assert {"x|x|y|0", "y|x|y|0", "x|x|y|3"} <= set(s.vertices)
+    assert s.coupling[("x|x|y|0", "x|x|y|1")] == 4.0
+    assert s.coupling[("x|x|y|3", "y|x|y|0")] == 4.0
 
 
 def test_subdivide_four_vertex_four_edge():
@@ -112,7 +115,7 @@ def test_subdivide_n1_degenerate():
     s = subdivide(g, 1, J=3.0)
     interior = [v for v in s.vertices if "|" in v and not v.endswith("|0")]
     assert interior == []
-    assert s.chain_coupling[("x", "y")] == 0.5  # 1 / J_e
+    assert s.coupling[("x|x|y|0", "y|x|y|0")] == 0.5  # 1 / J_e
 
 
 def test_subdivide_rejects_bad_args():
@@ -121,16 +124,6 @@ def test_subdivide_rejects_bad_args():
         subdivide(g, 0, 1.0)
     with pytest.raises(ValueError):
         subdivide(g, 2, 0.0)
-
-
-def test_interior_label_identification():
-    g = single_edge_graph()
-    s = subdivide(g, 4, 1.0)
-    e = ("x", "y")
-    # (y, e, 1) is the same vertex as (x, e, 3)
-    assert s.interior_vertex("y", e, 1) == s.interior_vertex("x", e, 3)
-    assert s.interior_vertex("x", e, 0) == "x|x|y|0"
-    assert s.interior_vertex("x", e, 4) == "y|x|y|0"
 
 
 def test_counting_formulas_randomized():
@@ -152,7 +145,8 @@ def test_counting_formulas_randomized():
 
 def test_as_finite_graph_weights_on_hubs():
     g = single_edge_graph(J=1.0, lam=(0.7, 0.3))
-    fg = subdivide(g, 3, 2.0).as_finite_graph()
+    fg = subdivide(g, 3, 2.0)
     assert fg.weight["x*"] == 0.7
     assert fg.weight["y*"] == 0.3
     assert all(w == 0.0 for v, w in fg.weight.items() if not v.endswith("*"))
+

@@ -26,7 +26,7 @@ def double_factorial(m: int) -> int:
 
 def three_atom_law():
     return DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
-                                   np.array([0.1, 0.8, 0.1]), symmetrized=True)
+                                   np.array([0.1, 0.8, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,16 @@ def test_classify_rademacher_consistent():
     assert v.verdict == VERDICT_CONSISTENT
     assert v.symmetric
     assert v.subgaussian_evidence == "yes"
+
+
+def test_classify_asymmetric_law_undetermined():
+    # a PIZ certificate does not make an asymmetric law consistent with the class
+    d = DiscretizedDistribution(np.array([-1.0, 1.0]), np.array([0.3, 0.7]))
+    rep = locate_zeros(EntireMGF(rademacher()), Rectangle(-8, 8, 0, 8))
+    v = classify(d, zero_report=rep)
+    assert not v.symmetric
+    assert "source distribution is not symmetric" in v.notes
+    assert v.verdict == VERDICT_UNDETERMINED
 
 
 def test_classify_gmc_profile_excluded():

@@ -45,8 +45,7 @@ def j0_first_root_bisection() -> float:
 
 
 def three_atom_law() -> DiscretizedDistribution:
-    return DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]),
-                                   np.array([0.1, 0.8, 0.1]), symmetrized=True)
+    return DiscretizedDistribution(np.array([-2.0, 0.0, 2.0]), np.array([0.1, 0.8, 0.1]))
 
 
 def rademacher_sum_law(a) -> DiscretizedDistribution:
@@ -77,16 +76,21 @@ def test_mgf_eval_rademacher_cosh_zero():
 
 
 def test_symmetric_flag_on_a_skewed_law_is_rejected():
-    # Im f(it) = 0.1 sin t is 0.030, 0.064, 0.096 at the checked t; the cosh
-    # halves of the law would report exactly 0
-    skew = DiscretizedDistribution(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.5, 0.3]))
-    object.__setattr__(skew, "symmetrized", True)
+    # mirrored weights 0.9e-12 apart: symmetric within COALESCE_TOL, but over
+    # 2000 atoms Im f(0.3i) = 0.9e-12 sum_k sin(0.003 k) is 6.0e-10, which the
+    # cosh halves of the law would report as exactly 0
+    xs = 0.01 * np.arange(1, 1001)
+    ws = np.full(1000, 1.0 / 2000)
+    skew = DiscretizedDistribution(np.concatenate([-xs[::-1], xs]),
+                                   np.concatenate([ws - 0.45e-12, ws + 0.45e-12]))
+    assert skew.is_symmetric()
+    assert 5e-10 < np.sin(0.3 * skew.xs) @ skew.ws < 7e-10
     with pytest.raises(ValueError, match="not real"):
         EntireMGF(skew)
 
 
 def test_mgf_eval_point_mass():
-    d = DiscretizedDistribution(np.array([0.0]), np.array([1.0]), symmetrized=True)
+    d = DiscretizedDistribution(np.array([0.0]), np.array([1.0]))
     f = EntireMGF(d)
     assert mgf_eval(f, 3.0 + 4.0j) == 1.0
 
@@ -256,7 +260,7 @@ def test_locate_double_axis_zero():
     # Newton stops anywhere inside the sqrt-tolerance disk of a quadratic
     # zero, so the locator must not report the ghost pair as off-axis.
     d = DiscretizedDistribution(np.array([-2.0, -1.0, 1.0, 2.0]),
-                                np.array([0.25] * 4), symmetrized=True)
+                                np.array([0.25] * 4))
     f = EntireMGF(d)
     assert mgf_eval(f, 1j * math.pi) == 0
     _, dmant, scale = f.evaluator(math.pi).eval_pair_batch(np.array([1j * math.pi]))
@@ -351,8 +355,7 @@ def test_property_rademacher_sums_have_their_exact_axis_zeros(a):
 @given(st.floats(0.03, 0.2), st.floats(0.5, 2.0))
 def test_property_three_atom_laws_give_their_off_axis_pairs(p, a):
     r = math.acosh((1.0 - 2.0 * p) / (2.0 * p)) / a
-    law = DiscretizedDistribution(np.array([-a, 0.0, a]), np.array([p, 1.0 - 2.0 * p, p]),
-                                  symmetrized=True)
+    law = DiscretizedDistribution(np.array([-a, 0.0, a]), np.array([p, 1.0 - 2.0 * p, p]))
     rep = locate_zeros(EntireMGF(law), Rectangle(-2 * r, 2 * r, 0, 4 * math.pi / a))
     assert_three_atom_pairs(rep, p, a)
 
@@ -360,7 +363,7 @@ def test_property_three_atom_laws_give_their_off_axis_pairs(p, a):
 def test_hadamard_counts_multiplicity():
     # the double zero at i pi contributes twice to the inverse-square sum
     d = DiscretizedDistribution(np.array([-2.0, -1.0, 1.0, 2.0]),
-                                np.array([0.25] * 4), symmetrized=True)
+                                np.array([0.25] * 4))
     f = EntireMGF(d)
     rep = locate_zeros(f, Rectangle(-1, 1, 0, 40 * math.pi))
     assert sum(z.multiplicity for z in rep.zeros) == rep.total_count
@@ -472,8 +475,8 @@ def test_trigamma_matches_scipy_polygamma():
 @pytest.mark.parametrize("law, Y", [
     (rademacher(), 60 * math.pi),
     (uniform_angle_law(512), 60 * math.pi),
-    (DiscretizedDistribution(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.25] * 4),
-                             symmetrized=True), 40 * math.pi),
+    (DiscretizedDistribution(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.25] * 4)),
+     40 * math.pi),
 ], ids=["rademacher", "uniform-angle", "double-zero"])
 def test_hadamard_tail_matches_polygamma_reference(law, Y):
     f = EntireMGF(law)
@@ -807,7 +810,7 @@ def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
     zs = np.array([0.0, 0.8, -1.7, 0.7j, 3.1j, 0.4 + 2.2j, -1.3 - 0.6j,
                    a650 + 0.3j, -a650, 660.0 / L + 1.0j, -680.0 / L + 0.5j])
     if law is unsymmetrised_villain_path3_law:
-        assert not d.symmetrized and not np.array_equal(d.xs, -d.xs[::-1])
+        assert not np.array_equal(d.xs, -d.xs[::-1])
         assert f.symmetric and f._half is not None
     mant, _, shift = f.evaluator(float(np.max(np.abs(zs)))).eval_pair_batch(zs)
     assert f.fast_path == "direct"
