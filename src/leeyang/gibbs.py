@@ -30,6 +30,7 @@ outputs are bit-stable for a given grid size.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -199,10 +200,14 @@ class DiscretizedDistribution:
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.xs))) if len(self.xs) else 0.0
 
+    def is_mirror(self) -> bool:
+        """True iff the atoms are a bitwise mirror, as :func:`_finish_law` builds them."""
+        return np.array_equal(self.xs, -self.xs[::-1]) and np.array_equal(self.ws, self.ws[::-1])
+
     def is_symmetric(self) -> bool:
-        """True iff the atoms are a bitwise mirror (as :func:`_finish_law` builds) or
-        the reflected atom list matches within COALESCE_TOL after coalescing."""
-        if np.array_equal(self.xs, -self.xs[::-1]) and np.array_equal(self.ws, self.ws[::-1]):
+        """True iff :meth:`is_mirror` or the reflected atom list matches within
+        COALESCE_TOL after coalescing."""
+        if self.is_mirror():
             return True
         xs, ws = _coalesce(self.xs, self.ws)
         # the reflection of a coalesced list is sorted with every gap > COALESCE_TOL,
@@ -337,17 +342,25 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     # vertices fit, so nothing is summed out and the budget check refuses
     diff = (idx[:, None] - idx[None, :]) % N if links and N * N <= budget else None
     free = [v for v in G.vertices if v not in pinned]
+    # each free vertex's links, in the order of ``links``, and each vertex's degree in G
+    at = {v: [] for v in free}
+    for e in links:
+        at[e[0]].append(e)
+        at[e[1]].append(e)
+    degree = collections.Counter(v for e in G.edges for v in e)
     for w in free[:] if diff is not None else ():  # one pass: summing out makes none eligible
-        mine = [e for e in links if w in e] if G.weight[w] == 0 else ()
-        if len(mine) != 2 or G.degree(w) != 2:
+        mine = at[w]
+        if G.weight[w] != 0 or len(mine) != 2 or degree[w] != 2:
             continue
         # both rows oriented towards w: (a, ra) with ra[d] the weight at theta_a - theta_w
         (a, ra, ka), (b, rb, kb) = [(e[0], *links[e]) if e[1] == w else
                                     (e[1], links[e][0][-idx % N], links[e][1]) for e in mine]
         if (a, b) in links or (b, a) in links:
             continue
-        for e in mine:
+        for v, e in zip((a, b), mine):
             del links[e]
+            at[v].remove(e)
+            at[v].append((a, b))
         row = ra @ rb[diff]  # the sum over theta_w: exact, and nonnegative
         links[(a, b)] = (row / row.sum(), ka + kb)
         free.remove(w)

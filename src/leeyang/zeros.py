@@ -150,9 +150,9 @@ class EntireMGF:
     without f'.  ``eval_pair_batch`` is the one source of f' in the package:
     :func:`newton_refine` reads it.
 
-    Construction checks f(0) = 1 (unit mass) and, for symmetric sources,
-    that Im f(it) = sum_j w_j sin(t x_j) over every atom is below 1e-10 at a
-    few sampled t.
+    Construction checks f(0) = 1 (unit mass) and, for symmetric sources that
+    are not a bitwise mirror, that Im f(it) = sum_j w_j sin(t x_j) over every
+    atom is below 1e-10 at a few sampled t.
     """
 
     path, K, xval_ratio = "direct", None, None
@@ -160,15 +160,18 @@ class EntireMGF:
     def __init__(self, source: DiscretizedDistribution):
         self.source = source
         self.variance = source.variance
-        self.symmetric = source.is_symmetric()
+        mirror = source.is_mirror()
+        self.symmetric = mirror or source.is_symmetric()
         xs, ws, pos = source.xs, source.ws, source.xs > COALESCE_TOL
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
         self.support_radius = max(abs(self._ends[0]), abs(self._ends[1]))
         if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
             raise ValueError("f(0) differs from 1 by more than 1e-12")
-        # over every atom: the half sums would make f(it) real by construction
-        if self.symmetric and np.any(np.abs(np.sin(np.outer((0.3, 0.7, 1.3), xs)) @ ws) > 1e-10):
+        # over every atom: the half sums would make f(it) real by construction; in a
+        # bitwise mirror w sin(tx) and w sin(-tx) cancel, so only rounding could fail it
+        if (self.symmetric and not mirror
+                and np.any(np.abs(np.sin(np.outer((0.3, 0.7, 1.3), xs)) @ ws) > 1e-10)):
             raise ValueError("symmetric source but f(it) not real to 1e-10")
         self._half = ((ws[np.abs(xs) <= COALESCE_TOL].sum(), ws[pos], xs[pos])
                       if self.symmetric else None)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,50 @@ def test_mc_moment_same_with_pairwise_kernel(k, monkeypatch):
     old = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
     assert abs(new.estimate - old.estimate) <= 1e-13 * old.estimate
     assert abs(new.stderr - old.stderr) <= 1e-13 * old.stderr
+
+
+def former_disk_sample(self, rng, n):
+    """The disk sampler with a cosine and a sine per point, as it was before
+    :func:`gmc._unit_circle`."""
+    r = self.radius * np.sqrt(rng.random(n))
+    phi = 2.0 * math.pi * rng.random(n)
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+def test_unit_circle_matches_mpmath():
+    import mpmath
+    v = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53],
+                        np.random.default_rng(41).random(2000)])
+    h = math.pi * v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = gmc._unit_circle(h)
+    with mpmath.workdps(40):
+        cos2h = np.array([float(mpmath.cos(2 * mpmath.mpf(x))) for x in h])
+        sin2h = np.array([float(mpmath.sin(2 * mpmath.mpf(x))) for x in h])
+    assert np.max(np.abs(c - cos2h)) <= 4e-16
+    assert np.max(np.abs(s - sin2h)) <= 4e-16
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_disk_sample_matches_the_former_sampler(radius):
+    dom = Domain("disk", radius)
+    rng_new, rng_old = np.random.default_rng(43), np.random.default_rng(43)
+    new, old = dom.sample(rng_new, 5000), former_disk_sample(dom, rng_old, 5000)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert new.shape == (5000, 2)
+    assert np.max(np.abs(new - old)) <= 4e-16 * radius
+    assert np.all(dom.contains(new))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_mc_moment_same_with_the_former_sampler(k, monkeypatch):
+    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=37 + k)
+    monkeypatch.setattr(gmc.Domain, "sample", former_disk_sample)
+    old = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=37 + k)
+    for field in ("estimate", "stderr", "effective_sample_size"):
+        a, b = getattr(new, field), getattr(old, field)
+        assert abs(a - b) <= 1e-13 * b, field
 
 
 def test_mc_moment_non_finite_mean_raises(monkeypatch, tmp_path):
