@@ -18,8 +18,7 @@ from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
                     refinement_stable_report)
 from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
                       tail_exponent, weak_limit_harness)
-from .chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
-                    heat_kernel_circle, kernel_power, laplace_normalization,
+from .chain import (chain_vs_heat, dirichlet_ratio, laplace_normalization,
                     make_xy_kernel)
 from .gmc import (CoulombConfig, DiscreteGmcField, Domain, GrowthFit,
                   LatticeDomain, MomentEstimate, UNIT_DISK,

@@ -3,143 +3,86 @@
 The n-edge XY chain at inverse temperature B_n = n b has one-step transition
 density K(theta, theta') = exp(B_n cos(theta' - theta)) / integral, and its
 n-step kernel converges to the periodized heat kernel on the circle with
-variance parameter 1/b.  This module builds both kernels on a uniform grid
-and measures the distance; it also computes the pinned-end partition-function
-ratio whose limit is a ratio of periodized Gaussians with precision b.
+variance parameter 1/b.  This module samples both kernels as numpy rows on
+:func:`leeyang.gibbs.circle_grid` and measures the distance; it also computes
+the pinned-end partition-function ratio whose limit is a ratio of periodized
+Gaussians with precision b.
 
-Every chain here is one circle convolution power,
-:func:`leeyang.gibbs._convolution_power`, of XY rows, and every row is the
-XY :func:`leeyang.gibbs.edge_weight` with J = 1, exp(B (cos - 1)) <= 1, so no
-coupling overflows.  Kernels are probability densities on (-pi, pi]: values
->= 0 on the grid and mean value times 2 pi equal to 1 within 1e-10 under
-every operation here; NaN fails both checks.
+Every chain here is one circle convolution power, :func:`_convolution_power`,
+of rows of the XY :func:`leeyang.gibbs.edge_weight` with J = 1,
+exp(B (cos - 1)) <= 1, so no coupling overflows.  Each call checks the grid
+once: |r_{N/2} / r_0|^n, for r the transform of the unshifted XY row, is the
+share of the n-step kernel's mass in the top grid mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .gibbs import (_TWO_PI, _convolution_power, _require_resolved, circle_grid, edge_weight,
-                    periodized_gaussian)
+from .gibbs import _TWO_PI, _require_resolved, circle_grid, edge_weight, periodized_gaussian
 
 DEFAULT_CHAIN_GRID = 512
 
 
-@dataclass(frozen=True)
-class CircleKernel:
-    """Density samples on the uniform N-grid of (-pi, pi].
+def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
+    """n-fold cyclic self-convolution of the nonnegative ``row``, as unit-sum masses.
 
-    ``log_normalization`` stores the log of the quadrature value of the
-    defining integral before the density was normalised (e.g. the integral
-    of exp(B cos) for the one-step XY kernel, which overflows a float once
-    B > 709).
+    The row is normalised to unit sum and its discrete Fourier transform is
+    raised to the n-th power: O(N log N) instead of n circulant matvecs, and
+    n = 0 gives the point mass at index 0.  The exact result is nonnegative,
+    so a value below -1e-12 (or NaN) means the transform lost it and raises
+    NumericalError; the rest is clamped at 0 and renormalised.
     """
-
-    values: np.ndarray
-    log_normalization: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if not np.all(v >= -1e-12):
-            raise ValueError(f"kernel has negative or NaN density {np.min(v):.3e}")
-        mass = float(v.mean()) * _TWO_PI
-        if not abs(mass - 1.0) <= 1e-10:
-            raise ValueError(f"kernel mass {mass!r} differs from 1 beyond 1e-10")
-        if not math.isfinite(self.log_normalization):
-            raise ValueError(f"log normalization {self.log_normalization!r} is not finite")
-
-    @property
-    def normalization(self) -> float:
-        """The defining integral; OverflowError past the float range."""
-        return math.exp(self.log_normalization)
-
-    @property
-    def N(self) -> int:
-        return len(self.values)
-
-    @property
-    def grid(self) -> np.ndarray:
-        """Angles of the stored samples (FFT order, wrapped to (-pi, pi])."""
-        return circle_grid(self.N)
-
-    def mass(self) -> float:
-        return float(self.values.mean()) * _TWO_PI
-
-    def sup_distance(self, other: "CircleKernel") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
-
-    def l1_distance(self, other: "CircleKernel") -> float:
-        return float(np.sum(np.abs(self.values - other.values))) * _TWO_PI / self.N
+    N = len(row)
+    pn = np.fft.irfft(np.fft.rfft(row / row.sum()) ** n, N)
+    if not np.all(pn >= -1e-12):
+        raise NumericalError(f"{n}-fold circle convolution went negative or NaN "
+                             f"(min {np.min(pn):.3e}); grid size {N} too small")
+    pn = np.maximum(pn, 0.0)
+    return pn / pn.sum()
 
 
-def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
-    """One-step XY transition density exp(B cos(dtheta)) / integral.
+def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> tuple[np.ndarray, float]:
+    """One-step XY transition density exp(B cos(dtheta)) / integral on the N-grid,
+    and the log of the integral.
 
-    The stored normalization is the grid quadrature of the integral of
-    exp(B cos phi) over the circle, spectrally accurate in N, kept as
-    B + log of the integral of exp(B (cos phi - 1)) so that it never
-    overflows; at B = 0 the kernel is uniform 1/(2 pi).
+    The integral is the grid quadrature of exp(B cos phi), spectrally accurate
+    in N, returned as B + log of the integral of exp(B (cos phi - 1)), since
+    it overflows a float once B > 709; at B = 0 the density is 1/(2 pi).
     """
-    if not B >= 0:
-        raise ValueError(f"inverse temperature must be non-negative, got {B}")
+    if not 0 <= B < math.inf:
+        raise ValueError(f"inverse temperature must be non-negative and finite, got {B}")
     g = edge_weight("xy", circle_grid(N), 1.0, B)
     Z = float(g.sum()) * _TWO_PI / N
-    return CircleKernel(values=g / Z, log_normalization=B + math.log(Z))
-
-
-def kernel_power(k: CircleKernel, n: int) -> CircleKernel:
-    """n-fold cyclic self-convolution, computed spectrally.
-
-    The n-step law is the circle convolution power of the single-step mass
-    vector (:func:`leeyang.gibbs._convolution_power`, which raises
-    NumericalError if the transform loses positivity); the output is
-    renormalised and keeps the single-step normalization.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n}")
-    if n == 1:
-        return CircleKernel(values=k.values.copy(), log_normalization=k.log_normalization)
-    return CircleKernel(values=_convolution_power(k.values, n) * (k.N / _TWO_PI),
-                        log_normalization=k.log_normalization)
-
-
-def heat_kernel_circle(t: float, b: float, N: int = DEFAULT_CHAIN_GRID) -> CircleKernel:
-    """Periodized Gaussian density on the circle with variance parameter t/b.
-
-    The wrapped Gaussian sum_m exp(-b (theta + 2 pi m)^2 / (2 t)) is the
-    periodized Gaussian with J = b/t; it is normalised here to unit mass on
-    the grid (a probability density).
-    """
-    if not t > 0 or not b > 0:
-        raise ValueError("heat kernel needs t > 0 and b > 0")
-    vals = np.asarray(periodized_gaussian(circle_grid(N), b / t))
-    Z = float(vals.sum()) * _TWO_PI / N
-    return CircleKernel(values=vals / Z, log_normalization=math.log(Z))
+    return g / Z, B + math.log(Z)
 
 
 def chain_vs_heat(n: int, b: float, N: int = DEFAULT_CHAIN_GRID) -> dict:
     """Distance between the n-step chain kernel at B_n = n b and the heat kernel.
 
-    Returns sup and L1 distances at time t = 1; both shrink like 1/n.  A grid
-    whose top Fourier mode holds more than TOP_MODE_TOL = 1e-9 of the n-step
-    kernel's mass raises NumericalError.
+    The heat kernel at time t = 1 is the periodized Gaussian with precision b,
+    normalised to unit mass on the grid.  Returns the sup and L1 distances,
+    which shrink like 1/n, and the chain's grid mass.  A grid whose top
+    Fourier mode holds more than TOP_MODE_TOL = 1e-9 of the n-step kernel's
+    mass raises NumericalError.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need chain length n >= 2, got {n}")
-    one = make_xy_kernel(n * b, N)
-    _require_resolved(abs(np.fft.rfft(one.values)[-1] / one.values.sum()) ** n, n, N)
-    stepped = kernel_power(one, n)
-    heat = heat_kernel_circle(1.0, b, N)
+    one, _ = make_xy_kernel(n * b, N)
+    _require_resolved(abs(np.fft.rfft(one)[-1] / one.sum()) ** n, n, N)
+    if not b > 0:
+        raise ValueError(f"heat kernel needs b > 0, got {b}")
+    stepped = _convolution_power(one, n) * (N / _TWO_PI)
+    heat = periodized_gaussian(circle_grid(N), b)
+    gap = np.abs(stepped - heat / (float(heat.sum()) * _TWO_PI / N))
     return {
         "n": n, "b": b, "N": N,
-        "sup_distance": stepped.sup_distance(heat),
-        "l1_distance": stepped.l1_distance(heat),
-        "chain_mass": stepped.mass(),
+        "sup_distance": float(np.max(gap)),
+        "l1_distance": float(np.sum(gap)) * _TWO_PI / N,
+        "chain_mass": float(stepped.mean()) * _TWO_PI,
     }
 
 
@@ -156,11 +99,9 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
     rounding is absolute, so a partial sum below 1e6 n eps times its scale
     (a deep tail, e.g. b >= 4 with angle differences near pi) raises
     NumericalError instead of giving a ratio off by more than about 1e-6
-    relative.  The limiting value is the ratio of periodized Gaussians with
-    precision b (the heat kernel of :func:`heat_kernel_circle` at t = 1) at
-    the two angle differences, returned alongside.  For n >= 2, a grid whose
-    top Fourier mode holds more than TOP_MODE_TOL = 1e-9 of the n-step
-    kernel's mass (q and the two end rows) raises NumericalError.
+    relative.  The limit, returned alongside, is the ratio of periodized
+    Gaussians with precision b at the two angle differences.  For n >= 2 the
+    grid check of :func:`chain_vs_heat` applies.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"chain length must be a positive integer, got {n}")
@@ -174,12 +115,12 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
     if n == 1:
         ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))
     else:
-        q_hat = np.fft.rfft(_convolution_power(edge_weight("xy", grid, 1.0, B), n - 2))
+        row = edge_weight("xy", grid, 1.0, B)
+        q_hat = np.fft.rfft(_convolution_power(row, n - 2))
+        _require_resolved(abs(np.fft.rfft(row)[-1] / row.sum()) ** n, n, N)
 
         def partial_sum(th0: float, th1: float) -> float:
-            first = np.fft.rfft(edge_weight("xy", grid - th0, 1.0, B))
-            _require_resolved(q_hat[-1] * (first[-1] / first[0]) ** 2, n, N)
-            inner = np.fft.irfft(first * q_hat, N)
+            inner = np.fft.irfft(np.fft.rfft(edge_weight("xy", grid - th0, 1.0, B)) * q_hat, N)
             last = edge_weight("xy", th1 - grid, 1.0, B)
             s = float(last @ inner)
             # the FFTs leave rounding noise of about 0.2 n eps times this scale

@@ -437,27 +437,10 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     return _finish_law(np.concatenate(xs), np.concatenate(ws), symmetrize)
 
 
-def _convolution_power(row: np.ndarray, n: int) -> np.ndarray:
-    """n-fold cyclic self-convolution of the nonnegative ``row``, as unit-sum masses.
-
-    The row is normalised to unit sum and its discrete Fourier transform is
-    raised to the n-th power: O(N log N) instead of n circulant matvecs, and
-    n = 0 gives the point mass at index 0.  The exact result is nonnegative,
-    so a value below -1e-12 (or NaN) means the transform lost it and raises
-    NumericalError; the rest is clamped at 0 and renormalised.
-    """
-    N = len(row)
-    pn = np.fft.irfft(np.fft.rfft(row / row.sum()) ** n, N)
-    if not np.all(pn >= -1e-12):
-        raise NumericalError(f"{n}-fold circle convolution went negative or NaN "
-                             f"(min {np.min(pn):.3e}); grid size {N} too small")
-    pn = np.maximum(pn, 0.0)
-    return pn / pn.sum()
-
-
 def _require_resolved(top: complex, n: int, N: int) -> None:
     """NumericalError naming N unless |top| <= TOP_MODE_TOL, for ``top`` the top grid
-    mode of an n-step chain kernel over its mass (here and in :mod:`leeyang.chain`)."""
+    mode of an n-step chain kernel over its mass: a summed-out chain link here, the
+    XY chain of :mod:`leeyang.chain` there."""
     if not abs(top) <= TOP_MODE_TOL:
         raise NumericalError(f"grid size {N} does not resolve the {n}-step kernel: its top "
                              f"Fourier mode holds {abs(top):.3g} of its mass "

@@ -46,6 +46,7 @@ bits are fixed only at a fixed BLAS thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -603,6 +604,8 @@ def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mc_tuples is not None and not (isinstance(mc_tuples, numbers.Integral) and mc_tuples > 0):
+        raise ValueError(f"mc_tuples must be a positive integer, got {mc_tuples!r}")
     sites = _summation_sites(domain, n)
     m = len(sites)
     if k == 1:
@@ -706,10 +709,16 @@ def save_field_snapshot(path, field_obj: DiscreteGmcField, n: int, r: float) -> 
 
 
 def load_field_snapshot(path) -> dict:
+    """Read a :func:`save_field_snapshot` file; ValueError unless its size is the header's."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"not a field snapshot (magic {magic!r})")
-        n, r, beta, seed, count = struct.unpack("<qddQq", fh.read(40))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    return {"n": n, "r": r, "beta": beta, "seed": seed, "values": data}
+        raw = fh.read()
+    if raw[:8] != _SNAPSHOT_MAGIC:
+        raise ValueError(f"not a field snapshot (magic {raw[:8]!r})")
+    if len(raw) < 48:
+        raise ValueError(f"field snapshot {path} should hold at least 48 bytes, found {len(raw)}")
+    n, r, beta, seed, count = struct.unpack_from("<qddQq", raw, 8)
+    if len(raw) != 48 + 8 * count:
+        raise ValueError(f"field snapshot {path} should hold {48 + 8 * count} bytes "
+                         f"({count} values), found {len(raw)}")
+    return {"n": n, "r": r, "beta": beta, "seed": seed,
+            "values": np.frombuffer(raw, dtype="<f8", offset=48)}

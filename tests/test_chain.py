@@ -1,15 +1,15 @@
 """Chain kernels, spectral convolution, and the heat-kernel scaling limit."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from leeyang.chain import (CircleKernel, chain_vs_heat, dirichlet_ratio,
-                           heat_kernel_circle, kernel_power,
+from leeyang.chain import (_convolution_power, chain_vs_heat, dirichlet_ratio,
                            laplace_normalization, make_xy_kernel)
 from leeyang.errors import NumericalError
-from leeyang.gibbs import circle_grid, periodized_gaussian
+from leeyang.gibbs import circle_grid, edge_weight, periodized_gaussian
 
 
 def bessel_i0_series(x: float) -> float:
@@ -22,28 +22,27 @@ def bessel_i0_series(x: float) -> float:
 
 
 def test_xy_kernel_zero_coupling_uniform():
-    k = make_xy_kernel(0.0, 128)
-    assert np.allclose(k.values, 1.0 / (2 * math.pi))
-    assert abs(k.normalization - 2 * math.pi) < 1e-12
+    density, log_z = make_xy_kernel(0.0, 128)
+    assert np.allclose(density, 1.0 / (2 * math.pi))
+    assert abs(math.exp(log_z) - 2 * math.pi) < 1e-12
 
 
 @pytest.mark.parametrize("N", [8, 101, 512])
 def test_kernels_read_the_circle_grid(N):
-    k = make_xy_kernel(2.0, N)
-    assert np.array_equal(k.grid, circle_grid(N))
+    density, _ = make_xy_kernel(2.0, N)
     w = np.exp(2.0 * (np.cos(circle_grid(N)) - 1.0))
-    assert np.array_equal(k.values, w / (float(w.sum()) * 2 * math.pi / N))
+    assert np.array_equal(density, w / (float(w.sum()) * 2 * math.pi / N))
 
 
 def test_xy_kernel_normalization_is_bessel():
     for B in (0.5, 1.0, 5.0):
-        k = make_xy_kernel(B, 512)
-        assert abs(k.normalization - 2 * math.pi * bessel_i0_series(B)) < 1e-10
+        z = math.exp(make_xy_kernel(B, 512)[1])
+        assert abs(z - 2 * math.pi * bessel_i0_series(B)) < 1e-10
 
 
 def test_laplace_expansion_strong_coupling():
     B = 50.0
-    quad = make_xy_kernel(B, 1024).normalization
+    quad = math.exp(make_xy_kernel(B, 1024)[1])
     rel = abs(quad / laplace_normalization(B) - 1.0)
     assert rel < 1.0 / B**2
     # the residual is the next series coefficient 9/(128 B^2)
@@ -51,86 +50,118 @@ def test_laplace_expansion_strong_coupling():
 
 
 def test_kernel_mass_invariant():
-    with pytest.raises(ValueError, match="mass"):
-        CircleKernel(values=np.ones(64), log_normalization=0.0)
-    with pytest.raises(ValueError, match="negative"):
-        CircleKernel(values=np.full(64, -1.0), log_normalization=0.0)
+    # every density here is >= 0 with grid mass 1 within 1e-10
+    for N in (8, 101, 512):
+        for B in (0.0, 2.0, 50.0, 2048.0):
+            density, log_z = make_xy_kernel(B, N)
+            assert np.all(density >= 0) and math.isfinite(log_z)
+            assert abs(float(density.mean()) * 2 * math.pi - 1.0) < 1e-10
+    for n in (2, 16, 1024):
+        assert abs(chain_vs_heat(n, 1.0, 512)["chain_mass"] - 1.0) < 1e-10
 
 
 def test_kernel_rejects_nan():
-    v = np.full(64, 1.0 / (2 * math.pi))
-    v[3] = math.nan
-    with pytest.raises(ValueError, match="NaN"):
-        CircleKernel(values=v, log_normalization=0.0)
-    v[3] = math.inf
-    with pytest.raises(ValueError, match="mass"):
-        CircleKernel(values=v, log_normalization=0.0)
-    with pytest.raises(ValueError, match="finite"):
-        CircleKernel(values=np.full(64, 1.0 / (2 * math.pi)), log_normalization=math.nan)
+    for B in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="inverse temperature must be non-negative"):
+            make_xy_kernel(B, 64)
 
 
 def test_strong_coupling_kernel_stays_finite():
     # n b = 2048 > 709: exp(B cos) alone overflows a float
     B = 2048.0
-    k = make_xy_kernel(B, 512)
-    assert np.all(np.isfinite(k.values))
+    density, log_z = make_xy_kernel(B, 512)
+    assert np.all(np.isfinite(density))
     log_laplace = B + 0.5 * math.log(2 * math.pi / B) + math.log1p(1 / (8 * B))
-    assert abs(k.log_normalization - log_laplace) < 1e-6
+    assert abs(log_z - log_laplace) < 1e-6
     with pytest.raises(OverflowError):
-        k.normalization
+        math.exp(log_z)
     r = chain_vs_heat(1024, 2.0, 512)
     assert math.isfinite(r["sup_distance"]) and math.isfinite(r["l1_distance"])
 
 
 def test_kernel_power_identity_and_uniform():
-    k = make_xy_kernel(2.0, 256)
-    k1 = kernel_power(k, 1)
-    assert np.array_equal(k1.values, k.values)
-    u = make_xy_kernel(0.0, 256)
-    u5 = kernel_power(u, 5)
-    assert np.max(np.abs(u5.values - 1.0 / (2 * math.pi))) < 1e-14
+    # masses on the grid; times N / (2 pi) they are densities
+    density, _ = make_xy_kernel(2.0, 256)
+    assert np.max(np.abs(_convolution_power(density, 1) - density / density.sum())) < 1e-16
+    assert np.array_equal(_convolution_power(density, 0), np.eye(256)[0])
+    u5 = _convolution_power(np.ones(256), 5) * (256 / (2 * math.pi))
+    assert np.max(np.abs(u5 - 1.0 / (2 * math.pi))) < 1e-14
 
 
 def test_kernel_power_semigroup():
-    k = make_xy_kernel(4.0, 512)
-    a = kernel_power(kernel_power(k, 2), 3)
-    b = kernel_power(k, 6)
-    assert a.sup_distance(b) < 1e-10
+    density, _ = make_xy_kernel(4.0, 512)
+    a = _convolution_power(_convolution_power(density, 2), 3)
+    b = _convolution_power(density, 6)
+    assert np.max(np.abs(a - b)) * 512 / (2 * math.pi) < 1e-10
 
 
-def test_kernel_power_rejects_bad_n():
-    with pytest.raises(ValueError):
-        kernel_power(make_xy_kernel(1.0, 64), 0)
+def test_chain_vs_heat_rejects_bad_args():
+    for n in (1, 0, -3, 2.0, 16.5):
+        with pytest.raises(ValueError, match="chain length"):
+            chain_vs_heat(n, 1.0, 64)
+    for b in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chain_vs_heat(16, b, 64)
 
 
-def test_heat_kernel_delta_limit():
-    def near_zero_mass(t):
-        h = heat_kernel_circle(t, 1.0, 512)
-        return float(np.sum(h.values[np.abs(h.grid) < 0.1])) * 2 * math.pi / 512
+@dataclass(frozen=True)
+class FormerCircleKernel:
+    """The density-and-log-normalization object the chain kernels used to be."""
 
-    assert near_zero_mass(1e-3) > 0.99
-    assert near_zero_mass(1e-5) > 1 - 1e-8
-    assert near_zero_mass(1e-5) > near_zero_mass(1e-3)
+    values: np.ndarray
+    log_normalization: float
 
-
-def test_heat_kernel_uniform_limit():
-    h = heat_kernel_circle(100.0, 1.0, 512)
-    assert np.max(np.abs(h.values - 1.0 / (2 * math.pi))) < 1e-10
-
-
-def test_heat_kernel_proportional_to_periodized_gaussian():
-    t, b = 2.0, 3.0
-    h = heat_kernel_circle(t, b, 512)
-    g = h.grid
-    ratios = h.values[:20] / np.asarray(periodized_gaussian(g[:20], b / t))
-    assert np.max(np.abs(ratios - ratios[0])) < 1e-12
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", v)
+        assert np.all(v >= -1e-12) and abs(float(v.mean()) * 2 * math.pi - 1.0) <= 1e-10
+        assert math.isfinite(self.log_normalization)
 
 
-def test_heat_kernel_rejects_bad_args():
-    with pytest.raises(ValueError):
-        heat_kernel_circle(0.0, 1.0)
-    with pytest.raises(ValueError):
-        heat_kernel_circle(1.0, -2.0)
+def former_chain_vs_heat(n, b, N):
+    """The former class-based chain_vs_heat: make_xy_kernel, kernel_power and
+    heat_kernel_circle on FormerCircleKernel, then its distance methods."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need chain length n >= 2, got {n}")
+    B = n * b
+    if not B >= 0:
+        raise ValueError(f"inverse temperature must be non-negative, got {B}")
+    g = edge_weight("xy", circle_grid(N), 1.0, B)
+    Z = float(g.sum()) * 2 * math.pi / N
+    one = FormerCircleKernel(values=g / Z, log_normalization=B + math.log(Z))
+    top = abs(np.fft.rfft(one.values)[-1] / one.values.sum()) ** n
+    if not top <= 1e-9:
+        raise NumericalError(f"grid size {N} does not resolve the {n}-step kernel")
+    stepped = FormerCircleKernel(values=_convolution_power(one.values, n) * (N / (2 * math.pi)),
+                                 log_normalization=one.log_normalization)
+    t = 1.0
+    if not t > 0 or not b > 0:
+        raise ValueError("heat kernel needs t > 0 and b > 0")
+    vals = np.asarray(periodized_gaussian(circle_grid(N), b / t))
+    Zh = float(vals.sum()) * 2 * math.pi / N
+    heat = FormerCircleKernel(values=vals / Zh, log_normalization=math.log(Zh))
+    return {"n": n, "b": b, "N": N,
+            "sup_distance": float(np.max(np.abs(stepped.values - heat.values))),
+            "l1_distance": float(np.sum(np.abs(stepped.values - heat.values))) * 2 * math.pi / N,
+            "chain_mass": float(stepped.values.mean()) * 2 * math.pi}
+
+
+def test_chain_vs_heat_matches_the_former_kernels():
+    cases = [(n, b, N) for n in (2, 3, 16, 64, 257, 1024) for b in (0.25, 1.0, 2.0, 8.0, 50.0)
+             for N in (2, 3, 16, 128, 512, 1000)]
+    accepted = 0
+    for case in cases:
+        try:
+            want = former_chain_vs_heat(*case)
+        except NumericalError:
+            with pytest.raises(NumericalError, match=f"grid size {case[2]} does not resolve"):
+                chain_vs_heat(*case)
+            continue
+        got = chain_vs_heat(*case)
+        for key in ("sup_distance", "l1_distance", "chain_mass"):
+            assert got[key].hex() == want[key].hex(), (case, key)
+        accepted += 1
+    assert accepted >= 30
 
 
 def test_chain_vs_heat_rate():
@@ -248,6 +279,15 @@ def test_unresolved_grid_is_refused():
     assert r["ratio"] == math.exp(1.0 * (math.cos(1.0) - math.cos(0.0)))
 
 
+def test_dirichlet_ratio_refuses_an_underflowed_end_row():
+    # B = 51200 on 8 points: the shifted end row exp(B (cos(theta - 0.3) - 1))
+    # underflows at every grid point, so its mass is 0; the grid check on the
+    # unshifted row refuses before any 0 / 0
+    with pytest.raises(NumericalError, match="grid size 8 does not resolve the 1024-step "
+                                             "kernel: its top Fourier mode holds 1 of its mass"):
+        dirichlet_ratio(1024, 50.0, (0.3, 1.0), (0.0, 0.0), 8)
+
+
 def test_dirichlet_ratio_validates_angles():
     with pytest.raises(ValueError, match="outside"):
         dirichlet_ratio(8, 1.0, (4.0, 0.0), (0.0, 0.0), 128)
@@ -255,6 +295,6 @@ def test_dirichlet_ratio_validates_angles():
 
 def test_fft_grid_convolution_has_no_phase_offset():
     # convolving a narrow symmetric kernel with itself must stay centred at 0
-    k = make_xy_kernel(30.0, 256)
-    k2 = kernel_power(k, 2)
-    assert abs(k2.grid[int(np.argmax(k2.values))]) < 1e-12
+    density, _ = make_xy_kernel(30.0, 256)
+    twice = _convolution_power(density, 2)
+    assert abs(circle_grid(256)[int(np.argmax(twice))]) < 1e-12

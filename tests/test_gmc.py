@@ -659,6 +659,14 @@ def test_moment_formula_mc_tuples_close_to_exact():
     assert abs(mc - exact) / exact < 0.05
 
 
+def test_moment_formula_refuses_bad_mc_tuples():
+    dom = LatticeDomain.disk(8.0)
+    for bad in (0, -1, 2.5, "10", math.nan):
+        with pytest.raises(ValueError, match="mc_tuples"):
+            gmc_moment_formula(dom, 3, 0.8, 2, mc_tuples=bad, seed=6)
+    assert gmc_moment_formula(dom, 3, 0.8, 2, mc_tuples=np.int64(10), seed=6) > 0
+
+
 def test_bin_distribution_symmetric():
     rng = np.random.default_rng(2)
     samples = rng.normal(0, 1, 5000)
@@ -709,3 +717,22 @@ def test_field_snapshot_roundtrip(tmp_path):
         p2 = os.path.join(tmp_path, "bad.bin")
         open(p2, "wb").write(b"nope" * 20)
         load_field_snapshot(p2)
+
+
+def test_field_snapshot_refuses_a_wrong_size(tmp_path):
+    # the header promises 8 bytes per value; a short, long or headless file is refused
+    field = sample_gmc_field(LatticeDomain.disk(5.0), 1.1, seed=77)
+    path = os.path.join(tmp_path, "field.bin")
+    save_field_snapshot(path, field, n=3, r=5.0 / 3.0)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert len(raw) == 48 + 8 * len(field.h)
+    cut = os.path.join(tmp_path, "cut.bin")
+    for data, want, found in ((raw[:-16], len(raw), len(raw) - 16),
+                              (raw + bytes(8), len(raw), len(raw) + 8),
+                              (raw[:20], 48, 20)):
+        with open(cut, "wb") as fh:
+            fh.write(data)
+        pattern = f"should hold (at least )?{want} bytes.*found {found}"
+        with pytest.raises(ValueError, match=pattern):
+            load_field_snapshot(cut)
