@@ -95,10 +95,15 @@ def test_kernel_power_semigroup():
     assert np.max(np.abs(a - b)) * 512 / (2 * math.pi) < 1e-10
 
 
-def test_chain_vs_heat_rejects_bad_args():
+def test_kernel_power_rejects_bad_n():
+    # the n-step chain kernel needs an integer n >= 2
     for n in (1, 0, -3, 2.0, 16.5):
         with pytest.raises(ValueError, match="chain length"):
             chain_vs_heat(n, 1.0, 64)
+
+
+def test_heat_kernel_rejects_bad_args():
+    # the heat kernel needs a finite precision b > 0
     for b in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             chain_vs_heat(16, b, 64)
