@@ -20,10 +20,7 @@ from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
                       tail_exponent, weak_limit_harness)
 from .chain import (chain_vs_heat, dirichlet_ratio, laplace_normalization,
                     make_xy_kernel)
-from .gmc import (CoulombConfig, DiscreteGmcField, Domain, GrowthFit,
-                  LatticeDomain, MomentEstimate, UNIT_DISK,
-                  bin_distribution, coulomb_weight, dgff_sample,
-                  gmc_moment_formula, lambda_weights, lattice_green,
-                  load_field_snapshot, m_statistic, mc_moment,
-                  moment_growth_fit, sample_gmc_field, sample_m_statistics,
-                  save_field_snapshot, tail_prediction)
+from .gmc import (CoulombConfig, Domain, GrowthFit, LatticeDomain,
+                  MomentEstimate, UNIT_DISK, bin_distribution, coulomb_weight,
+                  dgff_sample, gmc_moment_formula, lattice_green, mc_moment,
+                  moment_growth_fit, sample_m_statistics, tail_prediction)

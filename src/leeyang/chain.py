@@ -107,10 +107,12 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
         raise ValueError(f"chain length must be a positive integer, got {n}")
     if not b > 0:
         raise ValueError(f"coupling b must be positive, got {b}")
+    B = n * b
+    if not math.isfinite(B):
+        raise ValueError(f"coupling b = {b} and B_n = n b = {B} must be finite")
     for th in (*pair, *pair_ref):
         if not (-math.pi < th <= math.pi):
             raise ValueError(f"pinned angle {th} outside (-pi, pi]")
-    B = n * b
     grid = circle_grid(N)  # the n = 1 ratio needs no grid, but N is checked for every n
     if n == 1:
         ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))

@@ -30,8 +30,7 @@ from .chain import chain_vs_heat, dirichlet_ratio
 from .errors import NumericalError
 from .gibbs import (DiscretizedDistribution, ModelSpec, observable_distribution)
 from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_sample,
-                  mc_moment, moment_growth_fit, sample_gmc_field,
-                  sample_m_statistics, save_field_snapshot, tail_prediction)
+                  mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
 from .zeros import (MERGE_DISTANCE, OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ,
@@ -249,6 +248,8 @@ def _cmd_m_stat(args) -> int:
         raise ValueError("m-stat --bootstrap must be at least 0")
     if args.bins < 1:
         raise ValueError("m-stat --bins must be at least 1 (one bin on each side of 0)")
+    if not args.tol > 0:
+        raise ValueError(f"m-stat --tol must be positive, got {args.tol}")
     region = Rectangle(*args.region)
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
@@ -284,11 +285,11 @@ def _cmd_m_stat(args) -> int:
                "second_moment": float(np.mean(samples**2)),
                "exploratory": True,
                "verdict": report.piz_verdict,
+               "total_count": report.total_count,
+               "notes": list(report.notes),
+               "evaluator": report.evaluator,
                "zeros": zero_rows}
     _write(args.out, "m_stat.json", _report(args, results))
-    if args.dump_field:
-        fld = sample_gmc_field(domain, args.beta, args.seed)
-        save_field_snapshot(Path(args.out) / args.dump_field, fld, args.n, args.r)
     print(f"m-stat: {args.samples} samples, mean {results['mean']:.3e}, "
           f"verdict {report.piz_verdict} (exploratory)")
     return 0
@@ -401,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bootstrap", type=int, default=200)
     sp.add_argument("--region", type=float, nargs=4, default=[-8.0, 8.0, 0.0, 8.0])
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--dump-field", help="also write a field snapshot to this file")
     sp.set_defaults(func=_cmd_m_stat)
 
     sp = sub.add_parser("villain-verify",

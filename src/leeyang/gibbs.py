@@ -78,8 +78,8 @@ def periodized_gaussian(theta, J: float):
     omitted pair is below PERIODIZED_GAUSSIAN_TOL times the accumulated sum.
     Vectorises over ``theta``.
     """
-    if not J > 0:
-        raise ValueError(f"periodized Gaussian needs J > 0, got {J}")
+    if not 0 < J < math.inf:
+        raise ValueError(f"periodized Gaussian needs a finite J > 0, got {J}")
     t = wrap_angle(theta)
     total = np.exp(-0.5 * J * t * t)
     m = 1

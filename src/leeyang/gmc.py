@@ -19,9 +19,9 @@ Lattice side: a :class:`LatticeDomain` carries the sites of a disk (or
 square) in Z^2, the interior/boundary partition, and the Dirichlet Green's
 matrix -- the inverse of the unit-weight graph Laplacian on interior sites,
 which is exactly the covariance of the zero-boundary discrete Gaussian free
-field sampled by :func:`dgff_sample`.  The wrapped field
-h = (beta g + Phi) mod 2pi feeds the renormalised statistic
-:func:`m_statistic`; its zero-boundary moments have the closed form
+field sampled by :func:`dgff_sample`.  The renormalised chaos sum
+M = sum_{x in D_n} lam(x) cos(beta g(x) + Phi) is drawn by
+:func:`sample_m_statistics`; its zero-boundary moments have the closed form
 evaluated by :func:`gmc_moment_formula`, which doubles as the Monte Carlo
 oracle.
 
@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -452,7 +451,7 @@ class LatticeDomain:
             return np.array([self._idx[(int(x), int(y))] for x, y in sites], dtype=np.intp)
         except KeyError as e:
             raise ValueError(f"site {e.args[0]} is not an interior site "
-                             "(boundary sites carry no Green's entries or field values)") from None
+                             "(boundary sites carry no Green's entries)") from None
 
     def green_matrix(self, sites=None) -> np.ndarray:
         """Green's block G[a, b] = G(sites[a], sites[b]), column b one LU solve
@@ -498,35 +497,25 @@ def lattice_green(domain: LatticeDomain, x, y) -> float:
     return float(domain.green_matrix([y, x])[0, 1])
 
 
-def dgff_sample(domain: LatticeDomain, seed: int | None = None, *,
-                rng: np.random.Generator | None = None,
-                boundary_value: float = 0.0, size: int | None = None) -> np.ndarray:
-    """Gaussian field on interior sites with covariance G = L^{-1}.
+def dgff_sample(domain: LatticeDomain, seed: int | None = None, *, size: int) -> np.ndarray:
+    """``size`` Gaussian fields on interior sites, each with covariance G = L^{-1}.
 
     With L = C C^T (dense Cholesky), h = C^{-T} z for standard normal z has
     covariance C^{-T} C^{-1} = L^{-1} exactly.  The (n_interior, size) normal
     block is solved from the right, h^T = z^T C^{-1}, by BLAS ``trsm`` on
     z^T, which is already in Fortran order, so the samples overwrite z's own
-    memory and no copy of the block is made.  A constant Dirichlet
-    boundary value shifts every sample by that constant (the domain-Markov
-    decomposition of a constant-boundary field).  Returns shape
-    (n_interior,) or (size, n_interior).
+    memory and no copy of the block is made.  Returns shape
+    (size, n_interior): row i is the i-th field.
     """
     from scipy.linalg.blas import dtrsm
 
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-    C = domain.cholesky()
-    n = domain.n_interior
-    z = rng.standard_normal((n, 1) if size is None else (n, size))
-    h = dtrsm(1.0, C, z.T, side=1, lower=1, overwrite_b=1)
-    if boundary_value != 0.0:
-        h += boundary_value
-    return h[0] if size is None else h
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    z = rng.standard_normal((domain.n_interior, size))
+    return dtrsm(1.0, domain.cholesky(), z.T, side=1, lower=1, overwrite_b=1)
 
 
 # ---------------------------------------------------------------------------
-# discrete chaos field and its renormalised statistic
+# the renormalised chaos sum
 # ---------------------------------------------------------------------------
 
 def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:
@@ -541,54 +530,6 @@ def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:
 def _site_weights(n: int, beta: float, G: np.ndarray) -> np.ndarray:
     """lam(x) = (1/n^2) exp((beta^2/2) G(x,x)) from the Green's block G on D_n."""
     return np.exp(0.5 * beta**2 * np.diag(G)) / float(n) ** 2
-
-
-@dataclass(frozen=True)
-class DiscreteGmcField:
-    """Wrapped field h = (beta g + Phi) mod 2pi on a lattice domain.
-
-    ``g`` is the zero-boundary DGFF, ``phi`` the global boundary angle; the
-    whole object is reproducible from (domain, beta, seed).
-    """
-
-    domain: LatticeDomain = field(repr=False)
-    beta: float
-    phi: float
-    h: np.ndarray = field(repr=False)
-    seed: int
-
-    def angles_at(self, sites) -> np.ndarray:
-        return self.h[self.domain._interior_index(sites)]
-
-
-def sample_gmc_field(domain: LatticeDomain, beta: float, seed: int) -> DiscreteGmcField:
-    """Draw Phi uniform on (-pi, pi] and h = wrap(beta * DGFF + Phi)."""
-    if not 0.0 < beta < math.sqrt(2.0):
-        raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
-    ss = np.random.SeedSequence(seed)
-    s_phi, s_field = ss.spawn(2)
-    phi = float(np.random.default_rng(s_phi).uniform(-math.pi, math.pi))
-    g = dgff_sample(domain, rng=np.random.default_rng(s_field))
-    h = np.mod(beta * g + phi + math.pi, 2.0 * math.pi) - math.pi
-    return DiscreteGmcField(domain=domain, beta=beta, phi=phi, h=h, seed=seed)
-
-
-def lambda_weights(n: int, domain: LatticeDomain, beta: float) -> np.ndarray:
-    """Per-site weights (1/n^2) exp((beta^2/2) G(x,x)) over D_n (all positive)."""
-    sites = _summation_sites(domain, n)
-    return _site_weights(n, beta, domain.green_matrix(sites))
-
-
-def m_statistic(n: int, field: DiscreteGmcField) -> float:
-    """Renormalised chaos sum M = sum_{x in D_n} lam(x) cos h(x).
-
-    lam(x) = (1/n^2) exp((beta^2/2) G(x,x)); using the lattice Green's
-    diagonal as the renormalising exponent makes the k = 1 zero-boundary
-    moment exactly |D_n|/n^2 (no asymptotic constants enter).
-    """
-    sites = _summation_sites(field.domain, n)
-    lam = _site_weights(n, field.beta, field.domain.green_matrix(sites))
-    return float(lam @ np.cos(field.angles_at(sites)))
 
 
 def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
@@ -688,37 +629,3 @@ def bin_distribution(samples: np.ndarray, B: int = 200) -> DiscretizedDistributi
     centers = 0.5 * (edges[:-1] + edges[1:])
     keep = counts > 0
     return _finish_law(centers[keep], counts[keep].astype(float), True)
-
-
-# ---------------------------------------------------------------------------
-# field snapshots (flat binary, reproducibility)
-# ---------------------------------------------------------------------------
-
-_SNAPSHOT_MAGIC = b"LYFIELD1"
-
-
-def save_field_snapshot(path, field_obj: DiscreteGmcField, n: int, r: float) -> None:
-    """Flat binary snapshot: magic, n, r, beta, seed, count, then float64 values."""
-    h = np.ascontiguousarray(field_obj.h, dtype="<f8")
-    header = _SNAPSHOT_MAGIC + struct.pack("<qddQq", int(n), float(r),
-                                           float(field_obj.beta),
-                                           int(field_obj.seed) & (2**64 - 1), len(h))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(h.tobytes())
-
-
-def load_field_snapshot(path) -> dict:
-    """Read a :func:`save_field_snapshot` file; ValueError unless its size is the header's."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != _SNAPSHOT_MAGIC:
-        raise ValueError(f"not a field snapshot (magic {raw[:8]!r})")
-    if len(raw) < 48:
-        raise ValueError(f"field snapshot {path} should hold at least 48 bytes, found {len(raw)}")
-    n, r, beta, seed, count = struct.unpack_from("<qddQq", raw, 8)
-    if len(raw) != 48 + 8 * count:
-        raise ValueError(f"field snapshot {path} should hold {48 + 8 * count} bytes "
-                         f"({count} values), found {len(raw)}")
-    return {"n": n, "r": r, "beta": beta, "seed": seed,
-            "values": np.frombuffer(raw, dtype="<f8", offset=48)}

@@ -13,6 +13,7 @@ Graphs are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 Edge = tuple[str, str]
@@ -58,7 +59,8 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
     ``couplings`` maps edges (any endpoint order) to J_e > 0; ``weights`` maps
     vertices to lam_v >= 0.  Missing couplings default to 1.0 and missing
     weights to 0.0.  Rejects self-loops, duplicate edges, dangling endpoints,
-    non-positive J and negative lam, naming the offending element.
+    non-finite or non-positive J and non-finite or negative lam, naming the
+    offending element.
     """
     verts = tuple(str(v) for v in vertices)
     if len(set(verts)) != len(verts):
@@ -92,6 +94,8 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
         coup[key] = float(j)
     for e in norm_edges:
         coup.setdefault(e, 1.0)
+        if not math.isfinite(coup[e]):
+            raise ValueError(f"non-finite coupling J={coup[e]} on edge {edge_label(e)!r}")
         if not coup[e] > 0.0:
             raise ValueError(f"non-positive coupling J={coup[e]} on edge {edge_label(e)!r}")
 
@@ -105,6 +109,8 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
         lam[v] = float(w)
     for v in verts:
         lam.setdefault(v, 0.0)
+        if not math.isfinite(lam[v]):
+            raise ValueError(f"non-finite weight lambda={lam[v]} on vertex {v!r}")
         if lam[v] < 0.0:
             raise ValueError(f"negative weight lambda={lam[v]} on vertex {v!r}")
 

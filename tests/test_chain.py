@@ -298,6 +298,13 @@ def test_dirichlet_ratio_validates_angles():
         dirichlet_ratio(8, 1.0, (4.0, 0.0), (0.0, 0.0), 128)
 
 
+def test_dirichlet_ratio_refuses_a_non_finite_coupling():
+    # b = inf, or n b past the float range, is refused before any weight is formed
+    for n, b in ((1, math.inf), (16, math.inf), (2, 1e308), (4096, 1e306)):
+        with pytest.raises(ValueError, match=r"B_n = n b = inf must be finite"):
+            dirichlet_ratio(n, b, (0.0, 1.0), (0.0, 0.0), 64)
+
+
 def test_fft_grid_convolution_has_no_phase_offset():
     # convolving a narrow symmetric kernel with itself must stay centred at 0
     density, _ = make_xy_kernel(30.0, 256)

@@ -14,7 +14,6 @@ import pytest
 from leeyang import cli
 from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution
-from leeyang.gmc import load_field_snapshot
 from leeyang.zeros import OFFAXIS_FACTOR, Rectangle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -239,12 +238,10 @@ def test_m_stat_with_field_dump(tmp_path):
     out = str(tmp_path / "ms")
     assert main(["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
                  "--samples", "2000", "--bins", "60", "--bootstrap", "20",
-                 "--seed", "19", "--out", out, "--dump-field", "field.bin"]) == 0
+                 "--seed", "19", "--out", out]) == 0
     doc = json.loads((Path(out) / "m_stat.json").read_text())
     assert doc["results"]["exploratory"] is True
     assert abs(doc["results"]["mean"]) < 0.5
-    snap = load_field_snapshot(Path(out) / "field.bin")
-    assert snap["n"] == 3 and snap["beta"] == 1.2 and snap["seed"] == 19
     # the binned law is symmetrised: Re z of an axis zero is rounding noise,
     # so it has no error bar; the off-axis pair keeps one
     zs = doc["results"]["zeros"]
@@ -269,6 +266,25 @@ def test_m_stat_with_field_dump(tmp_path):
 
 M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
                 "--samples", "2000", "--bins", "60", "--seed", "19"]
+
+
+def test_m_stat_records_what_its_verdict_rests_on(tmp_path, monkeypatch):
+    # the zero report's contour count, notes and evaluator record go into
+    # m_stat.json beside its verdict
+    reports, locate = [], cli.locate_zeros
+
+    def spy(*args, **kwargs):
+        reports.append(locate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "locate_zeros", spy)
+    assert main(M_STAT_SMALL + ["--bootstrap", "0", "--out", str(tmp_path)]) == 0
+    (report,) = reports
+    results = json.loads((tmp_path / "m_stat.json").read_text())["results"]
+    assert results["verdict"] == report.piz_verdict
+    assert results["total_count"] == report.total_count == len(results["zeros"])
+    assert results["notes"] == list(report.notes)
+    assert results["evaluator"] == report.evaluator and results["evaluator"]["path"] == "direct"
 
 
 def test_m_stat_unconverged_bootstrap_is_counted(tmp_path, monkeypatch):
@@ -395,8 +411,7 @@ SMALL_RUNS = {
     "gmc-moments": (["--beta-sq", "0.5", "--k-max", "2", "--samples", "10000", "--seed", "11"],
                     "gmc_moments.json"),
     "dgff-check": (["--side", "3", "--samples", "500", "--seed", "3"], "dgff_check.json"),
-    "m-stat": (M_STAT_SMALL[1:] + ["--bootstrap", "3", "--dump-field", "field.bin"],
-               "m_stat.json"),
+    "m-stat": (M_STAT_SMALL[1:] + ["--bootstrap", "3"], "m_stat.json"),
     "villain-verify": (["--graph", "EDGE", "--grid-n", "32"], "zero_report.json"),
 }
 
@@ -421,9 +436,21 @@ def test_output_config_repeats_the_run(sub, edge_graph, tmp_path):
     assert doc2["results"] == doc1["results"]
     assert doc2["config"] == {**doc1["config"], "out": str(out2)}
     assert sorted(f.name for f in out2.iterdir()) == sorted(f.name for f in out1.iterdir())
-    if sub == "m-stat":
-        assert doc1["config"]["dump_field"] == "field.bin"
-        assert (out2 / "field.bin").read_bytes() == (out1 / "field.bin").read_bytes()
+
+
+def test_m_stat_config_with_a_dropped_flag_repeats_the_run(tmp_path):
+    # an m-stat config written while the flag --dump-field existed still holds
+    # "dump_field"; a key that names no flag is ignored, so the run repeats
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(M_STAT_SMALL + ["--bootstrap", "3", "--out", str(out1)]) == 0
+    doc1 = json.loads((out1 / "m_stat.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**doc1["config"], "dump_field": "field.bin"}))
+    assert main(["m-stat", "--config", str(cfg), "--out", str(out2)]) == 0
+    doc2 = json.loads((out2 / "m_stat.json").read_text())
+    assert doc2["results"] == doc1["results"]
+    assert doc2["config"] == {**doc1["config"], "out": str(out2)}
+    assert [f.name for f in out2.iterdir()] == ["m_stat.json"]
 
 
 def test_abbreviated_flag_beats_the_config_file(edge_graph, tmp_path):
@@ -462,10 +489,14 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     (["chain-limit", "--n-list", "4", "--grid-n", "0"], "grid size"),
     (["chain-limit", "--n-list", "4", "--grid-n", "-4"], "grid size"),
     (["dirichlet-ratio", "--n", "1", "--grid-n", "0"], "grid size"),
+    (["dirichlet-ratio", "--n", "1", "--b", "inf", "--grid-n", "64"], "n b = inf must be finite"),
+    (["dirichlet-ratio", "--n", "2", "--b", "1e308", "--grid-n", "64"],
+     "n b = inf must be finite"),
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
         "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
         "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
-        "dirichlet-ratio-one-edge-empty-grid"])
+        "dirichlet-ratio-one-edge-empty-grid", "dirichlet-ratio-infinite-b",
+        "dirichlet-ratio-n-b-overflows"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     # meaningless counts are refused before any output is written: they
     # could only give a NaN statistic, an empty list or a point mass at 0
@@ -506,6 +537,20 @@ def test_m_stat_refuses_no_bins_before_sampling(monkeypatch, tmp_path, capsys):
     assert main(["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--bins", "0",
                  "--seed", "1", "--out", str(out)]) == 2
     assert "--bins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_m_stat_refuses_a_bad_tol_before_sampling(tol, monkeypatch, tmp_path, capsys):
+    import leeyang.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("m-stat sampled before checking --tol")
+
+    monkeypatch.setattr(cli, "sample_m_statistics", no_sampling)
+    out = tmp_path / "o"
+    assert main(["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--tol", tol,
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_gmc_moments_refuses_k_max_above_cap_before_sampling(monkeypatch, tmp_path, capsys):
@@ -580,6 +625,11 @@ def test_readme_commands_parse():
      "'evaluator' 5 is not an object or null"),
     (["classify", "--dist", "law.csv", "--zeros", "number_notes.json"],
      "'notes' 3 is not a list"),
+    (["spin-dist", "--graph", "infinite_J.json", "--model", "villain"],
+     "non-finite coupling J=inf on edge 'x|y'"),
+    (["spin-dist", "--graph", "infinite_J.json", "--model", "xy"],
+     "non-finite coupling J=inf on edge 'x|y'"),
+    (["spin-dist", "--graph", "infinite_lambda.json"], "non-finite weight lambda=inf on vertex 'x'"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -593,6 +643,8 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
     Path("number_vertices.json").write_text('{"vertices": 3, "edges": []}')
     Path("null_J.json").write_text(
         '{"vertices": ["x", "y"], "edges": [["x", "y"]], "J": {"x|y": null}}')
+    Path("infinite_J.json").write_text(EDGE_GRAPH.replace('"x|y": 1.0', '"x|y": Infinity'))
+    Path("infinite_lambda.json").write_text(EDGE_GRAPH.replace('"x": 1.0', '"x": Infinity'))
     Path("law.csv").write_text(THREE_ATOM_CSV)
     # an m-stat report: its results carry zeros and a verdict, but no region
     Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {

@@ -54,6 +54,13 @@ def test_periodized_gaussian_weak_coupling_flat():
     assert abs(vals[0] - 3.98942) < 1e-4
 
 
+def test_periodized_gaussian_refuses_a_non_finite_coupling():
+    # J = inf would add images until the loop's cap of 10^6
+    for J in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="needs a finite J > 0"):
+            periodized_gaussian(0.3, J)
+
+
 def test_periodized_gaussian_periodicity():
     for theta in (0.3, -2.0, 1.9):
         a = periodized_gaussian(theta, 1.0)

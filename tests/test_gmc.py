@@ -1,7 +1,6 @@
 """Coulomb-gas moments, lattice Green's function, DGFF, and the chaos sum."""
 
 import math
-import os
 import re
 import tracemalloc
 import warnings
@@ -14,11 +13,8 @@ from leeyang.cli import main
 from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
                          bin_distribution, coulomb_weight, dgff_sample,
-                         gmc_moment_formula, lambda_weights, lattice_green,
-                         load_field_snapshot, m_statistic, mc_moment,
-                         moment_growth_fit, sample_gmc_field,
-                         sample_m_statistics, save_field_snapshot,
-                         tail_prediction)
+                         gmc_moment_formula, lattice_green, mc_moment,
+                         moment_growth_fit, sample_m_statistics, tail_prediction)
 from leeyang.gibbs import distribution_from_atoms
 from leeyang.lyclass import slowtail_applies
 from leeyang.gmc import _log_coulomb
@@ -432,12 +428,6 @@ def test_green_solves_each_distinct_site_once():
     assert G[1, 1] == ref
 
 
-def test_field_angles_at_names_a_non_interior_site():
-    field = sample_gmc_field(LatticeDomain.disk(4.0), 1.0, 2)
-    with pytest.raises(ValueError, match=re.escape("site (-4, 0) is not an interior")):
-        field.angles_at([(0, 0), (-4, 0)])
-
-
 def test_green_center_log_growth():
     # the rescaled diagonal (2d) G(0,0) tracks (2/pi) log n between sizes
     vals = {}
@@ -468,13 +458,6 @@ def test_dgff_site_variance_matches_green():
     assert abs(var - g) < 4 * se
 
 
-def test_dgff_boundary_shift_exact():
-    dom = LatticeDomain.square(4)
-    h0 = dgff_sample(dom, seed=3)
-    h1 = dgff_sample(dom, seed=3, boundary_value=2.5)
-    assert np.allclose(h1 - h0, 2.5, atol=0, rtol=0)
-
-
 def traced_peak(fn, *args, **kwargs):
     """(result, peak bytes traced while fn runs); numpy reports its buffers."""
     tracemalloc.start()
@@ -490,16 +473,11 @@ def test_dgff_sample_matches_the_left_solve():
 
     dom = LatticeDomain.square(6)
     n = dom.n_interior
-    for size in (None, 1, 700):
+    for size in (1, 700):
         h = dgff_sample(dom, seed=41, size=size)
-        z = np.random.default_rng(np.random.SeedSequence(41)).standard_normal(
-            (n, 1 if size is None else size))
+        z = np.random.default_rng(np.random.SeedSequence(41)).standard_normal((n, size))
         ref = sla.solve_triangular(dom.cholesky(), z, lower=True, trans="T").T
-        if size is None:
-            assert h.shape == (n,)
-            ref = ref[0]
-        else:
-            assert h.shape == (size, n)
+        assert h.shape == (size, n)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -561,38 +539,34 @@ def test_dgff_domain_cap():
 # chaos field and renormalised statistic
 # ---------------------------------------------------------------------------
 
-def test_gmc_field_reproducible_and_wrapped():
-    dom = LatticeDomain.disk(6.0)
-    f1 = sample_gmc_field(dom, 1.2, seed=10)
-    f2 = sample_gmc_field(dom, 1.2, seed=10)
-    assert np.array_equal(f1.h, f2.h) and f1.phi == f2.phi
-    assert np.all((f1.h > -math.pi) & (f1.h <= math.pi))
-    assert -math.pi < f1.phi <= math.pi
-
-
-def test_lambda_weights_positive():
-    dom = LatticeDomain.disk(9.0)
-    lam = lambda_weights(4, dom, 1.1)
-    assert np.all(lam > 0)
-
-
 def test_m_statistic_site_check():
+    # D_4 touches the boundary of the disk-4 domain: neither the sampler nor
+    # the moment formula sums over it
     dom = LatticeDomain.disk(4.0)
-    field = sample_gmc_field(dom, 1.0, seed=2)
+    with pytest.raises(ValueError, match=re.escape("summation site (-4, 0) is not interior")):
+        sample_m_statistics(dom, 4, 1.0, 10, seed=2)
     with pytest.raises(ValueError, match="interior"):
-        m_statistic(4, field)  # D_4 touches the boundary of the disk-4 domain
+        gmc_moment_formula(dom, 4, 1.0, 2)
 
 
 def test_m_statistic_sums_the_weighted_cosines():
+    # M = sum_x lam(x) cos(beta (C z)_x + Phi), lam(x) = exp(beta^2 G(x,x) / 2) / n^2,
+    # on the sampler's own stream: the normal block z first, then the angles Phi
+    import scipy.linalg as sla
+
     dom = LatticeDomain.disk(9.0)
     sites = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x * x + y * y <= 16]
+    C = sla.cholesky(dom.green_matrix(sites) + 1e-14 * np.eye(len(sites)), lower=True)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    g = C @ rng.standard_normal((len(sites), 50))
+    phi = rng.uniform(-math.pi, math.pi, size=50)
     # at beta -> 0 every angle is the boundary angle Phi and every weight 1/n^2
-    field = sample_gmc_field(dom, 1e-6, seed=3)
-    assert abs(m_statistic(4, field) - len(sites) / 16.0 * math.cos(field.phi)) < 1e-5
-    field = sample_gmc_field(dom, 1.0, seed=3)
-    lam = [math.exp(0.5 * lattice_green(dom, x, x)) / 16.0 for x in sites]
-    want = sum(w * math.cos(h) for w, h in zip(lam, field.angles_at(sites)))
-    assert abs(m_statistic(4, field) - want) < 1e-12 * sum(lam)
+    assert np.max(np.abs(sample_m_statistics(dom, 4, 1e-6, 50, seed=3)
+                         - len(sites) / 16.0 * np.cos(phi))) < 1e-5
+    # beta = 1
+    lam = np.array([math.exp(0.5 * lattice_green(dom, x, x)) / 16.0 for x in sites])
+    want = lam @ np.cos(g + phi)
+    assert np.max(np.abs(sample_m_statistics(dom, 4, 1.0, 50, seed=3) - want)) < 1e-12 * lam.sum()
 
 
 def test_m_statistic_phase_averages_to_zero():
@@ -703,36 +677,3 @@ def test_bin_distribution_equal_bins_count_every_edge(B):
     assert np.array_equal(got_edges, edges)
     assert np.array_equal(counts, np.histogram(edges, bins=edges)[0])
     assert counts.sum() == len(edges)
-
-
-def test_field_snapshot_roundtrip(tmp_path):
-    dom = LatticeDomain.disk(5.0)
-    field = sample_gmc_field(dom, 1.1, seed=77)
-    path = os.path.join(tmp_path, "field.bin")
-    save_field_snapshot(path, field, n=3, r=5.0 / 3.0)
-    back = load_field_snapshot(path)
-    assert back["n"] == 3 and back["beta"] == 1.1 and back["seed"] == 77
-    assert np.array_equal(back["values"], field.h)
-    with pytest.raises(ValueError, match="magic"):
-        p2 = os.path.join(tmp_path, "bad.bin")
-        open(p2, "wb").write(b"nope" * 20)
-        load_field_snapshot(p2)
-
-
-def test_field_snapshot_refuses_a_wrong_size(tmp_path):
-    # the header promises 8 bytes per value; a short, long or headless file is refused
-    field = sample_gmc_field(LatticeDomain.disk(5.0), 1.1, seed=77)
-    path = os.path.join(tmp_path, "field.bin")
-    save_field_snapshot(path, field, n=3, r=5.0 / 3.0)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    assert len(raw) == 48 + 8 * len(field.h)
-    cut = os.path.join(tmp_path, "cut.bin")
-    for data, want, found in ((raw[:-16], len(raw), len(raw) - 16),
-                              (raw + bytes(8), len(raw), len(raw) + 8),
-                              (raw[:20], 48, 20)):
-        with open(cut, "wb") as fh:
-            fh.write(data)
-        pattern = f"should hold (at least )?{want} bytes.*found {found}"
-        with pytest.raises(ValueError, match=pattern):
-            load_field_snapshot(cut)

@@ -1,6 +1,7 @@
 """Graph construction, validation, and the star-and-path subdivision."""
 
 import json
+import math
 import random
 import re
 
@@ -38,6 +39,19 @@ def test_bad_coupling_and_weight_rejected():
         build_graph(["x", "y"], [("x", "y")], {("x", "y"): 0.0}, {})
     with pytest.raises(ValueError, match="negative weight"):
         build_graph(["x", "y"], [("x", "y")], {}, {"x": -1.0})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_coupling_and_weight_rejected(value):
+    # named before any law is built: an infinite J once spun the Villain image
+    # loop to its cap, and an infinite lambda overflowed the law's weights
+    with pytest.raises(ValueError, match=re.escape(f"non-finite coupling J={value} on edge 'x|y'")):
+        build_graph(["x", "y"], [("x", "y")], {("x", "y"): value}, {})
+    with pytest.raises(ValueError, match=re.escape(f"non-finite weight lambda={value} on vertex 'y'")):
+        build_graph(["x", "y"], [("x", "y")], {}, {"y": value})
+    doc = json.dumps({"vertices": ["x", "y"], "edges": [["x", "y"]], "J": {"x|y": value}})
+    with pytest.raises(ValueError, match="non-finite coupling"):
+        graph_from_json(doc)
 
 
 def test_triangle():
