@@ -191,7 +191,7 @@ def _cmd_dirichlet_ratio(args) -> int:
 def _cmd_gmc_moments(args) -> int:
     if not 1 <= args.k_max <= DESK_MAX_K:
         raise ValueError(f"gmc-moments --k-max must be between 1 and {DESK_MAX_K}")
-    domain = Domain(args.domain, args.radius)
+    domain = Domain(args.radius)
     ks = list(range(1, args.k_max + 1))
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(args.seed).spawn(len(ks))]
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -275,7 +275,8 @@ def _cmd_m_stat(args) -> int:
         bs = np.array([b for b in boots if b is not None])
         on_axis = abs(z.location.real) <= OFFAXIS_FACTOR * args.tol
         zero_rows.append({"re": z.location.real, "im": z.location.imag,
-                          "residual": z.residual,
+                          "residual": z.residual, "refined": z.refined,
+                          "multiplicity": z.multiplicity,
                           "bootstrap_se_re": (float(np.std(bs.real, ddof=1))
                                               if len(bs) > 1 and not on_axis else None),
                           "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-sq", type=float, required=True)
     sp.add_argument("--k-max", type=int, default=5)
     sp.add_argument("--samples", type=int, default=10**5)
-    sp.add_argument("--domain", choices=["disk", "square"], default="disk")
     sp.add_argument("--radius", type=float, default=1.0)
     sp.set_defaults(func=_cmd_gmc_moments)
 

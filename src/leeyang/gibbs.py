@@ -76,11 +76,19 @@ def periodized_gaussian(theta, J: float):
     ``theta`` is reduced to (-pi, pi] first, which makes the 2-pi periodicity
     exact.  Images m = 0, +-1, +-2, ... are added outward until the first
     omitted pair is below PERIODIZED_GAUSSIAN_TOL times the accumulated sum.
+    A J whose images fall below that tolerance only past 10^6 of them, and an
+    angle that is not finite, raise ValueError.
     Vectorises over ``theta``.
     """
     if not 0 < J < math.inf:
         raise ValueError(f"periodized Gaussian needs a finite J > 0, got {J}")
+    images = (math.sqrt(2.0 * math.log(1.0 / PERIODIZED_GAUSSIAN_TOL) / J) + math.pi) / _TWO_PI + 1
+    if images > 10**6:
+        raise ValueError(f"periodized Gaussian with J = {J} needs about {images:.3g} "
+                         "images, over the cap 1e6")
     t = wrap_angle(theta)
+    if np.isnan(t).any():
+        raise ValueError("periodized Gaussian of an angle that is not finite")
     total = np.exp(-0.5 * J * t * t)
     m = 1
     while True:
@@ -91,8 +99,6 @@ def periodized_gaussian(theta, J: float):
             break
         total = new_total
         m += 1
-        if m > 10**6:  # pragma: no cover - unreachable for J > 0
-            raise RuntimeError("periodized Gaussian failed to converge")
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(total)
     return total
@@ -295,7 +301,6 @@ def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
 
 
 def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
-                            budget: int = DEFAULT_EVAL_BUDGET,
                             symmetrize: bool = True) -> DiscretizedDistribution:
     """Exact law of S = sum_v lam_v cos(Theta_v) by tensor-grid quadrature.
 
@@ -324,8 +329,8 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     not joined to each other is summed out: its two edge rows over the grid
     index difference convolve exactly into one, so a chain becomes one edge.
     A row for k > 1 edges must pass the k-step kernel check (NumericalError).
-    Refuses when N**(number of free vertices left) exceeds ``budget``, and a
-    grid size N that is not a positive even integer.
+    Refuses when N**(free vertices left) exceeds DEFAULT_EVAL_BUDGET (read at
+    each call), and a grid size N that is not a positive even integer.
     """
     if not (isinstance(N, numbers.Integral) and N > 0 and N % 2 == 0):
         raise ValueError(f"grid size must be a positive even integer, got {N!r}")
@@ -340,7 +345,7 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
              if e[0] not in pinned and e[1] not in pinned}
     # one N x N gather serves every row; with N^2 over budget no two free
     # vertices fit, so nothing is summed out and the budget check refuses
-    diff = (idx[:, None] - idx[None, :]) % N if links and N * N <= budget else None
+    diff = (idx[:, None] - idx[None, :]) % N if links and N * N <= DEFAULT_EVAL_BUDGET else None
     free = [v for v in G.vertices if v not in pinned]
     # each free vertex's links, in the order of ``links``, and each vertex's degree in G
     at = {v: [] for v in free}
@@ -366,9 +371,9 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
         free.remove(w)
 
     m = len(free)
-    if N**m > budget:
-        raise BudgetExceededError(
-            f"tensor grid needs N^|V| = {N}^{m} = {N**m} evaluations, over budget {budget}")
+    if N**m > DEFAULT_EVAL_BUDGET:
+        raise BudgetExceededError(f"tensor grid needs N^|V| = {N}^{m} = {N**m} evaluations, "
+                                  f"over budget {DEFAULT_EVAL_BUDGET}")
 
     s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
     if m == 0:
@@ -447,12 +452,11 @@ def _require_resolved(top: complex, n: int, N: int) -> None:
                              f"(limit {TOP_MODE_TOL:g})")
 
 
-def discretized_gaussian(sigma: float = 1.0, *, half_width: float = 12.0,
-                         n_atoms: int = 1201) -> DiscretizedDistribution:
-    """Symmetric grid discretization of N(0, sigma^2), truncated at half_width sigma."""
+def discretized_gaussian(sigma: float = 1.0, *, n_atoms: int = 1201) -> DiscretizedDistribution:
+    """Symmetric grid discretization of N(0, sigma^2), truncated at 12 sigma."""
     if n_atoms % 2 == 0:
         n_atoms += 1
-    xs = np.linspace(-half_width * sigma, half_width * sigma, n_atoms)
+    xs = np.linspace(-12.0 * sigma, 12.0 * sigma, n_atoms)
     ws = np.exp(-0.5 * (xs / sigma) ** 2)
     return _finish_law(xs, ws / ws.sum(), True)
 

@@ -1,16 +1,16 @@
 """Complex Gaussian multiplicative chaos: continuum moments and lattice fields.
 
 Continuum side: the 2k-th absolute moment of W = integral over U of
-exp(i beta h) for a whole-plane Gaussian field is a Coulomb-gas partition
-function -- k positive and k negative unit charges confined in U with the
-pair interaction |same-charge distance|^{beta^2} / |opposite-charge
-distance|^{beta^2}.  :func:`mc_moment` estimates it by plain Monte Carlo
-with batch-means error bars, which it flags as unreliable for beta^2 >= 1
-(the weight's second moment diverges there), and a Kish effective sample
-size; :func:`moment_growth_fit` fits the growth law
-log m_{2k} = beta^2 k log k + c k (the regression of
-:func:`leeyang.lyclass.tail_exponent`, with its own weights), and
-:func:`tail_prediction` gives the exact
+exp(i beta h) for a whole-plane Gaussian field, U a disk (:class:`Domain`),
+is a Coulomb-gas partition function -- k positive and k negative unit
+charges confined in U with the pair interaction
+|same-charge distance|^{beta^2} / |opposite-charge distance|^{beta^2}.
+:func:`mc_moment` estimates it by plain Monte Carlo with batch-means error
+bars, which it flags as unreliable for beta^2 >= 1 (the weight's second
+moment diverges there), and a Kish effective sample size;
+:func:`moment_growth_fit` fits the growth law log m_{2k} = beta^2 k log k
++ c k (the regression of :func:`leeyang.lyclass.tail_exponent`, with its
+own weights), and :func:`tail_prediction` gives the exact
 :class:`~leeyang.lyclass.TailProfile` of exponent 2 / beta^2, which
 :func:`~leeyang.lyclass.slowtail_applies` flags in the range (1, 2) where
 slow tails force off-axis zeros.
@@ -46,7 +46,6 @@ bits are fixed only at a fixed BLAS thread count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,25 +84,22 @@ def _unit_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Domain:
-    """Integration domain: 'disk' of given radius or the unit square [0,1]^2."""
+    """The integration domain U: the disk about 0 of a positive, finite radius."""
 
-    kind: str
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("disk", "square"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "disk" and not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
 
     @property
     def area(self) -> float:
-        return math.pi * self.radius**2 if self.kind == "disk" else 1.0
+        return math.pi * self.radius**2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform points, shape (n, 2).
 
-        A disk point is r (cos phi, sin phi) with r = R sqrt(u), phi = 2 pi v,
+        A point is r (cos phi, sin phi) with r = R sqrt(u), phi = 2 pi v,
         and u, v from two ``rng.random(n)`` calls in that order.  With
         t = tan(phi / 2), cos phi = (1 - t^2) / (1 + t^2) and
         sin phi = 2t / (1 + t^2) (:func:`_unit_circle`; h = pi v is bitwise
@@ -112,23 +108,19 @@ class Domain:
         1.2e-16), so a point is within 4e-16 R of r (np.cos, np.sin), and the
         random stream, every later draw included, is unchanged.
         """
-        if self.kind == "disk":
-            r = self.radius * np.sqrt(rng.random(n))
-            c, s = _unit_circle(math.pi * rng.random(n))
-            pts = np.empty((n, 2))
-            np.multiply(r, c, out=pts[:, 0])
-            np.multiply(r, s, out=pts[:, 1])
-            return pts
-        return rng.random((n, 2))
+        r = self.radius * np.sqrt(rng.random(n))
+        c, s = _unit_circle(math.pi * rng.random(n))
+        pts = np.empty((n, 2))
+        np.multiply(r, c, out=pts[:, 0])
+        np.multiply(r, s, out=pts[:, 1])
+        return pts
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        if self.kind == "disk":
-            return np.hypot(pts[:, 0], pts[:, 1]) <= self.radius + 1e-12
-        return np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
+        return np.hypot(pts[:, 0], pts[:, 1]) <= self.radius + 1e-12
 
 
-UNIT_DISK = Domain("disk", 1.0)
+UNIT_DISK = Domain(1.0)
 
 
 @dataclass(frozen=True)
@@ -244,34 +236,30 @@ class MomentEstimate:
     def as_dict(self) -> dict:
         return {"beta_sq": self.beta_sq, "k": self.k, "estimate": self.estimate,
                 "stderr": self.stderr, "samples": self.samples, "seed": self.seed,
-                "domain": self.domain.kind, "radius": self.domain.radius,
-                "low_confidence": self.low_confidence,
+                "radius": self.domain.radius, "low_confidence": self.low_confidence,
                 "stderr_reliable": self.stderr_reliable,
                 "effective_sample_size": self.effective_sample_size}
 
 
-def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int, *,
-              max_k: int = DESK_MAX_K) -> MomentEstimate:
+def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -> MomentEstimate:
     """Monte Carlo estimate of E|W_U|^{2k} = |U|^{2k} E[coulomb weight].
 
     Plain average of the Coulomb weight over uniform 2k-tuples in the
-    domain, times |U|^{2k}; the standard error comes from batch means over
+    disk U, times |U|^{2k}; the standard error comes from batch means over
     MC_BATCHES contiguous blocks.  Estimates whose relative
     standard error exceeds 0.5 are flagged low-confidence.  For beta^2 >= 1
     the weight's second moment diverges in 2-D, so the batch means have no
     finite variance and ``stderr_reliable`` is False.  The Kish effective
     sample size (sum w)^2 / sum w^2 is accumulated from the same weights.
-    A batch whose mean is not finite raises NumericalError.  ``max_k`` is
-    the desk-scale order cap (the weight tails get heavier with k; raise it
-    knowingly).
+    A batch whose mean is not finite raises NumericalError.  k is capped at
+    DESK_MAX_K, the desk-scale order: the weight tails get heavier with k.
     """
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > max_k:
-        raise ValueError(f"k = {k} above the desk-scale cap {max_k}; "
-                         "pass max_k explicitly to go higher")
+    if k > DESK_MAX_K:
+        raise ValueError(f"k = {k} above the desk-scale cap {DESK_MAX_K}")
     if samples < 10**4:
         raise ValueError(f"need at least 1e4 samples, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -497,7 +485,7 @@ def lattice_green(domain: LatticeDomain, x, y) -> float:
     return float(domain.green_matrix([y, x])[0, 1])
 
 
-def dgff_sample(domain: LatticeDomain, seed: int | None = None, *, size: int) -> np.ndarray:
+def dgff_sample(domain: LatticeDomain, seed: int, *, size: int) -> np.ndarray:
     """``size`` Gaussian fields on interior sites, each with covariance G = L^{-1}.
 
     With L = C C^T (dense Cholesky), h = C^{-T} z for standard normal z has
@@ -532,45 +520,35 @@ def _site_weights(n: int, beta: float, G: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * beta**2 * np.diag(G)) / float(n) ** 2
 
 
-def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int, *,
-                       mc_tuples: int | None = None, seed: int | None = None) -> float:
+def gmc_moment_formula(domain: LatticeDomain, n: int, beta: float, k: int) -> float:
     """Zero-boundary moment E[Mhat^k] of the complex renormalised sum.
 
     With the Green's-diagonal normaliser the diagonal terms cancel and
     E[Mhat^k] = sum over k-tuples of sites of n^{-2k}
     exp(-(beta^2/2) sum_{i != j} G(x_i, x_j)).  k = 1 gives |D_n|/n^2
-    exactly; k >= 2 sums over all site tuples, or over ``mc_tuples`` uniform
-    Monte Carlo tuples when given (else the exact sum must fit the cost
-    budget).
+    exactly; k >= 2 sums over all |D_n|^k site tuples, and a sum of more
+    than EXACT_MOMENT_BUDGET terms raises BudgetExceededError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mc_tuples is not None and not (isinstance(mc_tuples, numbers.Integral) and mc_tuples > 0):
-        raise ValueError(f"mc_tuples must be a positive integer, got {mc_tuples!r}")
     sites = _summation_sites(domain, n)
     m = len(sites)
     if k == 1:
         return m / float(n) ** 2
 
-    if mc_tuples is None and m**k > EXACT_MOMENT_BUDGET:
+    if m**k > EXACT_MOMENT_BUDGET:
         raise BudgetExceededError(
             f"exact k={k} moment needs {m}^{k} = {m**k} terms, over budget "
-            f"{EXACT_MOMENT_BUDGET}; pass mc_tuples for Monte Carlo evaluation")
+            f"{EXACT_MOMENT_BUDGET}")
 
     G = domain.green_matrix(sites)
     pref = float(n) ** (-2 * k)
-    if mc_tuples is None:
-        idx = np.stack(np.meshgrid(*([np.arange(m)] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        idx = rng.integers(0, m, size=(mc_tuples, k))
+    idx = np.stack(np.meshgrid(*([np.arange(m)] * k), indexing="ij"), axis=-1).reshape(-1, k)
     ex = np.zeros(len(idx))
     for a in range(k):
         for b in range(a + 1, k):
             ex -= beta**2 * G[idx[:, a], idx[:, b]]
-    if mc_tuples is None:
-        return pref * float(np.sum(np.exp(ex)))
-    return pref * float(m**k) * float(np.mean(np.exp(ex)))
+    return pref * float(np.sum(np.exp(ex)))
 
 
 def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,

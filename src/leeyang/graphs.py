@@ -40,18 +40,6 @@ class FiniteGraph:
     coupling: dict[Edge, float]
     weight: dict[str, float]
 
-    def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def to_json(self) -> str:
-        doc = {
-            "vertices": list(self.vertices),
-            "edges": [[u, v] for u, v in self.edges],
-            "J": {edge_label(e): self.coupling[e] for e in self.edges},
-            "lambda": {v: self.weight[v] for v in self.vertices},
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
     """Validate and freeze a graph description.
@@ -85,8 +73,6 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
         norm_edges.append(key)
 
     coup: dict[Edge, float] = {}
-    if couplings is None:
-        couplings = {}
     for e_raw, j in dict(couplings).items():
         key = _edge_key(str(e_raw[0]), str(e_raw[1]))
         if key not in seen:
@@ -100,8 +86,6 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
             raise ValueError(f"non-positive coupling J={coup[e]} on edge {edge_label(e)!r}")
 
     lam: dict[str, float] = {}
-    if weights is None:
-        weights = {}
     for v_raw, w in dict(weights).items():
         v = str(v_raw)
         if v not in vset:
@@ -118,9 +102,9 @@ def build_graph(vertices, edges, couplings, weights) -> FiniteGraph:
 
 
 def graph_from_json(text: str) -> FiniteGraph:
-    """Parse the JSON graph document format (see FiniteGraph.to_json): an object
-    with "vertices" and "edges" and optional "J" and "lambda", which default as
-    in :func:`build_graph`.  A missing required key, "vertices" that is not a
+    """Parse the JSON graph document format: an object with "vertices" and
+    "edges" and optional "J" and "lambda", which default as in
+    :func:`build_graph`.  A missing required key, "vertices" that is not a
     list, "edges" that is not a list of two-element pairs, "J" or "lambda"
     that is not an object of numbers, and a "J" key that is the label
     (:func:`edge_label`, either endpoint order) of no listed edge or of more

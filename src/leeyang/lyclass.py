@@ -73,13 +73,12 @@ def _growth_lstsq(k: np.ndarray, y: np.ndarray, w: np.ndarray):
     return coef, y - X @ coef, X
 
 
-def tail_exponent(moments=None, tail_probabilities=None, *,
-                  min_k: int = 3) -> TailProfile:
+def tail_exponent(moments=None, tail_probabilities=None) -> TailProfile:
     """Estimate the stretched-exponential exponent a.
 
     From even moments m_{2k}, k = 1..K (K >= 4): weighted least squares of
     log m_{2k} on the regressors (k log k, k) with weights k, dropping the
-    pre-asymptotic k < min_k; the k log k slope s gives a = 2/s, since the
+    pre-asymptotic k < 3; the k log k slope s gives a = 2/s, since the
     moments of exp(-b t^a) tails grow like (2/a) k log k + c k.  From tail
     probabilities [(t_i, P(|X| > t_i))]: the slope of log(-log P) against
     log t gives a directly and the intercept gives log b.
@@ -96,10 +95,7 @@ def tail_exponent(moments=None, tail_probabilities=None, *,
         if np.any(np.diff(m) <= 0):
             raise ValueError("moments must be strictly increasing")
         k = np.arange(1, len(m) + 1, dtype=float)
-        keep = k >= min_k
-        if keep.sum() < 2:
-            keep = k >= 1
-        kk, y = k[keep], np.log(m[keep])
+        kk, y = k[2:], np.log(m[2:])
         coef, resid, _ = _growth_lstsq(kk, y, kk)
         s, c = float(coef[0]), float(coef[1])
         if s <= 0:

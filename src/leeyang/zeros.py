@@ -60,6 +60,7 @@ BOUNDARY_FLOOR = 1e-13
 MAX_PERTURB = 6
 MERGE_DISTANCE = 5e-8  # Newton ends closer than this are one zero
 GRID_STABILITY_FACTOR = 10.0
+NEWTON_MAX_ITER = 100
 _GAUSS_ATOM_THRESHOLD = 4096
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)
 # the Gauss law's cross-check points, as fractions of its radius
@@ -124,9 +125,9 @@ class Rectangle:
                 "im_min": self.im_min, "im_max": self.im_max}
 
 
-def default_region(R: float = 8.0) -> Rectangle:
-    """[-R, R] x [0, R]i; symmetry of real measures supplies the other half."""
-    return Rectangle(-R, R, 0.0, R)
+def default_region() -> Rectangle:
+    """[-8, 8] x [0, 8]i; symmetry of real measures supplies the other half."""
+    return Rectangle(-8.0, 8.0, 0.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +540,14 @@ def _abs_values(mant, shift) -> np.ndarray:
     return np.array([abs(_unscale(m, s)) for m, s in zip(mant, shift)])
 
 
-def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
+def newton_refine(f: EntireMGF, z0, tol: float):
     """Newton from each start in ``z0`` on the direct sum of f, in lockstep.
 
     Returns arrays (z, |f(z)|, converged), one entry per start (a scalar is
     one start).  Convergence means the direct-sum residual mgf_eval is below
     ``tol``; one polishing step is taken past that gate.  A start also stops
     where f' = 0, where its step falls below 1e-16 (1 + |z|), or after
-    ``max_iter`` steps; then its residual is evaluated at its last z.  Every
+    NEWTON_MAX_ITER steps; then its residual is evaluated at its last z.  Every
     iteration evaluates the starts still running in one ``eval_pair_batch``
     of the direct sum, which gives each point the bits of a batch of its
     own: each start ends exactly where a run from it alone would, whichever
@@ -557,7 +558,7 @@ def newton_refine(f: EntireMGF, z0, tol: float, max_iter: int = 100):
     res = np.empty(z.shape)
     ok = np.zeros(z.shape, dtype=bool)
     run = np.arange(len(z))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not len(run):
             break
         fz, dfz, shift = f.eval_pair_batch(z[run])

@@ -220,6 +220,15 @@ def test_gmc_moments_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+def test_gmc_moments_has_no_domain_flag(tmp_path, capsys):
+    # the moments are taken on the disk of --radius; there is no other domain
+    with pytest.raises(SystemExit) as exc:
+        main(["gmc-moments", "--beta-sq", "1.0", "--seed", "1", "--domain", "disk",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--domain" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -285,6 +294,18 @@ def test_m_stat_records_what_its_verdict_rests_on(tmp_path, monkeypatch):
     assert results["total_count"] == report.total_count == len(results["zeros"])
     assert results["notes"] == list(report.notes)
     assert results["evaluator"] == report.evaluator and results["evaluator"]["path"] == "direct"
+
+
+def test_m_stat_zero_rows_say_which_zero_is_unrefined(tmp_path):
+    # no Newton run meets tol 1e-30: the contour count matches the listed
+    # zeros and the report has no note, so only the rows explain the verdict
+    assert main(M_STAT_SMALL + ["--tol", "1e-30", "--bootstrap", "0",
+                                "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "m_stat.json").read_text())["results"]
+    assert results["verdict"] == "inconclusive" and results["notes"] == []
+    rows = results["zeros"]
+    assert results["total_count"] == sum(z["multiplicity"] for z in rows) == 9
+    assert [z["refined"] for z in rows] == [False] * 9
 
 
 def test_m_stat_unconverged_bootstrap_is_counted(tmp_path, monkeypatch):
@@ -492,11 +513,25 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     (["dirichlet-ratio", "--n", "1", "--b", "inf", "--grid-n", "64"], "n b = inf must be finite"),
     (["dirichlet-ratio", "--n", "2", "--b", "1e308", "--grid-n", "64"],
      "n b = inf must be finite"),
+    (["dirichlet-ratio", "--n", "1", "--b", "1e-12", "--grid-n", "64"],
+     "periodized Gaussian with J = 1e-12 needs about"),
+    (["dirichlet-ratio", "--n", "0"], "chain length must be a positive integer, got 0"),
+    (["dirichlet-ratio", "--n", "1", "--b", "0"], "coupling b must be positive, got 0.0"),
+    (["gmc-moments", "--beta-sq", "2", "--k-max", "1", "--samples", "10000", "--seed", "1"],
+     "beta^2 must lie in (0, 2), got 2.0"),
+    (["gmc-moments", "--beta-sq", "0.5", "--radius", "0", "--seed", "1"],
+     "disk radius must be positive and finite, got 0.0"),
+    (["gmc-moments", "--beta-sq", "0.5", "--radius", "inf", "--seed", "1"],
+     "disk radius must be positive and finite, got inf"),
+    (["m-stat", "--n", "3", "--r", "2", "--beta", "1.5", "--samples", "100", "--seed", "1"],
+     "beta must lie in (0, sqrt 2), got 1.5"),
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
         "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
         "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
         "dirichlet-ratio-one-edge-empty-grid", "dirichlet-ratio-infinite-b",
-        "dirichlet-ratio-n-b-overflows"])
+        "dirichlet-ratio-n-b-overflows", "dirichlet-ratio-tiny-b",
+        "dirichlet-ratio-no-edge", "dirichlet-ratio-zero-b", "gmc-moments-beta-sq-2",
+        "gmc-moments-zero-radius", "gmc-moments-infinite-radius", "m-stat-beta-above-sqrt2"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     # meaningless counts are refused before any output is written: they
     # could only give a NaN statistic, an empty list or a point mass at 0
@@ -630,6 +665,11 @@ def test_readme_commands_parse():
     (["spin-dist", "--graph", "infinite_J.json", "--model", "xy"],
      "non-finite coupling J=inf on edge 'x|y'"),
     (["spin-dist", "--graph", "infinite_lambda.json"], "non-finite weight lambda=inf on vertex 'x'"),
+    (["spin-dist", "--graph", "edge.json", "--beta", "0"], "inverse temperature must be positive"),
+    (["spin-dist", "--graph", "duplicate_vertex.json"], "duplicate vertex 'x'"),
+    (["spin-dist", "--graph", "unknown_lambda.json"], "weight given for unknown vertex 'z'"),
+    (["classify", "--dist", "law.csv", "--zeros", "object_zeros.json"],
+     "zeros {} is not a list"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -645,6 +685,8 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
         '{"vertices": ["x", "y"], "edges": [["x", "y"]], "J": {"x|y": null}}')
     Path("infinite_J.json").write_text(EDGE_GRAPH.replace('"x|y": 1.0', '"x|y": Infinity'))
     Path("infinite_lambda.json").write_text(EDGE_GRAPH.replace('"x": 1.0', '"x": Infinity'))
+    Path("duplicate_vertex.json").write_text('{"vertices": ["x", "y", "x"], "edges": []}')
+    Path("unknown_lambda.json").write_text(EDGE_GRAPH.replace('"y": 1.0', '"z": 1.0'))
     Path("law.csv").write_text(THREE_ATOM_CSV)
     # an m-stat report: its results carry zeros and a verdict, but no region
     Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {
@@ -671,7 +713,8 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
                        ("number_verdict", {"verdict": 7}),
                        ("string_total", {"total_count": "x"}),
                        ("number_evaluator", {"evaluator": 5}),
-                       ("number_notes", {"notes": 3})):
+                       ("number_notes", {"notes": 3}),
+                       ("object_zeros", {"zeros": {}})):
         Path(f"{name}.json").write_text(json.dumps(report | edit))
     assert main(["spin-dist", "--graph", edge_graph, "--grid-n", "16"]) == 0
     capsys.readouterr()

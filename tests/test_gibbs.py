@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -247,16 +248,45 @@ def test_mgf_stable_under_grid_doubling_shipped_models():
             assert abs(mgf_eval(f1, z) - mgf_eval(f2, z)) < 1e-8
 
 
-def test_budget_rejection_names_cost():
+def test_budget_rejection_names_cost(monkeypatch):
+    monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", 10**6)
     g = path_graph(4)
     with pytest.raises(BudgetExceededError, match=r"128\^4"):
-        observable_distribution(ModelSpec("xy", g), 128, budget=10**6)
+        observable_distribution(ModelSpec("xy", g), 128)
 
 
 def test_pinned_vertex_must_exist():
     g = single_edge_graph()
     with pytest.raises(ValueError, match="not in the graph"):
         ModelSpec("villain", g, boundary={"zz": 0.1})
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: ModelSpec("ising", single_edge_graph()), "unknown model kind 'ising'"),
+    (lambda: ModelSpec("xy", single_edge_graph(), boundary={"x": -math.pi}),
+     "pinned angle -3.14"),
+    (lambda: ModelSpec("xy", single_edge_graph(), boundary={"y": 4.0}), "pinned angle 4.0"),
+    (lambda: DiscretizedDistribution(np.array([0.0, 1.0]), np.array([1.0])), "equal length"),
+    (lambda: DiscretizedDistribution(np.zeros((1, 1)), np.ones((1, 1))), "1-d arrays"),
+], ids=["unknown-kind", "pinned-angle-minus-pi", "pinned-angle-above-pi",
+        "law-unequal-lengths", "law-not-1d"])
+def test_model_and_law_refusals_name_the_bad_value(build, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+
+
+@pytest.mark.parametrize("J", [1e-12, 5e-324])
+def test_periodized_gaussian_refuses_a_coupling_too_small_to_sum(J):
+    # about 1/sqrt(J) images would be needed: refused before the first of them
+    with pytest.raises(ValueError, match=re.escape(f"periodized Gaussian with J = {J}")):
+        periodized_gaussian(np.linspace(-math.pi, math.pi, 5), J)
+    # the smallest J in use still sums, and keeps its Poisson-dual value
+    assert abs(periodized_gaussian(0.3, 0.01) - poisson_dual_gaussian(0.3, 0.01, 400)) < 1e-12
+
+
+def test_periodized_gaussian_refuses_an_angle_that_is_not_finite():
+    with pytest.raises(ValueError, match="not finite"):
+        periodized_gaussian(np.array([0.0, math.nan]), 1.0)
 
 
 def test_output_symmetric_and_normalized():
@@ -369,43 +399,47 @@ SUMMED_OUT_MODELS = {
 }
 
 
-def test_summed_out_chain_matches_chunked_reference():
+def test_summed_out_chain_matches_chunked_reference(monkeypatch):
     for model in SUMMED_OUT_MODELS.values():
         for N in (16, 32):
             atoms = chunked_atoms(model, N)  # every vertex on the tensor grid
+            # two free vertices are left: the budget of N^2 refuses any more
+            monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", N * N)
             for symmetrize in (True, False):
                 want = _finish_law(*atoms, symmetrize)
-                # two free vertices are left: the budget of N^2 refuses any more
-                got = observable_distribution(model, N, budget=N * N, symmetrize=symmetrize)
+                got = observable_distribution(model, N, symmetrize=symmetrize)
                 assert len(got.xs) == len(want.xs), (N, symmetrize)
                 assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
                 assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
 
 
-def test_weight0_vertex_between_joined_neighbours_stays():
+def test_weight0_vertex_between_joined_neighbours_stays(monkeypatch):
     # summing q out would join p and r a second time, so q stays on the grid:
     # N^2 refuses, and N^3 builds the law of every vertex on the tensor grid
     J = {("p", "q"): 1.2, ("q", "r"): 0.6, ("p", "r"): 0.8}
     model = ModelSpec("xy", build_graph(["q", "p", "r"], list(J), J,
                                         {"p": 1.0, "q": 0.0, "r": 0.4}), 1.1)
     for N in (8, 16):
+        monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", N**2)
         with pytest.raises(BudgetExceededError, match=rf"{N}\^3"):
-            observable_distribution(model, N, budget=N**2)
+            observable_distribution(model, N)
+        monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", N**3)
         for symmetrize in (True, False):
             want = _finish_law(*chunked_atoms(model, N), symmetrize)
-            got = observable_distribution(model, N, budget=N**3, symmetrize=symmetrize)
+            got = observable_distribution(model, N, symmetrize=symmetrize)
             assert len(got.xs) == len(want.xs), (N, symmetrize)
             assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
             assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
 
 
-def test_budget_refusal_builds_no_grid_table():
+def test_budget_refusal_builds_no_grid_table(monkeypatch):
     # with N^2 over budget no two free vertices fit, so nothing is summed out
     # and the refusal comes before any N x N table is built
+    monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=r"2048\^3"):
-            observable_distribution(xy_chain(2, 1.0), 2048, budget=10**6)
+            observable_distribution(xy_chain(2, 1.0), 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -212,17 +212,15 @@ def test_mc_moment_rejects_small_samples():
         mc_moment(UNIT_DISK, 1.0, 1, 100, seed=1)
 
 
-def test_mc_moment_order_cap_overridable():
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_domain_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Domain(radius)
+
+
+def test_mc_moment_order_cap():
     with pytest.raises(ValueError, match="cap"):
         mc_moment(UNIT_DISK, 0.5, 7, 20000, seed=1)
-    est = mc_moment(UNIT_DISK, 1e-12, 7, 20000, seed=1, max_k=8)
-    assert abs(est.estimate - math.pi**14) < 1e-3
-
-
-def test_unit_square_domain():
-    dom = Domain("square")
-    est = mc_moment(dom, 1e-12, 1, 20000, seed=4)
-    assert abs(est.estimate - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -259,7 +257,7 @@ def test_unit_circle_matches_mpmath():
 
 @pytest.mark.parametrize("radius", [1.0, 2.5])
 def test_disk_sample_matches_the_former_sampler(radius):
-    dom = Domain("disk", radius)
+    dom = Domain(radius)
     rng_new, rng_old = np.random.default_rng(43), np.random.default_rng(43)
     new, old = dom.sample(rng_new, 5000), former_disk_sample(dom, rng_old, 5000)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -626,27 +624,18 @@ def test_moment_formula_budget():
         gmc_moment_formula(dom, 18, 1.0, 3)
 
 
-def test_moment_formula_mc_tuples_close_to_exact():
-    dom = LatticeDomain.disk(8.0)
-    exact = gmc_moment_formula(dom, 3, 0.8, 2)
-    mc = gmc_moment_formula(dom, 3, 0.8, 2, mc_tuples=200000, seed=6)
-    assert abs(mc - exact) / exact < 0.05
-
-
-def test_moment_formula_refuses_bad_mc_tuples():
-    dom = LatticeDomain.disk(8.0)
-    for bad in (0, -1, 2.5, "10", math.nan):
-        with pytest.raises(ValueError, match="mc_tuples"):
-            gmc_moment_formula(dom, 3, 0.8, 2, mc_tuples=bad, seed=6)
-    assert gmc_moment_formula(dom, 3, 0.8, 2, mc_tuples=np.int64(10), seed=6) > 0
-
-
 def test_bin_distribution_symmetric():
     rng = np.random.default_rng(2)
     samples = rng.normal(0, 1, 5000)
     d = bin_distribution(samples, B=50)
     assert d.is_symmetric()
     assert abs(d.ws.sum() - 1.0) < 1e-12
+
+
+def test_bin_distribution_of_all_zero_samples_is_the_point_mass_at_0():
+    # no sample away from 0 sets a bin width: the bins span [-1, 1]
+    d = bin_distribution(np.zeros(50), B=3)
+    assert d.xs.tolist() == [0.0] and d.ws.tolist() == [1.0]
 
 
 def former_bin_distribution(samples, B):

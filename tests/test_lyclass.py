@@ -76,6 +76,20 @@ def test_tail_exponent_rejections():
         tail_exponent(moments=[1.0, 2.0, 3.0, 4.0], tail_probabilities=[(1, 0.5)])
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    # strictly increasing, but log m = 10 k - k log k: the k log k slope is -1
+    ({"moments": [math.exp(10 * k - k * math.log(k)) for k in range(1, 7)]},
+     "slope -1 is not positive"),
+    ({"tail_probabilities": [(1.0, 0.5), (2.0, 0.0), (3.0, 1.0)]}, "at least 3 usable points"),
+    ({"tail_probabilities": [(-1.0, 0.5), (1.0, 0.3), (2.0, 0.1)]}, "thresholds must be positive"),
+    # a tail that grows with t
+    ({"tail_probabilities": [(1.0, 0.1), (2.0, 0.3), (3.0, 0.5)]}, "non-positive a"),
+], ids=["moment-slope", "few-tail-points", "negative-threshold", "rising-tail"])
+def test_tail_exponent_refuses_a_fit_without_a_stretched_tail(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        tail_exponent(**kwargs)
+
+
 def former_tail_exponent_fit(m, min_k):
     """tail_exponent's own k log k regression before it was shared with
     moment_growth_fit: a diagonal weight matrix diag(k) multiplied in."""
@@ -133,10 +147,10 @@ def growth_inputs():
     return seqs
 
 
-@pytest.mark.parametrize("min_k", [1, 3])
+@pytest.mark.parametrize("min_k", [3])
 def test_tail_exponent_keeps_its_former_fit_bits(min_k):
     for ms in growth_inputs():
-        prof = tail_exponent(moments=ms, min_k=min_k)
+        prof = tail_exponent(moments=ms)
         a, b, window, residual = former_tail_exponent_fit(ms, min_k)
         assert (prof.exponent_a, prof.coefficient, prof.fit_window, prof.fit_residual) == \
             (a, b, window, residual)

@@ -464,6 +464,12 @@ def test_hadamard_rejects_off_axis_and_asymmetric():
         hadamard_fit(EntireMGF(skew), [])
 
 
+@pytest.mark.parametrize("y", [0.0, -math.pi / 2])
+def test_hadamard_rejects_a_non_positive_ordinate(y):
+    with pytest.raises(ValueError, match="ordinates must be positive"):
+        hadamard_fit(EntireMGF(rademacher()), [zeros.ZeroInfo(complex(0.0, y), 0.0, True)])
+
+
 def test_trigamma_matches_scipy_polygamma():
     xs = np.concatenate([np.geomspace(0.05, 1e6, 20001),
                          [np.nextafter(20.0, 0.0), 19.999999, 20.0, 1.0, 0.5]])
@@ -746,16 +752,18 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
     assert ev is f
     starts = np.array(starts)
     # tol 1e-10: polished or stopped; tol 0: no start converges, so each one
-    # stalls or stops where f' = 0; max_iter 2: most stop at the cap
+    # stalls or stops where f' = 0; a cap of 2 steps: most stop at the cap
     for tol, max_iter in ((1e-10, 100), (0.0, 100), (1e-10, 2)):
-        batch = newton_refine(f, starts, tol, max_iter=max_iter)
+        monkeypatch.setattr(zeros, "NEWTON_MAX_ITER", max_iter)
+        batch = newton_refine(f, starts, tol)
         assert all(len(a) == len(starts) for a in batch)
-        singles = [newton_refine(f, z0, tol, max_iter=max_iter) for z0 in starts]
+        singles = [newton_refine(f, z0, tol) for z0 in starts]
         assert all(len(a) == 1 for single in singles for a in single)
         reference = [scalar_newton_reference(f, z0, tol, max_iter) for z0 in starts]
         for i in range(len(starts)):
             one = tuple(a[i] for a in batch)
             assert newton_bits(*one) == newton_bits(*singles[i]) == newton_bits(*reference[i])
+    monkeypatch.setattr(zeros, "NEWTON_MAX_ITER", 100)
     z, res, ok = newton_refine(f, starts, 1e-10)
     assert ok.dtype == bool and res.dtype == float and z.dtype == complex
     assert ok[0] and res[0] < 1e-10  # polished past the gate
@@ -765,11 +773,12 @@ def test_newton_batch_matches_one_start_at_a_time_on_the_direct_sum(law, starts,
         assert z[3] == 0.0 and not ok[3] and abs(res[3] - 1.0) < 1e-12
     # without a tolerance to meet, a start that converges stops by stalling
     # at its zero long before the cap: a thousand more iterations change nothing
-    stalled = newton_refine(f, starts[ok], 0.0, max_iter=100)
-    assert newton_bits(*stalled) == newton_bits(*newton_refine(f, starts[ok], 0.0,
-                                                               max_iter=1100))
+    stalled = newton_refine(f, starts[ok], 0.0)
+    monkeypatch.setattr(zeros, "NEWTON_MAX_ITER", 1100)
+    assert newton_bits(*stalled) == newton_bits(*newton_refine(f, starts[ok], 0.0))
     assert not stalled[2].any() and np.all(np.abs(stalled[0] - z[ok]) < 1e-9)
-    capped_z, _, capped_ok = newton_refine(f, starts, 1e-10, max_iter=2)
+    monkeypatch.setattr(zeros, "NEWTON_MAX_ITER", 2)
+    capped_z, _, capped_ok = newton_refine(f, starts, 1e-10)
     assert not capped_ok[5] and capped_z[5] != z[5]
 
 
