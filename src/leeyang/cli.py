@@ -29,7 +29,7 @@ from . import __version__
 from .chain import chain_vs_heat, dirichlet_ratio
 from .errors import NumericalError
 from .gibbs import (DiscretizedDistribution, ModelSpec, observable_distribution)
-from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_sample,
+from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_covariance,
                   mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
@@ -221,8 +221,7 @@ def _cmd_dgff_check(args) -> int:
     if args.samples < 1:
         raise ValueError("dgff-check --samples must be at least 1")
     domain = LatticeDomain.square(args.side)
-    fields = dgff_sample(domain, args.seed, size=args.samples)
-    emp = (fields.T @ fields) / args.samples
+    emp = dgff_covariance(domain, args.seed, args.samples)
     G = domain.green_matrix()
     rel = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
     _write(args.out, "dgff_check.json", _report(args, {

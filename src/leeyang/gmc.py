@@ -19,7 +19,8 @@ Lattice side: a :class:`LatticeDomain` carries the sites of a disk (or
 square) in Z^2, the interior/boundary partition, and the Dirichlet Green's
 matrix -- the inverse of the unit-weight graph Laplacian on interior sites,
 which is exactly the covariance of the zero-boundary discrete Gaussian free
-field sampled by :func:`dgff_sample`.  The renormalised chaos sum
+field sampled by :func:`dgff_sample` (and reduced to its empirical
+covariance by :func:`dgff_covariance`).  The renormalised chaos sum
 M = sum_{x in D_n} lam(x) cos(beta g(x) + Phi) is drawn by
 :func:`sample_m_statistics`; its zero-boundary moments have the closed form
 evaluated by :func:`gmc_moment_formula`, which doubles as the Monte Carlo
@@ -38,9 +39,13 @@ loads scipy.
 Randomness: every sampler takes one integer seed; independent streams are
 derived with numpy's SeedSequence spawning, and reductions run in a fixed
 order, so results are reproducible bit-for-bit for a given seed -- with one
-exception: :func:`dgff_sample` and :func:`sample_m_statistics` solve and
-multiply through BLAS, whose blocking depends on its thread count, so their
-bits are fixed only at a fixed BLAS thread count.
+exception: the lattice samplers (:func:`dgff_sample`, :func:`dgff_covariance`
+and :func:`sample_m_statistics`) solve and multiply through BLAS, whose
+blocking depends on its thread count, so their bits are fixed only at a
+fixed BLAS thread count.  They draw their normals sample-major, in blocks of
+at most SAMPLE_BLOCK samples, each reduced before the next is drawn: memory
+does not grow with the sample count, and the random stream does not depend
+on the block size (the bits may, by BLAS's rounding of smaller products).
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ DENSE_SAMPLING_CAP = 4000
 MC_BATCHES = 64
 DESK_MAX_K = 6
 EXACT_MOMENT_BUDGET = 2 * 10**7
+SAMPLE_BLOCK = 2048
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _LN2 = math.log(2.0)
 
@@ -253,6 +259,8 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
     sample size (sum w)^2 / sum w^2 is accumulated from the same weights.
     A batch whose mean is not finite raises NumericalError.  k is capped at
     DESK_MAX_K, the desk-scale order: the weight tails get heavier with k.
+    A radius whose |U|^{2k} overflows or leaves the normal float range is
+    refused with ValueError before any draw.
     """
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
@@ -262,6 +270,10 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
         raise ValueError(f"k = {k} above the desk-scale cap {DESK_MAX_K}")
     if samples < 10**4:
         raise ValueError(f"need at least 1e4 samples, got {samples}")
+    log_scale = 2 * k * (math.log(math.pi) + 2.0 * math.log(domain.radius))
+    if not math.log(_TINY) <= log_scale <= math.log(_HUGE):
+        raise ValueError(f"disk radius {domain.radius} gives |U|^(2k) = e^{log_scale:.4g} at "
+                         f"k = {k}, outside the normal float range")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     per_batch = samples // MC_BATCHES
     total = per_batch * MC_BATCHES
@@ -485,21 +497,53 @@ def lattice_green(domain: LatticeDomain, x, y) -> float:
     return float(domain.green_matrix([y, x])[0, 1])
 
 
-def dgff_sample(domain: LatticeDomain, seed: int, *, size: int) -> np.ndarray:
-    """``size`` Gaussian fields on interior sites, each with covariance G = L^{-1}.
+def _dgff_blocks(domain: LatticeDomain, seed: int, size: int):
+    """Yield (i, h): the fields i, ..., i + len(h) - 1 of ``size`` DGFF samples.
 
-    With L = C C^T (dense Cholesky), h = C^{-T} z for standard normal z has
-    covariance C^{-T} C^{-1} = L^{-1} exactly.  The (n_interior, size) normal
-    block is solved from the right, h^T = z^T C^{-1}, by BLAS ``trsm`` on
-    z^T, which is already in Fortran order, so the samples overwrite z's own
-    memory and no copy of the block is made.  Returns shape
-    (size, n_interior): row i is the i-th field.
+    Each block of c <= SAMPLE_BLOCK samples draws ``rng.standard_normal((c, n))``
+    into one reused buffer, row s holding sample i + s, so the random stream
+    does not depend on the block size.  With L = C C^T (dense Cholesky),
+    h = C^{-T} z has covariance C^{-T} C^{-1} = L^{-1} = G exactly; BLAS
+    ``trsm`` solves C^T h^T = z^T on the Fortran-ordered view z^T, in the
+    buffer's own memory.  The yielded block is that buffer: reduce it before
+    drawing the next.
     """
     from scipy.linalg.blas import dtrsm
 
+    C = domain.cholesky()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = rng.standard_normal((domain.n_interior, size))
-    return dtrsm(1.0, domain.cholesky(), z.T, side=1, lower=1, overwrite_b=1)
+    buf = np.empty((min(SAMPLE_BLOCK, size), domain.n_interior))
+    for i in range(0, size, SAMPLE_BLOCK):
+        z = buf[:min(SAMPLE_BLOCK, size - i)]
+        rng.standard_normal(out=z)
+        dtrsm(1.0, C, z.T, side=0, lower=1, trans_a=1, overwrite_b=1)
+        yield i, z
+
+
+def dgff_sample(domain: LatticeDomain, seed: int, *, size: int) -> np.ndarray:
+    """``size`` Gaussian fields on interior sites, each with covariance G = L^{-1}.
+
+    Shape (size, n_interior): row i is the field C^{-T} z_i of row i of the
+    normals ``rng.standard_normal((size, n_interior))``, filled block by
+    block from :func:`_dgff_blocks`.
+    """
+    fields = np.empty((size, domain.n_interior))
+    for i, h in _dgff_blocks(domain, seed, size):
+        fields[i:i + len(h)] = h
+    return fields
+
+
+def dgff_covariance(domain: LatticeDomain, seed: int, size: int) -> np.ndarray:
+    """Empirical covariance sum_s h_s h_s^T / size of the fields h_s that
+    ``dgff_sample(domain, seed, size=size)`` returns, accumulated one block
+    at a time, so memory stays at one block of SAMPLE_BLOCK fields and the
+    (n_interior x n_interior) sum whatever ``size`` is."""
+    if size < 1:
+        raise ValueError(f"need at least one sample, got {size}")
+    acc = np.zeros((domain.n_interior, domain.n_interior))
+    for _, h in _dgff_blocks(domain, seed, size):
+        acc += h.T @ h
+    return acc / size
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +602,11 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     Samples the exact Gaussian marginal of the field on the D_n summation
     sites (Cholesky of the restricted Green's matrix), which has the same
     law as restricting a full-domain DGFF sample; Phi is drawn uniformly per
-    sample, so the ensemble law of M is symmetric under sign flip.  Each
-    chunk's field g = C z replaces its normal block z and is turned into
-    cos(beta g + Phi) in its own memory, so a chunk holds at most two
-    (sites x chunk) blocks.
+    sample, so the ensemble law of M is symmetric under sign flip.  The
+    stream is sample-major: every Phi first, then per block of
+    c <= SAMPLE_BLOCK samples the normals z as (c x sites).  A block's field
+    g = z C^T is turned into cos(beta g + Phi) in its own memory, so the
+    call holds two (SAMPLE_BLOCK x sites) buffers whatever ``nsamples`` is.
     """
     import scipy.linalg as sla
 
@@ -572,21 +617,20 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
     lam = _site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    phi = rng.uniform(-math.pi, math.pi, nsamples)
     out = np.empty(nsamples)
-    # the chunk size fixes the order in which the random stream is drawn
-    chunk = max(1, int(5e6 // max(len(sites), 1)))
-    for i in range(0, nsamples, chunk):
-        c = min(chunk, nsamples - i)
-        z = rng.standard_normal((len(sites), c))
-        g = C @ z
-        del z
-        phi = rng.uniform(-math.pi, math.pi, size=c)
+    z_buf = np.empty((min(SAMPLE_BLOCK, nsamples), len(sites)))
+    g_buf = np.empty_like(z_buf)
+    for i in range(0, nsamples, SAMPLE_BLOCK):
+        c = min(SAMPLE_BLOCK, nsamples - i)
+        z, g = z_buf[:c], g_buf[:c]
+        rng.standard_normal(out=z)
+        np.matmul(z, C.T, out=g)
         # cos(beta g + phi) in g's memory: the ufuncs of the expression, in its order
         np.multiply(beta, g, out=g)
-        np.add(g, phi[None, :], out=g)
+        np.add(g, phi[i:i + c, None], out=g)
         np.cos(g, out=g)
-        out[i:i + c] = lam @ g
-        del g
+        np.matmul(g, lam, out=out[i:i + c])
     return out
 
 
@@ -600,7 +644,9 @@ def bin_distribution(samples: np.ndarray, B: int = 200) -> DiscretizedDistributi
     if B < 1:
         raise ValueError(f"need at least one bin on each side of 0, got bins B = {B}")
     samples = np.asarray(samples, dtype=float)
-    half = float(np.max(np.abs(samples))) * (1.0 + 1e-9) if len(samples) else 1.0
+    if samples.size == 0:
+        raise ValueError("cannot bin an empty sample")
+    half = float(np.max(np.abs(samples))) * (1.0 + 1e-9)
     if half == 0.0:
         half = 1.0
     counts, edges = np.histogram(samples, bins=2 * B + 1, range=(-half, half))

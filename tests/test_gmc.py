@@ -12,7 +12,7 @@ from leeyang import gmc
 from leeyang.cli import main
 from leeyang.errors import BudgetExceededError, NumericalError
 from leeyang.gmc import (CoulombConfig, Domain, LatticeDomain, UNIT_DISK,
-                         bin_distribution, coulomb_weight, dgff_sample,
+                         bin_distribution, coulomb_weight, dgff_covariance, dgff_sample,
                          gmc_moment_formula, lattice_green, mc_moment,
                          moment_growth_fit, sample_m_statistics, tail_prediction)
 from leeyang.gibbs import distribution_from_atoms
@@ -473,8 +473,8 @@ def test_dgff_sample_matches_the_left_solve():
     n = dom.n_interior
     for size in (1, 700):
         h = dgff_sample(dom, seed=41, size=size)
-        z = np.random.default_rng(np.random.SeedSequence(41)).standard_normal((n, size))
-        ref = sla.solve_triangular(dom.cholesky(), z, lower=True, trans="T").T
+        z = np.random.default_rng(np.random.SeedSequence(41)).standard_normal((size, n))
+        ref = sla.solve_triangular(dom.cholesky(), z.T, lower=True, trans="T").T
         assert h.shape == (size, n)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -489,7 +489,7 @@ def test_dgff_sample_solves_in_the_normal_block():
 
 
 def former_sample_m_statistics(domain, n, beta, nsamples, seed):
-    """The out-of-place chunk expression the in-place sampler replaced."""
+    """The out-of-place block expression of the in-place sampler, in its draw order."""
     import scipy.linalg as sla
 
     sites = gmc._summation_sites(domain, n)
@@ -497,14 +497,12 @@ def former_sample_m_statistics(domain, n, beta, nsamples, seed):
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
     lam = gmc._site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    phi = rng.uniform(-math.pi, math.pi, size=nsamples)
     out = np.empty(nsamples)
-    chunk = max(1, int(5e6 // max(len(sites), 1)))
-    for i in range(0, nsamples, chunk):
-        c = min(chunk, nsamples - i)
-        z = rng.standard_normal((len(sites), c))
-        g = C @ z
-        phi = rng.uniform(-math.pi, math.pi, size=c)
-        out[i:i + c] = lam @ np.cos(beta * g + phi[None, :])
+    for i in range(0, nsamples, gmc.SAMPLE_BLOCK):
+        c = min(gmc.SAMPLE_BLOCK, nsamples - i)
+        z = rng.standard_normal((c, len(sites)))
+        out[i:i + c] = np.cos(beta * (z @ C.T) + phi[i:i + c, None]) @ lam
     return out
 
 
@@ -516,15 +514,52 @@ def test_m_statistics_in_place_keep_the_bits():
 
 
 def test_m_statistics_hold_two_blocks_per_chunk():
-    dom = LatticeDomain.disk(4.0)
-    sites = len(gmc._summation_sites(dom, 2))
-    chunk = int(5e6 // sites)  # the sampler's chunk: its two chunks are drawn here
-    nsamples = chunk + 1000
-    sample_m_statistics(dom, 2, 1.0, 10, seed=1)
-    out, peak = traced_peak(sample_m_statistics, dom, 2, 1.0, nsamples, seed=1)
+    dom = LatticeDomain.disk(6.0)
+    sites = len(gmc._summation_sites(dom, 3))
+    nsamples = 10 * gmc.SAMPLE_BLOCK
+    sample_m_statistics(dom, 3, 1.0, 10, seed=1)
+    out, peak = traced_peak(sample_m_statistics, dom, 3, 1.0, nsamples, seed=1)
     assert out.shape == (nsamples,)
-    # z and C z, never the out-of-place expression's four blocks
-    assert peak < 2.5 * sites * chunk * 8 + out.nbytes
+    # z and C z of one block, reused by every block, beside the angles and the
+    # output; 0.1 MB more holds the 29 x 29 Green's block, its factor and
+    # numpy's 64 kB iteration buffer for the broadcast add of the angles
+    assert peak < 2 * gmc.SAMPLE_BLOCK * sites * 8 + 2 * out.nbytes + 10**5
+
+
+def test_dgff_covariance_holds_one_block():
+    dom = LatticeDomain.square(11)
+    dom.cholesky()
+    cov, peak = traced_peak(dgff_covariance, dom, 9, 10 * gmc.SAMPLE_BLOCK)
+    assert cov.shape == (121, 121)
+    assert peak < 2 * gmc.SAMPLE_BLOCK * 121 * 8
+
+
+def test_dgff_covariance_is_the_sample_covariance():
+    dom = LatticeDomain.square(6)
+    size = 2 * gmc.SAMPLE_BLOCK + 300
+    fields = dgff_sample(dom, seed=13, size=size)
+    want = fields.T @ fields / size
+    assert np.max(np.abs(dgff_covariance(dom, 13, size) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dgff_covariance_refuses_no_samples():
+    with pytest.raises(ValueError, match="at least one sample, got 0"):
+        dgff_covariance(LatticeDomain.square(3), 1, 0)
+
+
+def test_lattice_samplers_do_not_depend_on_the_block_size(monkeypatch):
+    # the streams are sample-major, so small blocks draw the same normals;
+    # only BLAS's rounding of the smaller products may differ
+    dom = LatticeDomain.disk(6.0)
+
+    def draws():
+        return (dgff_sample(dom, seed=5, size=100), dgff_covariance(dom, 5, 100),
+                sample_m_statistics(dom, 3, 1.2, 100, seed=5))
+
+    default = draws()
+    monkeypatch.setattr(gmc, "SAMPLE_BLOCK", 7)
+    for got, want in zip(draws(), default):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_dgff_domain_cap():
@@ -549,15 +584,15 @@ def test_m_statistic_site_check():
 
 def test_m_statistic_sums_the_weighted_cosines():
     # M = sum_x lam(x) cos(beta (C z)_x + Phi), lam(x) = exp(beta^2 G(x,x) / 2) / n^2,
-    # on the sampler's own stream: the normal block z first, then the angles Phi
+    # on the sampler's own stream: the angles Phi first, then the normals z sample by sample
     import scipy.linalg as sla
 
     dom = LatticeDomain.disk(9.0)
     sites = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x * x + y * y <= 16]
     C = sla.cholesky(dom.green_matrix(sites) + 1e-14 * np.eye(len(sites)), lower=True)
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    g = C @ rng.standard_normal((len(sites), 50))
     phi = rng.uniform(-math.pi, math.pi, size=50)
+    g = C @ rng.standard_normal((50, len(sites))).T
     # at beta -> 0 every angle is the boundary angle Phi and every weight 1/n^2
     assert np.max(np.abs(sample_m_statistics(dom, 4, 1e-6, 50, seed=3)
                          - len(sites) / 16.0 * np.cos(phi))) < 1e-5
@@ -636,6 +671,11 @@ def test_bin_distribution_of_all_zero_samples_is_the_point_mass_at_0():
     # no sample away from 0 sets a bin width: the bins span [-1, 1]
     d = bin_distribution(np.zeros(50), B=3)
     assert d.xs.tolist() == [0.0] and d.ws.tolist() == [1.0]
+
+
+def test_bin_distribution_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="empty sample"):
+        bin_distribution(np.zeros(0), B=3)
 
 
 def former_bin_distribution(samples, B):
