@@ -31,7 +31,7 @@ Normaliser convention: the renormalising exponent for site x is
 (rather than its log-asymptotic form), which cancels exactly in the k = 1
 moment and removes any additive-constant ambiguity.
 
-Imports: scipy (sparse LU, dense Cholesky and triangular solves) is imported
+Imports: scipy (sparse LU, dense Cholesky, triangular solves and BLAS) is imported
 inside the functions that factor a lattice Laplacian, so importing this
 module -- and ``leeyang`` -- loads numpy only; the continuum side never
 loads scipy.
@@ -40,12 +40,15 @@ Randomness: every sampler takes one integer seed; independent streams are
 derived with numpy's SeedSequence spawning, and reductions run in a fixed
 order, so results are reproducible bit-for-bit for a given seed -- with one
 exception: the lattice samplers (:func:`dgff_sample`, :func:`dgff_covariance`
-and :func:`sample_m_statistics`) solve and multiply through BLAS, whose
+and :func:`sample_m_statistics`) multiply and solve through BLAS, whose
 blocking depends on its thread count, so their bits are fixed only at a
-fixed BLAS thread count.  They draw their normals sample-major, in blocks of
-at most SAMPLE_BLOCK samples, each reduced before the next is drawn: memory
-does not grow with the sample count, and the random stream does not depend
-on the block size (the bits may, by BLAS's rounding of smaller products).
+fixed BLAS thread count.  They draw their normals sample-major, so the
+random stream does not depend on how it is cut into blocks.
+:func:`dgff_covariance` and :func:`sample_m_statistics` reduce blocks of at
+most SAMPLE_BLOCK samples, each before the next is drawn, so their memory
+does not grow with the sample count (the bits may depend on the block size,
+by BLAS's rounding of smaller products); :func:`dgff_sample` returns every
+field, so it draws and multiplies them all at once.
 """
 
 from __future__ import annotations
@@ -86,6 +89,22 @@ def _unit_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += t
     t /= d
     return c, t
+
+
+def _cos_double_angle(h: np.ndarray) -> np.ndarray:
+    """cos 2h in h's own memory, as 2 / (1 + tan^2 h) - 1; returns h.
+
+    Where numpy dispatches AVX-512, its tan is vectorised and its cos a
+    scalar libm call, so this is several times faster than np.cos.  Within
+    4e-16 of the exact cos 2h for |h| <= 50, next to the poles of tan
+    included (np.cos within 1.2e-16).
+    """
+    np.tan(h, out=h)
+    np.multiply(h, h, out=h)
+    h += 1.0
+    np.divide(2.0, h, out=h)
+    h -= 1.0
+    return h
 
 
 @dataclass(frozen=True)
@@ -497,53 +516,55 @@ def lattice_green(domain: LatticeDomain, x, y) -> float:
     return float(domain.green_matrix([y, x])[0, 1])
 
 
-def _dgff_blocks(domain: LatticeDomain, seed: int, size: int):
-    """Yield (i, h): the fields i, ..., i + len(h) - 1 of ``size`` DGFF samples.
-
-    Each block of c <= SAMPLE_BLOCK samples draws ``rng.standard_normal((c, n))``
-    into one reused buffer, row s holding sample i + s, so the random stream
-    does not depend on the block size.  With L = C C^T (dense Cholesky),
-    h = C^{-T} z has covariance C^{-T} C^{-1} = L^{-1} = G exactly; BLAS
-    ``trsm`` solves C^T h^T = z^T on the Fortran-ordered view z^T, in the
-    buffer's own memory.  The yielded block is that buffer: reduce it before
-    drawing the next.
-    """
-    from scipy.linalg.blas import dtrsm
-
-    C = domain.cholesky()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    buf = np.empty((min(SAMPLE_BLOCK, size), domain.n_interior))
-    for i in range(0, size, SAMPLE_BLOCK):
-        z = buf[:min(SAMPLE_BLOCK, size - i)]
-        rng.standard_normal(out=z)
-        dtrsm(1.0, C, z.T, side=0, lower=1, trans_a=1, overwrite_b=1)
-        yield i, z
-
-
 def dgff_sample(domain: LatticeDomain, seed: int, *, size: int) -> np.ndarray:
     """``size`` Gaussian fields on interior sites, each with covariance G = L^{-1}.
 
     Shape (size, n_interior): row i is the field C^{-T} z_i of row i of the
-    normals ``rng.standard_normal((size, n_interior))``, filled block by
-    block from :func:`_dgff_blocks`.
+    normals ``rng.standard_normal((size, n_interior))``.  With L = C C^T
+    (dense Cholesky), C^{-T} z has covariance C^{-T} C^{-1} = L^{-1} = G
+    exactly.  C^{-1} is formed once per call, and BLAS ``trmm`` multiplies
+    the Fortran-ordered view of the normals by C^{-T} in their own memory:
+    faster than a triangular solve by C^T, and within 1e-14 relative of it.
     """
-    fields = np.empty((size, domain.n_interior))
-    for i, h in _dgff_blocks(domain, seed, size):
-        fields[i:i + len(h)] = h
+    import scipy.linalg as sla
+    from scipy.linalg.blas import dtrmm
+
+    n = domain.n_interior
+    c_inv = sla.solve_triangular(domain.cholesky(), np.eye(n), lower=True)
+    fields = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((size, n))
+    dtrmm(1.0, c_inv, fields.T, side=0, lower=1, trans_a=1, overwrite_b=1)
     return fields
 
 
 def dgff_covariance(domain: LatticeDomain, seed: int, size: int) -> np.ndarray:
     """Empirical covariance sum_s h_s h_s^T / size of the fields h_s that
-    ``dgff_sample(domain, seed, size=size)`` returns, accumulated one block
-    at a time, so memory stays at one block of SAMPLE_BLOCK fields and the
-    (n_interior x n_interior) sum whatever ``size`` is."""
+    ``dgff_sample(domain, seed, size=size)`` returns, without forming them.
+
+    The same normals z_s are drawn in blocks of at most SAMPLE_BLOCK samples,
+    and BLAS ``syrk`` adds each block's Gram matrix to W = sum_s z_s z_s^T.
+    Since h_s = C^{-T} z_s, the result is C^{-T} W C^{-1} / size exactly: two
+    (n_interior x n_interior) triangular solves at the end, and no per-sample
+    solve.  Memory stays at one block and W whatever ``size`` is; the result
+    is made exactly symmetric.
+    """
+    from scipy.linalg.blas import dsyrk, dtrsm
+
     if size < 1:
         raise ValueError(f"need at least one sample, got {size}")
-    acc = np.zeros((domain.n_interior, domain.n_interior))
-    for _, h in _dgff_blocks(domain, seed, size):
-        acc += h.T @ h
-    return acc / size
+    n = domain.n_interior
+    C = domain.cholesky()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    buf = np.empty((min(SAMPLE_BLOCK, size), n))
+    W = np.zeros((n, n), order="F")
+    for i in range(0, size, SAMPLE_BLOCK):
+        z = buf[:min(SAMPLE_BLOCK, size - i)]
+        rng.standard_normal(out=z)
+        # the lower triangle of W += z^T z; z^T is z's Fortran-ordered view
+        dsyrk(1.0, z.T, beta=1.0, c=W, lower=1, overwrite_c=1)
+    W += np.tril(W, -1).T
+    dtrsm(1.0, C, W, side=0, lower=1, trans_a=1, overwrite_b=1)   # C^{-T} W
+    dtrsm(1.0, C, W, side=1, lower=1, overwrite_b=1)              # ... C^{-1}
+    return (W + W.T) / (2.0 * size)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +625,15 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     law as restricting a full-domain DGFF sample; Phi is drawn uniformly per
     sample, so the ensemble law of M is symmetric under sign flip.  The
     stream is sample-major: every Phi first, then per block of
-    c <= SAMPLE_BLOCK samples the normals z as (c x sites).  A block's field
-    g = z C^T is turned into cos(beta g + Phi) in its own memory, so the
-    call holds two (SAMPLE_BLOCK x sites) buffers whatever ``nsamples`` is.
+    c <= SAMPLE_BLOCK samples the normals z as (c x sites).  One buffer of
+    (SAMPLE_BLOCK x sites) holds a block whatever ``nsamples`` is: BLAS
+    ``trmm`` turns z into the field g = z C^T in place (C is lower
+    triangular, so half the flops of a dense product), and
+    cos(beta g + Phi) is taken as cos 2h (:func:`_cos_double_angle`) of
+    h = (beta/2) g + Phi/2, which is bitwise half of beta g + Phi.
     """
     import scipy.linalg as sla
+    from scipy.linalg.blas import dtrmm
 
     if not 0.0 < beta < math.sqrt(2.0):
         raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
@@ -617,20 +642,19 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
     lam = _site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    phi = rng.uniform(-math.pi, math.pi, nsamples)
+    half_phi = rng.uniform(-math.pi, math.pi, nsamples)
+    half_phi *= 0.5
     out = np.empty(nsamples)
-    z_buf = np.empty((min(SAMPLE_BLOCK, nsamples), len(sites)))
-    g_buf = np.empty_like(z_buf)
+    buf = np.empty((min(SAMPLE_BLOCK, nsamples), len(sites)))
     for i in range(0, nsamples, SAMPLE_BLOCK):
         c = min(SAMPLE_BLOCK, nsamples - i)
-        z, g = z_buf[:c], g_buf[:c]
-        rng.standard_normal(out=z)
-        np.matmul(z, C.T, out=g)
-        # cos(beta g + phi) in g's memory: the ufuncs of the expression, in its order
-        np.multiply(beta, g, out=g)
-        np.add(g, phi[i:i + c, None], out=g)
-        np.cos(g, out=g)
-        np.matmul(g, lam, out=out[i:i + c])
+        g = buf[:c]
+        rng.standard_normal(out=g)
+        # g^T = C z^T on g's Fortran-ordered view
+        dtrmm(1.0, C, g.T, side=0, lower=1, overwrite_b=1)
+        np.multiply(0.5 * beta, g, out=g)
+        np.add(g, half_phi[i:i + c, None], out=g)
+        np.matmul(_cos_double_angle(g), lam, out=out[i:i + c])
     return out
 
 

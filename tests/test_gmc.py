@@ -255,6 +255,23 @@ def test_unit_circle_matches_mpmath():
     assert np.max(np.abs(s - sin2h)) <= 4e-16
 
 
+def test_cos_double_angle_matches_mpmath():
+    import mpmath
+    poles = (np.arange(-16, 16) + 0.5) * math.pi
+    h = np.concatenate([poles, np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf),
+                        poles + 1e-9, poles - 1e-9, poles / 2, [0.0, 1e-300, -1e-8],
+                        np.random.default_rng(43).uniform(-50.0, 50.0, 4000),
+                        np.random.default_rng(44).uniform(-2.0, 2.0, 1000)])
+    h = h[np.abs(h) <= 50.0]
+    assert np.any(np.abs(h - math.pi / 2) < 1e-15) and np.any(np.abs(h + math.pi / 2) < 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gmc._cos_double_angle(h.copy())
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.cos(2 * mpmath.mpf(x))) for x in h])
+    assert np.max(np.abs(got - want)) <= 4e-16
+
+
 @pytest.mark.parametrize("radius", [1.0, 2.5])
 def test_disk_sample_matches_the_former_sampler(radius):
     dom = Domain(radius)
@@ -479,17 +496,29 @@ def test_dgff_sample_matches_the_left_solve():
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_dgff_sample_matches_the_left_solve_at_side_30():
+    import scipy.linalg as sla
+
+    dom = LatticeDomain.square(30)
+    h = dgff_sample(dom, seed=43, size=300)
+    z = np.random.default_rng(np.random.SeedSequence(43)).standard_normal((300, 900))
+    ref = sla.solve_triangular(dom.cholesky(), z.T, lower=True, trans="T").T
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_dgff_sample_solves_in_the_normal_block():
     dom = LatticeDomain.square(11)
     dom.cholesky()
     h, peak = traced_peak(dgff_sample, dom, seed=9, size=20000)
     assert h.shape == (20000, 121)
-    # the left solve copied the (sites x samples) block into Fortran order
+    # the triangular product runs in the normals' own memory; a Fortran-ordered
+    # copy of the (sites x samples) block would double the peak
     assert peak < 1.25 * h.nbytes
 
 
-def former_sample_m_statistics(domain, n, beta, nsamples, seed):
-    """The out-of-place block expression of the in-place sampler, in its draw order."""
+def m_statistics_draws(domain, n, beta, nsamples, seed):
+    """(lam, C, [(Phi, z) per block]) of the sampler, in its draw order:
+    every Phi, then the normals z as (c x sites) per block."""
     import scipy.linalg as sla
 
     sites = gmc._summation_sites(domain, n)
@@ -498,12 +527,26 @@ def former_sample_m_statistics(domain, n, beta, nsamples, seed):
     lam = gmc._site_weights(n, beta, G)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     phi = rng.uniform(-math.pi, math.pi, size=nsamples)
-    out = np.empty(nsamples)
+    blocks = []
     for i in range(0, nsamples, gmc.SAMPLE_BLOCK):
         c = min(gmc.SAMPLE_BLOCK, nsamples - i)
-        z = rng.standard_normal((c, len(sites)))
-        out[i:i + c] = np.cos(beta * (z @ C.T) + phi[i:i + c, None]) @ lam
-    return out
+        blocks.append((phi[i:i + c, None], rng.standard_normal((c, len(sites)))))
+    return lam, C, blocks
+
+
+def former_sample_m_statistics(domain, n, beta, nsamples, seed):
+    """The out-of-place expression of the in-place sampler: g = z C^T by one
+    ``trmm`` on a copy, then cos(beta g + Phi) as 2 / (1 + tan^2 h) - 1 of
+    h = (beta/2) g + Phi/2."""
+    from scipy.linalg.blas import dtrmm
+
+    lam, C, blocks = m_statistics_draws(domain, n, beta, nsamples, seed)
+    out = []
+    for phi, z in blocks:
+        g = dtrmm(1.0, C, z.T, side=0, lower=1).T
+        t = np.tan(0.5 * beta * g + phi * 0.5)
+        out.append((2.0 / (1.0 + t * t) - 1.0) @ lam)
+    return np.concatenate(out)
 
 
 def test_m_statistics_in_place_keep_the_bits():
@@ -513,17 +556,29 @@ def test_m_statistics_in_place_keep_the_bits():
                               former_sample_m_statistics(dom, n, beta, 3000, seed))
 
 
-def test_m_statistics_hold_two_blocks_per_chunk():
+def test_m_statistics_match_the_dense_product_and_cosine():
+    # the expression before the triangular product and the tangent cosine:
+    # g = z @ C.T and np.cos(beta g + Phi); the products round differently and
+    # each cosine is within 4e-16, so M moves by far less than 1e-13 sum(lam)
+    dom = LatticeDomain.disk(20.0)
+    for n, beta, seed in ((10, 1.2, 7), (3, 0.7, 4)):
+        lam, C, blocks = m_statistics_draws(dom, n, beta, 3000, seed)
+        want = np.concatenate([np.cos(beta * (z @ C.T) + phi) @ lam for phi, z in blocks])
+        got = sample_m_statistics(dom, n, beta, 3000, seed)
+        assert np.max(np.abs(got - want)) <= 1e-13 * lam.sum()
+
+
+def test_m_statistics_hold_one_block():
     dom = LatticeDomain.disk(6.0)
     sites = len(gmc._summation_sites(dom, 3))
     nsamples = 10 * gmc.SAMPLE_BLOCK
     sample_m_statistics(dom, 3, 1.0, 10, seed=1)
     out, peak = traced_peak(sample_m_statistics, dom, 3, 1.0, nsamples, seed=1)
     assert out.shape == (nsamples,)
-    # z and C z of one block, reused by every block, beside the angles and the
-    # output; 0.1 MB more holds the 29 x 29 Green's block, its factor and
-    # numpy's 64 kB iteration buffer for the broadcast add of the angles
-    assert peak < 2 * gmc.SAMPLE_BLOCK * sites * 8 + 2 * out.nbytes + 10**5
+    # one block, reused by every block, beside the angles and the output;
+    # 0.1 MB more holds the 29 x 29 Green's block, its factor and numpy's
+    # 64 kB iteration buffer for the broadcast add of the angles
+    assert peak < gmc.SAMPLE_BLOCK * sites * 8 + 2 * out.nbytes + 10**5
 
 
 def test_dgff_covariance_holds_one_block():
@@ -540,6 +595,19 @@ def test_dgff_covariance_is_the_sample_covariance():
     fields = dgff_sample(dom, seed=13, size=size)
     want = fields.T @ fields / size
     assert np.max(np.abs(dgff_covariance(dom, 13, size) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dgff_covariance_is_exactly_symmetric():
+    for side, size in ((6, 2 * gmc.SAMPLE_BLOCK + 300), (11, 500)):
+        cov = dgff_covariance(LatticeDomain.square(side), 17, size)
+        assert np.array_equal(cov, cov.T)
+
+
+def test_dgff_covariance_of_one_sample_is_its_outer_product():
+    dom = LatticeDomain.square(6)
+    h = dgff_sample(dom, seed=23, size=1)[0]
+    want = np.outer(h, h)
+    assert np.max(np.abs(dgff_covariance(dom, 23, 1) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_dgff_covariance_refuses_no_samples():
