@@ -223,10 +223,20 @@ def _cmd_dgff_check(args) -> int:
     domain = LatticeDomain.square(args.side)
     emp = dgff_covariance(domain, args.seed, args.samples)
     G = domain.green_matrix()
-    rel = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
+    norm_G = np.linalg.norm(G)
+    rel = float(np.linalg.norm(emp - G) / norm_G)
+    # the sample covariance of N fields h ~ N(0, G) is Wishart: E ||G^ - G||_F^2
+    # = (||G||_F^2 + (tr G)^2) / N, so this is what rel should read
+    predicted = float(np.sqrt((norm_G**2 + np.trace(G)**2) / args.samples) / norm_G)
+    # the sampled identity itself is exact: C C^T = L, and G = L^{-1}
+    L, C = domain.laplacian.toarray(), domain.cholesky()
     _write(args.out, "dgff_check.json", _report(args, {
-        "frobenius_relative_error": rel, "interior_sites": domain.n_interior}))
-    print(f"dgff-check: Frobenius relative error {rel:.4f} on {domain.n_interior} sites")
+        "frobenius_relative_error": rel, "interior_sites": domain.n_interior,
+        "predicted_relative_error": predicted, "error_ratio": rel / predicted,
+        "cholesky_residual": float(np.linalg.norm(C @ C.T - L) / np.linalg.norm(L)),
+        "green_residual": float(np.linalg.norm(L @ G - np.eye(domain.n_interior)))}))
+    print(f"dgff-check: Frobenius relative error {rel:.4f} on {domain.n_interior} sites, "
+          f"{rel / predicted:.3f} times the predicted {predicted:.4f}")
     return 0
 
 
@@ -238,6 +248,38 @@ def _same_zeros(ends, ok, starts, region: Rectangle) -> np.ndarray:
     own = np.argmin(np.abs(ends[:, None] - starts), axis=1) == np.arange(len(starts))
     alone = (np.abs(ends[:, None] - ends) < MERGE_DISTANCE).sum(axis=1) == 1
     return ok & inside & own & alone
+
+
+def _linearised_se(f: EntireMGF, locs: np.ndarray, n: int) -> list[tuple]:
+    """(se_re, se_im) of each zero of f in ``locs`` by the delta method, or (None, None).
+
+    f is the MGF of a symmetrised binned law of n samples, so f(z) = sum_b p_b cosh(z x_b)
+    over the raw bin frequencies p, which are multinomial with covariance
+    (diag p - p p^T) / n.  To first order a zero z0 moves by dz = -df(z0) / f'(z0),
+    so (Re dz, Im dz) has the covariance of u = -(cosh(z0 x) - f(z0)) / f'(z0) under
+    the law, over n.  cosh is even, so the symmetrised weights give the raw bins' sums.
+    On the axis cosh(z0 x) is real and f'(z0) imaginary, so se_re is exactly 0.
+    (None, None) where the linearisation does not hold: |f'(z0)| is within the worst-case
+    rounding of its own sum, len(xs) eps sum_b w_b |x_b e^{z0 x_b}|, or the se
+    (the root of se_re^2 + se_im^2) exceeds a quarter of the distance from z0 to
+    the nearest other zero of ``locs`` or to its mirror -conj z0.
+    """
+    xs, ws = f.source.xs, f.source.ws
+    _, dmant, shift = f.eval_pair_batch(locs)
+    zx = locs[:, None] * xs
+    # e^{+-z0 x} on f's log-scale, which eval_pair_batch shares with f'
+    ep, em = np.exp(zx - shift[:, None]), np.exp(-zx - shift[:, None])
+    c = 0.5 * (ep + em)
+    rounding = len(xs) * np.finfo(float).eps * ((np.abs(ep) + np.abs(em)) @ (0.5 * np.abs(xs) * ws))
+    steep = np.abs(dmant) > rounding
+    u = -(c - (c @ ws)[:, None]) / np.where(steep, dmant, 1.0)[:, None]
+    se_re, se_im = np.sqrt((u.real**2 @ ws) / n), np.sqrt((u.imag**2 @ ws) / n)
+    # the nearest other zero, or the mirror -conj z0, 2 |Re z0| away off the axis
+    others = np.abs(locs[:, None] - locs) + np.diag(np.full(len(locs), np.inf))
+    mirror = np.where(locs.real != 0.0, 2.0 * np.abs(locs.real), np.inf)
+    gap = np.min(np.column_stack([others, mirror]), axis=1)
+    ok = steep & (np.hypot(se_re, se_im) <= 0.25 * gap)
+    return [(float(a), float(b)) if k else (None, None) for a, b, k in zip(se_re, se_im, ok)]
 
 
 def _cmd_m_stat(args) -> int:
@@ -252,34 +294,37 @@ def _cmd_m_stat(args) -> int:
     region = Rectangle(*args.region)
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
-    dist = bin_distribution(samples, B=args.bins)
-    report = locate_zeros(EntireMGF(dist), region, args.tol)
-
-    # bootstrap error bars on each located zero: one lockstep Newton per
-    # replicate from every baseline zero; a replicate that does not find the
-    # same zero again (see _same_zeros) is counted (None), not averaged in
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
-    starts = np.array([z.location for z in report.zeros])
-    boot_lists: list[list[complex | None]] = [[] for _ in starts]
-    for _ in range(args.bootstrap if len(starts) else 0):
-        res = rng.choice(samples, size=len(samples), replace=True)
-        fb = EntireMGF(bin_distribution(res, B=args.bins))
-        zz, _, ok = newton_refine(fb, starts, args.tol)
-        for boots, z, same in zip(boot_lists, zz, _same_zeros(zz, ok, starts, region)):
-            boots.append(z if same else None)
-    # a zero on the imaginary axis (a symmetrised law's) has a real part that
-    # is rounding noise, so its spread is no error bar
+    f = EntireMGF(bin_distribution(samples, B=args.bins))
+    report = locate_zeros(f, region, args.tol)
+    starts = np.array([z.location for z in report.zeros], dtype=complex)
     zero_rows = []
-    for z, boots in zip(report.zeros, boot_lists):
-        bs = np.array([b for b in boots if b is not None])
-        on_axis = abs(z.location.real) <= OFFAXIS_FACTOR * args.tol
+    for z, (se_re, se_im) in zip(report.zeros, _linearised_se(f, starts, args.samples)):
         zero_rows.append({"re": z.location.real, "im": z.location.imag,
                           "residual": z.residual, "refined": z.refined,
                           "multiplicity": z.multiplicity,
-                          "bootstrap_se_re": (float(np.std(bs.real, ddof=1))
-                                              if len(bs) > 1 and not on_axis else None),
-                          "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
-                          "bootstrap_unconverged": boots.count(None)})
+                          "se_re": se_re, "se_im": se_im})
+
+    # the resampling cross-check, only when asked for: one lockstep Newton per
+    # replicate from every baseline zero; a replicate that does not find the
+    # same zero again (see _same_zeros) is counted (None), not averaged in
+    if args.bootstrap:
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+        boot_lists: list[list[complex | None]] = [[] for _ in starts]
+        for _ in range(args.bootstrap if len(starts) else 0):
+            res = rng.choice(samples, size=len(samples), replace=True)
+            fb = EntireMGF(bin_distribution(res, B=args.bins))
+            zz, _, ok = newton_refine(fb, starts, args.tol)
+            for boots, z, same in zip(boot_lists, zz, _same_zeros(zz, ok, starts, region)):
+                boots.append(z if same else None)
+        # a zero on the imaginary axis (a symmetrised law's) has a real part that
+        # is rounding noise, so its spread is no error bar
+        for row, boots in zip(zero_rows, boot_lists):
+            bs = np.array([b for b in boots if b is not None])
+            on_axis = abs(row["re"]) <= OFFAXIS_FACTOR * args.tol
+            row |= {"bootstrap_se_re": (float(np.std(bs.real, ddof=1))
+                                        if len(bs) > 1 and not on_axis else None),
+                    "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
+                    "bootstrap_unconverged": boots.count(None)}
 
     results = {"mean": float(np.mean(samples)), "std": float(np.std(samples, ddof=1)),
                "second_moment": float(np.mean(samples**2)),
@@ -398,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--samples", type=int, default=20000)
     sp.add_argument("--bins", type=int, default=200)
-    sp.add_argument("--bootstrap", type=int, default=200)
+    sp.add_argument("--bootstrap", type=int, default=0,
+                    help="replicates of a resampling cross-check of the linearised error "
+                         "bars (default 0); zero rows carry bootstrap_se_re, "
+                         "bootstrap_se_im and bootstrap_unconverged only when it ran")
     sp.add_argument("--region", type=float, nargs=4, default=[-8.0, 8.0, 0.0, 8.0])
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=_cmd_m_stat)

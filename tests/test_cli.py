@@ -13,8 +13,8 @@ import pytest
 
 from leeyang import cli
 from leeyang.cli import build_parser, main
-from leeyang.gibbs import DiscretizedDistribution
-from leeyang.zeros import OFFAXIS_FACTOR, Rectangle
+from leeyang.gibbs import DiscretizedDistribution, distribution_from_atoms
+from leeyang.zeros import OFFAXIS_FACTOR, EntireMGF, Rectangle, locate_zeros, newton_refine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -243,6 +243,24 @@ def test_dgff_check(tmp_path):
     assert doc["results"]["frobenius_relative_error"] < 0.1
 
 
+def test_dgff_check_predicts_its_error_and_certifies_its_factor(tmp_path):
+    # at side 5 the Laplacian's eigenvalues are 4 - 2 cos(j pi/6) - 2 cos(k pi/6),
+    # so ||G||_F^2 and tr G of the Wishart prediction need no Green's solve
+    out = tmp_path / "dg"
+    assert main(["dgff-check", "--side", "5", "--samples", "4000", "--seed", "3",
+                 "--out", str(out)]) == 0
+    res = json.loads((out / "dgff_check.json").read_text())["results"]
+    c = 2.0 * np.cos(np.arange(1, 6) * np.pi / 6)
+    inv = 1.0 / (4.0 - c[:, None] - c[None, :])
+    norm_sq, trace = np.sum(inv**2), np.sum(inv)
+    assert res["predicted_relative_error"] == pytest.approx(
+        math.sqrt((norm_sq + trace**2) / 4000) / math.sqrt(norm_sq), rel=1e-12)
+    assert res["error_ratio"] == res["frobenius_relative_error"] / res["predicted_relative_error"]
+    assert 0.5 < res["error_ratio"] < 1.5
+    assert 0.0 <= res["cholesky_residual"] < 1e-15
+    assert 0.0 <= res["green_residual"] < 1e-13
+
+
 def test_m_stat_with_field_dump(tmp_path):
     out = str(tmp_path / "ms")
     assert main(["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
@@ -275,6 +293,86 @@ def test_m_stat_with_field_dump(tmp_path):
 
 M_STAT_SMALL = ["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2",
                 "--samples", "2000", "--bins", "60", "--seed", "19"]
+
+
+def test_m_stat_linearised_se_matches_the_bootstrap(tmp_path):
+    # test_m_stat_with_field_dump's run: the 200-replicate bootstrap is the
+    # reference wherever the linearisation gives an error bar
+    assert main(["m-stat", "--n", "3", "--r", "2.0", "--beta", "1.2", "--samples", "2000",
+                 "--bins", "60", "--bootstrap", "200", "--seed", "37",
+                 "--out", str(tmp_path)]) == 0
+    zs = json.loads((tmp_path / "m_stat.json").read_text())["results"]["zeros"]
+    with_se = [z for z in zs if z["se_im"] is not None]
+    assert len(with_se) == 6
+    for z in with_se:
+        assert z["re"] == 0.0 and z["se_re"] == 0.0  # on the axis dz is imaginary
+        assert 0.8 <= z["se_im"] / z["bootstrap_se_im"] <= 1.25
+    # se over the gap to the nearest other zero: 0.39 and 0.49 at 6.085i and
+    # 6.523i, and the pair's se_re 0.44 against 0.32 to its mirror
+    nulls = [z for z in zs if z["se_im"] is None]
+    assert [round(z["im"], 3) for z in nulls] == [6.085, 6.523, 7.828, 7.828]
+    assert all(z["se_re"] is None for z in nulls)
+    left, right = nulls[2:]
+    assert left["re"] == -right["re"] < 0
+    assert ({k: v for k, v in left.items() if k != "re" and not k.startswith("bootstrap")}
+            == {k: v for k, v in right.items() if k != "re" and not k.startswith("bootstrap")})
+
+
+def test_linearised_se_of_an_off_axis_pair_matches_multinomial_resampling():
+    # the symmetrised law of 5000 draws from five atoms has the zeros
+    # +-1.2095 + 1.9943i; redrawing the counts moves them by the spread the
+    # delta method gives, in Re and in Im, and the mirror rows are equal
+    xs, p, n = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.array([0.05, 0.15, 0.6, 0.15, 0.05]), 5000
+    f = EntireMGF(distribution_from_atoms(np.c_[xs, p], symmetrize=True))
+    locs = np.array([z.location for z in locate_zeros(f, Rectangle(-4, 4, 0, 4), 1e-12).zeros])
+    assert np.allclose(locs, [-1.2095 + 1.9943j, 1.2095 + 1.9943j], atol=1e-4)
+    (re_l, im_l), (re_r, im_r) = cli._linearised_se(f, locs, n)
+    assert (re_l, im_l) == pytest.approx((re_r, im_r), rel=1e-12)
+    redrawn = (distribution_from_atoms(np.c_[xs, c], symmetrize=True)
+               for c in np.random.default_rng(5).multinomial(n, p, size=500))
+    ends = np.array([newton_refine(EntireMGF(law), locs, 1e-12)[0] for law in redrawn])
+    assert 0.9 <= np.std(ends.real[:, 1], ddof=1) / re_r <= 1.1
+    assert 0.9 <= np.std(ends.imag[:, 1], ddof=1) / im_r <= 1.1
+
+
+def test_linearised_se_is_null_where_the_slope_is_rounding():
+    # f = (1 + cosh 2z) / 2 = cosh^2 z: a double zero at i pi/2, where f' is 0
+    # up to rounding; it is the only zero given, so no gap can null it
+    double = EntireMGF(distribution_from_atoms([(-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)]))
+    assert cli._linearised_se(double, np.array([0.5j * np.pi]), 1000) == [(None, None)]
+    # f'(0) of a symmetric law is exactly 0: no division by it, and no warning
+    assert cli._linearised_se(double, np.array([0j]), 1000) == [(None, None)]
+
+
+def test_m_stat_linearised_se_covers_the_spread_across_seeds(tmp_path):
+    # 60 seeded small runs, each locating only the lowest zero: its spread
+    # across seeds is within 0.75-1.33 times its median linearised se_im
+    ims, ses = [], []
+    for seed in range(60):
+        assert main(M_STAT_SMALL[:-1] + [str(seed), "--region", "-1", "1", "0", "1.2",
+                                         "--out", str(tmp_path)]) == 0
+        (z,) = json.loads((tmp_path / "m_stat.json").read_text())["results"]["zeros"]
+        ims.append(z["im"])
+        ses.append(z["se_im"])
+    assert 0.75 <= np.std(ims, ddof=1) / np.median(ses) <= 1.33
+
+
+def test_m_stat_writes_bootstrap_keys_only_when_it_ran(tmp_path, capsys):
+    # with --bootstrap 0, the default, no replicate ran: no row may read
+    # bootstrap_unconverged 0 as if every replicate had converged
+    assert main(M_STAT_SMALL + ["--out", str(tmp_path / "a")]) == 0
+    assert main(M_STAT_SMALL + ["--bootstrap", "3", "--out", str(tmp_path / "b")]) == 0
+    runs = [json.loads((tmp_path / d / "m_stat.json").read_text()) for d in "ab"]
+    assert runs[0]["config"]["bootstrap"] == 0
+    boot_keys = {"bootstrap_se_re", "bootstrap_se_im", "bootstrap_unconverged"}
+    rows_a, rows_b = (r["results"]["zeros"] for r in runs)
+    assert rows_a and all(not boot_keys & set(z) for z in rows_a)
+    assert all(boot_keys < set(z) for z in rows_b)
+    # the bootstrap adds keys and changes nothing else
+    assert [{k: v for k, v in z.items() if k not in boot_keys} for z in rows_b] == rows_a
+    with pytest.raises(SystemExit):
+        main(["m-stat", "--help"])
+    assert "only when it ran" in " ".join(capsys.readouterr().out.split())
 
 
 def test_m_stat_records_what_its_verdict_rests_on(tmp_path, monkeypatch):
