@@ -33,9 +33,9 @@ from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_cova
                   mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
-from .zeros import (MERGE_DISTANCE, OFFAXIS_FACTOR, EntireMGF, Rectangle, VERDICT_PIZ,
-                    locate_zeros, newton_refine, refinement_stable_report,
-                    zero_report_from_json)
+from .zeros import (MERGE_DISTANCE, OFFAXIS_FACTOR, EntireMGF, Rectangle,
+                    VERDICT_INCONCLUSIVE, VERDICT_OFF_AXIS, VERDICT_PIZ, locate_zeros,
+                    newton_refine, refinement_stable_report, zero_report_from_json)
 
 FORMAT_VERSION = 1
 
@@ -282,6 +282,23 @@ def _linearised_se(f: EntireMGF, locs: np.ndarray, n: int) -> list[tuple]:
     return [(float(a), float(b)) if k else (None, None) for a, b, k in zip(se_re, se_im, ok)]
 
 
+def _supported_verdict(verdict: str, rows: list[dict], tol: float) -> tuple[str, list[str]]:
+    """The zero report's verdict and the notes to add to it: an off-axis verdict
+    stands only where some off-axis zero row (refined, |Re z| > OFFAXIS_FACTOR tol)
+    has an se_re and lies at least 2 se_re from the axis; otherwise the verdict is
+    inconclusive, with a note naming each off-axis pair and its se_re."""
+    if verdict != VERDICT_OFF_AXIS:
+        return verdict, []
+    off = [r for r in rows if r["refined"] and abs(r["re"]) > OFFAXIS_FACTOR * tol]
+    if any(r["se_re"] is not None and abs(r["re"]) >= 2.0 * r["se_re"] for r in off):
+        return verdict, []
+    pairs = {(abs(r["re"]), r["im"]): r["se_re"] for r in off}
+    return VERDICT_INCONCLUSIVE, [
+        f"off-axis pair +-{re:.4g} + {im:.4g}i has se_re "
+        f"{'null' if se is None else f'{se:.3g}'}: not 2 se_re from the axis"
+        for (re, im), se in sorted(pairs.items())]
+
+
 def _cmd_m_stat(args) -> int:
     if args.samples < 2:
         raise ValueError("m-stat --samples must be at least 2 for a standard deviation")
@@ -326,17 +343,18 @@ def _cmd_m_stat(args) -> int:
                     "bootstrap_se_im": float(np.std(bs.imag, ddof=1)) if len(bs) > 1 else None,
                     "bootstrap_unconverged": boots.count(None)}
 
+    verdict, notes = _supported_verdict(report.piz_verdict, zero_rows, args.tol)
     results = {"mean": float(np.mean(samples)), "std": float(np.std(samples, ddof=1)),
                "second_moment": float(np.mean(samples**2)),
                "exploratory": True,
-               "verdict": report.piz_verdict,
+               "verdict": verdict,
                "total_count": report.total_count,
-               "notes": list(report.notes),
+               "notes": list(report.notes) + notes,
                "evaluator": report.evaluator,
                "zeros": zero_rows}
     _write(args.out, "m_stat.json", _report(args, results))
     print(f"m-stat: {args.samples} samples, mean {results['mean']:.3e}, "
-          f"verdict {report.piz_verdict} (exploratory)")
+          f"verdict {verdict} (exploratory)")
     return 0
 
 
@@ -446,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bootstrap", type=int, default=0,
                     help="replicates of a resampling cross-check of the linearised error "
                          "bars (default 0); zero rows carry bootstrap_se_re, "
-                         "bootstrap_se_im and bootstrap_unconverged only when it ran")
+                         "bootstrap_se_im and bootstrap_unconverged only when it ran; "
+                         "it reads low where many replicates lose their zero, since "
+                         "those that moved it furthest are dropped")
     sp.add_argument("--region", type=float, nargs=4, default=[-8.0, 8.0, 0.0, 8.0])
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=_cmd_m_stat)

@@ -19,12 +19,12 @@ Lattice side: a :class:`LatticeDomain` carries the sites of a disk (or
 square) in Z^2, the interior/boundary partition, and the Dirichlet Green's
 matrix -- the inverse of the unit-weight graph Laplacian on interior sites,
 which is exactly the covariance of the zero-boundary discrete Gaussian free
-field sampled by :func:`dgff_sample` (and reduced to its empirical
-covariance by :func:`dgff_covariance`).  The renormalised chaos sum
-M = sum_{x in D_n} lam(x) cos(beta g(x) + Phi) is drawn by
-:func:`sample_m_statistics`; its zero-boundary moments have the closed form
-evaluated by :func:`gmc_moment_formula`, which doubles as the Monte Carlo
-oracle.
+field sampled by :func:`dgff_sample` (whose empirical covariance
+:func:`dgff_covariance` draws from its Bartlett factor, without any field).
+The renormalised chaos sum M = sum_{x in D_n} lam(x) cos(beta g(x) + Phi)
+is drawn by :func:`sample_m_statistics`; its zero-boundary moments have the
+closed form evaluated by :func:`gmc_moment_formula`, which doubles as the
+Monte Carlo oracle.
 
 Normaliser convention: the renormalising exponent for site x is
 (beta^2/2) G(x, x) with the finite-lattice Green's diagonal used directly
@@ -41,14 +41,14 @@ derived with numpy's SeedSequence spawning, and reductions run in a fixed
 order, so results are reproducible bit-for-bit for a given seed -- with one
 exception: the lattice samplers (:func:`dgff_sample`, :func:`dgff_covariance`
 and :func:`sample_m_statistics`) multiply and solve through BLAS, whose
-blocking depends on its thread count, so their bits are fixed only at a
-fixed BLAS thread count.  They draw their normals sample-major, so the
-random stream does not depend on how it is cut into blocks.
-:func:`dgff_covariance` and :func:`sample_m_statistics` reduce blocks of at
-most SAMPLE_BLOCK samples, each before the next is drawn, so their memory
-does not grow with the sample count (the bits may depend on the block size,
-by BLAS's rounding of smaller products); :func:`dgff_sample` returns every
-field, so it draws and multiplies them all at once.
+blocking depends on its thread count.  That moves only rounding: at one and
+two BLAS threads, dgff-check and small m-stat runs give the same verdicts and
+counts, and values within 1e-12 relative (residuals, which are rounding
+themselves, stay below their bounds).  :func:`sample_m_statistics` draws
+its normals sample-major in blocks of at most SAMPLE_BLOCK samples, each
+reduced before the next is drawn, so its memory does not grow with the
+sample count and its stream does not depend on the block size.
+:func:`dgff_sample` returns every field, so it draws them all at once.
 """
 
 from __future__ import annotations
@@ -537,34 +537,35 @@ def dgff_sample(domain: LatticeDomain, seed: int, *, size: int) -> np.ndarray:
 
 
 def dgff_covariance(domain: LatticeDomain, seed: int, size: int) -> np.ndarray:
-    """Empirical covariance sum_s h_s h_s^T / size of the fields h_s that
-    ``dgff_sample(domain, seed, size=size)`` returns, without forming them.
+    """A draw of the empirical covariance of ``size`` fields C^{-T} z_s of
+    :func:`dgff_sample`, from the same factor C (L = C C^T), with no field drawn.
 
-    The same normals z_s are drawn in blocks of at most SAMPLE_BLOCK samples,
-    and BLAS ``syrk`` adds each block's Gram matrix to W = sum_s z_s z_s^T.
-    Since h_s = C^{-T} z_s, the result is C^{-T} W C^{-1} / size exactly: two
-    (n_interior x n_interior) triangular solves at the end, and no per-sample
-    solve.  Memory stays at one block and W whatever ``size`` is; the result
-    is made exactly symmetric.
+    That covariance is C^{-T} W C^{-1} / size, where W = sum_s z_s z_s^T of
+    standard normals on the p interior sites is Wishart_p(size, I).  W is drawn
+    as A A^T from its Bartlett factor A (Bartlett 1933; Muirhead 1982, 3.2),
+    the transposed R factor of the (size x p) normal block's QR decomposition:
+    p x m lower trapezoidal, m = min(size, p), with A_ii = sqrt(chi^2_{size-i})
+    (i = 0 .. m-1) and A_ji ~ N(0, 1) for j > i, for every size >= 1.  Draw
+    order: ``rng.chisquare(size - arange(m))``, then one ``standard_normal``
+    call for the entries below the diagonal, row by row.  ``trsm`` forms
+    C^{-T} A in A's memory and ``syrk`` the lower triangle of the result,
+    mirrored to be exactly symmetric: O(p m) draws and O(p^2 m) flops,
+    whatever ``size`` is.
     """
     from scipy.linalg.blas import dsyrk, dtrsm
 
     if size < 1:
         raise ValueError(f"need at least one sample, got {size}")
-    n = domain.n_interior
-    C = domain.cholesky()
+    p = domain.n_interior
+    m = min(size, p)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    buf = np.empty((min(SAMPLE_BLOCK, size), n))
-    W = np.zeros((n, n), order="F")
-    for i in range(0, size, SAMPLE_BLOCK):
-        z = buf[:min(SAMPLE_BLOCK, size - i)]
-        rng.standard_normal(out=z)
-        # the lower triangle of W += z^T z; z^T is z's Fortran-ordered view
-        dsyrk(1.0, z.T, beta=1.0, c=W, lower=1, overwrite_c=1)
-    W += np.tril(W, -1).T
-    dtrsm(1.0, C, W, side=0, lower=1, trans_a=1, overwrite_b=1)   # C^{-T} W
-    dtrsm(1.0, C, W, side=1, lower=1, overwrite_b=1)              # ... C^{-1}
-    return (W + W.T) / (2.0 * size)
+    A = np.zeros((p, m), order="F")
+    A[np.diag_indices(m)] = np.sqrt(rng.chisquare(size - np.arange(m, dtype=float)))
+    below = np.tril_indices(p, -1, m)
+    A[below] = rng.standard_normal(len(below[0]))
+    X = dtrsm(1.0, domain.cholesky(), A, side=0, lower=1, trans_a=1, overwrite_b=1)  # C^{-T} A
+    cov = dsyrk(1.0 / size, X, lower=1)
+    return np.tril(cov) + np.tril(cov, -1).T
 
 
 # ---------------------------------------------------------------------------

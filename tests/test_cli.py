@@ -394,6 +394,52 @@ def test_m_stat_records_what_its_verdict_rests_on(tmp_path, monkeypatch):
     assert results["evaluator"] == report.evaluator and results["evaluator"]["path"] == "direct"
 
 
+def test_m_stat_off_axis_verdict_needs_two_se_re(tmp_path, monkeypatch):
+    # seed 37 of the small run: the zero report finds the pair +-0.1595 + 7.8281i,
+    # whose se_re is null (over a quarter of the gap to its mirror), so the
+    # error bars cannot tell it from the axis and the verdict is inconclusive
+    reports, locate = [], cli.locate_zeros
+
+    def spy(*args, **kwargs):
+        reports.append(locate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "locate_zeros", spy)
+    assert main(M_STAT_SMALL[:-1] + ["37", "--out", str(tmp_path)]) == 0
+    (report,) = reports
+    results = json.loads((tmp_path / "m_stat.json").read_text())["results"]
+    assert report.piz_verdict == "off-axis-zero-found"
+    assert results["verdict"] == "inconclusive"
+    assert results["notes"] == list(report.notes) + [
+        "off-axis pair +-0.1595 + 7.828i has se_re null: not 2 se_re from the axis"]
+
+
+def test_m_stat_keeps_an_off_axis_verdict_its_error_bars_support(tmp_path, monkeypatch):
+    # 2000 draws of the five-atom law with the zeros +-1.2095 + 1.9943i: the
+    # binned law's pairs lie about 30 se_re from the axis, so the verdict stands
+    xs, p = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.array([0.05, 0.15, 0.6, 0.15, 0.05])
+    monkeypatch.setattr(cli, "sample_m_statistics", lambda domain, n, beta, nsamples, seed:
+                        np.random.default_rng(seed).choice(xs, size=nsamples, p=p))
+    assert main(M_STAT_SMALL[:-1] + ["1", "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "m_stat.json").read_text())["results"]
+    assert results["verdict"] == "off-axis-zero-found" and results["notes"] == []
+    off = [z for z in results["zeros"] if z["re"] != 0.0]
+    assert off and all(abs(z["re"]) > 20 * z["se_re"] for z in off)
+
+
+def test_supported_verdict_reads_only_refined_off_axis_rows():
+    def row(re, se_re, refined=True):
+        return {"re": re, "im": 3.0, "se_re": se_re, "refined": refined}
+
+    tol, off = 1e-10, "off-axis-zero-found"
+    assert cli._supported_verdict("PIZ-in-region", [row(0.5, None)], tol) == ("PIZ-in-region", [])
+    assert cli._supported_verdict(off, [row(-0.2, 0.1), row(0.2, 0.1)], tol) == (off, [])
+    # one pair 2 se_re from the axis is enough; an unrefined zero is no evidence
+    assert cli._supported_verdict(off, [row(0.3, 0.1), row(1.0, None)], tol) == (off, [])
+    assert cli._supported_verdict(off, [row(0.19, 0.1), row(1.0, 0.1, refined=False)], tol) == (
+        "inconclusive", ["off-axis pair +-0.19 + 3i has se_re 0.1: not 2 se_re from the axis"])
+
+
 def test_m_stat_zero_rows_say_which_zero_is_unrefined(tmp_path):
     # no Newton run meets tol 1e-30: the contour count matches the listed
     # zeros and the report has no note, so only the rows explain the verdict
@@ -861,24 +907,67 @@ def test_threads_default_ignores_environment(monkeypatch):
     assert args.threads == 1
 
 
+def run_at_blas_threads(argv, out, blas):
+    """The results of ``leeyang argv --out out`` in a child process whose BLAS
+    runs on ``blas`` threads, and the CSV rows it wrote, if any."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "leeyang.cli", *argv, "--out", str(out)],
+                          env=env | {"OPENBLAS_NUM_THREADS": blas},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    (doc,) = out.glob("*.json")
+    rows = [ln for csv in out.glob("*.csv") for ln in csv.read_text().splitlines()
+            if not ln.startswith("#")]
+    return json.loads(doc.read_text())["results"], rows
+
+
 def test_blas_threads_do_not_change_gmc_moments(tmp_path):
     # the Coulomb-gas sampler reduces in a fixed order without BLAS, so its
     # bits must not depend on the BLAS thread count
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    outs = []
-    for blas in ("1", "2"):
-        out = tmp_path / f"blas{blas}"
-        proc = subprocess.run([sys.executable, "-m", "leeyang.cli", "gmc-moments",
-                               "--beta-sq", "1.44", "--k-max", "3", "--samples", "20000",
-                               "--seed", "7", "--out", str(out)],
-                              env=env | {"OPENBLAS_NUM_THREADS": blas},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        rows = [ln for ln in (out / "gmc_moments.csv").read_text().splitlines()
-                if not ln.startswith("#")]
-        outs.append((json.loads((out / "gmc_moments.json").read_text())["results"], rows))
+    outs = [run_at_blas_threads(["gmc-moments", "--beta-sq", "1.44", "--k-max", "3",
+                                 "--samples", "20000", "--seed", "7"],
+                                tmp_path / f"blas{blas}", blas) for blas in ("1", "2")]
     assert outs[0] == outs[1]
+
+
+def assert_equal_but_rounding(a, b, path="results"):
+    """a and b hold the same keys, strings, integers, flags and nulls, and
+    floats within 1e-12 relative of each other."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            assert_equal_but_rounding(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_equal_but_rounding(x, y, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert isinstance(b, float) and b == pytest.approx(a, rel=1e-12, abs=0.0), path
+    else:
+        assert type(a) is type(b) and a == b, path
+
+
+@pytest.mark.parametrize("argv", [
+    ["dgff-check", "--side", "11", "--samples", "20000", "--seed", "7"],
+    M_STAT_SMALL,
+    M_STAT_SMALL[:-1] + ["37"],
+    ["m-stat", "--n", "4", "--r", "2.0", "--beta", "1.2", "--samples", "5000", "--seed", "7"],
+], ids=["dgff-check", "m-stat-19", "m-stat-37", "m-stat-n4"])
+def test_blas_threads_move_only_rounding(argv, tmp_path):
+    # the lattice samplers multiply and solve through BLAS, whose blocking
+    # depends on its thread count: that may move the last bits, but no
+    # verdict, count or flag, and no value by more than 1e-12 relative.  A
+    # zero's residual |f| is itself rounding, and so are the two residuals
+    # of dgff-check, which need only stay below their bounds
+    outs = [run_at_blas_threads(argv, tmp_path / f"blas{blas}", blas)[0] for blas in ("1", "2")]
+    for res in outs:
+        for z in res.get("zeros", []):
+            assert 0.0 <= z.pop("residual") < 1e-12
+        if "green_residual" in res:
+            assert 0.0 <= res.pop("cholesky_residual") < 1e-15
+            assert 0.0 <= res.pop("green_residual") < 1e-13
+    assert_equal_but_rounding(*outs)
 
 
 def test_threads_do_not_change_results(tmp_path):

@@ -582,32 +582,84 @@ def test_m_statistics_hold_one_block():
 
 
 def test_dgff_covariance_holds_one_block():
+    # no sample block is held: the draws and arrays depend on the sample
+    # count only through min(N, p)
     dom = LatticeDomain.square(11)
     dom.cholesky()
-    cov, peak = traced_peak(dgff_covariance, dom, 9, 10 * gmc.SAMPLE_BLOCK)
-    assert cov.shape == (121, 121)
-    assert peak < 2 * gmc.SAMPLE_BLOCK * 121 * 8
+    few, few_peak = traced_peak(dgff_covariance, dom, 9, 10**3)
+    many, many_peak = traced_peak(dgff_covariance, dom, 9, 10**6)
+    assert few.shape == many.shape == (121, 121)
+    assert many_peak <= few_peak + 121 * 121 * 8
 
 
-def test_dgff_covariance_is_the_sample_covariance():
+def bartlett_factor(p, size, seed):
+    """The p x min(size, p) Bartlett factor A of dgff_covariance, from its
+    seeded draws in their order: the chi-squares of the diagonal, then the
+    normals below it, row by row."""
+    m = min(size, p)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    A = np.zeros((p, m))
+    for i, chi_sq in enumerate(rng.chisquare(size - np.arange(m))):
+        A[i, i] = math.sqrt(chi_sq)
+    rows, cols = np.tril_indices(p, -1, m)
+    A[rows, cols] = rng.standard_normal(len(rows))
+    return A
+
+
+def test_dgff_covariance_is_the_bartlett_product():
+    import scipy.linalg as sla
+
     dom = LatticeDomain.square(6)
-    size = 2 * gmc.SAMPLE_BLOCK + 300
-    fields = dgff_sample(dom, seed=13, size=size)
-    want = fields.T @ fields / size
-    assert np.max(np.abs(dgff_covariance(dom, 13, size) - want)) <= 1e-12 * np.max(np.abs(want))
+    p = dom.n_interior
+    for size in (1, 20, p - 1, p, 2 * gmc.SAMPLE_BLOCK + 300):
+        X = sla.solve_triangular(dom.cholesky(), bartlett_factor(p, size, 13),
+                                 lower=True, trans="T")
+        want = X @ X.T / size
+        got = dgff_covariance(dom, 13, size)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def block_loop_covariance(domain, seed, size):
+    """The empirical covariance of the fields dgff_sample(domain, seed, size)
+    returns: their normals drawn in blocks of at most SAMPLE_BLOCK samples,
+    the Gram matrix W = sum_s z_s z_s^T added up by ``syrk``, and
+    C^{-T} W C^{-1} / size by two triangular solves."""
+    from scipy.linalg.blas import dsyrk, dtrsm
+
+    n = domain.n_interior
+    C = domain.cholesky()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    W = np.zeros((n, n), order="F")
+    for i in range(0, size, gmc.SAMPLE_BLOCK):
+        z = rng.standard_normal((min(gmc.SAMPLE_BLOCK, size - i), n))
+        dsyrk(1.0, z.T, beta=1.0, c=W, lower=1, overwrite_c=1)
+    W += np.tril(W, -1).T
+    dtrsm(1.0, C, W, side=0, lower=1, trans_a=1, overwrite_b=1)
+    dtrsm(1.0, C, W, side=1, lower=1, overwrite_b=1)
+    return (W + W.T) / (2.0 * size)
+
+
+def test_dgff_covariance_has_the_law_of_the_fields_covariance():
+    # for N fields h ~ N(0, G) the empirical covariance is Wishart:
+    # E ||G^ - G||_F^2 = (||G||_F^2 + (tr G)^2) / N, and rank G^ = min(N, p);
+    # the Bartlett draw and the block loop over the fields both give that
+    dom = LatticeDomain.square(5)
+    G = dom.green_matrix()
+    p, seeds = dom.n_interior, range(200)
+    for size in (1, 10, p - 1, p, p + 1, 4000):
+        want = (np.linalg.norm(G)**2 + np.trace(G)**2) / size
+        for route in (dgff_covariance, block_loop_covariance):
+            covs = [route(dom, seed, size) for seed in seeds]
+            sq = np.array([np.linalg.norm(c - G)**2 for c in covs])
+            se = np.std(sq, ddof=1) / math.sqrt(len(sq))
+            assert abs(np.mean(sq) - want) <= 4 * se, (route.__name__, size)
+            assert all(np.linalg.matrix_rank(c) == min(size, p) for c in covs)
 
 
 def test_dgff_covariance_is_exactly_symmetric():
-    for side, size in ((6, 2 * gmc.SAMPLE_BLOCK + 300), (11, 500)):
+    for side, size in ((6, 2 * gmc.SAMPLE_BLOCK + 300), (11, 500), (11, 7), (5, 10**20)):
         cov = dgff_covariance(LatticeDomain.square(side), 17, size)
         assert np.array_equal(cov, cov.T)
-
-
-def test_dgff_covariance_of_one_sample_is_its_outer_product():
-    dom = LatticeDomain.square(6)
-    h = dgff_sample(dom, seed=23, size=1)[0]
-    want = np.outer(h, h)
-    assert np.max(np.abs(dgff_covariance(dom, 23, 1) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_dgff_covariance_refuses_no_samples():
@@ -621,7 +673,7 @@ def test_lattice_samplers_do_not_depend_on_the_block_size(monkeypatch):
     dom = LatticeDomain.disk(6.0)
 
     def draws():
-        return (dgff_sample(dom, seed=5, size=100), dgff_covariance(dom, 5, 100),
+        return (dgff_sample(dom, seed=5, size=100),
                 sample_m_statistics(dom, 3, 1.2, 100, seed=5))
 
     default = draws()
