@@ -13,14 +13,12 @@ from .gibbs import (DiscretizedDistribution, ModelSpec, circle_grid,
                     kolmogorov_distance, observable_distribution,
                     periodized_gaussian, rademacher)
 from .zeros import (EntireMGF, HadamardFit, Rectangle, ZeroInfo, ZeroReport,
-                    count_zeros_rectangle, default_region, hadamard_fit,
-                    locate_zeros, mgf_eval, newton_refine,
-                    refinement_stable_report)
+                    count_zeros_rectangle, hadamard_fit, locate_zeros, mgf_eval,
+                    newton_refine, refinement_stable_report)
 from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
                       tail_exponent, weak_limit_harness)
 from .chain import (chain_vs_heat, dirichlet_ratio, laplace_normalization,
                     make_xy_kernel)
-from .gmc import (CoulombConfig, Domain, GrowthFit, LatticeDomain,
-                  MomentEstimate, UNIT_DISK, bin_distribution, coulomb_weight,
-                  dgff_sample, gmc_moment_formula, lattice_green, mc_moment,
-                  moment_growth_fit, sample_m_statistics, tail_prediction)
+from .gmc import (Domain, GrowthFit, LatticeDomain, MomentEstimate, UNIT_DISK,
+                  bin_distribution, dgff_sample, gmc_moment_formula, lattice_green,
+                  mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)

@@ -180,14 +180,6 @@ def _cmd_chain_limit(args) -> int:
     return 0
 
 
-def _cmd_dirichlet_ratio(args) -> int:
-    res = dirichlet_ratio(args.n, args.b, tuple(args.pair), tuple(args.pair_ref), args.grid_n)
-    _write(args.out, "dirichlet_ratio.json", _report(args, res))
-    print(f"dirichlet-ratio: ratio {res['ratio']:.6g}, limit {res['limit_ratio']:.6g}, "
-          f"gap {res['gap']:.3e}")
-    return 0
-
-
 def _cmd_gmc_moments(args) -> int:
     if not 1 <= args.k_max <= DESK_MAX_K:
         raise ValueError(f"gmc-moments --k-max must be between 1 and {DESK_MAX_K}")
@@ -430,15 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pinned angles for the ratio columns")
     sp.add_argument("--pair-ref", type=float, nargs=2, default=[0.0, 0.0])
     sp.set_defaults(func=_cmd_chain_limit)
-
-    sp = sub.add_parser("dirichlet-ratio", help="pinned-end partition-function ratio")
-    common(sp)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--n", type=int, default=128)
-    sp.add_argument("--pair", type=float, nargs=2, default=[0.0, float(np.pi / 2)])
-    sp.add_argument("--pair-ref", type=float, nargs=2, default=[0.0, 0.0])
-    sp.add_argument("--grid-n", type=int, default=512)
-    sp.set_defaults(func=_cmd_dirichlet_ratio)
 
     sp = sub.add_parser("gmc-moments", help="Coulomb-gas moment estimates and growth fit")
     common(sp, seed_required=True)

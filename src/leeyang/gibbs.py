@@ -454,8 +454,6 @@ def _require_resolved(top: complex, n: int, N: int) -> None:
 
 def discretized_gaussian(sigma: float = 1.0, *, n_atoms: int = 1201) -> DiscretizedDistribution:
     """Symmetric grid discretization of N(0, sigma^2), truncated at 12 sigma."""
-    if n_atoms % 2 == 0:
-        n_atoms += 1
     xs = np.linspace(-12.0 * sigma, 12.0 * sigma, n_atoms)
     ws = np.exp(-0.5 * (xs / sigma) ** 2)
     return _finish_law(xs, ws / ws.sum(), True)

@@ -140,38 +140,8 @@ class Domain:
         np.multiply(r, s, out=pts[:, 1])
         return pts
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.hypot(pts[:, 0], pts[:, 1]) <= self.radius + 1e-12
-
 
 UNIT_DISK = Domain(1.0)
-
-
-@dataclass(frozen=True)
-class CoulombConfig:
-    """k positive and k negative charges in a domain, with coupling beta^2."""
-
-    positive: np.ndarray
-    negative: np.ndarray
-    beta_sq: float
-    domain: Domain = UNIT_DISK
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positive, dtype=float))
-        neg = np.atleast_2d(np.asarray(self.negative, dtype=float))
-        object.__setattr__(self, "positive", pos)
-        object.__setattr__(self, "negative", neg)
-        if pos.shape != neg.shape or pos.shape[0] < 1 or pos.shape[1] != 2:
-            raise ValueError("need equal numbers (>= 1) of positive and negative 2d charges")
-        if not 0.0 < self.beta_sq < 2.0:
-            raise ValueError(f"beta^2 must lie in (0, 2), got {self.beta_sq}")
-        if not (np.all(self.domain.contains(pos)) and np.all(self.domain.contains(neg))):
-            raise ValueError("charge outside the domain")
-
-    @property
-    def k(self) -> int:
-        return self.positive.shape[0]
 
 
 def _log_coulomb(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -221,28 +191,6 @@ def _log_coulomb(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
             opposite, e_opposite = np.frexp(opposite)
             exponent += e_same - e_opposite
         return 0.5 * (np.log(same / opposite) + _LN2 * exponent)
-
-
-def coulomb_weight(cfg: CoulombConfig) -> float:
-    """The interaction ratio raised to beta^2, computed in log space.
-
-    For k = 1 the ratio is simply |x - y|^{-1}.  Exactly coincident
-    opposite charges make the weight diverge and raise ValueError.  Pair
-    terms are summed in sorted order, so the value is exactly invariant
-    under permuting charges of either sign.
-    """
-    pos, neg, k = cfg.positive, cfg.negative, cfg.k
-    same = []
-    for arr in (pos, neg):
-        for i in range(k):
-            for j in range(i + 1, k):
-                same.append(math.hypot(*(arr[i] - arr[j])))
-    opp = [math.hypot(*(pos[i] - neg[j])) for i in range(k) for j in range(k)]
-    if any(d == 0.0 for d in opp):
-        raise ValueError("coincident opposite-charge points: weight diverges")
-    log_ratio = (float(np.sum(np.sort(np.log(same)))) if same else 0.0) \
-        - float(np.sum(np.sort(np.log(opp))))
-    return float(np.exp(cfg.beta_sq * log_ratio))
 
 
 @dataclass(frozen=True)

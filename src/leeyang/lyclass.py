@@ -30,7 +30,7 @@ import numpy as np
 
 from .gibbs import DiscretizedDistribution, kolmogorov_distance
 from .zeros import (EntireMGF, Rectangle, ZeroReport, VERDICT_OFF_AXIS,
-                    VERDICT_PIZ, default_region, locate_zeros)
+                    VERDICT_PIZ, locate_zeros)
 
 SLOWTAIL_RESIDUAL_MAX = 0.05
 POISSON_GUARD = 1.05  # fitted or typed-in a <= 1.05 stay undetermined, never excluded
@@ -246,7 +246,7 @@ class WeakLimitReport:
     notes: tuple[str, ...] = ()
 
 
-def weak_limit_harness(sequence, limit=None, *, region: Rectangle | None = None,
+def weak_limit_harness(sequence, limit=None, *, region: Rectangle,
                        tol: float = 1e-10) -> WeakLimitReport:
     """Check the observable consequences of class stability along a sequence.
 
@@ -262,8 +262,6 @@ def weak_limit_harness(sequence, limit=None, *, region: Rectangle | None = None,
     seq = list(sequence)
     if len(seq) < 3:
         raise ValueError(f"need at least 3 laws in the sequence, got {len(seq)}")
-    if region is None:
-        region = default_region()
 
     notes: list[str] = []
     reports = [locate_zeros(EntireMGF(d), region, tol) for d in seq]

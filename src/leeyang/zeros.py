@@ -125,11 +125,6 @@ class Rectangle:
                 "im_min": self.im_min, "im_max": self.im_max}
 
 
-def default_region() -> Rectangle:
-    """[-8, 8] x [0, 8]i; symmetry of real measures supplies the other half."""
-    return Rectangle(-8.0, 8.0, 0.0, 8.0)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -547,39 +542,31 @@ def newton_refine(f: EntireMGF, z0, tol: float):
     one start).  Convergence means the direct-sum residual mgf_eval is below
     ``tol``; one polishing step is taken past that gate.  A start also stops
     where f' = 0, where its step falls below 1e-16 (1 + |z|), or after
-    NEWTON_MAX_ITER steps; then its residual is evaluated at its last z.  Every
-    iteration evaluates the starts still running in one ``eval_pair_batch``
-    of the direct sum, which gives each point the bits of a batch of its
-    own: each start ends exactly where a run from it alone would, whichever
-    batch evaluator counted the zeros.  Each residual is read off the
-    evaluation that gives the step.
+    NEWTON_MAX_ITER steps.  Every iteration evaluates the starts still
+    running in one ``eval_pair_batch`` of the direct sum, which gives each
+    point the bits of a batch of its own: each start ends exactly where a run
+    from it alone would, whichever batch evaluator counted the zeros.  The
+    residuals are taken at the final z in one batch at the end, so a start
+    that stopped short of the gate still converges if its last z passes it.
     """
     z = np.array(z0, dtype=complex).reshape(-1)
-    res = np.empty(z.shape)
     ok = np.zeros(z.shape, dtype=bool)
     run = np.arange(len(z))
     for _ in range(NEWTON_MAX_ITER):
         if not len(run):
             break
         fz, dfz, shift = f.eval_pair_batch(z[run])
-        r = _abs_values(fz, shift)
-        conv, move = r < tol, dfz != 0
+        conv, move = _abs_values(fz, shift) < tol, dfz != 0
         step = np.zeros(fz.shape, dtype=complex)
         np.divide(fz, dfz, out=step, where=move)
         z[run[move]] -= step[move]  # for a converged start, its polishing step
         # np.hypot is abs() of one complex bit for bit; np.abs of an array may not be
         stall = move & (np.hypot(step.real, step.imag)
                         < 1e-16 * (1.0 + np.hypot(z[run].real, z[run].imag)))
-        stop = conv | ~move | stall
-        kept = conv & ~move  # converged where f' = 0: z did not move and r stands
         ok[run[conv]] = True
-        res[run[kept]] = r[kept]
-        last = run[stop & ~kept]
-        res[last] = _abs_values(*f.values(z[last]))
-        ok[last] |= res[last] < tol
-        run = run[~stop]
-    res[run] = _abs_values(*f.values(z[run]))
-    ok[run] = res[run] < tol
+        run = run[~(conv | ~move | stall)]
+    res = _abs_values(*f.values(z))
+    ok |= res < tol
     return z, res, ok
 
 
@@ -728,8 +715,7 @@ def _axis_zeros(f: EntireMGF, ev, core: Rectangle, cnt: int, tol: float,
     return found
 
 
-def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
-                 tol: float = DEFAULT_TOL) -> ZeroReport:
+def locate_zeros(f: EntireMGF, region: Rectangle, tol: float = DEFAULT_TOL) -> ZeroReport:
     """Locate all zeros of f in the region and deliver a PIZ verdict.
 
     For a symmetric source the part [-m, m] x [im_min, im_max] of the region
@@ -743,8 +729,6 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
     taken on the one evaluator ``f.evaluator`` builds for the region, so the
     report depends only on the law, the region and tol.
     """
-    if region is None:
-        region = default_region()
     if not tol > 0:
         raise ValueError("tol must be positive")
     ev = f.evaluator(_rect_radius(region))
@@ -794,7 +778,7 @@ def locate_zeros(f: EntireMGF, region: Rectangle | None = None,
                       evaluator={"path": ev.path, "K": ev.K, "xval_ratio": ev.xval_ratio})
 
 
-def refinement_stable_report(dist_factory, N: int, region: Rectangle | None = None,
+def refinement_stable_report(dist_factory, N: int, region: Rectangle,
                              tol: float = DEFAULT_TOL):
     """Run locate_zeros at grid N and 2N; keep the report only where stable.
 

@@ -1,6 +1,7 @@
 """Chain kernels, spectral convolution, and the heat-kernel scaling limit."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +297,17 @@ def test_dirichlet_ratio_refuses_an_underflowed_end_row():
 def test_dirichlet_ratio_validates_angles():
     with pytest.raises(ValueError, match="outside"):
         dirichlet_ratio(8, 1.0, (4.0, 0.0), (0.0, 0.0), 128)
+
+
+@pytest.mark.parametrize("n, b, N, message", [
+    (1, 1.0, 0, "grid size"),
+    (1, 1e-12, 64, "periodized Gaussian with J = 1e-12 needs about"),
+    (0, 1.0, 512, "chain length must be a positive integer, got 0"),
+    (1, 0.0, 512, "coupling b must be positive, got 0.0"),
+], ids=["one-edge-empty-grid", "tiny-b", "no-edge", "zero-b"])
+def test_dirichlet_ratio_refuses_bad_input(n, b, N, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dirichlet_ratio(n, b, (0.0, math.pi / 2), (0.0, 0.0), N)
 
 
 def test_dirichlet_ratio_refuses_a_non_finite_coupling():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from leeyang import cli
+from leeyang.chain import dirichlet_ratio
 from leeyang.cli import build_parser, main
 from leeyang.gibbs import DiscretizedDistribution, distribution_from_atoms
 from leeyang.zeros import OFFAXIS_FACTOR, EntireMGF, Rectangle, locate_zeros, newton_refine
@@ -187,17 +188,15 @@ def test_chain_limit_refuses_unresolved_grid(grid, tmp_path, capsys):
     assert f"grid size {grid} does not resolve" in capsys.readouterr().err
 
 
-def test_dirichlet_ratio_unresolved_grid(tmp_path):
-    # the one-edge closed form needs no grid; two edges on two points do
-    assert main(["dirichlet-ratio", "--n", "1", "--grid-n", "1", "--out", str(tmp_path)]) == 0
-    assert main(["dirichlet-ratio", "--n", "2", "--grid-n", "2", "--out", str(tmp_path)]) == 1
-
-
 def test_dirichlet_ratio_output(tmp_path):
+    # chain-limit's ratio columns are dirichlet_ratio's at the --pair angles
     out = str(tmp_path / "dr")
-    assert main(["dirichlet-ratio", "--n", "16", "--grid-n", "128", "--out", out]) == 0
-    doc = json.loads((Path(out) / "dirichlet_ratio.json").read_text())
-    assert abs(doc["results"]["ratio"] - doc["results"]["limit_ratio"]) < 0.05
+    assert main(["chain-limit", "--n-list", "16", "--grid-n", "128", "--pair", "0", "1",
+                 "--pair-ref", "0", "0.5", "--out", out]) == 0
+    (row,) = json.loads((Path(out) / "chain_limit.json").read_text())["results"]["rows"]
+    want = dirichlet_ratio(16, 1.0, (0.0, 1.0), (0.0, 0.5), 128)
+    assert (row["ratio"], row["limit_ratio"]) == (want["ratio"], want["limit_ratio"])
+    assert abs(row["ratio"] - row["limit_ratio"]) < 0.05
 
 
 def test_gmc_moments_deterministic(tmp_path):
@@ -572,7 +571,6 @@ SMALL_RUNS = {
     "zeros": (["--dist", "THREE", "--region", "-2", "2", "0", "2"], "zero_report.json"),
     "classify": (["--dist", "THREE", "--tail-a", "1.3889"], "class_verdict.json"),
     "chain-limit": (["--n-list", "16,32", "--grid-n", "128", "--b", "0.7"], "chain_limit.json"),
-    "dirichlet-ratio": (["--n", "16", "--grid-n", "128"], "dirichlet_ratio.json"),
     "gmc-moments": (["--beta-sq", "0.5", "--k-max", "2", "--samples", "10000", "--seed", "11"],
                     "gmc_moments.json"),
     "dgff-check": (["--side", "3", "--samples", "500", "--seed", "3"], "dgff_check.json"),
@@ -653,14 +651,6 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
       "--seed", "1"], "--k-max"),
     (["chain-limit", "--n-list", "4", "--grid-n", "0"], "grid size"),
     (["chain-limit", "--n-list", "4", "--grid-n", "-4"], "grid size"),
-    (["dirichlet-ratio", "--n", "1", "--grid-n", "0"], "grid size"),
-    (["dirichlet-ratio", "--n", "1", "--b", "inf", "--grid-n", "64"], "n b = inf must be finite"),
-    (["dirichlet-ratio", "--n", "2", "--b", "1e308", "--grid-n", "64"],
-     "n b = inf must be finite"),
-    (["dirichlet-ratio", "--n", "1", "--b", "1e-12", "--grid-n", "64"],
-     "periodized Gaussian with J = 1e-12 needs about"),
-    (["dirichlet-ratio", "--n", "0"], "chain length must be a positive integer, got 0"),
-    (["dirichlet-ratio", "--n", "1", "--b", "0"], "coupling b must be positive, got 0.0"),
     (["gmc-moments", "--beta-sq", "2", "--k-max", "1", "--samples", "10000", "--seed", "1"],
      "beta^2 must lie in (0, 2), got 2.0"),
     (["gmc-moments", "--beta-sq", "0.5", "--radius", "0", "--seed", "1"],
@@ -676,9 +666,7 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
         "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
         "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
-        "dirichlet-ratio-one-edge-empty-grid", "dirichlet-ratio-infinite-b",
-        "dirichlet-ratio-n-b-overflows", "dirichlet-ratio-tiny-b",
-        "dirichlet-ratio-no-edge", "dirichlet-ratio-zero-b", "gmc-moments-beta-sq-2",
+        "gmc-moments-beta-sq-2",
         "gmc-moments-zero-radius", "gmc-moments-infinite-radius", "m-stat-beta-above-sqrt2",
         "gmc-moments-area-power-overflows", "gmc-moments-area-power-underflows"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):

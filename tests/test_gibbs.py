@@ -164,6 +164,14 @@ def test_is_symmetric_reads_a_bitwise_mirror_first(monkeypatch):
                                                 monkeypatch) == (False, 1)
 
 
+@pytest.mark.parametrize("n_atoms", [2, 10, 1200, 1201])
+def test_discretized_gaussian_has_the_atoms_asked_for(n_atoms):
+    # the grid has exactly n_atoms points, an even count included
+    law = discretized_gaussian(0.8, n_atoms=n_atoms)
+    assert len(law.xs) == n_atoms
+    assert law.is_mirror()
+
+
 def test_laws_and_graphs_compare_by_identity():
     # atoms, couplings and weights are all data: two laws or graphs that
     # differ only there must not compare equal, nor the models built on them

@@ -319,4 +319,15 @@ def test_harness_limit_contradiction_flag():
 
 def test_harness_requires_three_laws():
     with pytest.raises(ValueError, match="at least 3"):
-        weak_limit_harness([rademacher(), rademacher()], None)
+        weak_limit_harness([rademacher(), rademacher()], None, region=Rectangle(-2, 2, 0, 8))
+
+
+def test_harness_distances_that_grow_are_not_consistent():
+    # every term is PIZ, but the sequence starts at its limit and moves away
+    seq = [rademacher(1.0), rademacher(1.25), rademacher(1.5)]
+    rep = weak_limit_harness(seq, rademacher(1.0), region=Rectangle(-2, 2, 0, 8))
+    assert rep.all_piz
+    assert rep.distances_to_limit == (0.0, 0.5, 0.5)
+    assert not rep.distances_shrink
+    assert not rep.consistent
+    assert "distance trend is not monotone decreasing" in rep.notes
