@@ -301,10 +301,12 @@ def test_dirichlet_ratio_validates_angles():
 
 @pytest.mark.parametrize("n, b, N, message", [
     (1, 1.0, 0, "grid size"),
+    (1, math.inf, 64, "n b = inf must be finite"),
+    (2, 1e308, 64, "n b = inf must be finite"),
     (1, 1e-12, 64, "periodized Gaussian with J = 1e-12 needs about"),
     (0, 1.0, 512, "chain length must be a positive integer, got 0"),
     (1, 0.0, 512, "coupling b must be positive, got 0.0"),
-], ids=["one-edge-empty-grid", "tiny-b", "no-edge", "zero-b"])
+], ids=["one-edge-empty-grid", "infinite-b", "n-b-overflows", "tiny-b", "no-edge", "zero-b"])
 def test_dirichlet_ratio_refuses_bad_input(n, b, N, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         dirichlet_ratio(n, b, (0.0, math.pi / 2), (0.0, 0.0), N)
