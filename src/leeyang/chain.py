@@ -9,7 +9,7 @@ the pinned-end partition-function ratio whose limit is a ratio of periodized
 Gaussians with precision b.
 
 Every chain here is one circle convolution power, :func:`_convolution_power`,
-of rows of the XY :func:`leeyang.gibbs.edge_weight` with J = 1,
+of rows of the XY :func:`leeyang.gibbs.edge_weight` with coupling B,
 exp(B (cos - 1)) <= 1, so no coupling overflows.  Each call checks the grid
 once: |r_{N/2} / r_0|^n, for r the transform of the unshifted XY row, is the
 share of the n-step kernel's mass in the top grid mode.
@@ -55,7 +55,7 @@ def make_xy_kernel(B: float, N: int = DEFAULT_CHAIN_GRID) -> tuple[np.ndarray, f
     """
     if not 0 <= B < math.inf:
         raise ValueError(f"inverse temperature must be non-negative and finite, got {B}")
-    g = edge_weight("xy", circle_grid(N), 1.0, B)
+    g = edge_weight("xy", circle_grid(N), B)
     Z = float(g.sum()) * _TWO_PI / N
     return g / Z, B + math.log(Z)
 
@@ -117,13 +117,13 @@ def dirichlet_ratio(n: int, b: float, pair, pair_ref, N: int = DEFAULT_CHAIN_GRI
     if n == 1:
         ratio = math.exp(B * (math.cos(pair[1] - pair[0]) - math.cos(pair_ref[1] - pair_ref[0])))
     else:
-        row = edge_weight("xy", grid, 1.0, B)
+        row = edge_weight("xy", grid, B)
         q_hat = np.fft.rfft(_convolution_power(row, n - 2))
         _require_resolved(abs(np.fft.rfft(row)[-1] / row.sum()) ** n, n, N)
 
         def partial_sum(th0: float, th1: float) -> float:
-            inner = np.fft.irfft(np.fft.rfft(edge_weight("xy", grid - th0, 1.0, B)) * q_hat, N)
-            last = edge_weight("xy", th1 - grid, 1.0, B)
+            inner = np.fft.irfft(np.fft.rfft(edge_weight("xy", grid - th0, B)) * q_hat, N)
+            last = edge_weight("xy", th1 - grid, B)
             s = float(last @ inner)
             # the FFTs leave rounding noise of about 0.2 n eps times this scale
             # in s (measured for n <= 4096, N <= 2048)

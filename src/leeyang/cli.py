@@ -149,8 +149,7 @@ def _cmd_classify(args) -> int:
     if args.tail_a is not None:
         b = float("nan") if args.tail_b is None else args.tail_b
         profile = TailProfile(exponent_a=args.tail_a, coefficient=b,
-                              fit_window=None, fit_residual=args.tail_residual,
-                              method="user_supplied")
+                              fit_residual=args.tail_residual, method="user_supplied")
     zr = zero_report_from_json(Path(args.zeros).read_text()) if args.zeros else None
     if source is None and profile is None:
         raise ValueError("classify needs --dist or --tail-a")
@@ -298,8 +297,8 @@ def _cmd_m_stat(args) -> int:
         raise ValueError("m-stat --bootstrap must be at least 0")
     if args.bins < 1:
         raise ValueError("m-stat --bins must be at least 1 (one bin on each side of 0)")
-    if not args.tol > 0:
-        raise ValueError(f"m-stat --tol must be positive, got {args.tol}")
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"m-stat --tol must be positive and finite, got {args.tol}")
     region = Rectangle(*args.region)
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)

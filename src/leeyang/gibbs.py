@@ -2,12 +2,12 @@
 
 Two angular spin models are supported on a :class:`~leeyang.graphs.FiniteGraph`;
 every edge weight in the package (here and in :mod:`leeyang.chain`) is
-:func:`edge_weight`:
+:func:`edge_weight` at one coupling J, beta J_e on an edge of a model:
 
-* ``xy``      -- exp(B * J_e * (cos(theta_u - theta_v) - 1)) <= 1, B = 1/T: the
-  factor e^{B J_e} cancels in every normalised law, so no coupling overflows,
-* ``villain`` -- V(theta_u - theta_v; J_e), the periodized
-  Gaussian sum_m exp(-(J_e/2)(theta + 2 pi m)^2).
+* ``xy``      -- exp(J (cos(theta_u - theta_v) - 1)) <= 1: the factor e^J
+  cancels in every normalised law, so no coupling overflows,
+* ``villain`` -- V(theta_u - theta_v; J), the periodized
+  Gaussian sum_m exp(-(J/2)(theta + 2 pi m)^2).
 
 At strong coupling most weights underflow to 0, in the product of edge weights
 or when the law is normalised; those atoms carry no mass and are dropped.
@@ -19,8 +19,8 @@ for the coupling strengths used at desk scale.
 
 The result type :class:`DiscretizedDistribution` is the universal input for
 the zero-location and classification machinery: a finite atomic measure
-{(x_j, w_j)} with unit total mass, symmetric when symmetrised (the default of
-:func:`observable_distribution`).
+{(x_j, w_j)} with unit total mass; :func:`observable_distribution` symmetrises
+the law of a model without pinned vertices.
 
 All functions here are pure; distributions are immutable once built.  The
 tensor-grid evaluation sorts the chunk-independent part of S once and reduces
@@ -104,15 +104,15 @@ def periodized_gaussian(theta, J: float):
     return total
 
 
-def edge_weight(kind: str, dtheta, J: float, B: float):
+def edge_weight(kind: str, dtheta, J: float):
     """Gibbs weight of an edge with coupling J across the angle difference dtheta.
 
-    ``xy`` gives exp(B J (cos(dtheta) - 1)) <= 1, the XY weight exp(B J cos)
-    divided by e^{B J}; ``villain`` gives ``periodized_gaussian(dtheta, J)``
-    and ignores B.  Vectorises over ``dtheta``.
+    ``xy`` gives exp(J (cos(dtheta) - 1)) <= 1, the XY weight exp(J cos)
+    divided by e^J; ``villain`` gives ``periodized_gaussian(dtheta, J)``.
+    Vectorises over ``dtheta``.
     """
     if kind == "xy":
-        return np.exp(B * J * (np.cos(dtheta) - 1.0))
+        return np.exp(J * (np.cos(dtheta) - 1.0))
     if kind == "villain":
         return periodized_gaussian(dtheta, J)
     raise ValueError(f"unknown model kind {kind!r}")
@@ -122,10 +122,9 @@ def edge_weight(kind: str, dtheta, J: float, B: float):
 class ModelSpec:
     """Which Gibbs measure to build on which graph.
 
-    ``kind`` is 'xy' or 'villain'.  ``inverse_temperature`` is the XY
-    parameter B = 1/T (multiplying J_e in the edge weight); the Villain model
-    ignores it since its couplings live on the graph.  ``boundary`` is either
-    'free' or a mapping vertex -> pinned angle in (-pi, pi].
+    ``kind`` is 'xy' or 'villain'.  ``inverse_temperature`` beta = 1/T
+    multiplies every coupling J_e of the graph.  ``boundary`` is None (no
+    vertex pinned) or a mapping vertex -> pinned angle in (-pi, pi].
     """
 
     kind: str
@@ -136,8 +135,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("xy", "villain"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not self.inverse_temperature > 0:
-            raise ValueError("inverse temperature must be positive")
+        if not 0 < self.inverse_temperature < math.inf:
+            raise ValueError(f"inverse temperature must be positive and finite, "
+                             f"got {self.inverse_temperature}")
         if self.boundary:
             for v, ang in self.boundary.items():
                 if v not in self.graph.vertices:
@@ -300,16 +300,16 @@ def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
     return table.reshape(shape)
 
 
-def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
-                            symmetrize: bool = True) -> DiscretizedDistribution:
+def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID) -> DiscretizedDistribution:
     """Exact law of S = sum_v lam_v cos(Theta_v) by tensor-grid quadrature.
 
     Every free vertex ranges over the N-point grid; the Gibbs density is the
-    product of edge weights, and uniform (trapezoid) quadrature weights apply
-    on the periodic grid.  The exact law of S is symmetric for free boundary
-    (the global shift theta -> theta + pi flips every cosine and preserves
-    every edge weight), and the output is symmetrised by averaging with its
-    reflection so downstream symmetry checks pass at 1e-12 exactly.
+    product of edge weights at the couplings beta J_e, and uniform
+    (trapezoid) quadrature weights apply on the periodic grid.  With no
+    vertex pinned the law of S is symmetric (the global shift
+    theta -> theta + pi flips every cosine and preserves every edge weight),
+    and the output is symmetrised into a bitwise mirror, which changes it
+    only by rounding; a pinned model's law is returned as built.
 
     The tensor grid is summed in chunks that fix the first free angle.  The
     rest of S does not depend on it, so it is sorted and cut into
@@ -321,7 +321,7 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     angles theta and -theta share one chunk, whose table is the sum of their
     two restricted tables (never one of them doubled: a pinned neighbour
     makes the density asymmetric in theta), so N/2 + 1 chunks cover the
-    grid.  A symmetrised free-boundary law needs only N//4 + 1 of them: the
+    grid.  A law with no pinned vertex needs only N//4 + 1 of them: the
     pi shift maps chunk j onto chunk N/2 - j with S negated, which the fold
     onto |x| cannot tell apart.
 
@@ -337,11 +337,11 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     G = model.graph
     pinned = dict(model.boundary or {})
     grid = circle_grid(N)
-    B = model.inverse_temperature
+    beta = model.inverse_temperature
     idx = np.arange(N)
     # free-free edge (u, v) -> (row, k): row[d] is the weight at theta_u - theta_v
     # for the index difference d, summed over the k - 1 vertices it passes
-    links = {e: (edge_weight(model.kind, grid, G.coupling[e], B), 1) for e in G.edges
+    links = {e: (edge_weight(model.kind, grid, beta * G.coupling[e]), 1) for e in G.edges
              if e[0] not in pinned and e[1] not in pinned}
     # one N x N gather serves every row; with N^2 over budget no two free
     # vertices fit, so nothing is summed out and the budget check refuses
@@ -377,7 +377,7 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
 
     s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
     if m == 0:
-        return _finish_law(np.array([s_pinned]), np.array([1.0]), symmetrize)
+        return _finish_law(np.array([s_pinned]), np.array([1.0]), False)
 
     # The Gibbs density as a list of factors over ascending free axes
     # (Koller & Friedman, ch. 9): the pinned-pinned constant, one vector per
@@ -389,10 +389,10 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     for e in G.edges:
         u, v = e
         if u in pinned and v in pinned:
-            const *= edge_weight(model.kind, pinned[u] - pinned[v], G.coupling[e], B)
+            const *= edge_weight(model.kind, pinned[u] - pinned[v], beta * G.coupling[e])
         elif u in pinned or v in pinned:
             fv, pv = (v, u) if u in pinned else (u, v)
-            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], G.coupling[e], B)
+            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], beta * G.coupling[e])
     pairs = []
     for (u, v), (row, k) in links.items():
         if k > 1:
@@ -432,14 +432,14 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID, *,
     # With no pin, the pi shift (index + N/2 on every free axis) keeps every
     # weight bitwise and negates S, so chunk N/2 - j holds chunk j's atoms
     # reflected; a folded law builds j <= N/4 and doubles all but j = N/4
-    half = symmetrize and not pinned
+    half = not pinned
     xs, ws = [], []
     for j in range(N // 4 + 1 if half else N // 2 + 1):
         u = functools.reduce(np.add, (table(i) for i in sorted({j, -j % N})))
         cx, cw = _merge_runs(rest, u.ravel()[t_idx] * base, starts)
         xs.append(x0[j] + cx)
         ws.append(2.0 * cw if half and 4 * j != N else cw)
-    return _finish_law(np.concatenate(xs), np.concatenate(ws), symmetrize)
+    return _finish_law(np.concatenate(xs), np.concatenate(ws), half)
 
 
 def _require_resolved(top: complex, n: int, N: int) -> None:
@@ -453,7 +453,10 @@ def _require_resolved(top: complex, n: int, N: int) -> None:
 
 
 def discretized_gaussian(sigma: float = 1.0, *, n_atoms: int = 1201) -> DiscretizedDistribution:
-    """Symmetric grid discretization of N(0, sigma^2), truncated at 12 sigma."""
+    """Symmetric grid discretization of N(0, sigma^2) on ``n_atoms`` >= 2 points,
+    truncated at 12 sigma."""
+    if not (isinstance(n_atoms, numbers.Integral) and n_atoms >= 2):
+        raise ValueError(f"n_atoms must be an integer >= 2, got {n_atoms!r}")
     xs = np.linspace(-12.0 * sigma, 12.0 * sigma, n_atoms)
     ws = np.exp(-0.5 * (xs / sigma) ** 2)
     return _finish_law(xs, ws / ws.sum(), True)

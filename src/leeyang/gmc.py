@@ -334,7 +334,7 @@ def tail_prediction(beta_sq: float) -> TailProfile:
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
     return TailProfile(exponent_a=2.0 / beta_sq, coefficient=float("nan"),
-                       fit_window=None, fit_residual=0.0, method="predicted")
+                       fit_residual=0.0, method="predicted")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,10 @@ def tail_prediction(beta_sq: float) -> TailProfile:
 # ---------------------------------------------------------------------------
 
 def _disk_sites(radius: float) -> list[tuple[int, int]]:
-    """The points of Z^2 in the closed disk of the given radius about 0."""
+    """The points of Z^2 in the closed disk of the given radius about 0; a
+    radius that is not positive and finite raises ValueError."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"lattice disk radius must be positive and finite, got {radius}")
     R = int(math.floor(radius))
     r2 = float(radius) * float(radius)
     return [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)

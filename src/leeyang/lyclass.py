@@ -52,7 +52,6 @@ class TailProfile:
 
     exponent_a: float
     coefficient: float
-    fit_window: tuple[float, float] | None
     fit_residual: float
     method: str
 
@@ -103,7 +102,7 @@ def tail_exponent(moments=None, tail_probabilities=None) -> TailProfile:
         a = 2.0 / s
         # moments of exp(-b t^a): log m_{2k} = (2/a) k log k + (2/a)(log(2/a) - 1 - log b) k + O(log k)
         b = (2.0 / (a * math.e)) * math.exp(-c * a / 2.0)
-        window, method = kk, "from_moments"
+        method = "from_moments"
     else:
         pts = [(float(t), float(p)) for t, p in tail_probabilities if 0.0 < p < 1.0]
         if len(pts) < 3:
@@ -120,11 +119,9 @@ def tail_exponent(moments=None, tail_probabilities=None) -> TailProfile:
         a, logb = float(coef[0]), float(coef[1])
         if a <= 0:
             raise ValueError(f"tail exponent fit gave non-positive a = {a:.4g}")
-        b, window, method = math.exp(logb), t, "from_tail_probabilities"
+        b, method = math.exp(logb), "from_tail_probabilities"
     residual = float(np.sqrt(np.mean(resid ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
-    return TailProfile(exponent_a=a, coefficient=b,
-                       fit_window=(float(window[0]), float(window[-1])),
-                       fit_residual=residual, method=method)
+    return TailProfile(exponent_a=a, coefficient=b, fit_residual=residual, method=method)
 
 
 @dataclass(frozen=True)

@@ -146,9 +146,9 @@ class EntireMGF:
     without f'.  ``eval_pair_batch`` is the one source of f' in the package:
     :func:`newton_refine` reads it.
 
-    Construction checks f(0) = 1 (unit mass) and, for symmetric sources that
-    are not a bitwise mirror, that Im f(it) = sum_j w_j sin(t x_j) over every
-    atom is below 1e-10 at a few sampled t.
+    Construction checks, for symmetric sources that are not a bitwise
+    mirror, that Im f(it) = sum_j w_j sin(t x_j) over every atom is below
+    1e-10 at a few sampled t.
     """
 
     path, K, xval_ratio = "direct", None, None
@@ -162,8 +162,6 @@ class EntireMGF:
         # the atom at 0 of an unsymmetrised law may sit at +-1e-17
         self._ends = (float(xs.min()), float(xs.max()))
         self.support_radius = max(abs(self._ends[0]), abs(self._ends[1]))
-        if abs(float(np.sum(source.ws)) - 1.0) > 1e-12:
-            raise ValueError("f(0) differs from 1 by more than 1e-12")
         # over every atom: the half sums would make f(it) real by construction; in a
         # bitwise mirror w sin(tx) and w sin(-tx) cancel, so only rounding could fail it
         if (self.symmetric and not mirror
@@ -729,8 +727,8 @@ def locate_zeros(f: EntireMGF, region: Rectangle, tol: float = DEFAULT_TOL) -> Z
     taken on the one evaluator ``f.evaluator`` builds for the region, so the
     report depends only on the law, the region and tol.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     ev = f.evaluator(_rect_radius(region))
     notes: list[str] = []
     cells: list[tuple[Rectangle, int]] = []
@@ -787,9 +785,13 @@ def refinement_stable_report(dist_factory, N: int, region: Rectangle,
     zero at 2N with no partner at N is a quadrature artifact and is dropped,
     a zero at N with no partner at 2N has vanished.  Either, or a contour
     count or verdict that differs between the grids, is noted and makes the
-    verdict inconclusive.  Returns (report_at_2N, max_zero_displacement),
-    the displacement taken over both directions.
+    verdict inconclusive.  The report's max_abs_re is taken over the zeros
+    it keeps.  Returns (report_at_2N, max_zero_displacement), the
+    displacement taken over both directions.  A tol that is not positive and
+    finite raises ValueError before any law is built.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     f1 = EntireMGF(dist_factory(N))
     f2 = EntireMGF(dist_factory(2 * N))
     r1 = locate_zeros(f1, region, tol)
@@ -827,7 +829,8 @@ def refinement_stable_report(dist_factory, N: int, region: Rectangle,
                      f"{r2.piz_verdict} on grid {2 * N}")
         stable = False
     verdict = r2.piz_verdict if stable else VERDICT_INCONCLUSIVE
-    report = replace(r2, zeros=tuple(keep), piz_verdict=verdict, notes=tuple(notes))
+    report = replace(r2, zeros=tuple(keep), piz_verdict=verdict, notes=tuple(notes),
+                     max_abs_re=max((abs(z.location.real) for z in keep), default=0.0))
     return report, max_disp
 
 

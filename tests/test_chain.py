@@ -132,7 +132,7 @@ def former_chain_vs_heat(n, b, N):
     B = n * b
     if not B >= 0:
         raise ValueError(f"inverse temperature must be non-negative, got {B}")
-    g = edge_weight("xy", circle_grid(N), 1.0, B)
+    g = edge_weight("xy", circle_grid(N), B)
     Z = float(g.sum()) * 2 * math.pi / N
     one = FormerCircleKernel(values=g / Z, log_normalization=B + math.log(Z))
     top = abs(np.fft.rfft(one.values)[-1] / one.values.sum()) ** n

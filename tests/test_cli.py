@@ -663,12 +663,17 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
       "--radius", "1e40"], "disk radius 1e+40 gives |U|^(2k)"),
     (["gmc-moments", "--beta-sq", "0.5", "--k-max", "3", "--samples", "10000", "--seed", "1",
       "--radius", "1e-60"], "disk radius 1e-60 gives |U|^(2k)"),
+    (["m-stat", "--n", "3", "--r", "inf", "--beta", "1.2", "--seed", "1"],
+     "lattice disk radius must be positive and finite, got inf"),
+    (["m-stat", "--n", "3", "--r", "nan", "--beta", "1.2", "--seed", "1"],
+     "lattice disk radius must be positive and finite, got nan"),
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
         "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
         "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
         "gmc-moments-beta-sq-2",
         "gmc-moments-zero-radius", "gmc-moments-infinite-radius", "m-stat-beta-above-sqrt2",
-        "gmc-moments-area-power-overflows", "gmc-moments-area-power-underflows"])
+        "gmc-moments-area-power-overflows", "gmc-moments-area-power-underflows",
+        "m-stat-infinite-r", "m-stat-nan-r"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     # meaningless counts are refused before any output is written: they
     # could only give a NaN statistic, an empty list or a point mass at 0
@@ -711,7 +716,7 @@ def test_m_stat_refuses_no_bins_before_sampling(monkeypatch, tmp_path, capsys):
     assert "--bins" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["0", "nan"])
+@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
 def test_m_stat_refuses_a_bad_tol_before_sampling(tol, monkeypatch, tmp_path, capsys):
     import leeyang.cli as cli
 
@@ -807,6 +812,13 @@ def test_readme_commands_parse():
     (["spin-dist", "--graph", "unknown_lambda.json"], "weight given for unknown vertex 'z'"),
     (["classify", "--dist", "law.csv", "--zeros", "object_zeros.json"],
      "zeros {} is not a list"),
+    (["spin-dist", "--graph", "edge.json", "--model", "xy", "--beta", "inf"],
+     "inverse temperature must be positive and finite, got inf"),
+    (["spin-dist", "--graph", "edge.json", "--model", "villain", "--beta", "inf"],
+     "inverse temperature must be positive and finite, got inf"),
+    (["zeros", "--dist", "law.csv", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["villain-verify", "--graph", "edge.json", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):

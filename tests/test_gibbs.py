@@ -81,17 +81,17 @@ def test_periodized_gaussian_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_xy_edge_weight_values():
-    # exp(B J (cos - 1)) = exp(B J cos) / e^{B J}; tolerances are the relative
+    # exp(J (cos - 1)) = exp(J cos) / e^J; tolerances are the relative
     # ones of the unscaled values e^{2} and e^{-2}
-    assert abs(edge_weight("xy", 0.0, 1.0, 2.0) - 1.0) < 1e-12 / math.e**2
-    assert abs(edge_weight("xy", math.pi, 1.0, 2.0) - math.e**-4) < 1e-14 * math.e**-2
+    assert abs(edge_weight("xy", 0.0, 2.0) - 1.0) < 1e-12 / math.e**2
+    assert abs(edge_weight("xy", math.pi, 2.0) - math.e**-4) < 1e-14 * math.e**-2
     with pytest.raises(ValueError, match="kind"):
-        edge_weight("ising", 0.0, 1.0, 1.0)
+        edge_weight("ising", 0.0, 1.0)
 
 
 def test_xy_edge_weight_integral_is_bessel():
     N = 512
-    quad = float(np.sum(edge_weight("xy", circle_grid(N), 1.0, 1.0))) * 2 * math.pi / N
+    quad = float(np.sum(edge_weight("xy", circle_grid(N), 1.0))) * 2 * math.pi / N
     exact = 2 * math.pi * math.exp(-1.0) * bessel_i0_series(1.0)
     assert abs(quad - exact) < 1e-10 * math.exp(-1.0)
 
@@ -276,8 +276,14 @@ def test_pinned_vertex_must_exist():
     (lambda: ModelSpec("xy", single_edge_graph(), boundary={"y": 4.0}), "pinned angle 4.0"),
     (lambda: DiscretizedDistribution(np.array([0.0, 1.0]), np.array([1.0])), "equal length"),
     (lambda: DiscretizedDistribution(np.zeros((1, 1)), np.ones((1, 1))), "1-d arrays"),
+    (lambda: ModelSpec("xy", single_edge_graph(), math.inf), "inverse temperature must be "
+     "positive and finite, got inf"),
+    (lambda: ModelSpec("villain", single_edge_graph(), math.nan), "got nan"),
+    (lambda: discretized_gaussian(n_atoms=1), "n_atoms must be an integer >= 2, got 1"),
+    (lambda: discretized_gaussian(n_atoms=0), "n_atoms must be an integer >= 2, got 0"),
 ], ids=["unknown-kind", "pinned-angle-minus-pi", "pinned-angle-above-pi",
-        "law-unequal-lengths", "law-not-1d"])
+        "law-unequal-lengths", "law-not-1d", "beta-inf", "beta-nan",
+        "gaussian-one-atom", "gaussian-no-atoms"])
 def test_model_and_law_refusals_name_the_bad_value(build, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         build()
@@ -305,14 +311,13 @@ def test_output_symmetric_and_normalized():
 
 
 def test_pinned_boundary_distribution():
-    # pin one endpoint; the free endpoint still integrates; symmetrization applies
+    # pin one endpoint; the free endpoint still integrates; the law of
+    # 1 + cos(theta_x) is returned as built, not symmetrised
     g = single_edge_graph(J=1.0)
     m = ModelSpec("villain", g, boundary={"y": 0.0})
     d = observable_distribution(m, 64)
     assert abs(d.ws.sum() - 1.0) < 1e-12
-    assert d.is_symmetric()
-    raw = observable_distribution(m, 64, symmetrize=False)
-    assert not raw.is_symmetric()
+    assert d.xs.min() >= 0.0 and not d.is_symmetric()
 
 
 STRONG_COUPLING_MODELS = {
@@ -324,17 +329,19 @@ STRONG_COUPLING_MODELS = {
 }
 
 
-@pytest.mark.parametrize("model, symmetrize", [
-    *(pytest.param(m, True, id=name) for name, m in STRONG_COUPLING_MODELS.items()),
-    *(pytest.param(m, False, id=f"{name}-raw") for name, m in STRONG_COUPLING_MODELS.items())])
-def test_strong_coupling_builds_a_law(model, symmetrize):
+@pytest.mark.parametrize("model", [
+    *(pytest.param(m, id=name) for name, m in STRONG_COUPLING_MODELS.items()),
+    # raw: the model with its first vertex pinned, whose law is built from
+    # every chunk and returned unsymmetrised
+    *(pytest.param(replace(m, boundary={m.graph.vertices[0]: 0.0}), id=f"{name}-raw")
+      for name, m in STRONG_COUPLING_MODELS.items())])
+def test_strong_coupling_builds_a_law(model):
     # most grid configurations get a weight that underflows to 0, some only
     # when the law is normalised
-    d = observable_distribution(model, 64, symmetrize=symmetrize)
+    d = observable_distribution(model, 64)
     assert np.all(np.isfinite(d.xs)) and np.all(np.isfinite(d.ws))
     assert abs(d.ws.sum() - 1.0) < 1e-12
-    if symmetrize:
-        assert np.array_equal(d.xs, -d.xs[::-1]) and np.array_equal(d.ws, d.ws[::-1])
+    assert d.is_mirror() == (not model.boundary)
 
 
 def test_total_underflow_is_a_numerical_error():
@@ -413,12 +420,7 @@ def test_summed_out_chain_matches_chunked_reference(monkeypatch):
             atoms = chunked_atoms(model, N)  # every vertex on the tensor grid
             # two free vertices are left: the budget of N^2 refuses any more
             monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", N * N)
-            for symmetrize in (True, False):
-                want = _finish_law(*atoms, symmetrize)
-                got = observable_distribution(model, N, symmetrize=symmetrize)
-                assert len(got.xs) == len(want.xs), (N, symmetrize)
-                assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
-                assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+            assert_matches_reference(model, N, atoms)
 
 
 def test_weight0_vertex_between_joined_neighbours_stays(monkeypatch):
@@ -432,12 +434,7 @@ def test_weight0_vertex_between_joined_neighbours_stays(monkeypatch):
         with pytest.raises(BudgetExceededError, match=rf"{N}\^3"):
             observable_distribution(model, N)
         monkeypatch.setattr(gibbs, "DEFAULT_EVAL_BUDGET", N**3)
-        for symmetrize in (True, False):
-            want = _finish_law(*chunked_atoms(model, N), symmetrize)
-            got = observable_distribution(model, N, symmetrize=symmetrize)
-            assert len(got.xs) == len(want.xs), (N, symmetrize)
-            assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
-            assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+        assert_matches_reference(model, N, chunked_atoms(model, N))
 
 
 def test_budget_refusal_builds_no_grid_table(monkeypatch):
@@ -530,26 +527,27 @@ def triangle_model(kind, boundary):
                      boundary=boundary)
 
 
-TRIANGLE_CASES = {**{name: (b, True) for name, b in TRIANGLE_BOUNDARIES.items()},
-                  **{f"{name}-raw": (b, False) for name, b in TRIANGLE_BOUNDARIES.items()}}
+# raw: against the Gibbs sum itself, else against its average with the reflection
+TRIANGLE_CASES = {**{name: (b, False) for name, b in TRIANGLE_BOUNDARIES.items()},
+                  **{f"{name}-raw": (b, True) for name, b in TRIANGLE_BOUNDARIES.items()}}
 
 
-@pytest.mark.parametrize("boundary,symmetrize", TRIANGLE_CASES.values(), ids=TRIANGLE_CASES.keys())
+@pytest.mark.parametrize("boundary,raw", TRIANGLE_CASES.values(), ids=TRIANGLE_CASES.keys())
 @pytest.mark.parametrize("kind", ["xy", "villain"])
-def test_triangle_matches_brute_force_tensor_sum(kind, boundary, symmetrize):
+def test_triangle_matches_brute_force_tensor_sum(kind, boundary, raw):
     N = 16
     model = triangle_model(kind, boundary)
     verts, J, lam = model.graph.vertices, TRIANGLE_J, model.graph.weight
-    f = EntireMGF(observable_distribution(model, N, symmetrize=symmetrize))
+    f = EntireMGF(observable_distribution(model, N))
     pinned = boundary or {}
     free = [v for v in verts if v not in pinned]
     grid = circle_grid(N)
     z = 0.9 + 0.3j
 
-    def weight(d, je):
+    def weight(d, je):  # at beta = 1.1
         if kind == "xy":
             return math.exp(1.1 * je * math.cos(d))
-        return poisson_dual_gaussian(d, je)
+        return poisson_dual_gaussian(d, 1.1 * je)
 
     num_p, num_m, den = 0.0, 0.0, 0.0
     for idx in itertools.product(range(N), repeat=len(free)):
@@ -561,11 +559,15 @@ def test_triangle_matches_brute_force_tensor_sum(kind, boundary, symmetrize):
         num_p += w * np.exp(z * s)
         num_m += w * np.exp(-z * s)
         den += w
-    # the symmetrized output averages the law with its reflection; with p
-    # pinned the raw law is not symmetric, so a mirror chunk that doubled one
-    # angle's weights instead of adding both would show here
-    want = 0.5 * (num_p + num_m) / den if symmetrize else num_p / den
-    assert abs(mgf_eval(f, z) - want) < 1e-13
+    # every law is its Gibbs sum: a free one is symmetric, so symmetrising it
+    # changes it only by rounding, and with p pinned a mirror chunk that
+    # doubled one angle's weights instead of adding both would show here.
+    # Only a free law is the average with its reflection: a pinned one is
+    # not symmetrised
+    if raw:
+        assert abs(mgf_eval(f, z) - num_p / den) < 1e-13
+    else:
+        assert (abs(mgf_eval(f, z) - 0.5 * (num_p + num_m) / den) < 1e-13) == (not pinned)
 
 
 def chunked_atoms(model, N):
@@ -581,23 +583,23 @@ def chunked_atoms(model, N):
         return np.array([s_pinned]), np.array([1.0])
     grid = circle_grid(N)
     axis = {v: i for i, v in enumerate(free)}
-    B = model.inverse_temperature
+    beta = model.inverse_temperature
     idx = np.arange(N)
     const = 1.0
     node = [np.ones(N) for _ in range(m)]
     pairs = []
     for e in G.edges:
         u, v = e
-        J_e = G.coupling[e]
+        J = beta * G.coupling[e]
         if u in axis and v in axis:
             a, b = axis[u], axis[v]
-            mat = edge_weight(model.kind, 2 * math.pi * idx / N, J_e, B)[(idx[:, None] - idx[None, :]) % N]
+            mat = edge_weight(model.kind, 2 * math.pi * idx / N, J)[(idx[:, None] - idx[None, :]) % N]
             pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
         elif u in axis or v in axis:
             fv, pv = (u, v) if u in axis else (v, u)
-            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J_e, B)
+            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J)
         else:
-            const *= edge_weight(model.kind, pinned[u] - pinned[v], J_e, B)
+            const *= edge_weight(model.kind, pinned[u] - pinned[v], J)
     weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
     values = [((), np.array(s_pinned))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in free]
     nd = m - 1
@@ -610,6 +612,16 @@ def chunked_atoms(model, N):
         xs.append(cx)
         ws.append(cw)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def assert_matches_reference(model, N, atoms):
+    """The law at grid N equals the reference's ``atoms`` finished by the
+    pinned/free rule: symmetrised exactly when no vertex is pinned."""
+    want = _finish_law(*atoms, not model.boundary)
+    got = observable_distribution(model, N)
+    assert len(got.xs) == len(want.xs), N
+    assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, N
+    assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, N
 
 
 MIDDLE_FIRST_PATH3 = build_graph(["v1", "v0", "v2"], [("v0", "v1"), ("v1", "v2")],
@@ -642,13 +654,7 @@ REFERENCE_MODELS = {
 @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
 def test_observable_distribution_matches_chunked_reference(model):
     for N in (2, 6, 30, 32, 34, 64):  # N = 2 mod 4 has no chunk that is its own pi-shift mirror
-        atoms = chunked_atoms(model, N)
-        for symmetrize in (True, False):
-            want = _finish_law(*atoms, symmetrize)
-            got = observable_distribution(model, N, symmetrize=symmetrize)
-            assert len(got.xs) == len(want.xs), (N, symmetrize)
-            assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, (N, symmetrize)
-            assert np.max(np.abs(got.ws / want.ws - 1.0)) <= 1e-12, (N, symmetrize)
+        assert_matches_reference(model, N, chunked_atoms(model, N))
 
 
 FREE_REFERENCE_MODELS = {name: m for name, m in REFERENCE_MODELS.items() if not m.boundary}
@@ -656,29 +662,44 @@ FREE_REFERENCE_MODELS = {name: m for name, m in REFERENCE_MODELS.items() if not 
 
 @pytest.mark.parametrize("model", FREE_REFERENCE_MODELS.values(), ids=FREE_REFERENCE_MODELS.keys())
 def test_free_boundary_raw_law_is_symmetric(model):
-    # the pi shift that lets a symmetrised free law build half its chunks:
-    # the unsymmetrised law still builds every chunk and must be symmetric
-    assert observable_distribution(model, 32, symmetrize=False).is_symmetric()
+    # the pi shift that lets a free law build half its chunks and be
+    # symmetrised: its reference law from every chunk, unsymmetrised, is
+    # already symmetric
+    assert _finish_law(*chunked_atoms(model, 32), False).is_symmetric()
+    assert observable_distribution(model, 32).is_mirror()
 
 
 def test_pinned_raw_law_is_not_symmetric():
     model = triangle_model("xy", TRIANGLE_BOUNDARIES["one-pinned"])
-    assert not observable_distribution(model, 32, symmetrize=False).is_symmetric()
+    assert not observable_distribution(model, 32).is_symmetric()
 
 
-@pytest.mark.parametrize("boundary,symmetrize,calls", [
-    (None, True, 64 // 4 + 2), (None, False, 64 // 2 + 2),
-    (TRIANGLE_BOUNDARIES["one-pinned"], True, 64 // 2 + 2),
-    (TRIANGLE_BOUNDARIES["one-pinned"], False, 64 // 2 + 2)],
-    ids=["free", "free-raw", "one-pinned", "one-pinned-raw"])
-def test_only_a_free_symmetrised_law_builds_half_the_chunks(monkeypatch, boundary, symmetrize,
-                                                            calls):
+@pytest.mark.parametrize("boundary,calls", [
+    (None, 64 // 4 + 2), (TRIANGLE_BOUNDARIES["one-pinned"], 64 // 2 + 2)],
+    ids=["free", "one-pinned"])
+def test_only_a_free_symmetrised_law_builds_half_the_chunks(monkeypatch, boundary, calls):
     # _merge_runs runs once per chunk and once in the finish
     count = []
     merge = gibbs._merge_runs
     monkeypatch.setattr(gibbs, "_merge_runs", lambda *a: count.append(1) or merge(*a))
-    observable_distribution(triangle_model("villain", boundary), 64, symmetrize=symmetrize)
+    observable_distribution(triangle_model("villain", boundary), 64)
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_inverse_temperature_multiplies_every_coupling(pinned):
+    # a Villain edge at beta carries the periodized Gaussian of parameter
+    # beta J_e; two pinned triangle vertices also give a pinned-pinned edge
+    tri, edge = (TRIANGLE_BOUNDARIES["two-pinned"], {"y": 0.3}) if pinned else (None, None)
+    doubled = triangle_model("villain", tri).graph
+    doubled = replace(doubled, coupling={e: 2.0 * J for e, J in doubled.coupling.items()})
+    pairs = [(replace(triangle_model("villain", tri), inverse_temperature=2.0),
+              ModelSpec("villain", doubled, boundary=tri)),
+             (ModelSpec("xy", single_edge_graph(), 380.0, edge),
+              ModelSpec("xy", single_edge_graph(J=380.0), boundary=edge))]
+    for hot, stiff in pairs:
+        a, b = observable_distribution(hot, 32), observable_distribution(stiff, 32)
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ws, b.ws)
 
 
 def test_observable_distribution_bit_stable():

@@ -361,8 +361,7 @@ def test_tail_prediction_values():
     assert abs(tail_prediction(0.64).exponent_a - 3.125) < 1e-15
     assert not slowtail_applies(tail_prediction(0.64))
     # the exact profile: exponent 2/beta^2, coefficient unknown, no fit
-    assert (p.exponent_a, p.fit_window, p.fit_residual, p.method) == \
-        (2.0 / 1.44, None, 0.0, "predicted")
+    assert (p.exponent_a, p.fit_residual, p.method) == (2.0 / 1.44, 0.0, "predicted")
     assert math.isnan(p.coefficient)
     with pytest.raises(ValueError, match="beta"):
         tail_prediction(2.0)

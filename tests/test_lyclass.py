@@ -107,7 +107,7 @@ def former_tail_exponent_fit(m, min_k):
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)) / max(1.0, np.sqrt(np.mean(y**2))))
     a = 2.0 / s
     b_hat = (2.0 / (a * math.e)) * math.exp(-c * a / 2.0)
-    return a, b_hat, (float(kk[0]), float(kk[-1])), residual
+    return a, b_hat, residual
 
 
 def former_growth_fit(rows):
@@ -151,9 +151,8 @@ def growth_inputs():
 def test_tail_exponent_keeps_its_former_fit_bits(min_k):
     for ms in growth_inputs():
         prof = tail_exponent(moments=ms)
-        a, b, window, residual = former_tail_exponent_fit(ms, min_k)
-        assert (prof.exponent_a, prof.coefficient, prof.fit_window, prof.fit_residual) == \
-            (a, b, window, residual)
+        assert (prof.exponent_a, prof.coefficient, prof.fit_residual) == \
+            former_tail_exponent_fit(ms, min_k)
 
 
 def test_moment_growth_fit_keeps_its_former_fit_bits():
@@ -174,14 +173,14 @@ def test_moment_growth_fit_keeps_its_former_fit_bits():
                                                    (math.nan, math.nan)])
 def test_tail_profile_refuses_impossible_fits(coefficient, residual):
     with pytest.raises(ValueError, match="tail coefficient > 0"):
-        TailProfile(exponent_a=2.5, coefficient=coefficient, fit_window=None,
-                    fit_residual=residual, method="user_supplied")
+        TailProfile(exponent_a=2.5, coefficient=coefficient, fit_residual=residual,
+                    method="user_supplied")
 
 
 @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
 def test_tail_profile_refuses_exponent_that_is_not_finite_and_positive(a):
     with pytest.raises(ValueError, match="tail exponent must be finite and positive"):
-        TailProfile(exponent_a=a, coefficient=1.0, fit_window=None, fit_residual=0.0,
+        TailProfile(exponent_a=a, coefficient=1.0, fit_residual=0.0,
                     method="user_supplied")
 
 
@@ -210,7 +209,7 @@ def test_classify_asymmetric_law_undetermined():
 
 def test_classify_gmc_profile_excluded():
     prof = TailProfile(exponent_a=2.0 / 1.44, coefficient=1.0,
-                       fit_window=None, fit_residual=0.0, method="predicted")
+                       fit_residual=0.0, method="predicted")
     v = classify(profile=prof)
     assert v.verdict == VERDICT_SLOWTAIL
     assert v.subgaussian_evidence == "no"
@@ -229,8 +228,7 @@ def test_classify_monotone_in_evidence():
     off_rep = locate_zeros(EntireMGF(three_atom_law()), Rectangle(-2, 2, 0, 2))
     v = classify(d, zero_report=off_rep)
     assert v.verdict != VERDICT_CONSISTENT
-    prof = TailProfile(exponent_a=1.4, coefficient=1.0, fit_window=None,
-                       fit_residual=0.0, method="predicted")
+    prof = TailProfile(exponent_a=1.4, coefficient=1.0, fit_residual=0.0, method="predicted")
     v2 = classify(profile=prof, zero_report=off_rep)
     assert v2.verdict == VERDICT_OFFAXIS
 
@@ -239,8 +237,7 @@ def test_classify_poisson_guard():
     # fitted or typed-in a <= 1.05 stay undetermined (Poisson-type tails are
     # compatible with purely imaginary zeros)
     for a, method in ((1.02, "from_moments"), (1.03, "user_supplied")):
-        prof = TailProfile(exponent_a=a, coefficient=1.0, fit_window=None,
-                           fit_residual=0.0, method=method)
+        prof = TailProfile(exponent_a=a, coefficient=1.0, fit_residual=0.0, method=method)
         v = classify(profile=prof)
         assert v.verdict == VERDICT_UNDETERMINED
         assert v.subgaussian_evidence == "undetermined"
@@ -257,16 +254,14 @@ def test_predicted_slow_tail_agrees_with_classify(beta_sq):
 
 
 def test_classify_uncertain_fit_undetermined():
-    prof = TailProfile(exponent_a=1.5, coefficient=1.0, fit_window=None,
-                       fit_residual=0.2, method="from_moments")
+    prof = TailProfile(exponent_a=1.5, coefficient=1.0, fit_residual=0.2, method="from_moments")
     v = classify(profile=prof)
     assert v.verdict == VERDICT_UNDETERMINED
 
 
 def test_classify_numerical_tension_flagged():
     # confident slow-tail fit AND a PIZ certificate over a large region
-    prof = TailProfile(exponent_a=1.4, coefficient=1.0, fit_window=None,
-                       fit_residual=0.0, method="from_moments")
+    prof = TailProfile(exponent_a=1.4, coefficient=1.0, fit_residual=0.0, method="from_moments")
     rep = locate_zeros(EntireMGF(rademacher()), Rectangle(-8, 8, 0, 8))
     v = classify(profile=prof, zero_report=rep)
     assert v.numerical_tension
@@ -310,7 +305,7 @@ def test_harness_limit_contradiction_flag():
     # all finite-n laws look PIZ, but the limit profile violates sub-Gaussianity
     seq = [rademacher(1 + 1 / n) for n in (2, 4, 8)]
     prof = TailProfile(exponent_a=2.0 / 1.44, coefficient=1.0,
-                       fit_window=None, fit_residual=0.0, method="predicted")
+                       fit_residual=0.0, method="predicted")
     rep = weak_limit_harness(seq, prof, region=Rectangle(-2, 2, 0, 8))
     assert rep.contradiction_flag
     assert not rep.consistent

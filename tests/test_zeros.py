@@ -382,8 +382,18 @@ def test_refinement_stability_harness():
 
 
 def test_locate_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        locate_zeros(EntireMGF(rademacher()), Rectangle(-1, 1, 0, 2), tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            locate_zeros(EntireMGF(rademacher()), Rectangle(-1, 1, 0, 2), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, math.inf, math.nan])
+def test_refinement_rejects_bad_tol_before_building_a_law(tol):
+    def factory(N):
+        raise AssertionError("built a law for a tol that is no tolerance")
+
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        refinement_stable_report(factory, 64, Rectangle(-1, 1, 0, 2), tol)
 
 
 def test_refinement_drops_unstable_zeros():
@@ -397,6 +407,19 @@ def test_refinement_drops_unstable_zeros():
     assert rep.zeros == ()
     assert rep.piz_verdict == VERDICT_INCONCLUSIVE
     assert any("unstable" in n for n in rep.notes)
+
+
+def test_refinement_max_abs_re_reads_only_the_kept_zeros():
+    # three-atom laws (p, 1 - 2p, p) at +-1 have off-axis zeros that move with
+    # p: every 2N zero is dropped, and so is its real part
+    def factory(N):
+        p = 0.10 if N == 64 else 0.11
+        return DiscretizedDistribution(np.array([-1.0, 0.0, 1.0]), np.array([p, 1 - 2 * p, p]))
+
+    rep, _ = refinement_stable_report(factory, 64, Rectangle(-3, 3, 0, 4))
+    assert rep.piz_verdict == VERDICT_INCONCLUSIVE
+    assert rep.zeros == () and rep.max_abs_re == 0.0
+    assert json.loads(rep.to_json())["max_abs_re"] == 0.0
 
 
 def test_refinement_requires_equal_counts_on_both_grids():
@@ -516,7 +539,7 @@ def villain_path3_law():
 
 def pinned_xy_path4_law():
     m = ModelSpec("xy", path_graph(4), boundary={"v0": 0.3})
-    return observable_distribution(m, 64, symmetrize=False)
+    return observable_distribution(m, 64)
 
 
 @pytest.mark.parametrize("law, symmetric", [(villain_path3_law, True),
@@ -616,7 +639,7 @@ EVALUATOR_CASES = [
     *(pytest.param(model_law(kind, path_graph(3), 32), CRITERION_1_REGION, "gauss",
                    id=f"{kind}-path3-32") for kind in ("villain", "xy")),
     pytest.param(lambda: observable_distribution(
-        ModelSpec("xy", path_graph(4), boundary={"v0": 0.3}), 16, symmetrize=False),
+        ModelSpec("xy", path_graph(4), boundary={"v0": 0.3}), 16),
         CRITERION_1_REGION, "gauss", id="xy-path4-pinned-16"),
     pytest.param(binned_normal_law, CRITERION_1_REGION, "gauss", id="binned-normal-200"),
     pytest.param(asymmetric_three_atom_law, CRITERION_1_REGION, "direct",
@@ -697,9 +720,17 @@ def test_newton_from_an_axis_zero_stays_on_the_axis(law, threshold, monkeypatch)
         assert ok and z.real == 0.0 and abs(z - y0) < 1e-9
 
 
+def nudged(d):
+    """``d`` with its top atom moved up by one ulp: symmetric within
+    COALESCE_TOL but not a bitwise mirror, so it takes the half sum of a
+    law that is not a mirror."""
+    xs = d.xs.copy()
+    xs[-1] = np.nextafter(xs[-1], math.inf)
+    return DiscretizedDistribution(xs, d.ws)
+
+
 def unsymmetrised_villain_path3_law():
-    # symmetric within COALESCE_TOL but not a bitwise mirror: the half sum
-    return observable_distribution(ModelSpec("villain", path_graph(3)), 64, symmetrize=False)
+    return nudged(observable_distribution(ModelSpec("villain", path_graph(3)), 64))
 
 
 def scalar_newton_reference(f, z0, tol, max_iter=100):
@@ -885,8 +916,7 @@ def test_gauss_law_finishes_ladder_axis_zeros_on_the_direct_sum():
     (lambda: observable_distribution(ModelSpec("villain", path_graph(3)), 128), True),
     (rademacher, True),
     (lambda: discretized_gaussian(1.0), False),
-    (lambda: observable_distribution(ModelSpec("xy", path_graph(3)), 64, symmetrize=False),
-     False),
+    (lambda: nudged(observable_distribution(ModelSpec("xy", path_graph(3)), 64)), False),
 ], ids=["villain-path3-128", "rademacher", "gaussian", "xy-path3-unsymmetrised"])
 def test_axis_residuals_in_one_batch_match_mgf_eval(law, located):
     # _axis_zeros takes a band's root residuals in one direct-sum batch; each
