@@ -19,8 +19,8 @@ for the coupling strengths used at desk scale.
 
 The result type :class:`DiscretizedDistribution` is the universal input for
 the zero-location and classification machinery: a finite atomic measure
-{(x_j, w_j)} with unit total mass; :func:`observable_distribution` symmetrises
-the law of a model without pinned vertices.
+{(x_j, w_j)} with unit total mass; :func:`observable_distribution` builds the
+free-boundary law of a model, which is symmetric, as a bitwise mirror.
 
 All functions here are pure; distributions are immutable once built.  The
 tensor-grid evaluation sorts the chunk-independent part of S once and reduces
@@ -30,7 +30,6 @@ outputs are bit-stable for a given grid size.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import io
@@ -123,14 +122,13 @@ class ModelSpec:
     """Which Gibbs measure to build on which graph.
 
     ``kind`` is 'xy' or 'villain'.  ``inverse_temperature`` beta = 1/T
-    multiplies every coupling J_e of the graph.  ``boundary`` is None (no
-    vertex pinned) or a mapping vertex -> pinned angle in (-pi, pi].
+    multiplies every coupling J_e of the graph.  Every vertex is free.
     """
 
     kind: str
     graph: FiniteGraph
     inverse_temperature: float = 1.0
-    boundary: dict[str, float] | None = None
+    boundary = None  # not a field: perfbench/tracing.py reads it to count free vertices
 
     def __post_init__(self):
         if self.kind not in ("xy", "villain"):
@@ -138,12 +136,6 @@ class ModelSpec:
         if not 0 < self.inverse_temperature < math.inf:
             raise ValueError(f"inverse temperature must be positive and finite, "
                              f"got {self.inverse_temperature}")
-        if self.boundary:
-            for v, ang in self.boundary.items():
-                if v not in self.graph.vertices:
-                    raise ValueError(f"pinned boundary on vertex {v!r} not in the graph")
-                if not (-math.pi < ang <= math.pi):
-                    raise ValueError(f"pinned angle {ang} for {v!r} outside (-pi, pi]")
 
 
 def _run_starts(xs: np.ndarray) -> np.ndarray:
@@ -251,18 +243,15 @@ class DiscretizedDistribution:
 def _finish_law(xs: np.ndarray, ws: np.ndarray, symmetrize: bool) -> DiscretizedDistribution:
     """The law of raw atoms, coalesced once and normalised to unit mass.
 
-    Atoms whose weight underflows to 0 when normalised carry no mass and are
+    The weights must be nonnegative with a positive finite sum; atoms whose
+    weight is 0, or underflows to 0 when normalised, carry no mass and are
     dropped.  A symmetrised law averages the measure with its reflection: the
     atoms are folded onto |x| before the coalesce and mirrored after it, so
     paired atoms have bitwise opposite positions and identical weights, and
     an atom within COALESCE_TOL of 0 sits at exactly 0.
     """
     xs, ws = _coalesce(np.abs(xs) if symmetrize else xs, ws)
-    total = ws.sum()
-    if not total > 0:
-        raise NumericalError(f"atom weights sum to {total!r}; every configuration's "
-                             "weight underflowed")
-    ws = ws / total
+    ws = ws / ws.sum()
     xs, ws = xs[ws > 0], ws[ws > 0]
     if symmetrize:
         n0 = int(xs[0] <= COALESCE_TOL)  # the atom at 0 is its own mirror
@@ -275,11 +264,22 @@ def _finish_law(xs: np.ndarray, ws: np.ndarray, symmetrize: bool) -> Discretized
 def distribution_from_atoms(atoms, symmetrize: bool = False) -> DiscretizedDistribution:
     """Build a distribution from raw (x, w) pairs: coalesce, normalise, optionally symmetrise.
 
-    Anything but a non-empty sequence of pairs or an (n, 2) array raises ValueError."""
+    Anything but a non-empty sequence of pairs or an (n, 2) array, a weight
+    that is negative or not finite (named with its atom), and weights that do
+    not sum to a positive finite total raise ValueError; atoms of weight 0
+    are dropped."""
     arr = np.asarray(list(atoms), dtype=float)
     if not (arr.ndim == 2 and arr.shape[1] == 2 and len(arr)):
         raise ValueError(f"atoms must be a non-empty sequence of (x, w) pairs, "
                          f"got shape {arr.shape}")
+    bad = ~((arr[:, 1] >= 0) & (arr[:, 1] < math.inf))
+    if bad.any():
+        x, w = arr[np.argmax(bad)].tolist()
+        raise ValueError(f"atom ({x!r}, {w!r}): weight must be nonnegative and finite")
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        total = float(arr[:, 1].sum())
+    if not 0 < total < math.inf:
+        raise ValueError(f"atom weights sum to {total!r}, not a positive finite total")
     return _finish_law(arr[:, 0], arr[:, 1], symmetrize)
 
 
@@ -303,59 +303,53 @@ def _restrict(axes: tuple, table: np.ndarray, i0: int, nd: int) -> np.ndarray:
 def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID) -> DiscretizedDistribution:
     """Exact law of S = sum_v lam_v cos(Theta_v) by tensor-grid quadrature.
 
-    Every free vertex ranges over the N-point grid; the Gibbs density is the
+    Every vertex ranges over the N-point grid; the Gibbs density is the
     product of edge weights at the couplings beta J_e, and uniform
-    (trapezoid) quadrature weights apply on the periodic grid.  With no
-    vertex pinned the law of S is symmetric (the global shift
-    theta -> theta + pi flips every cosine and preserves every edge weight),
-    and the output is symmetrised into a bitwise mirror, which changes it
-    only by rounding; a pinned model's law is returned as built.
+    (trapezoid) quadrature weights apply on the periodic grid.  The law of S
+    is symmetric (the global shift theta -> theta + pi flips every cosine
+    and preserves every edge weight), and the output is symmetrised into a
+    bitwise mirror, which changes it only by rounding.
 
-    The tensor grid is summed in chunks that fix the first free angle.  The
-    rest of S does not depend on it, so it is sorted and cut into
+    The tensor grid is summed in chunks that fix the first angle.  The rest
+    of S does not depend on it, so it is sorted and cut into
     ``COALESCE_TOL`` runs once, and the factors that do not touch the first
     angle are multiplied once and gathered into that order.  A chunk builds
-    only the factors on the first angle, a table over its free neighbours
+    only the factors on the first angle, a table over its neighbours
     (N entries for a path end), gathers it by each sorted point's neighbour
     index, multiplies and sums per run: its atoms come out sorted.  Two grid
     angles theta and -theta share one chunk, whose table is the sum of their
-    two restricted tables (never one of them doubled: a pinned neighbour
-    makes the density asymmetric in theta), so N/2 + 1 chunks cover the
-    grid.  A law with no pinned vertex needs only N//4 + 1 of them: the
-    pi shift maps chunk j onto chunk N/2 - j with S negated, which the fold
-    onto |x| cannot tell apart.
+    two restricted tables, and N//4 + 1 chunks cover the grid: the pi shift
+    maps chunk j onto chunk N/2 - j with S negated, which the fold onto |x|
+    cannot tell apart.
 
-    Before that, each free weight-0 vertex whose two edges go to free vertices
-    not joined to each other is summed out: its two edge rows over the grid
+    Before that, each weight-0 vertex whose two edges go to vertices not
+    joined to each other is summed out: its two edge rows over the grid
     index difference convolve exactly into one, so a chain becomes one edge.
     A row for k > 1 edges must pass the k-step kernel check (NumericalError).
-    Refuses when N**(free vertices left) exceeds DEFAULT_EVAL_BUDGET (read at
+    Refuses when N**(vertices left) exceeds DEFAULT_EVAL_BUDGET (read at
     each call), and a grid size N that is not a positive even integer.
     """
     if not (isinstance(N, numbers.Integral) and N > 0 and N % 2 == 0):
         raise ValueError(f"grid size must be a positive even integer, got {N!r}")
     G = model.graph
-    pinned = dict(model.boundary or {})
     grid = circle_grid(N)
     beta = model.inverse_temperature
     idx = np.arange(N)
-    # free-free edge (u, v) -> (row, k): row[d] is the weight at theta_u - theta_v
-    # for the index difference d, summed over the k - 1 vertices it passes
-    links = {e: (edge_weight(model.kind, grid, beta * G.coupling[e]), 1) for e in G.edges
-             if e[0] not in pinned and e[1] not in pinned}
-    # one N x N gather serves every row; with N^2 over budget no two free
+    # edge (u, v) -> (row, k): row[d] is the weight at theta_u - theta_v for
+    # the index difference d, summed over the k - 1 vertices it passes
+    links = {e: (edge_weight(model.kind, grid, beta * G.coupling[e]), 1) for e in G.edges}
+    # one N x N gather serves every row; with N^2 over budget no two
     # vertices fit, so nothing is summed out and the budget check refuses
     diff = (idx[:, None] - idx[None, :]) % N if links and N * N <= DEFAULT_EVAL_BUDGET else None
-    free = [v for v in G.vertices if v not in pinned]
-    # each free vertex's links, in the order of ``links``, and each vertex's degree in G
-    at = {v: [] for v in free}
+    verts = list(G.vertices)  # the vertices left on the grid
+    # each vertex's links, in the order of ``links``: as many as its edges in G
+    at = {v: [] for v in verts}
     for e in links:
         at[e[0]].append(e)
         at[e[1]].append(e)
-    degree = collections.Counter(v for e in G.edges for v in e)
-    for w in free[:] if diff is not None else ():  # one pass: summing out makes none eligible
+    for w in verts[:] if diff is not None else ():  # one pass: summing out makes none eligible
         mine = at[w]
-        if G.weight[w] != 0 or len(mine) != 2 or degree[w] != 2:
+        if G.weight[w] != 0 or len(mine) != 2:
             continue
         # both rows oriented towards w: (a, ra) with ra[d] the weight at theta_a - theta_w
         (a, ra, ka), (b, rb, kb) = [(e[0], *links[e]) if e[1] == w else
@@ -368,31 +362,18 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID) -> Discreti
             at[v].append((a, b))
         row = ra @ rb[diff]  # the sum over theta_w: exact, and nonnegative
         links[(a, b)] = (row / row.sum(), ka + kb)
-        free.remove(w)
+        verts.remove(w)
 
-    m = len(free)
+    m = len(verts)
     if N**m > DEFAULT_EVAL_BUDGET:
         raise BudgetExceededError(f"tensor grid needs N^|V| = {N}^{m} = {N**m} evaluations, "
                                   f"over budget {DEFAULT_EVAL_BUDGET}")
+    if m == 0:  # the empty graph: S = 0
+        return DiscretizedDistribution(np.zeros(1), np.ones(1))
 
-    s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
-    if m == 0:
-        return _finish_law(np.array([s_pinned]), np.array([1.0]), False)
-
-    # The Gibbs density as a list of factors over ascending free axes
-    # (Koller & Friedman, ch. 9): the pinned-pinned constant, one vector per
-    # free vertex with its pinned-neighbour edges folded in, and one N x N
-    # matrix per free-free row.
-    axis = {v: i for i, v in enumerate(free)}
-    const = 1.0
-    node = [np.ones(N) for _ in range(m)]
-    for e in G.edges:
-        u, v = e
-        if u in pinned and v in pinned:
-            const *= edge_weight(model.kind, pinned[u] - pinned[v], beta * G.coupling[e])
-        elif u in pinned or v in pinned:
-            fv, pv = (v, u) if u in pinned else (u, v)
-            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], beta * G.coupling[e])
+    # The Gibbs density as a list of factors over ascending axes (Koller &
+    # Friedman, ch. 9): one N x N matrix per row
+    axis = {v: i for i, v in enumerate(verts)}
     pairs = []
     for (u, v), (row, k) in links.items():
         if k > 1:
@@ -401,45 +382,44 @@ def observable_distribution(model: ModelSpec, N: int = DEFAULT_GRID) -> Discreti
         # [i_a, i_b] is the weight at theta_{i_a} - theta_{i_b}
         mat = row[diff]
         pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
-    weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
 
     # S = lam cos(theta) on axis 0 plus a rest that no chunk changes: the
     # rest is sorted and cut into runs once, and the factors off axis 0 are
-    # multiplied once (``base``).  Every free axis carries a value and a node
-    # factor, so both span all N^nd points
+    # multiplied once (``base``).  Every axis carries a value, so the rest
+    # spans all N^nd points, and so does ``base`` from its initial ones
     nd = m - 1
     rest = functools.reduce(np.add, (_restrict((axis[v],), G.weight[v] * np.cos(grid), 0, nd)
-                                     for v in free[1:]), np.array(s_pinned)).ravel()
+                                     for v in verts[1:]), np.array(0.0)).ravel()
     order = np.argsort(rest, kind="stable")
     rest = rest[order]
     starts = _run_starts(rest)
-    x0 = G.weight[free[0]] * np.cos(grid)
-    on0 = [(ax, t) for ax, t in weights if ax[:1] == (0,)]
-    base = functools.reduce(np.multiply, (_restrict(ax, t, 0, nd) for ax, t in weights
-                                          if ax[:1] != (0,))).ravel()[order]
-    # t_idx: each sorted rest point's flat index over axis 0's free neighbours
+    x0 = G.weight[verts[0]] * np.cos(grid)
+    on0 = [(ax, t) for ax, t in pairs if ax[0] == 0]
+    base = functools.reduce(np.multiply, (_restrict(ax, t, 0, nd) for ax, t in pairs
+                                          if ax[0] != 0), np.ones((N,) * nd)).ravel()[order]
+    # t_idx: each sorted rest point's flat index over axis 0's neighbours
     t_idx = 0
-    for b in sorted({ax[1] for ax, _ in on0 if len(ax) == 2}):
+    for b in sorted({ax[1] for ax, _ in on0}):
         t_idx = t_idx * N + order // N ** (nd - b) % N
 
     def table(i0):
         # the factors on axis 0 at grid index i0, multiplied in list order:
-        # a table over axis 0's free neighbours
-        return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in on0))
+        # a table over axis 0's neighbours (one entry if it has none)
+        return functools.reduce(np.multiply, (_restrict(ax, t, i0, nd) for ax, t in on0),
+                                np.ones(1))
 
     # indices j and -j (mod N) carry the angles theta and -theta: one chunk
     # sums the pair's tables in index order (0 and pi are their own mirrors).
-    # With no pin, the pi shift (index + N/2 on every free axis) keeps every
-    # weight bitwise and negates S, so chunk N/2 - j holds chunk j's atoms
-    # reflected; a folded law builds j <= N/4 and doubles all but j = N/4
-    half = not pinned
+    # The pi shift (index + N/2 on every axis) keeps every weight bitwise and
+    # negates S, so chunk N/2 - j holds chunk j's atoms reflected: the folded
+    # law builds j <= N/4 and doubles all but j = N/4
     xs, ws = [], []
-    for j in range(N // 4 + 1 if half else N // 2 + 1):
+    for j in range(N // 4 + 1):
         u = functools.reduce(np.add, (table(i) for i in sorted({j, -j % N})))
         cx, cw = _merge_runs(rest, u.ravel()[t_idx] * base, starts)
         xs.append(x0[j] + cx)
-        ws.append(2.0 * cw if half and 4 * j != N else cw)
-    return _finish_law(np.concatenate(xs), np.concatenate(ws), half)
+        ws.append(cw if 4 * j == N else 2.0 * cw)
+    return _finish_law(np.concatenate(xs), np.concatenate(ws), True)
 
 
 def _require_resolved(top: complex, n: int, N: int) -> None:

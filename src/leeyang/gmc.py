@@ -582,7 +582,8 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     ``trmm`` turns z into the field g = z C^T in place (C is lower
     triangular, so half the flops of a dense product), and
     cos(beta g + Phi) is taken as cos 2h (:func:`_cos_double_angle`) of
-    h = (beta/2) g + Phi/2, which is bitwise half of beta g + Phi.
+    h = (beta/2) g + Phi/2, which is bitwise half of beta g + Phi.  More
+    than DENSE_SAMPLING_CAP sites raise BudgetExceededError before any solve.
     """
     import scipy.linalg as sla
     from scipy.linalg.blas import dtrmm
@@ -590,6 +591,10 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     if not 0.0 < beta < math.sqrt(2.0):
         raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
     sites = _summation_sites(domain, n)
+    if len(sites) > DENSE_SAMPLING_CAP:
+        raise BudgetExceededError(
+            f"dense sampling factorisation for {len(sites)} summation sites exceeds "
+            f"the cap {DENSE_SAMPLING_CAP}")
     G = domain.green_matrix(sites)
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
     lam = _site_weights(n, beta, G)

@@ -83,6 +83,14 @@ def test_spin_dist_strong_coupling_builds_a_law(edge_graph, tmp_path):
     assert json.loads((Path(out) / "spin_dist.json").read_text())["results"]["symmetrized"] is True
 
 
+def test_spin_dist_of_the_empty_graph_is_the_point_mass_at_0(tmp_path):
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"vertices": [], "edges": []}))
+    out = tmp_path / "d"
+    assert main(["spin-dist", "--graph", str(graph), "--out", str(out)]) == 0
+    assert (out / "spin_dist.csv").read_text().split("\n", 1)[1] == "x,w\n0.0,1.0\n"
+
+
 def test_zeros_finds_off_axis(tmp_path):
     dist = tmp_path / "three.csv"
     dist.write_text(THREE_ATOM_CSV)
@@ -728,6 +736,22 @@ def test_m_stat_refuses_a_bad_tol_before_sampling(tol, monkeypatch, tmp_path, ca
     assert main(["m-stat", "--n", "3", "--r", "2", "--beta", "1.2", "--tol", tol,
                  "--seed", "1", "--out", str(out)]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_m_stat_refuses_more_sites_than_the_dense_cap(monkeypatch, tmp_path, capsys):
+    import leeyang.gmc as gmc
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("m-stat solved for Green's entries before checking the cap")
+
+    # D_100 has 31,417 sites: its dense Green's block alone would take 7.9 GB
+    monkeypatch.setattr(gmc.LatticeDomain, "green_matrix", no_solve)
+    out = tmp_path / "o"
+    assert main(["m-stat", "--n", "100", "--r", "1.5", "--beta", "1.2", "--samples", "200",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (f"31417 summation sites exceeds the cap {gmc.DENSE_SAMPLING_CAP}"
+            in capsys.readouterr().err)
 
 
 def test_gmc_moments_refuses_k_max_above_cap_before_sampling(monkeypatch, tmp_path, capsys):

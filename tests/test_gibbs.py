@@ -263,17 +263,16 @@ def test_budget_rejection_names_cost(monkeypatch):
         observable_distribution(ModelSpec("xy", g), 128)
 
 
-def test_pinned_vertex_must_exist():
-    g = single_edge_graph()
-    with pytest.raises(ValueError, match="not in the graph"):
-        ModelSpec("villain", g, boundary={"zz": 0.1})
+def test_a_model_pins_no_vertex():
+    # every law is a free-boundary law; ``boundary`` stays a class attribute,
+    # None, for the benchmark tracer that counts free vertices
+    with pytest.raises(TypeError, match="boundary"):
+        ModelSpec("villain", single_edge_graph(), boundary={"y": 0.1})
+    assert ModelSpec("villain", single_edge_graph()).boundary is None
 
 
 @pytest.mark.parametrize("build, named", [
     (lambda: ModelSpec("ising", single_edge_graph()), "unknown model kind 'ising'"),
-    (lambda: ModelSpec("xy", single_edge_graph(), boundary={"x": -math.pi}),
-     "pinned angle -3.14"),
-    (lambda: ModelSpec("xy", single_edge_graph(), boundary={"y": 4.0}), "pinned angle 4.0"),
     (lambda: DiscretizedDistribution(np.array([0.0, 1.0]), np.array([1.0])), "equal length"),
     (lambda: DiscretizedDistribution(np.zeros((1, 1)), np.ones((1, 1))), "1-d arrays"),
     (lambda: ModelSpec("xy", single_edge_graph(), math.inf), "inverse temperature must be "
@@ -281,8 +280,7 @@ def test_pinned_vertex_must_exist():
     (lambda: ModelSpec("villain", single_edge_graph(), math.nan), "got nan"),
     (lambda: discretized_gaussian(n_atoms=1), "n_atoms must be an integer >= 2, got 1"),
     (lambda: discretized_gaussian(n_atoms=0), "n_atoms must be an integer >= 2, got 0"),
-], ids=["unknown-kind", "pinned-angle-minus-pi", "pinned-angle-above-pi",
-        "law-unequal-lengths", "law-not-1d", "beta-inf", "beta-nan",
+], ids=["unknown-kind", "law-unequal-lengths", "law-not-1d", "beta-inf", "beta-nan",
         "gaussian-one-atom", "gaussian-no-atoms"])
 def test_model_and_law_refusals_name_the_bad_value(build, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -310,16 +308,6 @@ def test_output_symmetric_and_normalized():
         assert d.is_symmetric()
 
 
-def test_pinned_boundary_distribution():
-    # pin one endpoint; the free endpoint still integrates; the law of
-    # 1 + cos(theta_x) is returned as built, not symmetrised
-    g = single_edge_graph(J=1.0)
-    m = ModelSpec("villain", g, boundary={"y": 0.0})
-    d = observable_distribution(m, 64)
-    assert abs(d.ws.sum() - 1.0) < 1e-12
-    assert d.xs.min() >= 0.0 and not d.is_symmetric()
-
-
 STRONG_COUPLING_MODELS = {
     "villain-edge-J200": ModelSpec("villain", single_edge_graph(J=200.0)),
     "villain-path3-J160": ModelSpec("villain", path_graph(3, J=160.0)),
@@ -329,26 +317,19 @@ STRONG_COUPLING_MODELS = {
 }
 
 
-@pytest.mark.parametrize("model", [
-    *(pytest.param(m, id=name) for name, m in STRONG_COUPLING_MODELS.items()),
-    # raw: the model with its first vertex pinned, whose law is built from
-    # every chunk and returned unsymmetrised
-    *(pytest.param(replace(m, boundary={m.graph.vertices[0]: 0.0}), id=f"{name}-raw")
-      for name, m in STRONG_COUPLING_MODELS.items())])
-def test_strong_coupling_builds_a_law(model):
+@pytest.mark.parametrize("model, raw", [
+    *(pytest.param(m, False, id=name) for name, m in STRONG_COUPLING_MODELS.items()),
+    # raw: the reference's law from every chunk, unsymmetrised, is symmetric
+    # too: underflow drops no atom on one side only, so the builder loses
+    # nothing by folding the grid in half
+    *(pytest.param(m, True, id=f"{name}-raw") for name, m in STRONG_COUPLING_MODELS.items())])
+def test_strong_coupling_builds_a_law(model, raw):
     # most grid configurations get a weight that underflows to 0, some only
     # when the law is normalised
-    d = observable_distribution(model, 64)
+    d = _finish_law(*chunked_atoms(model, 64), False) if raw else observable_distribution(model, 64)
     assert np.all(np.isfinite(d.xs)) and np.all(np.isfinite(d.ws))
     assert abs(d.ws.sum() - 1.0) < 1e-12
-    assert d.is_mirror() == (not model.boundary)
-
-
-def test_total_underflow_is_a_numerical_error():
-    # no grid angle is within 0.005 of the pinned 0.3: B (cos - 1) < -1000 everywhere
-    model = ModelSpec("xy", single_edge_graph(), inverse_temperature=1e8, boundary={"y": 0.3})
-    with pytest.raises(NumericalError, match="underflowed"):
-        observable_distribution(model, 64)
+    assert d.is_symmetric() if raw else d.is_mirror()
 
 
 def test_odd_grid_rejected():
@@ -407,8 +388,6 @@ def xy_chain(n, B, lam_ends=(1.0, 1.0)):
 
 SUMMED_OUT_MODELS = {
     **{f"chain{n}": xy_chain(n, 2.0, (1.0, 0.7)) for n in (2, 3)},
-    # the end's neighbour has a pinned edge and stays; the next vertex goes
-    "chain3-end-pinned": replace(xy_chain(3, 2.0, (1.0, 0.7)), boundary={"c0": 0.3}),
     # both spokes go: summing the first out leaves the second between the hubs
     "subdivided-edge": ModelSpec("xy", subdivide(single_edge_graph(), 1, J=4.0)),
 }
@@ -503,6 +482,24 @@ def test_distribution_from_atoms_takes_only_x_w_pairs():
     assert d.xs.tolist() == [-1.25, -0.25, 0.25, 1.25] and d.ws.tolist() == [0.25] * 4
 
 
+@pytest.mark.parametrize("atoms, named", [
+    ([(0.0, -1.0), (1.0, 2.0)], "atom (0.0, -1.0): weight must be nonnegative and finite"),
+    ([(0.0, math.nan), (1.0, 1.0)], "atom (0.0, nan): weight"),
+    ([(0.0, math.inf), (1.0, 1.0)], "atom (0.0, inf): weight"),
+    ([(0.0, 0.0), (1.0, 0.0)], "atom weights sum to 0.0, not a positive finite total"),
+    ([(0.0, 1e308), (1.0, 1e308)], "atom weights sum to inf, not a positive finite total"),
+], ids=["negative", "nan", "inf", "all-zero", "sum-overflows"])
+def test_distribution_from_atoms_refuses_bad_weights(atoms, named):
+    # each was once dropped silently or blamed on underflow
+    with pytest.raises(ValueError, match=re.escape(named)):
+        distribution_from_atoms(atoms)
+
+
+def test_distribution_from_atoms_drops_zero_weights():
+    d = distribution_from_atoms([(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)])
+    assert d.xs.tolist() == [1.0, 3.0] and d.ws.tolist() == [0.5, 0.5]
+
+
 def test_vertex_listing_order_is_immaterial():
     lam = {"b": 1.0, "c": 0.5, "d": 0.25}
     g1 = build_graph(["b", "c", "d"], [("b", "c"), ("c", "d")], {}, lam)
@@ -513,34 +510,23 @@ def test_vertex_listing_order_is_immaterial():
         assert abs(mgf_eval(f1, z) - mgf_eval(f2, z)) < 1e-14
 
 
-TRIANGLE_BOUNDARIES = {"free": None, "one-pinned": {"p": 0.3},
-                       "two-pinned": {"p": 0.3, "r": -1.1}}  # p-r is pinned-pinned
-
-
 TRIANGLE_J = {("p", "r"): 0.8, ("p", "q"): 1.2, ("q", "r"): 0.6}
 
 
-def triangle_model(kind, boundary):
+def triangle_model(kind):
     verts = ["q", "p", "r"]
     lam = {"p": 1.0, "q": 0.7, "r": 0.4}
-    return ModelSpec(kind, build_graph(verts, list(TRIANGLE_J), TRIANGLE_J, lam), 1.1,
-                     boundary=boundary)
+    return ModelSpec(kind, build_graph(verts, list(TRIANGLE_J), TRIANGLE_J, lam), 1.1)
 
 
 # raw: against the Gibbs sum itself, else against its average with the reflection
-TRIANGLE_CASES = {**{name: (b, False) for name, b in TRIANGLE_BOUNDARIES.items()},
-                  **{f"{name}-raw": (b, True) for name, b in TRIANGLE_BOUNDARIES.items()}}
-
-
-@pytest.mark.parametrize("boundary,raw", TRIANGLE_CASES.values(), ids=TRIANGLE_CASES.keys())
+@pytest.mark.parametrize("raw", [False, True], ids=["free", "free-raw"])
 @pytest.mark.parametrize("kind", ["xy", "villain"])
-def test_triangle_matches_brute_force_tensor_sum(kind, boundary, raw):
+def test_triangle_matches_brute_force_tensor_sum(kind, raw):
     N = 16
-    model = triangle_model(kind, boundary)
+    model = triangle_model(kind)
     verts, J, lam = model.graph.vertices, TRIANGLE_J, model.graph.weight
     f = EntireMGF(observable_distribution(model, N))
-    pinned = boundary or {}
-    free = [v for v in verts if v not in pinned]
     grid = circle_grid(N)
     z = 0.9 + 0.3j
 
@@ -550,8 +536,8 @@ def test_triangle_matches_brute_force_tensor_sum(kind, boundary, raw):
         return poisson_dual_gaussian(d, 1.1 * je)
 
     num_p, num_m, den = 0.0, 0.0, 0.0
-    for idx in itertools.product(range(N), repeat=len(free)):
-        th = dict(pinned, **{v: grid[i] for v, i in zip(free, idx)})
+    for idx in itertools.product(range(N), repeat=len(verts)):
+        th = dict(zip(verts, grid[list(idx)]))
         w = 1.0
         for (u, v), je in J.items():
             w *= weight(th[u] - th[v], je)
@@ -559,49 +545,29 @@ def test_triangle_matches_brute_force_tensor_sum(kind, boundary, raw):
         num_p += w * np.exp(z * s)
         num_m += w * np.exp(-z * s)
         den += w
-    # every law is its Gibbs sum: a free one is symmetric, so symmetrising it
-    # changes it only by rounding, and with p pinned a mirror chunk that
-    # doubled one angle's weights instead of adding both would show here.
-    # Only a free law is the average with its reflection: a pinned one is
-    # not symmetrised
-    if raw:
-        assert abs(mgf_eval(f, z) - num_p / den) < 1e-13
-    else:
-        assert (abs(mgf_eval(f, z) - 0.5 * (num_p + num_m) / den) < 1e-13) == (not pinned)
+    # the law is symmetric, so symmetrising it changes it only by rounding:
+    # it is both the Gibbs sum and that sum's average with its reflection
+    want = num_p / den if raw else 0.5 * (num_p + num_m) / den
+    assert abs(mgf_eval(f, z) - want) < 1e-13
 
 
 def chunked_atoms(model, N):
     """The former builder's atoms before the finish: one chunk per grid index
-    of the first free angle, each chunk's atoms sorted and coalesced on their
+    of the first angle, each chunk's atoms sorted and coalesced on their
     own."""
     G = model.graph
-    pinned = dict(model.boundary or {})
-    free = [v for v in G.vertices if v not in pinned]
-    m = len(free)
-    s_pinned = sum(G.weight[v] * math.cos(pinned[v]) for v in G.vertices if v in pinned)
-    if m == 0:
-        return np.array([s_pinned]), np.array([1.0])
+    m = len(G.vertices)
     grid = circle_grid(N)
-    axis = {v: i for i, v in enumerate(free)}
+    axis = {v: i for i, v in enumerate(G.vertices)}
     beta = model.inverse_temperature
     idx = np.arange(N)
-    const = 1.0
-    node = [np.ones(N) for _ in range(m)]
-    pairs = []
+    weights = [((), np.array(1.0))]
     for e in G.edges:
-        u, v = e
-        J = beta * G.coupling[e]
-        if u in axis and v in axis:
-            a, b = axis[u], axis[v]
-            mat = edge_weight(model.kind, 2 * math.pi * idx / N, J)[(idx[:, None] - idx[None, :]) % N]
-            pairs.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
-        elif u in axis or v in axis:
-            fv, pv = (u, v) if u in axis else (v, u)
-            node[axis[fv]] *= edge_weight(model.kind, grid - pinned[pv], J)
-        else:
-            const *= edge_weight(model.kind, pinned[u] - pinned[v], J)
-    weights = [((), np.array(const))] + [((ax,), node[ax]) for ax in range(m)] + pairs
-    values = [((), np.array(s_pinned))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in free]
+        a, b = axis[e[0]], axis[e[1]]
+        row = edge_weight(model.kind, 2 * math.pi * idx / N, beta * G.coupling[e])
+        mat = row[(idx[:, None] - idx[None, :]) % N]
+        weights.append(((a, b), mat) if a < b else ((b, a), np.ascontiguousarray(mat.T)))
+    values = [((), np.array(0.0))] + [((axis[v],), G.weight[v] * np.cos(grid)) for v in G.vertices]
     nd = m - 1
     xs, ws = [], []
     for i0 in range(N):
@@ -615,9 +581,9 @@ def chunked_atoms(model, N):
 
 
 def assert_matches_reference(model, N, atoms):
-    """The law at grid N equals the reference's ``atoms`` finished by the
-    pinned/free rule: symmetrised exactly when no vertex is pinned."""
-    want = _finish_law(*atoms, not model.boundary)
+    """The law at grid N equals the reference's ``atoms`` finished as a
+    symmetrised law."""
+    want = _finish_law(*atoms, True)
     got = observable_distribution(model, N)
     assert len(got.xs) == len(want.xs), N
     assert np.max(np.abs(got.xs - want.xs)) <= 1e-13, N
@@ -637,17 +603,14 @@ CRITERION_1_MODELS = {
     for kind in ("villain", "xy") for J in (0.5, 1.0, 2.0) for lam in (0.5, 1.0)}
 REFERENCE_MODELS = {
     **CRITERION_1_MODELS,
-    **{f"triangle-{kind}-{name}": triangle_model(kind, boundary)
-       for kind in ("xy", "villain") for name, boundary in TRIANGLE_BOUNDARIES.items()},
-    "path4-two-pinned": ModelSpec("xy", path_graph(4, J=1.0), 1.3,
-                                  boundary={"v1": 0.3, "v3": -1.1}),
-    "path3-all-pinned": ModelSpec("villain", path_graph(3, J=1.0),
-                                  boundary={"v0": 0.3, "v1": -1.1, "v2": 2.0}),
-    # the first listed vertex is the chunk axis: 2 and 3 free neighbours, or none
+    **{f"triangle-{kind}-free": triangle_model(kind) for kind in ("xy", "villain")},
+    # the first listed vertex is the chunk axis: 2 and 3 neighbours, or none,
+    # with no other axis (nd = 0) or with one that no factor touches
     "path3-middle-first": ModelSpec("villain", MIDDLE_FIRST_PATH3),
     "star4-centre-first": ModelSpec("xy", STAR4, 1.2),
-    "star4-one-leaf-pinned": ModelSpec("villain", STAR4, boundary={"b": 0.7}),
-    "one-free-vertex": ModelSpec("xy", STAR4, 0.9, boundary={"a": 0.3, "b": -1.1, "c": 2.0}),
+    "one-free-vertex": ModelSpec("xy", build_graph(["a"], [], {}, {"a": 0.8}), 0.9),
+    "two-vertices-no-edge": ModelSpec("villain", build_graph(["a", "b"], [], {},
+                                                             {"a": 1.0, "b": 0.6})),
 }
 
 
@@ -657,10 +620,7 @@ def test_observable_distribution_matches_chunked_reference(model):
         assert_matches_reference(model, N, chunked_atoms(model, N))
 
 
-FREE_REFERENCE_MODELS = {name: m for name, m in REFERENCE_MODELS.items() if not m.boundary}
-
-
-@pytest.mark.parametrize("model", FREE_REFERENCE_MODELS.values(), ids=FREE_REFERENCE_MODELS.keys())
+@pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
 def test_free_boundary_raw_law_is_symmetric(model):
     # the pi shift that lets a free law build half its chunks and be
     # symmetrised: its reference law from every chunk, unsymmetrised, is
@@ -669,34 +629,23 @@ def test_free_boundary_raw_law_is_symmetric(model):
     assert observable_distribution(model, 32).is_mirror()
 
 
-def test_pinned_raw_law_is_not_symmetric():
-    model = triangle_model("xy", TRIANGLE_BOUNDARIES["one-pinned"])
-    assert not observable_distribution(model, 32).is_symmetric()
-
-
-@pytest.mark.parametrize("boundary,calls", [
-    (None, 64 // 4 + 2), (TRIANGLE_BOUNDARIES["one-pinned"], 64 // 2 + 2)],
-    ids=["free", "one-pinned"])
-def test_only_a_free_symmetrised_law_builds_half_the_chunks(monkeypatch, boundary, calls):
+def test_a_law_builds_a_quarter_of_the_chunks(monkeypatch):
     # _merge_runs runs once per chunk and once in the finish
     count = []
     merge = gibbs._merge_runs
     monkeypatch.setattr(gibbs, "_merge_runs", lambda *a: count.append(1) or merge(*a))
-    observable_distribution(triangle_model("villain", boundary), 64)
-    assert len(count) == calls
+    observable_distribution(triangle_model("villain"), 64)
+    assert len(count) == 64 // 4 + 2
 
 
-@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-def test_inverse_temperature_multiplies_every_coupling(pinned):
-    # a Villain edge at beta carries the periodized Gaussian of parameter
-    # beta J_e; two pinned triangle vertices also give a pinned-pinned edge
-    tri, edge = (TRIANGLE_BOUNDARIES["two-pinned"], {"y": 0.3}) if pinned else (None, None)
-    doubled = triangle_model("villain", tri).graph
+def test_inverse_temperature_multiplies_every_coupling():
+    # a Villain edge at beta carries the periodized Gaussian of parameter beta J_e
+    doubled = triangle_model("villain").graph
     doubled = replace(doubled, coupling={e: 2.0 * J for e, J in doubled.coupling.items()})
-    pairs = [(replace(triangle_model("villain", tri), inverse_temperature=2.0),
-              ModelSpec("villain", doubled, boundary=tri)),
-             (ModelSpec("xy", single_edge_graph(), 380.0, edge),
-              ModelSpec("xy", single_edge_graph(J=380.0), boundary=edge))]
+    pairs = [(replace(triangle_model("villain"), inverse_temperature=2.0),
+              ModelSpec("villain", doubled)),
+             (ModelSpec("xy", single_edge_graph(), 380.0),
+              ModelSpec("xy", single_edge_graph(J=380.0)))]
     for hot, stiff in pairs:
         a, b = observable_distribution(hot, 32), observable_distribution(stiff, 32)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ws, b.ws)

@@ -537,13 +537,15 @@ def villain_path3_law():
     return observable_distribution(ModelSpec("villain", path_graph(3)), 128)
 
 
-def pinned_xy_path4_law():
-    m = ModelSpec("xy", path_graph(4), boundary={"v0": 0.3})
-    return observable_distribution(m, 64)
+def tilted_xy_path3_law():
+    """The free XY path3 law at N = 64 (6,017 atoms, over the Gauss-rule
+    threshold) reweighted by e^{0.3 x}, as an external field would: skewed."""
+    d = observable_distribution(ModelSpec("xy", path_graph(3)), 64)
+    return distribution_from_atoms(np.column_stack([d.xs, d.ws * np.exp(0.3 * d.xs)]))
 
 
 @pytest.mark.parametrize("law, symmetric", [(villain_path3_law, True),
-                                            (pinned_xy_path4_law, False)])
+                                            (tilted_xy_path3_law, False)])
 def test_spectral_evaluator_against_full_atom_sum(law, symmetric):
     # the Gauss rule and the direct sum both read the nonnegative half of a
     # symmetric law; the reference here is a plain numpy sum over every
@@ -638,9 +640,7 @@ EVALUATOR_CASES = [
                    id=f"{kind}-edge-128") for kind in ("villain", "xy")),
     *(pytest.param(model_law(kind, path_graph(3), 32), CRITERION_1_REGION, "gauss",
                    id=f"{kind}-path3-32") for kind in ("villain", "xy")),
-    pytest.param(lambda: observable_distribution(
-        ModelSpec("xy", path_graph(4), boundary={"v0": 0.3}), 16),
-        CRITERION_1_REGION, "gauss", id="xy-path4-pinned-16"),
+    pytest.param(tilted_xy_path3_law, CRITERION_1_REGION, "gauss", id="xy-path3-tilted-64"),
     pytest.param(binned_normal_law, CRITERION_1_REGION, "gauss", id="binned-normal-200"),
     pytest.param(asymmetric_three_atom_law, CRITERION_1_REGION, "direct",
                  id="asymmetric-three-atom"),
@@ -837,7 +837,7 @@ def real_part_at_650(L):
     return float(exact[0])
 
 
-@pytest.mark.parametrize("law", [rademacher, villain_path3_law, pinned_xy_path4_law,
+@pytest.mark.parametrize("law", [rademacher, villain_path3_law, tilted_xy_path3_law,
                                  unsymmetrised_villain_path3_law])
 def test_mgf_eval_is_the_direct_sum_bit_for_bit(law, monkeypatch):
     monkeypatch.setattr(zeros, "_GAUSS_ATOM_THRESHOLD", DIRECT)
