@@ -29,8 +29,9 @@ from . import __version__
 from .chain import chain_vs_heat, dirichlet_ratio
 from .errors import NumericalError
 from .gibbs import (DiscretizedDistribution, ModelSpec, observable_distribution)
-from .gmc import (DESK_MAX_K, Domain, LatticeDomain, bin_distribution, dgff_covariance,
-                  mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)
+from .gmc import (DESK_MAX_K, Domain, LatticeDomain, _refuse_dense_summation, bin_distribution,
+                  dgff_covariance, mc_moment, moment_growth_fit, sample_m_statistics,
+                  tail_prediction)
 from .graphs import graph_from_json
 from .lyclass import TailProfile, classify, slowtail_applies
 from .zeros import (MERGE_DISTANCE, OFFAXIS_FACTOR, EntireMGF, Rectangle,
@@ -300,6 +301,8 @@ def _cmd_m_stat(args) -> int:
     if not 0 < args.tol < np.inf:
         raise ValueError(f"m-stat --tol must be positive and finite, got {args.tol}")
     region = Rectangle(*args.region)
+    # the field domain holds about r^2 times the sites of D_n: refuse D_n first
+    _refuse_dense_summation(args.n)
     domain = LatticeDomain.disk(args.n * args.r)
     samples = sample_m_statistics(domain, args.n, args.beta, args.samples, args.seed)
     f = EntireMGF(bin_distribution(samples, B=args.bins))

@@ -67,6 +67,10 @@ MC_BATCHES = 64
 DESK_MAX_K = 6
 EXACT_MOMENT_BUDGET = 2 * 10**7
 SAMPLE_BLOCK = 2048
+# configurations per block of _log_coulomb: at k <= 6 a block's points take at
+# most 786 kB and stay in a 2 MB L2 cache, where a 15,625-configuration batch
+# of k = 5 (2.5 MB) would not
+_COULOMB_BLOCK = 4096
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 _LN2 = math.log(2.0)
 
@@ -75,27 +79,33 @@ _LN2 = math.log(2.0)
 # continuum Coulomb gas
 # ---------------------------------------------------------------------------
 
-def _unit_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos 2h, sin 2h) from t = tan h, as ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
+def _unit_circle(h: np.ndarray) -> np.ndarray:
+    """(cos 2h, sin 2h) from t = tan h, as ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)),
+    the two rows of one (2, n) array.
 
-    numpy's tan is vectorised, its cos and sin are scalar libm calls.  For h
-    in [0, pi) no double is a pole of tan: |t| < 2e16, so t^2 cannot overflow.
+    Where numpy dispatches AVX-512, its tan is vectorised and its cos and sin
+    are scalar libm calls, so one tangent costs a fraction of a cosine and a
+    sine; without AVX-512 tan is scalar too and about as dear as either.  For
+    h in [0, pi) no double is a pole of tan: |t| < 2e16, so t^2 cannot overflow.
     """
-    t = np.tan(h)
+    cs = np.empty((2,) + h.shape)
+    c, t = cs
+    np.tan(h, out=t)
     d = t * t
-    c = 1.0 - d
+    np.subtract(1.0, d, out=c)
     d += 1.0
     c /= d
     t += t
     t /= d
-    return c, t
+    return cs
 
 
 def _cos_double_angle(h: np.ndarray) -> np.ndarray:
     """cos 2h in h's own memory, as 2 / (1 + tan^2 h) - 1; returns h.
 
     Where numpy dispatches AVX-512, its tan is vectorised and its cos a
-    scalar libm call, so this is several times faster than np.cos.  Within
+    scalar libm call, so this is several times faster than np.cos; without
+    AVX-512 both are scalar and this is 10-25% slower than np.cos.  Within
     4e-16 of the exact cos 2h for |h| <= 50, next to the poles of tan
     included (np.cos within 1.2e-16).
     """
@@ -122,22 +132,21 @@ class Domain:
         return math.pi * self.radius**2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n uniform points, shape (n, 2).
+        """n uniform points as the rows x and y of one (2, n) array.
 
         A point is r (cos phi, sin phi) with r = R sqrt(u), phi = 2 pi v,
         and u, v from two ``rng.random(n)`` calls in that order.  With
         t = tan(phi / 2), cos phi = (1 - t^2) / (1 + t^2) and
         sin phi = 2t / (1 + t^2) (:func:`_unit_circle`; h = pi v is bitwise
-        phi / 2): one tangent per point instead of a cosine and a sine.  Each
-        value is within 4e-16 of the exact cos phi and sin phi (libm's within
+        phi / 2): one tangent per point instead of a cosine and a sine, which
+        saves the most where numpy's tan is vectorised (AVX-512).  Each value
+        is within 4e-16 of the exact cos phi and sin phi (libm's within
         1.2e-16), so a point is within 4e-16 R of r (np.cos, np.sin), and the
         random stream, every later draw included, is unchanged.
         """
         r = self.radius * np.sqrt(rng.random(n))
-        c, s = _unit_circle(math.pi * rng.random(n))
-        pts = np.empty((n, 2))
-        np.multiply(r, c, out=pts[:, 0])
-        np.multiply(r, s, out=pts[:, 1])
+        pts = _unit_circle(math.pi * rng.random(n))
+        pts *= r
         return pts
 
 
@@ -147,50 +156,79 @@ UNIT_DISK = Domain(1.0)
 def _log_coulomb(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """log of the charge-interaction ratio for a batch of configurations.
 
-    pos, neg have shape (S, k, 2); returns shape (S,) with
+    pos, neg have shape (2, k, S), charge-major: [:, i, s] is the (x, y) of
+    charge i in configuration s.  Returns shape (S,) with
     sum log|same-charge distances| - sum log|opposite-charge distances|.
     Coincident opposite charges give +inf (the weight diverges and the
     caller decides); coincident same charges give -inf, weight 0.
 
-    One log per configuration: the 2k charges are laid out as (2k, 2, S)
-    rows, and for each pair i < j the squared distance d^2 is split by
-    ``np.frexp``.  Its mantissa multiplies a same-charge or an
-    opposite-charge product and its exponent is added to or subtracted from
-    one integer accumulator; the result is
-    (log(same / opposite) + exponents * log 2) / 2.  After each i both
-    products are split again, so neither can underflow for any k.  Where
-    d^2 leaves the normal range (points closer than about 1e-154 or farther
-    than about 1e154) its mantissa and exponent are rebuilt from the
-    squared mantissa and doubled exponent of ``hypot``; exactly coincident
-    points keep mantissa 0.
+    One log per configuration.  In blocks of at most _COULOMB_BLOCK
+    configurations, the 2k charges are copied into contiguous rows and
+    scaled by 2^-e, e the frexp exponent of the block's largest |coordinate|,
+    so every coordinate lies in [-1, 1] and every squared distance
+    d^2 = dx dx + dy dy is at most 8.  For each pair i < j, d^2 multiplies
+    the same-charge or the opposite-charge product; each product is split by
+    ``np.frexp`` once, and the result is
+    (log(m_same / m_opposite) + (e_same - e_opposite - 2 k e) log 2) / 2.
+    Away from subnormal numbers a power of two scales exactly, so these are
+    the bits of splitting each d^2 by frexp as it is multiplied in.
+
+    Range guard: a row is kept where each product of n factors (n = k(k-1)
+    same, k^2 opposite) is finite and at least tiny 16^n, tiny the smallest
+    normal double.  Proof that no partial product of a kept row fell below
+    2 tiny: rounding is monotone and multiplying by 8 is exact, so a factor
+    d^2 <= 8 at most multiplies a partial product by 8; one below 2 tiny
+    would leave a final product below 2 tiny 8^n < tiny 16^n.  So every
+    exact partial product exceeds tiny and is rounded as with an unbounded
+    exponent: a kept row carries only the n + 1 relative roundings of its
+    products and the roundings of its d^2, each at least 8 tiny 2^n by the
+    same argument.  No partial product can overflow and come back finite.
+    Every other row -- near-coincident charges, far-apart scales in one
+    block, or k large enough (about 15 in the unit disk) that the products
+    underflow -- is computed again from the unscaled points with one hypot
+    and one log per pair.
     """
-    S, k, _ = pos.shape
-    q = np.empty((2 * k, 2, S))
-    q[:k] = pos.transpose(1, 2, 0)
-    q[k:] = neg.transpose(1, 2, 0)
-    same, opposite = np.ones(S), np.ones(S)
-    exponent = np.zeros(S, dtype=np.int64)
+    _, k, S = pos.shape
+    out = np.empty(S)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i in range(2 * k - 1):
-            x, y = q[i]
-            for j in range(i + 1, 2 * k):
-                dx, dy = x - q[j, 0], y - q[j, 1]
-                d2 = dx * dx + dy * dy
-                m, e = np.frexp(d2)
-                if not (_TINY <= d2.min() and d2.max() <= _HUGE):
-                    off = ~((d2 >= _TINY) & (d2 <= _HUGE))
-                    mh, eh = np.frexp(np.hypot(dx[off], dy[off]))
-                    m[off], e[off] = mh * mh, 2 * eh
-                if (i < k) == (j < k):
-                    same *= m
-                    exponent += e
-                else:
-                    opposite *= m
-                    exponent -= e
-            same, e_same = np.frexp(same)
-            opposite, e_opposite = np.frexp(opposite)
-            exponent += e_same - e_opposite
-        return 0.5 * (np.log(same / opposite) + _LN2 * exponent)
+        bound_same, bound_opposite = np.ldexp(_TINY, 4 * k * (k - 1)), np.ldexp(_TINY, 4 * k * k)
+        for a in range(0, S, _COULOMB_BLOCK):
+            block = slice(a, a + _COULOMB_BLOCK)
+            c = min(_COULOMB_BLOCK, S - a)
+            q = np.empty((2, 2 * k, c))
+            q[:, :k], q[:, k:] = pos[:, :, block], neg[:, :, block]
+            e = math.frexp(max(q.max(), -q.min()))[1]
+            if e:
+                np.ldexp(q, -e, out=q)
+            x, y = q
+            same, opposite, d2, dy = np.ones(c), np.ones(c), np.empty(c), np.empty(c)
+            for i in range(2 * k - 1):
+                for j in range(i + 1, 2 * k):
+                    np.subtract(x[i], x[j], out=d2)
+                    np.subtract(y[i], y[j], out=dy)
+                    d2 *= d2
+                    dy *= dy
+                    d2 += dy
+                    if (i < k) == (j < k):
+                        same *= d2
+                    else:
+                        opposite *= d2
+            keep = ((same >= bound_same) & (same <= _HUGE)
+                    & (opposite >= bound_opposite) & (opposite <= _HUGE))
+            m_same, e_same = np.frexp(same)
+            m_opposite, e_opposite = np.frexp(opposite)
+            out[block] = 0.5 * (np.log(m_same / m_opposite)
+                                + _LN2 * (e_same - e_opposite - 2 * k * e))
+            if not keep.all():
+                rows = a + np.flatnonzero(~keep)
+                p, n = pos[:, :, rows], neg[:, :, rows]
+                iu, ju = np.triu_indices(k, 1)
+                d_same = np.concatenate((p[:, iu] - p[:, ju], n[:, iu] - n[:, ju]), axis=1)
+                d_opposite = (p[:, :, None] - n[:, None]).reshape(2, k * k, -1)
+                # the builtin sum adds the pair rows in order, so a row's bits do
+                # not depend on how many rows are recomputed with it
+                out[rows] = sum(np.log(np.hypot(*d_same))) - sum(np.log(np.hypot(*d_opposite)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -249,8 +287,8 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
     # Kish sums per batch, of weights scaled by the batch's largest so squares cannot overflow
     peaks, sums, squares = np.zeros(MC_BATCHES), np.zeros(MC_BATCHES), np.zeros(MC_BATCHES)
     for b in range(MC_BATCHES):
-        pos = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
-        neg = domain.sample(rng, per_batch * k).reshape(per_batch, k, 2)
+        pos = domain.sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
+        neg = domain.sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
         w = np.exp(beta_sq * _log_coulomb(pos, neg))
         means[b] = float(np.mean(w)) * scale
         if not math.isfinite(means[b]):
@@ -341,15 +379,22 @@ def tail_prediction(beta_sq: float) -> TailProfile:
 # lattice domains, Green's function, DGFF
 # ---------------------------------------------------------------------------
 
-def _disk_sites(radius: float) -> list[tuple[int, int]]:
-    """The points of Z^2 in the closed disk of the given radius about 0; a
-    radius that is not positive and finite raises ValueError."""
+def _disk_columns(radius: float) -> list[tuple[int, int]]:
+    """(x, h) for each column of the points of Z^2 in the closed disk of the
+    given radius about 0, whose points are (x, -h) .. (x, h); a radius that is
+    not positive and finite raises ValueError."""
     if not 0 < radius < math.inf:
         raise ValueError(f"lattice disk radius must be positive and finite, got {radius}")
     R = int(math.floor(radius))
-    r2 = float(radius) * float(radius)
-    return [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
-            if x * x + y * y <= r2]
+    # integers satisfy x^2 + y^2 <= r^2 exactly when they satisfy it against floor(r^2)
+    r2 = math.floor(float(radius) * float(radius))
+    return [(x, math.isqrt(r2 - x * x)) for x in range(-R, R + 1)]
+
+
+def _disk_sites(radius: float) -> list[tuple[int, int]]:
+    """The points of Z^2 in the closed disk of the given radius about 0, by
+    column (x, then y ascending)."""
+    return [(x, y) for x, h in _disk_columns(radius) for y in range(-h, h + 1)]
 
 
 class LatticeDomain:
@@ -523,6 +568,16 @@ def dgff_covariance(domain: LatticeDomain, seed: int, size: int) -> np.ndarray:
 # the renormalised chaos sum
 # ---------------------------------------------------------------------------
 
+def _refuse_dense_summation(n: int) -> None:
+    """BudgetExceededError if D_n holds more than DENSE_SAMPLING_CAP sites,
+    counted column by column before any site is listed."""
+    count = sum(2 * h + 1 for _, h in _disk_columns(n))
+    if count > DENSE_SAMPLING_CAP:
+        raise BudgetExceededError(
+            f"dense sampling factorisation for {count} summation sites exceeds "
+            f"the cap {DENSE_SAMPLING_CAP}")
+
+
 def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:
     """The sites of D_n, each checked to be interior to the field domain."""
     sites = _disk_sites(n)
@@ -583,18 +638,16 @@ def sample_m_statistics(domain: LatticeDomain, n: int, beta: float,
     triangular, so half the flops of a dense product), and
     cos(beta g + Phi) is taken as cos 2h (:func:`_cos_double_angle`) of
     h = (beta/2) g + Phi/2, which is bitwise half of beta g + Phi.  More
-    than DENSE_SAMPLING_CAP sites raise BudgetExceededError before any solve.
+    than DENSE_SAMPLING_CAP sites raise BudgetExceededError before any site
+    is checked or solved for.
     """
     import scipy.linalg as sla
     from scipy.linalg.blas import dtrmm
 
     if not 0.0 < beta < math.sqrt(2.0):
         raise ValueError(f"beta must lie in (0, sqrt 2), got {beta}")
+    _refuse_dense_summation(n)
     sites = _summation_sites(domain, n)
-    if len(sites) > DENSE_SAMPLING_CAP:
-        raise BudgetExceededError(
-            f"dense sampling factorisation for {len(sites)} summation sites exceeds "
-            f"the cap {DENSE_SAMPLING_CAP}")
     G = domain.green_matrix(sites)
     C = sla.cholesky(G + 1e-14 * np.eye(len(sites)), lower=True)
     lam = _site_weights(n, beta, G)

@@ -754,6 +754,23 @@ def test_m_stat_refuses_more_sites_than_the_dense_cap(monkeypatch, tmp_path, cap
             in capsys.readouterr().err)
 
 
+def test_m_stat_refuses_an_oversized_disk_before_building_the_field_domain(monkeypatch, tmp_path,
+                                                                          capsys):
+    import leeyang.gmc as gmc
+
+    def no_domain(*args, **kwargs):
+        raise AssertionError("m-stat built the field domain before checking the cap")
+
+    # D_200 has 125,629 sites; its field domain D_300 would hold 282,697
+    monkeypatch.setattr(gmc.LatticeDomain, "disk", no_domain)
+    out = tmp_path / "o"
+    assert main(["m-stat", "--n", "200", "--r", "1.5", "--beta", "1.2", "--samples", "200",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (f"125629 summation sites exceeds the cap {gmc.DENSE_SAMPLING_CAP}"
+            in capsys.readouterr().err)
+
+
 def test_gmc_moments_refuses_k_max_above_cap_before_sampling(monkeypatch, tmp_path, capsys):
     import leeyang.cli as cli
 

@@ -51,10 +51,19 @@ def test_distance_density_self_validation():
 # Coulomb weights
 # ---------------------------------------------------------------------------
 
+def charge_major(a):
+    """Configurations given as (S, k, 2) lists in the kernel's (2, k, S) layout."""
+    return np.asarray(a, dtype=float).transpose(2, 1, 0)
+
+
+def draw_charges(domain, rng, S, k):
+    """S configurations of k charges, drawn and laid out as :func:`mc_moment` does."""
+    return domain.sample(rng, S * k).reshape(2, S, k).swapaxes(1, 2)
+
+
 def coulomb_weights(pos, neg, beta_sq):
     """The weights exp(beta^2 _log_coulomb) of configurations given as (S, k, 2) lists."""
-    return np.exp(beta_sq * _log_coulomb(np.asarray(pos, dtype=float),
-                                         np.asarray(neg, dtype=float)))
+    return np.exp(beta_sq * _log_coulomb(charge_major(pos), charge_major(neg)))
 
 
 def test_coulomb_weight_single_pair():
@@ -92,62 +101,150 @@ def test_coulomb_weight_divergence():
 def pairwise_log_coulomb(pos, neg):
     """The former batched kernel: one hypot and one log per pair of charges.
 
-    pos, neg have shape (S, k, 2); returns shape (S,) with
+    pos, neg have shape (2, k, S), charge-major as :func:`gmc._log_coulomb`
+    takes them; returns shape (S,) with
     sum log|same-charge distances| - sum log|opposite-charge distances|.
     """
-    S, k, _ = pos.shape
+    _, k, S = pos.shape
     out = np.zeros(S)
     with np.errstate(divide="ignore"):
         if k > 1:
             iu, ju = np.triu_indices(k, 1)
             for arr in (pos, neg):
-                d = arr[:, iu, :] - arr[:, ju, :]
-                out += np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=1)
-        d = pos[:, :, None, :] - neg[:, None, :, :]
-        out -= np.sum(np.log(np.hypot(d[..., 0], d[..., 1])), axis=(1, 2))
+                dx, dy = arr[:, iu] - arr[:, ju]
+                out += np.sum(np.log(np.hypot(dx, dy)), axis=0)
+        dx, dy = pos[:, :, None] - neg[:, None]
+        out -= np.sum(np.log(np.hypot(dx, dy)), axis=(0, 1))
     return out
 
 
+def former_log_coulomb(pos, neg):
+    """The kernel as it was before one product per charge sign: each squared
+    distance split by ``np.frexp`` as it is multiplied in, both products split
+    again after each charge, and a hypot rebuild of any d^2 outside the normal
+    range.  Takes and returns what :func:`gmc._log_coulomb` does."""
+    _, k, S = pos.shape
+    q = np.empty((2 * k, 2, S))
+    q[:k] = pos.transpose(1, 0, 2)
+    q[k:] = neg.transpose(1, 0, 2)
+    same, opposite = np.ones(S), np.ones(S)
+    exponent = np.zeros(S, dtype=np.int64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(2 * k - 1):
+            x, y = q[i]
+            for j in range(i + 1, 2 * k):
+                dx, dy = x - q[j, 0], y - q[j, 1]
+                d2 = dx * dx + dy * dy
+                m, e = np.frexp(d2)
+                if not (gmc._TINY <= d2.min() and d2.max() <= gmc._HUGE):
+                    off = ~((d2 >= gmc._TINY) & (d2 <= gmc._HUGE))
+                    mh, eh = np.frexp(np.hypot(dx[off], dy[off]))
+                    m[off], e[off] = mh * mh, 2 * eh
+                if (i < k) == (j < k):
+                    same *= m
+                    exponent += e
+                else:
+                    opposite *= m
+                    exponent -= e
+            same, e_same = np.frexp(same)
+            opposite, e_opposite = np.frexp(opposite)
+            exponent += e_same - e_opposite
+        return 0.5 * (np.log(same / opposite) + math.log(2.0) * exponent)
+
+
+@pytest.mark.parametrize("radius", [2.0**-330, 1.0, 2.0**100])
+def test_log_coulomb_matches_the_former_kernel_bit_for_bit(radius):
+    # 5,000 configurations: two blocks of _log_coulomb
+    dom = Domain(radius)
+    for k in (*range(1, gmc.DESK_MAX_K + 1), 8):
+        rng = np.random.default_rng(53 + k)
+        pos, neg = draw_charges(dom, rng, 5000, k), draw_charges(dom, rng, 5000, k)
+        assert np.array_equal(_log_coulomb(pos, neg), former_log_coulomb(pos, neg)), k
+
+
 def test_log_coulomb_matches_pairwise_reference():
-    # the mantissa-exponent products against one log per pair; the logs reach
+    # one product per charge sign against one log per pair; the logs reach
     # about 15 in size at k = 8, so 1e-12 absolute leaves 100x headroom
     rng = np.random.default_rng(23)
     for k in (1, 2, 3, 4, 5, 6, 8):
-        pos = UNIT_DISK.sample(rng, 500 * k).reshape(500, k, 2)
-        neg = UNIT_DISK.sample(rng, 500 * k).reshape(500, k, 2)
+        pos, neg = draw_charges(UNIT_DISK, rng, 500, k), draw_charges(UNIT_DISK, rng, 500, k)
         fast, ref = _log_coulomb(pos, neg), pairwise_log_coulomb(pos, neg)
         assert np.all(np.isfinite(fast))
         assert np.max(np.abs(fast - ref)) <= 1e-12
 
 
 def test_log_coulomb_many_charges_do_not_underflow():
-    # k = 60: a same-charge product of 3,540 mantissas would fall below the
-    # float range without the split after each row; the reference's summed
-    # logs are themselves off by up to 9.4e-13 here (30-digit check, seed 29)
+    # k = 60: the same-charge product of 3,540 squared distances falls below
+    # the float range, so the range guard recomputes every row one log per
+    # pair; the reference's summed logs are themselves off by up to 9.4e-13
+    # here (30-digit check, seed 29)
     rng = np.random.default_rng(29)
-    pos = UNIT_DISK.sample(rng, 6 * 60).reshape(6, 60, 2)
-    neg = UNIT_DISK.sample(rng, 6 * 60).reshape(6, 60, 2)
+    pos, neg = draw_charges(UNIT_DISK, rng, 6, 60), draw_charges(UNIT_DISK, rng, 6, 60)
     fast = _log_coulomb(pos, neg)
     assert np.all(np.isfinite(fast))
     assert np.max(np.abs(fast - pairwise_log_coulomb(pos, neg))) <= 1e-11
+
+
+def test_log_coulomb_guard_recomputes_near_coincident_charges():
+    # row 0: twelve charges within 1e-30 of each other about the origin, so
+    # the product of the 36 opposite squared distances (about 1e-60 each)
+    # would underflow unscaled; rows 1-4 hold unit-disk charges
+    rng = np.random.default_rng(59)
+    pos, neg = draw_charges(UNIT_DISK, rng, 5, 6).copy(), draw_charges(UNIT_DISK, rng, 5, 6).copy()
+    pos[:, :, 0] = 1e-30 * rng.uniform(-1, 1, (2, 6))
+    neg[:, :, 0] = 1e-30 * rng.uniform(-1, 1, (2, 6))
+    dx, dy = pos[:, :, None, 0] - neg[:, None, :, 0]
+    assert np.prod(dx * dx + dy * dy) == 0.0
+    ref = pairwise_log_coulomb(pos, neg)
+    # in one block with unit-scale rows the cluster stays at 1e-30 and its
+    # products underflow: the guard recomputes it one log per pair; alone it
+    # is scaled by 2^99 and needs no recomputation
+    for fast in (_log_coulomb(pos, neg), _log_coulomb(pos[:, :, :1], neg[:, :, :1])):
+        assert np.all(np.isfinite(fast))
+        assert np.max(np.abs(fast - ref[:len(fast)])) <= 1e-12
+
+
+def test_log_coulomb_recomputed_rows_do_not_depend_on_each_other():
+    # 64 clusters of twelve charges within 1e-30, recomputed together and
+    # each alone, in a block with one unit-disk configuration that keeps them
+    # unscaled; a numpy sum over the pairs axis would change its order with
+    # the count of recomputed rows
+    rng = np.random.default_rng(71)
+    unit_pos, unit_neg = draw_charges(UNIT_DISK, rng, 1, 6), draw_charges(UNIT_DISK, rng, 1, 6)
+    pos, neg = 1e-30 * rng.uniform(-1, 1, (2, 6, 64)), 1e-30 * rng.uniform(-1, 1, (2, 6, 64))
+    together = _log_coulomb(np.concatenate((pos, unit_pos), axis=2),
+                            np.concatenate((neg, unit_neg), axis=2))
+    alone = [_log_coulomb(np.concatenate((pos[:, :, [s]], unit_pos), axis=2),
+                          np.concatenate((neg[:, :, [s]], unit_neg), axis=2))[0] for s in range(64)]
+    assert np.array_equal(together[:64], alone)
+
+
+@pytest.mark.parametrize("m", [-300, -1, 1, 100, 300])
+def test_log_coulomb_moves_by_k_log_2_under_power_of_two_scaling(m):
+    # sum over same pairs minus opposite pairs of log(2^m d): k(k-1) - k^2 = -k terms of m log 2
+    rng = np.random.default_rng(61)
+    for k in range(1, gmc.DESK_MAX_K + 1):
+        pos, neg = draw_charges(UNIT_DISK, rng, 300, k), draw_charges(UNIT_DISK, rng, 300, k)
+        moved = _log_coulomb(np.ldexp(pos, m), np.ldexp(neg, m))
+        assert np.max(np.abs(moved - (_log_coulomb(pos, neg) - m * k * math.log(2.0)))) <= 1e-12
 
 
 def test_log_coulomb_outside_the_normal_range():
     # squared distances that underflow (1e-200 and 1e-300 apart) or overflow
     # (1e160 apart), large ones still in range (1e150 apart), and exactly
     # coincident same and opposite charges
-    pos = np.array([[[0.0, 0.0], [1e-200, 0.0]],
-                    [[0.0, 0.0], [0.0, 1e-300]],
-                    [[0.0, 0.0], [1e150, 0.0]],
-                    [[0.0, 0.0], [1e160, 0.0]],
-                    [[0.3, 0.2], [0.3, 0.2]],
-                    [[0.1, 0.1], [0.5, 0.5]]])
-    neg = np.array([[[0.5, 0.5], [0.2, 0.1]],
-                    [[0.5, 0.5], [0.2, 0.1]],
-                    [[0.5, 0.5], [-1e150, 3.0]],
-                    [[0.5, 0.5], [-1e160, 3.0]],
-                    [[0.5, 0.5], [0.2, 0.1]],
-                    [[0.4, 0.4], [0.1, 0.1]]])
+    pos = charge_major([[[0.0, 0.0], [1e-200, 0.0]],
+                        [[0.0, 0.0], [0.0, 1e-300]],
+                        [[0.0, 0.0], [1e150, 0.0]],
+                        [[0.0, 0.0], [1e160, 0.0]],
+                        [[0.3, 0.2], [0.3, 0.2]],
+                        [[0.1, 0.1], [0.5, 0.5]]])
+    neg = charge_major([[[0.5, 0.5], [0.2, 0.1]],
+                        [[0.5, 0.5], [0.2, 0.1]],
+                        [[0.5, 0.5], [-1e150, 3.0]],
+                        [[0.5, 0.5], [-1e160, 3.0]],
+                        [[0.5, 0.5], [0.2, 0.1]],
+                        [[0.4, 0.4], [0.1, 0.1]]])
     fast, ref = _log_coulomb(pos, neg), pairwise_log_coulomb(pos, neg)
     assert np.all(np.isfinite(ref[:4]))
     assert np.max(np.abs(fast[:4] - ref[:4])) <= 1e-12
@@ -207,7 +304,7 @@ def test_mc_moment_order_cap():
         mc_moment(UNIT_DISK, 0.5, 7, 20000, seed=1)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 3, 5, 6])
 def test_mc_moment_same_with_pairwise_kernel(k, monkeypatch):
     new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
     monkeypatch.setattr(gmc, "_log_coulomb", pairwise_log_coulomb)
@@ -216,12 +313,19 @@ def test_mc_moment_same_with_pairwise_kernel(k, monkeypatch):
     assert abs(new.stderr - old.stderr) <= 1e-13 * old.stderr
 
 
+@pytest.mark.parametrize("k", range(1, gmc.DESK_MAX_K + 1))
+def test_mc_moment_same_bits_with_the_former_kernel(k, monkeypatch):
+    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=67 + k)
+    monkeypatch.setattr(gmc, "_log_coulomb", former_log_coulomb)
+    assert mc_moment(UNIT_DISK, 1.44, k, 20000, seed=67 + k) == new
+
+
 def former_disk_sample(self, rng, n):
     """The disk sampler with a cosine and a sine per point, as it was before
-    :func:`gmc._unit_circle`."""
+    :func:`gmc._unit_circle`, in the (2, n) layout of today's."""
     r = self.radius * np.sqrt(rng.random(n))
     phi = 2.0 * math.pi * rng.random(n)
-    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+    return np.stack([r * np.cos(phi), r * np.sin(phi)])
 
 
 def test_unit_circle_matches_mpmath():
@@ -262,9 +366,9 @@ def test_disk_sample_matches_the_former_sampler(radius):
     rng_new, rng_old = np.random.default_rng(43), np.random.default_rng(43)
     new, old = dom.sample(rng_new, 5000), former_disk_sample(dom, rng_old, 5000)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    assert new.shape == (5000, 2)
+    assert new.shape == (2, 5000) and new.flags.c_contiguous
     assert np.max(np.abs(new - old)) <= 4e-16 * radius
-    assert np.all(np.hypot(new[:, 0], new[:, 1]) <= radius + 1e-12)
+    assert np.all(np.hypot(*new) <= radius + 1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -674,6 +778,23 @@ def test_dgff_domain_cap():
 # ---------------------------------------------------------------------------
 # chaos field and renormalised statistic
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5, 10.0, 10.7, math.sqrt(50.0), 31.0])
+def test_disk_sites_by_column_match_the_square_scan(radius):
+    R = int(math.floor(radius))
+    scan = [(x, y) for x in range(-R, R + 1) for y in range(-R, R + 1)
+            if x * x + y * y <= radius * radius]
+    assert gmc._disk_sites(radius) == scan
+
+
+def test_sampling_cap_counts_the_disk_without_listing_it(monkeypatch):
+    # D_35 has 3,853 sites and D_36 4,053: the cap 4000 falls between them
+    assert len(gmc._disk_sites(35)) <= gmc.DENSE_SAMPLING_CAP < len(gmc._disk_sites(36))
+    gmc._refuse_dense_summation(35)
+    monkeypatch.setattr(gmc, "_disk_sites", None)
+    with pytest.raises(BudgetExceededError, match="4053 summation sites"):
+        gmc._refuse_dense_summation(36)
+
 
 def test_m_statistic_site_check():
     # D_4 touches the boundary of the disk-4 domain: neither the sampler nor
