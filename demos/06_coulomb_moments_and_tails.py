@@ -7,14 +7,14 @@ fast enough to keep all moments finite -- precisely the regime where the
 pure-imaginary-zero property is impossible for the limit law.
 """
 
-from leeyang import UNIT_DISK, mc_moment, moment_growth_fit, tail_prediction
+from leeyang import mc_moment, moment_growth_fit, tail_prediction
 from leeyang.lyclass import slowtail_applies
 
 beta_sq = 1.44
 ests = []
 print(f"beta^2 = {beta_sq}: Monte Carlo moments (2e5 samples each)")
 for k in range(1, 6):
-    e = mc_moment(UNIT_DISK, beta_sq, k, 200000, seed=40 + k)
+    e = mc_moment(beta_sq, k, 200000, seed=40 + k)
     ests.append(e)
     flag = " (low confidence)" if e.low_confidence else ""
     print(f"  k={k}  E|W|^{2 * k:2d} = {e.estimate:.4e} +- {e.stderr:.1e}{flag}")

@@ -19,6 +19,6 @@ from .lyclass import (ClassVerdict, TailProfile, WeakLimitReport, classify,
                       tail_exponent, weak_limit_harness)
 from .chain import (chain_vs_heat, dirichlet_ratio, laplace_normalization,
                     make_xy_kernel)
-from .gmc import (Domain, GrowthFit, LatticeDomain, MomentEstimate, UNIT_DISK,
-                  bin_distribution, dgff_sample, gmc_moment_formula, lattice_green,
-                  mc_moment, moment_growth_fit, sample_m_statistics, tail_prediction)
+from .gmc import (GrowthFit, LatticeDomain, MomentEstimate, bin_distribution, dgff_sample,
+                  gmc_moment_formula, lattice_green, mc_moment, moment_growth_fit,
+                  sample_m_statistics, tail_prediction)

@@ -29,7 +29,7 @@ from . import __version__
 from .chain import chain_vs_heat, dirichlet_ratio
 from .errors import NumericalError
 from .gibbs import (DiscretizedDistribution, ModelSpec, observable_distribution)
-from .gmc import (DESK_MAX_K, Domain, LatticeDomain, _refuse_dense_summation, bin_distribution,
+from .gmc import (DESK_MAX_K, LatticeDomain, _refuse_dense_summation, bin_distribution,
                   dgff_covariance, mc_moment, moment_growth_fit, sample_m_statistics,
                   tail_prediction)
 from .graphs import graph_from_json
@@ -183,12 +183,11 @@ def _cmd_chain_limit(args) -> int:
 def _cmd_gmc_moments(args) -> int:
     if not 1 <= args.k_max <= DESK_MAX_K:
         raise ValueError(f"gmc-moments --k-max must be between 1 and {DESK_MAX_K}")
-    domain = Domain(args.radius)
     ks = list(range(1, args.k_max + 1))
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(args.seed).spawn(len(ks))]
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        ests = list(pool.map(lambda kz: mc_moment(domain, args.beta_sq, kz[0],
-                                                  args.samples, kz[1]), zip(ks, seeds)))
+        ests = list(pool.map(lambda kz: mc_moment(args.beta_sq, kz[0], args.samples, kz[1]),
+                             zip(ks, seeds)))
     fit = moment_growth_fit(ests) if len(ests) >= 4 else None
     pred = tail_prediction(args.beta_sq)
     body = "k,estimate,stderr,samples,low_confidence\n" + "".join(
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-sq", type=float, required=True)
     sp.add_argument("--k-max", type=int, default=5)
     sp.add_argument("--samples", type=int, default=10**5)
-    sp.add_argument("--radius", type=float, default=1.0)
     sp.set_defaults(func=_cmd_gmc_moments)
 
     sp = sub.add_parser("dgff-check", help="empirical DGFF covariance vs Green's matrix")

@@ -178,6 +178,8 @@ class DiscretizedDistribution:
         ws = np.asarray(self.ws, dtype=float)
         if xs.shape != ws.shape or xs.ndim != 1:
             raise ValueError("atom positions and weights must be 1-d arrays of equal length")
+        if not len(xs):
+            raise ValueError("a law needs at least one atom, got no atoms")
         if not np.all(np.isfinite(xs)):
             raise ValueError("atom positions must be finite")
         if not np.all((ws > 0) & np.isfinite(ws)):
@@ -185,8 +187,9 @@ class DiscretizedDistribution:
         if np.any(xs[1:] < xs[:-1]):  # atoms read from a file come in any order
             order = np.argsort(xs, kind="stable")
             xs, ws = xs[order], ws[order]
-        if not abs(ws.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1 within 1e-12")
+        total = float(ws.sum())
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"atom weights sum to {total!r}, not 1 within 1e-12")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
 
@@ -196,7 +199,7 @@ class DiscretizedDistribution:
 
     @property
     def support_radius(self) -> float:
-        return float(np.max(np.abs(self.xs))) if len(self.xs) else 0.0
+        return float(np.max(np.abs(self.xs)))
 
     def is_mirror(self) -> bool:
         """True iff the atoms are a bitwise mirror, as :func:`_finish_law` builds them."""

@@ -1,10 +1,12 @@
 """Complex Gaussian multiplicative chaos: continuum moments and lattice fields.
 
 Continuum side: the 2k-th absolute moment of W = integral over U of
-exp(i beta h) for a whole-plane Gaussian field, U a disk (:class:`Domain`),
-is a Coulomb-gas partition function -- k positive and k negative unit
-charges confined in U with the pair interaction
+exp(i beta h) for a whole-plane Gaussian field, U the unit disk, is a
+Coulomb-gas partition function -- k positive and k negative unit charges
+confined in U with the pair interaction
 |same-charge distance|^{beta^2} / |opposite-charge distance|^{beta^2}.
+Another disk changes no exponent, only a factor: the moment of the disk of
+radius R is R^{(4 - beta^2) k} times the unit disk's.
 :func:`mc_moment` estimates it by plain Monte Carlo with batch-means error
 bars, which it flags as unreliable for beta^2 >= 1 (the weight's second
 moment diverges there), and a Kish effective sample size;
@@ -117,40 +119,23 @@ def _cos_double_angle(h: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class Domain:
-    """The integration domain U: the disk about 0 of a positive, finite radius."""
+def _disk_sample(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform points of the unit disk as the rows x and y of one (2, n) array.
 
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.radius**2
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n uniform points as the rows x and y of one (2, n) array.
-
-        A point is r (cos phi, sin phi) with r = R sqrt(u), phi = 2 pi v,
-        and u, v from two ``rng.random(n)`` calls in that order.  With
-        t = tan(phi / 2), cos phi = (1 - t^2) / (1 + t^2) and
-        sin phi = 2t / (1 + t^2) (:func:`_unit_circle`; h = pi v is bitwise
-        phi / 2): one tangent per point instead of a cosine and a sine, which
-        saves the most where numpy's tan is vectorised (AVX-512).  Each value
-        is within 4e-16 of the exact cos phi and sin phi (libm's within
-        1.2e-16), so a point is within 4e-16 R of r (np.cos, np.sin), and the
-        random stream, every later draw included, is unchanged.
-        """
-        r = self.radius * np.sqrt(rng.random(n))
-        pts = _unit_circle(math.pi * rng.random(n))
-        pts *= r
-        return pts
-
-
-UNIT_DISK = Domain(1.0)
+    A point is r (cos phi, sin phi) with r = sqrt(u), phi = 2 pi v, and u, v
+    from two ``rng.random(n)`` calls in that order.  With t = tan(phi / 2),
+    cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2t / (1 + t^2)
+    (:func:`_unit_circle`; h = pi v is bitwise phi / 2): one tangent per point
+    instead of a cosine and a sine, which saves the most where numpy's tan is
+    vectorised (AVX-512).  Each value is within 4e-16 of the exact cos phi and
+    sin phi (libm's within 1.2e-16), so a point is within 4e-16 of
+    r (np.cos, np.sin), and the random stream, every later draw included, is
+    unchanged.
+    """
+    r = np.sqrt(rng.random(n))
+    pts = _unit_circle(math.pi * rng.random(n))
+    pts *= r
+    return pts
 
 
 def _log_coulomb(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -239,7 +224,6 @@ class MomentEstimate:
     stderr: float
     samples: int
     seed: int
-    domain: Domain
     low_confidence: bool
     stderr_reliable: bool
     effective_sample_size: float
@@ -247,16 +231,16 @@ class MomentEstimate:
     def as_dict(self) -> dict:
         return {"beta_sq": self.beta_sq, "k": self.k, "estimate": self.estimate,
                 "stderr": self.stderr, "samples": self.samples, "seed": self.seed,
-                "radius": self.domain.radius, "low_confidence": self.low_confidence,
+                "low_confidence": self.low_confidence,
                 "stderr_reliable": self.stderr_reliable,
                 "effective_sample_size": self.effective_sample_size}
 
 
-def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -> MomentEstimate:
-    """Monte Carlo estimate of E|W_U|^{2k} = |U|^{2k} E[coulomb weight].
+def mc_moment(beta_sq: float, k: int, samples: int, seed: int) -> MomentEstimate:
+    """Monte Carlo estimate of E|W_U|^{2k} = |U|^{2k} E[coulomb weight], U the unit disk.
 
-    Plain average of the Coulomb weight over uniform 2k-tuples in the
-    disk U, times |U|^{2k}; the standard error comes from batch means over
+    Plain average of the Coulomb weight over uniform 2k-tuples in U, times
+    |U|^{2k} = pi^{2k}; the standard error comes from batch means over
     MC_BATCHES contiguous blocks.  Estimates whose relative
     standard error exceeds 0.5 are flagged low-confidence.  For beta^2 >= 1
     the weight's second moment diverges in 2-D, so the batch means have no
@@ -264,8 +248,12 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
     sample size (sum w)^2 / sum w^2 is accumulated from the same weights.
     A batch whose mean is not finite raises NumericalError.  k is capped at
     DESK_MAX_K, the desk-scale order: the weight tails get heavier with k.
-    A radius whose |U|^{2k} overflows or leaves the normal float range is
-    refused with ValueError before any draw.
+
+    Other disks need no draw of their own.  On the disk of radius R the
+    charges are R times unit-disk charges, so the log weight moves by
+    -beta^2 k log R (:func:`_log_coulomb` by -k log R) and |U|^{2k} by a
+    factor R^{4k}: m_{2k}(R) = R^{(4 - beta^2) k} m_{2k}(1) exactly, and the
+    estimate and its error bar scale by that same factor.
     """
     if not 0.0 < beta_sq < 2.0:
         raise ValueError(f"beta^2 must lie in (0, 2), got {beta_sq}")
@@ -275,20 +263,16 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
         raise ValueError(f"k = {k} above the desk-scale cap {DESK_MAX_K}")
     if samples < 10**4:
         raise ValueError(f"need at least 1e4 samples, got {samples}")
-    log_scale = 2 * k * (math.log(math.pi) + 2.0 * math.log(domain.radius))
-    if not math.log(_TINY) <= log_scale <= math.log(_HUGE):
-        raise ValueError(f"disk radius {domain.radius} gives |U|^(2k) = e^{log_scale:.4g} at "
-                         f"k = {k}, outside the normal float range")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     per_batch = samples // MC_BATCHES
     total = per_batch * MC_BATCHES
-    scale = domain.area ** (2 * k)
+    scale = math.pi ** (2 * k)
     means = np.empty(MC_BATCHES)
     # Kish sums per batch, of weights scaled by the batch's largest so squares cannot overflow
     peaks, sums, squares = np.zeros(MC_BATCHES), np.zeros(MC_BATCHES), np.zeros(MC_BATCHES)
     for b in range(MC_BATCHES):
-        pos = domain.sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
-        neg = domain.sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
+        pos = _disk_sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
+        neg = _disk_sample(rng, per_batch * k).reshape(2, per_batch, k).swapaxes(1, 2)
         w = np.exp(beta_sq * _log_coulomb(pos, neg))
         means[b] = float(np.mean(w)) * scale
         if not math.isfinite(means[b]):
@@ -305,7 +289,7 @@ def mc_moment(domain: Domain, beta_sq: float, k: int, samples: int, seed: int) -
     c = peaks / top if top > 0 else peaks
     ess = float(np.sum(c * sums) ** 2 / np.sum(c * c * squares)) if top > 0 else 0.0
     return MomentEstimate(beta_sq=beta_sq, k=k, estimate=estimate, stderr=stderr,
-                          samples=total, seed=seed, domain=domain, low_confidence=low,
+                          samples=total, seed=seed, low_confidence=low,
                           stderr_reliable=beta_sq < 1.0, effective_sample_size=ess)
 
 
@@ -379,16 +363,20 @@ def tail_prediction(beta_sq: float) -> TailProfile:
 # lattice domains, Green's function, DGFF
 # ---------------------------------------------------------------------------
 
-def _disk_columns(radius: float) -> list[tuple[int, int]]:
+def _disk_columns(radius: float):
     """(x, h) for each column of the points of Z^2 in the closed disk of the
-    given radius about 0, whose points are (x, -h) .. (x, h); a radius that is
-    not positive and finite raises ValueError."""
+    given radius about 0, whose points are (x, -h) .. (x, h), by x ascending
+    and each one computed as it is taken; a radius that is not positive and
+    finite, or whose square is not, raises ValueError at once."""
     if not 0 < radius < math.inf:
         raise ValueError(f"lattice disk radius must be positive and finite, got {radius}")
+    square = float(radius) * float(radius)
+    if square == math.inf:
+        raise ValueError(f"lattice disk radius {radius} has a square beyond the float range")
     R = int(math.floor(radius))
     # integers satisfy x^2 + y^2 <= r^2 exactly when they satisfy it against floor(r^2)
-    r2 = math.floor(float(radius) * float(radius))
-    return [(x, math.isqrt(r2 - x * x)) for x in range(-R, R + 1)]
+    r2 = math.floor(square)
+    return ((x, math.isqrt(r2 - x * x)) for x in range(-R, R + 1))
 
 
 def _disk_sites(radius: float) -> list[tuple[int, int]]:
@@ -570,12 +558,15 @@ def dgff_covariance(domain: LatticeDomain, seed: int, size: int) -> np.ndarray:
 
 def _refuse_dense_summation(n: int) -> None:
     """BudgetExceededError if D_n holds more than DENSE_SAMPLING_CAP sites,
-    counted column by column before any site is listed."""
-    count = sum(2 * h + 1 for _, h in _disk_columns(n))
-    if count > DENSE_SAMPLING_CAP:
-        raise BudgetExceededError(
-            f"dense sampling factorisation for {count} summation sites exceeds "
-            f"the cap {DENSE_SAMPLING_CAP}")
+    counted column by column up to the first that passes the cap, before any
+    site is listed."""
+    count = 0
+    for _, h in _disk_columns(n):
+        count += 2 * h + 1
+        if count > DENSE_SAMPLING_CAP:
+            raise BudgetExceededError(
+                f"D_{n} holds more than {DENSE_SAMPLING_CAP} summation sites, the cap "
+                "of the dense sampling factorisation")
 
 
 def _summation_sites(domain: LatticeDomain, n: int) -> list[tuple[int, int]]:

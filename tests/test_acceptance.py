@@ -18,7 +18,7 @@ from leeyang.chain import chain_vs_heat, dirichlet_ratio, laplace_normalization,
 from leeyang.gibbs import (DiscretizedDistribution, ModelSpec,
                            discretized_gaussian, observable_distribution,
                            rademacher)
-from leeyang.gmc import (LatticeDomain, UNIT_DISK, gmc_moment_formula,
+from leeyang.gmc import (LatticeDomain, gmc_moment_formula,
                          dgff_sample, lattice_green, mc_moment,
                          moment_growth_fit, tail_prediction)
 from leeyang.graphs import build_graph, path_graph, single_edge_graph
@@ -188,7 +188,7 @@ def disk_pair_moment_oracle(beta_sq: float, nodes: int = 2000) -> float:
 
 def test_criterion_7a_mc_vs_quadrature_oracle():
     t0 = time.time()
-    est = mc_moment(UNIT_DISK, 1.0, 1, 10**6, seed=42)
+    est = mc_moment(1.0, 1, 10**6, seed=42)
     oracle = disk_pair_moment_oracle(1.0)
     sigma = abs(est.estimate - oracle) / est.stderr
     assert sigma < 3.0
@@ -214,7 +214,7 @@ def test_criterion_7b_synthetic_recovery():
     "interval reaches 1.44 (see decisions ledger)"))
 def test_criterion_7c_growth_fit_ci_contains_coupling():
     t0 = time.time()
-    ests = [mc_moment(UNIT_DISK, 1.44, k, 10**6, seed=200 + k) for k in range(1, 6)]
+    ests = [mc_moment(1.44, k, 10**6, seed=200 + k) for k in range(1, 6)]
     fit = moment_growth_fit(ests)
     lo, hi = fit.ci
     dt = time.time() - t0

@@ -228,12 +228,13 @@ def test_gmc_moments_requires_seed(capsys):
 
 
 def test_gmc_moments_has_no_domain_flag(tmp_path, capsys):
-    # the moments are taken on the disk of --radius; there is no other domain
-    with pytest.raises(SystemExit) as exc:
-        main(["gmc-moments", "--beta-sq", "1.0", "--seed", "1", "--domain", "disk",
-              "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "--domain" in capsys.readouterr().err
+    # the moments are taken on the unit disk; another disk scales them
+    for flag in (["--domain", "disk"], ["--radius", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gmc-moments", "--beta-sq", "1.0", "--seed", "1", *flag,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage_error():
@@ -624,6 +625,22 @@ def test_m_stat_config_with_a_dropped_flag_repeats_the_run(tmp_path):
     assert [f.name for f in out2.iterdir()] == ["m_stat.json"]
 
 
+def test_gmc_moments_config_with_a_radius_replays_on_the_unit_disk(tmp_path):
+    # a config written while gmc-moments --radius existed still holds "radius";
+    # a key that names no flag is ignored, so the moments are the unit disk's
+    argv = ["gmc-moments", "--beta-sq", "0.5", "--k-max", "2", "--samples", "10000",
+            "--seed", "3"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(out1)]) == 0
+    doc1 = json.loads((out1 / "gmc_moments.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**doc1["config"], "radius": 2.0}))
+    assert main(["gmc-moments", "--config", str(cfg), "--out", str(out2)]) == 0
+    doc2 = json.loads((out2 / "gmc_moments.json").read_text())
+    assert doc2["results"] == doc1["results"]
+    assert doc2["config"] == {**doc1["config"], "out": str(out2)}
+
+
 def test_abbreviated_flag_beats_the_config_file(edge_graph, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid_n": 64}))
@@ -661,27 +678,20 @@ def test_config_flag_is_honoured_in_every_spelling(spelling, edge_graph, tmp_pat
     (["chain-limit", "--n-list", "4", "--grid-n", "-4"], "grid size"),
     (["gmc-moments", "--beta-sq", "2", "--k-max", "1", "--samples", "10000", "--seed", "1"],
      "beta^2 must lie in (0, 2), got 2.0"),
-    (["gmc-moments", "--beta-sq", "0.5", "--radius", "0", "--seed", "1"],
-     "disk radius must be positive and finite, got 0.0"),
-    (["gmc-moments", "--beta-sq", "0.5", "--radius", "inf", "--seed", "1"],
-     "disk radius must be positive and finite, got inf"),
     (["m-stat", "--n", "3", "--r", "2", "--beta", "1.5", "--samples", "100", "--seed", "1"],
      "beta must lie in (0, sqrt 2), got 1.5"),
-    (["gmc-moments", "--beta-sq", "0.5", "--k-max", "4", "--samples", "10000", "--seed", "1",
-      "--radius", "1e40"], "disk radius 1e+40 gives |U|^(2k)"),
-    (["gmc-moments", "--beta-sq", "0.5", "--k-max", "3", "--samples", "10000", "--seed", "1",
-      "--radius", "1e-60"], "disk radius 1e-60 gives |U|^(2k)"),
     (["m-stat", "--n", "3", "--r", "inf", "--beta", "1.2", "--seed", "1"],
      "lattice disk radius must be positive and finite, got inf"),
     (["m-stat", "--n", "3", "--r", "nan", "--beta", "1.2", "--seed", "1"],
      "lattice disk radius must be positive and finite, got nan"),
+    (["m-stat", "--n", "10", "--r", "1e300", "--beta", "1.2", "--seed", "1"],
+     "lattice disk radius 1e+301 has a square beyond the float range"),
 ], ids=["dgff-check-no-samples", "m-stat-one-sample", "m-stat-no-bins",
         "gmc-moments-no-moments", "dgff-check-no-interior", "m-stat-negative-bootstrap",
         "gmc-moments-above-cap", "chain-limit-empty-grid", "chain-limit-negative-grid",
         "gmc-moments-beta-sq-2",
-        "gmc-moments-zero-radius", "gmc-moments-infinite-radius", "m-stat-beta-above-sqrt2",
-        "gmc-moments-area-power-overflows", "gmc-moments-area-power-underflows",
-        "m-stat-infinite-r", "m-stat-nan-r"])
+        "m-stat-beta-above-sqrt2", "m-stat-infinite-r", "m-stat-nan-r",
+        "m-stat-overflowing-r"])
 def test_too_few_samples_is_a_usage_error(argv, named, tmp_path, capsys):
     # meaningless counts are refused before any output is written: they
     # could only give a NaN statistic, an empty list or a point mass at 0
@@ -750,7 +760,7 @@ def test_m_stat_refuses_more_sites_than_the_dense_cap(monkeypatch, tmp_path, cap
     assert main(["m-stat", "--n", "100", "--r", "1.5", "--beta", "1.2", "--samples", "200",
                  "--seed", "1", "--out", str(out)]) == 2
     assert not out.exists()
-    assert (f"31417 summation sites exceeds the cap {gmc.DENSE_SAMPLING_CAP}"
+    assert (f"D_100 holds more than {gmc.DENSE_SAMPLING_CAP} summation sites"
             in capsys.readouterr().err)
 
 
@@ -767,7 +777,7 @@ def test_m_stat_refuses_an_oversized_disk_before_building_the_field_domain(monke
     assert main(["m-stat", "--n", "200", "--r", "1.5", "--beta", "1.2", "--samples", "200",
                  "--seed", "1", "--out", str(out)]) == 2
     assert not out.exists()
-    assert (f"125629 summation sites exceeds the cap {gmc.DENSE_SAMPLING_CAP}"
+    assert (f"D_200 holds more than {gmc.DENSE_SAMPLING_CAP} summation sites"
             in capsys.readouterr().err)
 
 
@@ -860,6 +870,9 @@ def test_readme_commands_parse():
     (["zeros", "--dist", "law.csv", "--tol", "inf"], "tol must be positive and finite, got inf"),
     (["villain-verify", "--graph", "edge.json", "--tol", "inf"],
      "tol must be positive and finite, got inf"),
+    (["zeros", "--dist", "header_only.csv"], "a law needs at least one atom, got no atoms"),
+    (["zeros", "--dist", "short_mass.csv"],
+     "atom weights sum to 0.8999999999999999, not 1 within 1e-12"),
 ])
 def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, capsys,
                                              monkeypatch):
@@ -878,6 +891,8 @@ def test_malformed_input_file_is_usage_error(argv, named, edge_graph, tmp_path, 
     Path("duplicate_vertex.json").write_text('{"vertices": ["x", "y", "x"], "edges": []}')
     Path("unknown_lambda.json").write_text(EDGE_GRAPH.replace('"y": 1.0', '"z": 1.0'))
     Path("law.csv").write_text(THREE_ATOM_CSV)
+    Path("header_only.csv").write_text("x,w\n")
+    Path("short_mass.csv").write_text("x,w\n-1.0,0.3\n0.0,0.3\n1.0,0.3\n")
     # an m-stat report: its results carry zeros and a verdict, but no region
     Path("m_stat.json").write_text(json.dumps({"format_version": 1, "config": {}, "results": {
         "mean": 0.0, "std": 1.0, "second_moment": 1.0, "exploratory": True,

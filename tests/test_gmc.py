@@ -11,8 +11,7 @@ import pytest
 from leeyang import gmc
 from leeyang.cli import main
 from leeyang.errors import BudgetExceededError, NumericalError
-from leeyang.gmc import (Domain, LatticeDomain, UNIT_DISK, bin_distribution,
-                         dgff_covariance, dgff_sample, gmc_moment_formula, lattice_green, mc_moment,
+from leeyang.gmc import (LatticeDomain, bin_distribution, dgff_covariance, dgff_sample, gmc_moment_formula, lattice_green, mc_moment,
                          moment_growth_fit, sample_m_statistics, tail_prediction)
 from leeyang.gibbs import distribution_from_atoms
 from leeyang.lyclass import slowtail_applies
@@ -56,9 +55,10 @@ def charge_major(a):
     return np.asarray(a, dtype=float).transpose(2, 1, 0)
 
 
-def draw_charges(domain, rng, S, k):
-    """S configurations of k charges, drawn and laid out as :func:`mc_moment` does."""
-    return domain.sample(rng, S * k).reshape(2, S, k).swapaxes(1, 2)
+def draw_charges(rng, S, k):
+    """S configurations of k charges in the unit disk, drawn and laid out as
+    :func:`mc_moment` does."""
+    return gmc._disk_sample(rng, S * k).reshape(2, S, k).swapaxes(1, 2)
 
 
 def coulomb_weights(pos, neg, beta_sq):
@@ -154,11 +154,12 @@ def former_log_coulomb(pos, neg):
 
 @pytest.mark.parametrize("radius", [2.0**-330, 1.0, 2.0**100])
 def test_log_coulomb_matches_the_former_kernel_bit_for_bit(radius):
-    # 5,000 configurations: two blocks of _log_coulomb
-    dom = Domain(radius)
+    # 5,000 configurations: two blocks of _log_coulomb; scaling by a power of
+    # two is exact, so these are bitwise the points a disk of that radius drew
+    m = math.frexp(radius)[1] - 1
     for k in (*range(1, gmc.DESK_MAX_K + 1), 8):
         rng = np.random.default_rng(53 + k)
-        pos, neg = draw_charges(dom, rng, 5000, k), draw_charges(dom, rng, 5000, k)
+        pos, neg = np.ldexp(draw_charges(rng, 5000, k), m), np.ldexp(draw_charges(rng, 5000, k), m)
         assert np.array_equal(_log_coulomb(pos, neg), former_log_coulomb(pos, neg)), k
 
 
@@ -167,7 +168,7 @@ def test_log_coulomb_matches_pairwise_reference():
     # about 15 in size at k = 8, so 1e-12 absolute leaves 100x headroom
     rng = np.random.default_rng(23)
     for k in (1, 2, 3, 4, 5, 6, 8):
-        pos, neg = draw_charges(UNIT_DISK, rng, 500, k), draw_charges(UNIT_DISK, rng, 500, k)
+        pos, neg = draw_charges(rng, 500, k), draw_charges(rng, 500, k)
         fast, ref = _log_coulomb(pos, neg), pairwise_log_coulomb(pos, neg)
         assert np.all(np.isfinite(fast))
         assert np.max(np.abs(fast - ref)) <= 1e-12
@@ -179,7 +180,7 @@ def test_log_coulomb_many_charges_do_not_underflow():
     # pair; the reference's summed logs are themselves off by up to 9.4e-13
     # here (30-digit check, seed 29)
     rng = np.random.default_rng(29)
-    pos, neg = draw_charges(UNIT_DISK, rng, 6, 60), draw_charges(UNIT_DISK, rng, 6, 60)
+    pos, neg = draw_charges(rng, 6, 60), draw_charges(rng, 6, 60)
     fast = _log_coulomb(pos, neg)
     assert np.all(np.isfinite(fast))
     assert np.max(np.abs(fast - pairwise_log_coulomb(pos, neg))) <= 1e-11
@@ -190,7 +191,7 @@ def test_log_coulomb_guard_recomputes_near_coincident_charges():
     # the product of the 36 opposite squared distances (about 1e-60 each)
     # would underflow unscaled; rows 1-4 hold unit-disk charges
     rng = np.random.default_rng(59)
-    pos, neg = draw_charges(UNIT_DISK, rng, 5, 6).copy(), draw_charges(UNIT_DISK, rng, 5, 6).copy()
+    pos, neg = draw_charges(rng, 5, 6).copy(), draw_charges(rng, 5, 6).copy()
     pos[:, :, 0] = 1e-30 * rng.uniform(-1, 1, (2, 6))
     neg[:, :, 0] = 1e-30 * rng.uniform(-1, 1, (2, 6))
     dx, dy = pos[:, :, None, 0] - neg[:, None, :, 0]
@@ -210,7 +211,7 @@ def test_log_coulomb_recomputed_rows_do_not_depend_on_each_other():
     # unscaled; a numpy sum over the pairs axis would change its order with
     # the count of recomputed rows
     rng = np.random.default_rng(71)
-    unit_pos, unit_neg = draw_charges(UNIT_DISK, rng, 1, 6), draw_charges(UNIT_DISK, rng, 1, 6)
+    unit_pos, unit_neg = draw_charges(rng, 1, 6), draw_charges(rng, 1, 6)
     pos, neg = 1e-30 * rng.uniform(-1, 1, (2, 6, 64)), 1e-30 * rng.uniform(-1, 1, (2, 6, 64))
     together = _log_coulomb(np.concatenate((pos, unit_pos), axis=2),
                             np.concatenate((neg, unit_neg), axis=2))
@@ -224,9 +225,20 @@ def test_log_coulomb_moves_by_k_log_2_under_power_of_two_scaling(m):
     # sum over same pairs minus opposite pairs of log(2^m d): k(k-1) - k^2 = -k terms of m log 2
     rng = np.random.default_rng(61)
     for k in range(1, gmc.DESK_MAX_K + 1):
-        pos, neg = draw_charges(UNIT_DISK, rng, 300, k), draw_charges(UNIT_DISK, rng, 300, k)
+        pos, neg = draw_charges(rng, 300, k), draw_charges(rng, 300, k)
         moved = _log_coulomb(np.ldexp(pos, m), np.ldexp(neg, m))
         assert np.max(np.abs(moved - (_log_coulomb(pos, neg) - m * k * math.log(2.0)))) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.3, 5.0])
+def test_log_coulomb_moves_by_k_log_r_under_scaling_by_r(factor):
+    # the identity behind mc_moment's scaling law m_2k(R) = R^((4 - beta^2) k) m_2k(1);
+    # R times a point is rounded, unlike 2^m times it
+    rng = np.random.default_rng(61)
+    for k in range(1, gmc.DESK_MAX_K + 1):
+        pos, neg = draw_charges(rng, 300, k), draw_charges(rng, 300, k)
+        moved = _log_coulomb(factor * pos, factor * neg)
+        assert np.max(np.abs(moved - (_log_coulomb(pos, neg) - k * math.log(factor)))) <= 1e-12
 
 
 def test_log_coulomb_outside_the_normal_range():
@@ -257,73 +269,67 @@ def test_log_coulomb_outside_the_normal_range():
 # ---------------------------------------------------------------------------
 
 def test_mc_moment_weak_coupling_is_area_power():
-    est = mc_moment(UNIT_DISK, 1e-12, 1, 20000, seed=1)
+    est = mc_moment(1e-12, 1, 20000, seed=1)
     assert abs(est.estimate - math.pi**2) < 1e-9
-    est2 = mc_moment(UNIT_DISK, 1e-12, 2, 20000, seed=2)
+    est2 = mc_moment(1e-12, 2, 20000, seed=2)
     assert abs(est2.estimate - math.pi**4) < 1e-6
 
 
 def test_mc_moment_matches_quadrature_oracle():
-    est = mc_moment(UNIT_DISK, 1.0, 1, 200000, seed=42)
+    est = mc_moment(1.0, 1, 200000, seed=42)
     oracle = disk_pair_moment_oracle(1.0)
     assert abs(est.estimate - oracle) < 3 * est.stderr
 
 
 def test_mc_moment_reproducible():
-    a = mc_moment(UNIT_DISK, 1.0, 2, 20000, seed=7)
-    b = mc_moment(UNIT_DISK, 1.0, 2, 20000, seed=7)
+    a = mc_moment(1.0, 2, 20000, seed=7)
+    b = mc_moment(1.0, 2, 20000, seed=7)
     assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
 def test_mc_moment_stable_under_doubling():
-    a = mc_moment(UNIT_DISK, 0.5, 2, 50000, seed=3)
-    b = mc_moment(UNIT_DISK, 0.5, 2, 100000, seed=30)
+    a = mc_moment(0.5, 2, 50000, seed=3)
+    b = mc_moment(0.5, 2, 100000, seed=30)
     tol = 3 * math.hypot(a.stderr, b.stderr)
     assert abs(a.estimate - b.estimate) < tol
 
 
 def test_mc_moment_monotone_in_coupling():
-    lo = mc_moment(UNIT_DISK, 0.4, 2, 50000, seed=8)
-    hi = mc_moment(UNIT_DISK, 0.9, 2, 50000, seed=9)
+    lo = mc_moment(0.4, 2, 50000, seed=8)
+    hi = mc_moment(0.9, 2, 50000, seed=9)
     assert hi.estimate - lo.estimate > -3 * math.hypot(lo.stderr, hi.stderr)
 
 
 def test_mc_moment_rejects_small_samples():
     with pytest.raises(ValueError, match="1e4"):
-        mc_moment(UNIT_DISK, 1.0, 1, 100, seed=1)
-
-
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
-def test_domain_refuses_a_radius_that_is_not_positive_and_finite(radius):
-    with pytest.raises(ValueError, match="positive and finite"):
-        Domain(radius)
+        mc_moment(1.0, 1, 100, seed=1)
 
 
 def test_mc_moment_order_cap():
     with pytest.raises(ValueError, match="cap"):
-        mc_moment(UNIT_DISK, 0.5, 7, 20000, seed=1)
+        mc_moment(0.5, 7, 20000, seed=1)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 6])
 def test_mc_moment_same_with_pairwise_kernel(k, monkeypatch):
-    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
+    new = mc_moment(1.44, k, 20000, seed=31 + k)
     monkeypatch.setattr(gmc, "_log_coulomb", pairwise_log_coulomb)
-    old = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=31 + k)
+    old = mc_moment(1.44, k, 20000, seed=31 + k)
     assert abs(new.estimate - old.estimate) <= 1e-13 * old.estimate
     assert abs(new.stderr - old.stderr) <= 1e-13 * old.stderr
 
 
 @pytest.mark.parametrize("k", range(1, gmc.DESK_MAX_K + 1))
 def test_mc_moment_same_bits_with_the_former_kernel(k, monkeypatch):
-    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=67 + k)
+    new = mc_moment(1.44, k, 20000, seed=67 + k)
     monkeypatch.setattr(gmc, "_log_coulomb", former_log_coulomb)
-    assert mc_moment(UNIT_DISK, 1.44, k, 20000, seed=67 + k) == new
+    assert mc_moment(1.44, k, 20000, seed=67 + k) == new
 
 
-def former_disk_sample(self, rng, n):
-    """The disk sampler with a cosine and a sine per point, as it was before
-    :func:`gmc._unit_circle`, in the (2, n) layout of today's."""
-    r = self.radius * np.sqrt(rng.random(n))
+def former_disk_sample(rng, n):
+    """The unit-disk sampler with a cosine and a sine per point, as it was
+    before :func:`gmc._unit_circle`, in the (2, n) layout of today's."""
+    r = np.sqrt(rng.random(n))
     phi = 2.0 * math.pi * rng.random(n)
     return np.stack([r * np.cos(phi), r * np.sin(phi)])
 
@@ -360,11 +366,11 @@ def test_cos_double_angle_matches_mpmath():
     assert np.max(np.abs(got - want)) <= 4e-16
 
 
-@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("radius", [1.0])
 def test_disk_sample_matches_the_former_sampler(radius):
-    dom = Domain(radius)
+    # the unit disk is the only one sampled: another radius scales the moments
     rng_new, rng_old = np.random.default_rng(43), np.random.default_rng(43)
-    new, old = dom.sample(rng_new, 5000), former_disk_sample(dom, rng_old, 5000)
+    new, old = gmc._disk_sample(rng_new, 5000), former_disk_sample(rng_old, 5000)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     assert new.shape == (2, 5000) and new.flags.c_contiguous
     assert np.max(np.abs(new - old)) <= 4e-16 * radius
@@ -373,9 +379,9 @@ def test_disk_sample_matches_the_former_sampler(radius):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_mc_moment_same_with_the_former_sampler(k, monkeypatch):
-    new = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=37 + k)
-    monkeypatch.setattr(gmc.Domain, "sample", former_disk_sample)
-    old = mc_moment(UNIT_DISK, 1.44, k, 20000, seed=37 + k)
+    new = mc_moment(1.44, k, 20000, seed=37 + k)
+    monkeypatch.setattr(gmc, "_disk_sample", former_disk_sample)
+    old = mc_moment(1.44, k, 20000, seed=37 + k)
     for field in ("estimate", "stderr", "effective_sample_size"):
         a, b = getattr(new, field), getattr(old, field)
         assert abs(a - b) <= 1e-13 * b, field
@@ -390,7 +396,7 @@ def test_mc_moment_non_finite_mean_raises(monkeypatch, tmp_path):
 
     monkeypatch.setattr(gmc, "_log_coulomb", one_infinite_row)
     with pytest.raises(NumericalError, match=r"batch 0 .*k = 2"):
-        mc_moment(UNIT_DISK, 0.5, 2, 20000, seed=1)
+        mc_moment(0.5, 2, 20000, seed=1)
     out = tmp_path / "o"
     assert main(["gmc-moments", "--beta-sq", "0.5", "--k-max", "2", "--samples", "20000",
                  "--seed", "1", "--out", str(out)]) == 1
@@ -398,11 +404,11 @@ def test_mc_moment_non_finite_mean_raises(monkeypatch, tmp_path):
 
 
 def test_mc_moment_error_bar_reliability_and_effective_size():
-    heavy = mc_moment(UNIT_DISK, 1.44, 2, 20000, seed=5)
-    light = mc_moment(UNIT_DISK, 0.5, 2, 20000, seed=5)
-    flat = mc_moment(UNIT_DISK, 1e-12, 2, 20000, seed=5)
+    heavy = mc_moment(1.44, 2, 20000, seed=5)
+    light = mc_moment(0.5, 2, 20000, seed=5)
+    flat = mc_moment(1e-12, 2, 20000, seed=5)
     assert heavy.stderr_reliable is False and light.stderr_reliable is True
-    assert mc_moment(UNIT_DISK, 1.0, 1, 20000, seed=5).stderr_reliable is False
+    assert mc_moment(1.0, 1, 20000, seed=5).stderr_reliable is False
     for est in (heavy, light):
         assert 0 < est.effective_sample_size <= est.samples
     assert heavy.effective_sample_size < light.effective_sample_size
@@ -792,8 +798,18 @@ def test_sampling_cap_counts_the_disk_without_listing_it(monkeypatch):
     assert len(gmc._disk_sites(35)) <= gmc.DENSE_SAMPLING_CAP < len(gmc._disk_sites(36))
     gmc._refuse_dense_summation(35)
     monkeypatch.setattr(gmc, "_disk_sites", None)
-    with pytest.raises(BudgetExceededError, match="4053 summation sites"):
+    with pytest.raises(BudgetExceededError,
+                       match=f"D_36 holds more than {gmc.DENSE_SAMPLING_CAP} summation sites"):
         gmc._refuse_dense_summation(36)
+
+
+def test_sampling_cap_stops_counting_at_the_first_column_past_it(monkeypatch):
+    # D_1000000 has 2,000,001 columns; its first three already hold 4,001 sites
+    isqrt, calls = math.isqrt, []
+    monkeypatch.setattr(math, "isqrt", lambda v: calls.append(v) or isqrt(v))
+    with pytest.raises(BudgetExceededError, match="D_1000000 holds more than"):
+        gmc._refuse_dense_summation(10**6)
+    assert 0 < len(calls) <= 100
 
 
 def test_m_statistic_site_check():
